@@ -18,8 +18,7 @@ cotangent space: one leg per real/radial/angle coordinate, two legs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import sympy
@@ -288,7 +287,7 @@ class Region:
 
     # -- sampling ------------------------------------------------------
 
-    def sample(self, rng, rational: bool = False) -> dict[str, complex]:
+    def sample(self, rng) -> dict[str, complex]:
         """One point inside the region; deterministic for a seeded rng."""
         values: dict[str, complex] = {}
         for c in self.chart.coords:
@@ -299,41 +298,26 @@ class Region:
                     mhi = iv.hi if iv.hi is not None else 2.0
                     if c.name in self.nonzero:
                         mlo = max(mlo, 0.25)
-                    radius = _draw(rng, mlo, mhi, rational)
+                    radius = rng.uniform(mlo, mhi)
                     angle = rng.uniform(0.0, _TWO_PI)
-                    if rational:
-                        # rational points on a rational circle: use tangent half-angle
-                        t = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
-                        den = 1 + t * t
-                        cosv, sinv = (1 - t * t) / den, 2 * t / den
-                        values[c.name] = complex(float(radius * cosv), float(radius * sinv))
-                    else:
-                        values[c.name] = radius * complex(math.cos(angle), math.sin(angle))
+                    values[c.name] = radius * complex(math.cos(angle), math.sin(angle))
                 else:
-                    re = _draw(rng, -2.0, 2.0, rational)
-                    im = _draw(rng, -2.0, 2.0, rational)
-                    values[c.name] = complex(float(re), float(im))
+                    re = rng.uniform(-2.0, 2.0)
+                    im = rng.uniform(-2.0, 2.0)
+                    values[c.name] = complex(re, im)
             else:
-                lo, hi = _window(iv, None, c.kind)
-                values[c.name] = complex(float(_draw(rng, lo, hi, rational)))
+                lo, hi = _window(iv, c.kind)
+                values[c.name] = complex(rng.uniform(lo, hi))
         return self.chart.point(values)
 
 
-def _window(iv: Interval, override, kind: str) -> tuple[float, float]:
+def _window(iv: Interval, kind: str) -> tuple[float, float]:
     dlo, dhi = _DEFAULT_WINDOW[kind]
     lo = iv.lo if iv.lo is not None else dlo
     hi = iv.hi if iv.hi is not None else dhi
     if hi <= lo:
         hi = lo + 1e-6
     return lo, hi
-
-
-def _draw(rng, lo: float, hi: float, rational: bool):
-    if not rational:
-        return rng.uniform(lo, hi)
-    # rational sample strictly inside (lo, hi)
-    f = Fraction(rng.randint(1, 31), 32)
-    return Fraction(lo).limit_denominator(64) + f * (Fraction(hi).limit_denominator(64) - Fraction(lo).limit_denominator(64))
 
 
 def everywhere(chart: Chart) -> Region:

@@ -17,9 +17,8 @@ import sympy
 
 from .chart import Chart, Region, RegionError
 from .scalars import (
-    EvaluationError,
     ScalarExpr,
-    evaluate_expr,
+    compile_exprs,
     expr_equal,
     merge_domains,
     pin_bumps,
@@ -53,12 +52,15 @@ def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
 class MixedForm:
     """Immutable mixed-degree complex differential form on a chart."""
 
-    __slots__ = ("chart", "terms", "domain")
+    # _compiled: region bump pins -> (keys, compiled coefficients), filled
+    # by evaluate_at
+    __slots__ = ("chart", "terms", "domain", "_compiled")
 
     def __init__(self, chart: Chart, terms: Mapping | None = None,
                  domain: Optional[Region] = None):
         self.chart = chart
         self.domain = domain
+        self._compiled = {}
         data: dict[tuple[int, ...], sympy.Expr] = {}
         for key, coeff in (terms or {}).items():
             if isinstance(coeff, ScalarExpr):
@@ -189,17 +191,26 @@ class MixedForm:
     # -- evaluation --------------------------------------------------------
 
     def evaluate_at(self, point, region: Optional[Region] = None) -> dict[tuple[int, ...], complex]:
-        """Numeric coefficients at a point, after region bump pinnings."""
-        pins = region.bump_map if region is not None else {}
-        out = {}
-        for key, c in self.terms.items():
-            if pins:
-                c = pin_bumps(c, pins)
-            c = sympy.cancel(sympy.together(c)) if c.free_symbols else c
-            if c.is_zero:
-                continue
-            out[key] = evaluate_expr(c, self.chart, point)
-        return out
+        """Numeric coefficients at a point, after region bump pinnings.
+
+        The coefficients are pinned, cancelled and compiled once per set of
+        region pins and kept on the form; each call then evaluates them at
+        the point in float64.  Coefficients that cancel to zero are left out.
+        """
+        pins = region.bump_values if region is not None else ()
+        compiled = self._compiled.get(pins)
+        if compiled is None:
+            keys, exprs = [], []
+            for key, c in self.terms.items():
+                if pins:
+                    c = pin_bumps(c, dict(pins))
+                c = sympy.cancel(sympy.together(c)) if c.free_symbols else c
+                if not c.is_zero:
+                    keys.append(key)
+                    exprs.append(c)
+            compiled = self._compiled[pins] = (keys, compile_exprs(exprs, self.chart))
+        keys, values_at = compiled
+        return dict(zip(keys, values_at(point).tolist()))
 
 
 # ---------------------------------------------------------------------------

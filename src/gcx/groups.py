@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 Word = tuple[tuple[str, int], ...]
@@ -292,63 +291,51 @@ def exponent_matrix(g: GroupPresentation) -> list[list[int]]:
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal invariant factors d1 | d2 | ... of an integer matrix."""
+    """Diagonal invariant factors d1 | d2 | ... of an integer matrix.
+
+    Each sweep moves the smallest nonzero |entry| of the remaining
+    submatrix to the pivot and reduces its row and column by it; any
+    remainder is smaller still and becomes the next pivot, so entries
+    stay bounded by the input's.  A cleared pivot that fails to divide
+    some remaining entry takes that entry's row, and the sweeps go on.
+    """
     a = [list(map(int, row)) for row in matrix]
     if not a or not a[0]:
         return []
     rows, cols = len(a), len(a[0])
     diag: list[int] = []
-    top = 0
-    while top < min(rows, cols):
-        # find a nonzero pivot in the submatrix
-        pivot = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if a[i][j]:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        a[top], a[i] = a[i], a[top]
-        for row in a:
-            row[top], row[j] = row[j], row[top]
+    for top in range(min(rows, cols)):
         while True:
-            # clear the pivot column
-            dirty = False
+            pivot = None
+            for i in range(top, rows):
+                for j in range(top, cols):
+                    if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                return diag
+            i, j = pivot
+            a[top], a[i] = a[i], a[top]
+            for row in a:
+                row[top], row[j] = row[j], row[top]
+            p = a[top][top]
             for i in range(top + 1, rows):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    for j in range(cols):
+                q = a[i][top] // p
+                if q:
+                    for j in range(top, cols):
                         a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
             for j in range(top + 1, cols):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for i in range(rows):
+                q = a[top][j] // p
+                if q:
+                    for i in range(top, rows):
                         a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(rows):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        dirty = True
-            if not dirty:
+            if any(a[i][top] for i in range(top + 1, rows)) or any(a[top][j] for j in range(top + 1, cols)):
+                continue
+            rest = next((i for i in range(top + 1, rows)
+                         if any(a[i][j] % p for j in range(top + 1, cols))), None)
+            if rest is None:
                 break
+            a[top] = [x + y for x, y in zip(a[top], a[rest])]
         diag.append(abs(a[top][top]))
-        top += 1
-    # enforce the divisibility chain (valid on a diagonal matrix)
-    import math
-    settled = False
-    while not settled:
-        settled = True
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[i] and diag[j] % diag[i] != 0:
-                    g_ = math.gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g_, diag[i] * diag[j] // g_
-                    settled = False
-    diag = [x for x in diag if x != 0] + [0] * diag.count(0)
     return diag
 
 

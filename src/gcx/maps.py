@@ -9,7 +9,7 @@ import sympy
 
 from .chart import Chart, Region
 from .forms import FormError, MixedForm, d_scalar, wedge_list
-from .scalars import merge_domains
+from .scalars import compile_exprs, merge_domains
 
 
 class MapError(ValueError):
@@ -75,12 +75,9 @@ class CoordinateMap:
 
     def apply_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
         """Push a source point forward to the target chart."""
-        from .scalars import evaluate_expr
-
-        values = {
-            k: evaluate_expr(v, self.source, point) for k, v in self.assignments
-        }
-        return self.target.point(values)
+        keys = [k for k, _ in self.assignments]
+        values = compile_exprs([v for _, v in self.assignments], self.source)(point)
+        return self.target.point(dict(zip(keys, values)))
 
     def compose(self, outer: "CoordinateMap", name: str | None = None) -> "CoordinateMap":
         """The composite ``outer after self`` (self: A->B, outer: B->C)."""

@@ -6,6 +6,12 @@ exp, sqrt, trig) and opaque bump functions are kept symbolic, with
 derivative rules built in, and are only ever evaluated numerically
 during sampling.
 
+Numeric evaluation has one path, :func:`compile_exprs`: expressions are
+compiled once with ``sympy.lambdify`` over the chart's legs and then
+evaluated at each sample point in float64 complex arithmetic.  Forms pin
+their bumps and cancel their coefficients before compiling, once per set
+of region pins.
+
 An opaque smooth symbol like the radial bump ``xi`` carries
 
 * a named formal derivative ``xi_prime`` produced by differentiation,
@@ -18,10 +24,13 @@ An opaque smooth symbol like the radial bump ``xi`` carries
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+import random
+from dataclasses import dataclass
+from typing import Callable, Mapping, Optional, Sequence
 
+import numpy
 import sympy
+from sympy.printing.numpy import NumPyPrinter
 
 from .chart import Chart, Region, RegionError
 
@@ -246,23 +255,72 @@ def merge_domains(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
 # ---------------------------------------------------------------------------
 
 
+def _bump_namespace() -> dict[str, Callable]:
+    """Numeric bumps for compiled code, resolved as ``opaque_function`` does:
+    ``<root>_prime`` is the root's derivative, any other name its value."""
+    out = {}
+    for name, spec in _BUMPS.items():
+        root = _BUMPS.get(name[: -len("_prime")]) if name.endswith("_prime") else None
+        out[name] = _real_argument(root.derivative if root is not None else spec.value)
+    return out
+
+
+def _real_argument(fn: Callable[[float], float]) -> Callable:
+    # compiled arguments such as sqrt(z1*z1b) arrive as complex numbers
+    # whose imaginary part is zero up to rounding
+    def call(t):
+        t = complex(t)
+        if abs(t.imag) > 1e-12 * max(1.0, abs(t.real)):
+            raise TypeError(f"bump argument {t} is not real")
+        return fn(t.real)
+
+    return call
+
+
+def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], numpy.ndarray]:
+    """Compile expressions over the chart's legs: point -> complex array.
+
+    The callable canonicalises its point with ``Chart.point`` and raises
+    :class:`EvaluationError` on a singular or non-finite value, on a
+    symbol that is not a leg of the chart, and on an opaque function with
+    no registered bump.
+    """
+    exprs = [sympy.sympify(e) for e in exprs]
+    unbound = set().union(*(e.free_symbols for e in exprs)) - set(chart.symbols)
+    if unbound:
+        def unbound_error(point):
+            raise EvaluationError(f"unbound symbols {unbound} on chart {chart.name!r}")
+
+        return unbound_error
+    # The printed code calls numpy.<name>, resolved through a namespace
+    # holding only the numpy module: modules="numpy" would run
+    # `from numpy import *`, which loads numpy.f2py, unittest, email and
+    # more (about 18 MB of resident memory) that gcx never uses.
+    printer = NumPyPrinter({
+        "fully_qualified_modules": True, "inline": True,
+        "allow_unknown_functions": True, "user_functions": {},
+    })
+    fn = sympy.lambdify(chart.symbols, exprs, modules=[_bump_namespace(), {"numpy": numpy}],
+                        printer=printer, docstring_limit=0)
+    names = [leg.name for leg in chart.legs]
+
+    def evaluate(point: Mapping[str, complex]) -> numpy.ndarray:
+        pt = chart.point(point)
+        try:
+            with numpy.errstate(all="ignore"):
+                values = numpy.array(fn(*[pt[n] for n in names]), dtype=complex)
+        except (ZeroDivisionError, OverflowError, NameError, TypeError) as exc:
+            raise EvaluationError(f"cannot evaluate at {dict(point)!r}: {exc}") from exc
+        if not numpy.isfinite(values).all():
+            raise EvaluationError(f"non-finite value at {dict(point)!r}")
+        return values
+
+    return evaluate
+
+
 def evaluate_expr(expr: sympy.Expr, chart: Chart, point: Mapping[str, complex]) -> complex:
-    expr = sympy.sympify(expr)
-    subs = chart.point_subs(point)
-    val = expr.subs(subs)
-    if val.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
-        raise EvaluationError(f"singular value at {dict(point)!r}")
-    if val.free_symbols:
-        val = sympy.simplify(val)
-    if val.free_symbols:
-        raise EvaluationError(f"unbound symbols {val.free_symbols} after substitution")
-    try:
-        num = complex(sympy.N(val))
-    except (TypeError, ValueError) as exc:
-        raise EvaluationError(f"cannot evaluate numerically: {val}") from exc
-    if not (math.isfinite(num.real) and math.isfinite(num.imag)):
-        raise EvaluationError(f"non-finite value at {dict(point)!r}")
-    return num
+    """One expression at one point, through :func:`compile_exprs`."""
+    return complex(compile_exprs([expr], chart)(point)[0])
 
 
 def is_algebraic_expr(expr: sympy.Expr) -> bool:
@@ -290,12 +348,11 @@ def expr_equal(
 ) -> bool:
     """Structural-then-probabilistic equality of two scalars on a region.
 
-    Exact on purely algebraic expressions (Gaussian-rational sampling);
-    probabilistic with tolerance ``tol`` once transcendental or opaque
-    nodes are present.
+    Decided structurally when the pinned, cancelled difference is zero;
+    otherwise sampled at up to ``samples`` points of the region, with
+    tolerance 1e-12 on purely algebraic differences and ``tol`` once
+    transcendental or opaque nodes are present.
     """
-    import random
-
     if isinstance(a, ScalarExpr):
         chart = chart or a.chart
         region = merge_domains(region, a.domain)
@@ -318,15 +375,17 @@ def expr_equal(
         region = Region(chart, "everywhere")
     if rng is None:
         rng = random.Random(seed)
-    algebraic = is_algebraic_expr(diff)
+    limit = 1e-12 if is_algebraic_expr(diff) else tol
+    diff_at = compile_exprs([diff], chart)
+    a_at = compile_exprs([a], chart)
     failures = 0
     tried = 0
     for _ in range(samples * 4):
         if tried >= samples:
             break
-        point = region.sample(rng, rational=False)
+        point = region.sample(rng)
         try:
-            va = evaluate_expr(diff, chart, point)
+            va = diff_at(point)[0]
         except EvaluationError:
             failures += 1
             if failures > samples * 3:
@@ -335,10 +394,9 @@ def expr_equal(
         tried += 1
         scale = 1.0
         try:
-            scale = max(1.0, abs(evaluate_expr(sympy.sympify(a), chart, point)))
+            scale = max(1.0, abs(a_at(point)[0]))
         except EvaluationError:
             pass
-        limit = 1e-12 if algebraic else tol
         if abs(va) > limit * scale:
             return False
     if tried == 0:

@@ -25,13 +25,14 @@ from .forms import (
     MixedForm,
     clifford,
     d,
+    exp_form,
     first_disagreement,
     form_equal,
     interior,
     wedge,
 )
 from .maps import CoordinateMap, pullback
-from .scalars import EvaluationError, merge_domains, opaque_function, register_bump
+from .scalars import EvaluationError, compile_exprs, merge_domains, register_bump
 from .topology import SurgeryParams, validate_surgery_params
 
 
@@ -75,7 +76,7 @@ class SpinorStructure:
         s = SpinorStructure(chart, rho, h, region, certificate, hints)
         if hints is not None:
             stated = wedge(
-                exp_of(hints.b + hints.omega.scale(sympy.I)), hints.big_omega
+                exp_form(hints.b + hints.omega.scale(sympy.I)), hints.big_omega
             )
             reg = merge_domains(region, hints.region)
             if not form_equal(rho, stated, region=reg, samples=samples,
@@ -87,12 +88,6 @@ class SpinorStructure:
 
     def d_h_rho(self) -> MixedForm:
         return d(self.rho) + wedge(self.h, self.rho)
-
-
-def exp_of(b: MixedForm) -> MixedForm:
-    from .forms import exp_form
-
-    return exp_form(b)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +267,11 @@ def check_stable(s: SpinorStructure, samples: int = 12, seed: int = 0,
         )
     if not zeros:
         return StabilityResult(True, None, "degree-0 part has empty zero set")
-    for pt in zeros:
-        if _real_differential_rank(chart, s0, pt, tol) != 2:
-            return StabilityResult(
-                False, s0, "real differential drops rank on the zero set"
-            )
+    rank_at = _real_differential_rank(chart, s0, tol)
+    if any(rank_at(pt) != 2 for pt in zeros):
+        return StabilityResult(
+            False, s0, "real differential drops rank on the zero set"
+        )
     return StabilityResult(
         True, s0, f"transverse at {len(zeros)} sampled zero(s); type change locus {{{s0} = 0}}"
     )
@@ -327,17 +322,14 @@ def _affine_zeros(chart: Chart, s0, zname: str, region: Region, rng,
     zb = chart.symbol(zname + "b")
     alpha, beta = sympy.diff(s0, z), sympy.diff(s0, zb)
     gamma = sympy.expand(s0 - alpha * z - beta * zb)
+    coefficients_at = compile_exprs([alpha, beta, gamma], chart)
     pts = []
     tries = 0
     while len(pts) < max(4, samples // 2) and tries < samples * 6:
         tries += 1
         base = region.sample(rng)
         try:
-            from .scalars import evaluate_expr
-
-            av = evaluate_expr(alpha, chart, base)
-            bv = evaluate_expr(beta, chart, base)
-            gv = evaluate_expr(gamma, chart, base)
+            av, bv, gv = coefficients_at(base).tolist()
         except EvaluationError:
             continue
         # alpha z + beta conj(z) + gamma = 0 as a real 2x2 system in (x, y)
@@ -356,10 +348,8 @@ def _affine_zeros(chart: Chart, s0, zname: str, region: Region, rng,
     return pts if pts else None
 
 
-def _real_differential_rank(chart: Chart, s0: sympy.Expr,
-                            point: Mapping[str, complex], tol: float) -> int:
-    from .scalars import evaluate_expr, pin_bumps
-
+def _real_differential_rank(chart: Chart, s0: sympy.Expr, tol: float):
+    """point -> rank of the real differential of s0, compiled once."""
     cols = []
     for coord in chart.coords:
         if coord.kind == "complex":
@@ -369,12 +359,14 @@ def _real_differential_rank(chart: Chart, s0: sympy.Expr,
             cols.append(sympy.I * (fz - fzb))    # d/dy
         else:
             cols.append(sympy.diff(s0, chart.symbol(coord.name)))
-    vals = []
-    for c in cols:
-        c = sympy.cancel(sympy.together(c)) if c.free_symbols else c
-        vals.append(evaluate_expr(c, chart, point))
-    mat = numpy.array([[v.real for v in vals], [v.imag for v in vals]])
-    return int(numpy.linalg.matrix_rank(mat, tol=tol))
+    cols = [sympy.cancel(sympy.together(c)) if c.free_symbols else c for c in cols]
+    cols_at = compile_exprs(cols, chart)
+
+    def rank_at(point: Mapping[str, complex]) -> int:
+        vals = cols_at(point)
+        return int(numpy.linalg.matrix_rank(numpy.array([vals.real, vals.imag]), tol=tol))
+
+    return rank_at
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,7 @@ def b_field_transform(s: SpinorStructure, b: MixedForm,
         raise SpinorError("B-field must be a 2-form")
     if not form_equal(b, b.conjugate(), region=s.region, samples=samples, seed=seed):
         raise SpinorError("B-field must be real")
-    rho = wedge(exp_of(b), s.rho)
+    rho = wedge(exp_form(b), s.rho)
     h = s.h - d(b)
     cert = s.certificate
     if cert is not None:
@@ -503,7 +495,7 @@ def build_luttinger_spinor(params, sigma_form: Optional[MixedForm] = None,
             raise SpinorError("Sigma symplectic form must be closed")
         exponent = exponent + sigma_form.scale(sympy.I)
     z1 = chart.symbol("z1")
-    rho = wedge(MixedForm.scalar(chart, z1), exp_of(exponent))
+    rho = wedge(MixedForm.scalar(chart, z1), exp_form(exponent))
     rho = rho.map_coefficients(lambda c: sympy.cancel(sympy.together(c)))
     cert = surgery_certificate(chart, params, exponent)
     full = surgery_regions(chart, bump)["disk"]
@@ -529,7 +521,7 @@ def build_gluck_spinor(params, r_form: Optional[MixedForm] = None,
             raise SpinorError("R symplectic form must be closed")
         exponent = exponent + r_form.scale(sympy.I)
     z1 = chart.symbol("z1")
-    rho = wedge(MixedForm.scalar(chart, z1), exp_of(exponent))
+    rho = wedge(MixedForm.scalar(chart, z1), exp_form(exponent))
     rho = rho.map_coefficients(lambda c: sympy.cancel(sympy.together(c)))
     cert = surgery_certificate(chart, params, exponent)
     full = surgery_regions(chart, bump)["disk"]
@@ -624,7 +616,7 @@ def lemma_extension_check(params, profile: str = "lemma", samples: int = 64,
     z1_here = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))
     stated = wedge(
         MixedForm.scalar(polar, z1_here),
-        exp_of(b0 + omega_pull.scale(sympy.I)),
+        exp_form(b0 + omega_pull.scale(sympy.I)),
     )
     return form_equal(rho_pull, stated, region=annulus, samples=samples,
                       seed=seed, tol=tol)
@@ -702,7 +694,7 @@ def assembly_check(params, samples: int = 16, seed: int = 0,
     psi = disk_to_complex_map(polar, s.chart)
     rho_in = pullback(psi, s.rho)
     phi, omega_tilde = luttinger_gluing_map(sparams)
-    rho_out = pullback(phi, exp_of(omega_tilde.scale(sympy.I)))
+    rho_out = pullback(phi, exp_form(omega_tilde.scale(sympy.I)))
     b0 = pullback(psi, surgery_exponent(s.chart, sparams)).real_part()
     if perturb is not None:
         b0 = b0.scale(sympy.sympify(perturb))
@@ -711,7 +703,7 @@ def assembly_check(params, samples: int = 16, seed: int = 0,
     z1 = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))
     piece_in = SpinorStructure(polar, rho_in, MixedForm.zero(polar))
     piece_out = SpinorStructure(
-        polar, wedge(exp_of(b0), rho_out), MixedForm.zero(polar)
+        polar, wedge(exp_form(b0), rho_out), MixedForm.zero(polar)
     )
     return assemble_piecewise(
         [(annulus, piece_in), (annulus, piece_out)],

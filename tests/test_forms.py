@@ -1,9 +1,16 @@
 """Exterior algebra kernel: exact identities on randomized instances."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
+
+import gcx
+import gcx.forms as forms_module
 
 from conftest import (
     random_form,
@@ -18,16 +25,22 @@ from gcx import (
     FormError,
     GeneralizedSection,
     MixedForm,
+    Region,
     courant_bracket,
     d,
+    everywhere,
     exp_form,
     form_equal,
     interior,
+    load_scenario,
     pairing,
     pullback,
     wedge,
 )
 from gcx.forms import lie_derivative, vector_bracket, wedge_power
+from gcx.runner import corpus_dir
+from gcx.scalars import compile_exprs, pin_bumps
+from gcx.spinor import build_luttinger_spinor, surgery_regions
 
 
 def is_structurally_zero(a: MixedForm) -> bool:
@@ -255,3 +268,83 @@ def test_form_equal_detects_difference():
     b = MixedForm.scalar(ch, x1 ** 2 + sympy.Rational(1, 10 ** 6))
     assert form_equal(a, a)
     assert not form_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against a subs + N reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_values(form: MixedForm, point, region) -> dict:
+    """Pin, cancel, then sympy subs + N: an evaluation independent of compile_exprs."""
+    pins = region.bump_map if region is not None else {}
+    subs = form.chart.point_subs(point)
+    out = {}
+    for key, c in form.terms.items():
+        c = sympy.cancel(sympy.together(pin_bumps(c, pins)))
+        if not c.is_zero:
+            out[key] = complex(sympy.N(c.subs(subs)))
+    return out
+
+
+def _assert_matches_reference(form: MixedForm, region, seed: int, points: int = 3):
+    rng = random.Random(seed)
+    sampler = region if region is not None else everywhere(form.chart)
+    for _ in range(points):
+        pt = sampler.sample(rng)
+        got = form.evaluate_at(pt, region)
+        want = _reference_values(form, pt, region)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * abs(value), (key, got[key], value)
+
+
+def test_evaluate_at_matches_reference_cor_2_8():
+    sc = load_scenario(corpus_dir() / "cor_2_8.gcx")
+    _assert_matches_reference(sc.spinors["s"].rho, None, seed=0)
+
+
+@pytest.mark.parametrize("name", ["core", "annulus"])
+def test_evaluate_at_matches_reference_luttinger(name):
+    s = build_luttinger_spinor((1, 3, 1, 2))
+    region = surgery_regions(s.chart)[name]
+    _assert_matches_reference(s.rho, region, seed=1)
+    _assert_matches_reference(d(s.rho), region, seed=2, points=1)
+
+
+def test_form_compiles_once_per_pin_set(monkeypatch):
+    compiled = []
+
+    def counting(exprs, chart):
+        compiled.append(len(exprs))
+        return compile_exprs(exprs, chart)
+
+    monkeypatch.setattr(forms_module, "compile_exprs", counting)
+    s = build_luttinger_spinor((1, 3, 1, 2))
+    regions = surgery_regions(s.chart)
+    rng = random.Random(0)
+    for name in ("core", "annulus", "core", "annulus"):
+        for _ in range(3):
+            s.rho.evaluate_at(regions[name].sample(rng), regions[name])
+    assert len(compiled) == 2
+    # a different region with the same pins reuses the compiled coefficients
+    same_pins = Region.make(s.chart, "inner", bounds={"z1": (0.05, 0.2)}, bump_values={"xi": 0})
+    s.rho.evaluate_at(same_pins.sample(rng), same_pins)
+    assert len(compiled) == 2
+
+
+def test_evaluation_loads_no_numpy_star_import():
+    code = (
+        "import sys, gcx\n"
+        "from gcx.spinor import build_luttinger_spinor, surgery_regions\n"
+        "s = build_luttinger_spinor((1, 3, 1, 2))\n"
+        "core = surgery_regions(s.chart)['core']\n"
+        "import random\n"
+        "assert s.rho.evaluate_at(core.sample(random.Random(0)), core)\n"
+        "assert 'numpy.f2py' not in sys.modules, 'numpy.f2py was imported'\n"
+    )
+    src = str(Path(gcx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -141,6 +142,76 @@ def test_snf_random_3x3_vs_oracle():
     for _ in range(400):
         m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         _check_matrix(m)
+
+
+# Exponent matrices of Z_{n1} + ... + Z_{n6} hidden behind Nielsen moves and
+# defined generators (24 relators, 9 generators).  Pivoting only once per
+# diagonal position let their entries grow to millions of bits.
+DISGUISED_SIX_SUMMANDS = {
+    "Z_2 + Z_4 + Z_24 + Z_120": [
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-16, 32, -24, -32, 8, 72, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-6, 18, -12, 0, -3, 27, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [4, 3, 0, 11, -9, 5, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-20, -1, -9, -2, 17, -10, 0, 0, -1],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-7, -10, 0, 5, 2, 0, 0, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [6, -12, 12, 0, 6, -18, 0, 0, 0],
+        [10, -20, 20, -5, 10, -25, 0, 0, 0],
+        [8, -8, 16, 0, 8, -8, 0, 0, 0],
+        [20, -44, 36, 8, 8, -68, 0, 0, 0],
+    ],
+    "Z_2 + Z_2 + Z_12 + Z_180": [
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [6, 11, 3, 20, 6, -13, 0, 0, -1],
+        [-8, -4, -4, 8, 8, 4, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-8, -10, -16, -4, 10, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [5, 9, 11, -15, -6, 9, 0, -1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [12, 20, 8, 12, -16, 8, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-6, -6, -18, -6, 6, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [9, 18, 9, 18, -9, 9, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [8, -13, -4, -5, 1, -9, -1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 0, 0, 0, 0],
+        [-15, -15, -25, 5, 20, 5, 0, 0, 0],
+    ],
+}
+
+
+@pytest.mark.parametrize("expected", sorted(DISGUISED_SIX_SUMMANDS))
+def test_snf_disguised_six_summands_stays_small(expected):
+    matrix = DISGUISED_SIX_SUMMANDS[expected]
+    start = time.perf_counter()
+    diag = smith_normal_form(matrix)
+    elapsed = time.perf_counter() - start
+    assert " + ".join(f"Z_{x}" for x in diag if x > 1) == expected
+    assert len(diag) == 9  # full rank: no free summand
+    assert elapsed < 1.0
 
 
 def test_abelianization_direct_sum_property():
