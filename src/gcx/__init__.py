@@ -8,6 +8,7 @@ corpus of worked examples.
 
 from .chart import Chart, ChartError, Interval, Region, RegionError, everywhere
 from .forms import (
+    EqualityResult,
     FormError,
     GeneralizedSection,
     MixedForm,

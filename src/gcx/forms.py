@@ -3,7 +3,11 @@
 A :class:`MixedForm` maps strictly increasing leg-index tuples (the
 empty tuple is degree 0) to sympy coefficients.  Keys are canonically
 sorted on construction with the antisymmetry sign applied, and zero
-coefficients are dropped.
+coefficients are dropped.  Zero means structurally zero
+(:func:`~gcx.scalars.is_structural_zero`): the coefficient is ``0`` or a
+numeric zero such as ``Float(0.0)``.  No assumption query runs, so a
+coefficient that only simplifies to zero is kept until an identity
+check decides it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .scalars import (
     ScalarExpr,
     compile_exprs,
     expr_equal,
+    is_structural_zero,
     merge_domains,
     pin_bumps,
 )
@@ -77,7 +82,7 @@ class MixedForm:
                 coeff = data[skey] + coeff
             data[skey] = coeff
         self.terms = {
-            k: v for k, v in data.items() if not sympy.sympify(v).is_zero
+            k: v for k, v in data.items() if not is_structural_zero(v)
         }
 
     # -- constructors ----------------------------------------------------
@@ -205,7 +210,7 @@ class MixedForm:
                 if pins:
                     c = pin_bumps(c, dict(pins))
                 c = sympy.cancel(sympy.together(c)) if c.free_symbols else c
-                if not c.is_zero:
+                if not is_structural_zero(c):
                     keys.append(key)
                     exprs.append(c)
             compiled = self._compiled[pins] = (keys, compile_exprs(exprs, self.chart))
@@ -260,7 +265,7 @@ def d(a: MixedForm) -> MixedForm:
             if j in key:
                 continue
             dc = sympy.diff(c, leg.symbol)
-            if dc.is_zero:
+            if is_structural_zero(dc):
                 continue
             pos = sum(1 for i in key if i < j)
             nkey = tuple(sorted(key + (j,)))
@@ -343,7 +348,7 @@ class GeneralizedSection:
         return dict(self.vector)
 
     def is_zero(self) -> bool:
-        return all(sympy.sympify(v).is_zero for _, v in self.vector) and self.covector.is_zero()
+        return all(is_structural_zero(v) for _, v in self.vector) and self.covector.is_zero()
 
     def __add__(self, other: "GeneralizedSection") -> "GeneralizedSection":
         if other.chart != self.chart:
@@ -395,7 +400,7 @@ def vector_bracket(X: Mapping[str, sympy.Expr], Y: Mapping[str, sympy.Expr],
             yk = sympy.sympify(Y.get(leg.name, 0))
             xk = sympy.sympify(X.get(leg.name, 0))
             acc += xj * sympy.diff(yk, legj.symbol) - yj * sympy.diff(xk, legj.symbol)
-        if not acc.is_zero:
+        if not is_structural_zero(acc):
             out[leg.name] = acc
     return out
 
@@ -422,30 +427,30 @@ def courant_bracket(s1: GeneralizedSection, s2: GeneralizedSection,
     return GeneralizedSection.make(chart, vec, cov)
 
 
+@dataclass(frozen=True)
+class EqualityResult:
+    """Verdict of :func:`form_equal`: true when no coefficient differs."""
+
+    key: Optional[tuple[int, ...]]  # first differing key, None when equal
+
+    def __bool__(self):
+        return self.key is None
+
+
 def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
-               samples: int = 32, seed: int = 0, tol: float = 1e-9) -> bool:
-    """Coefficient-wise expr_equal over the union of the two key sets."""
-    a._check(b)
-    region = merge_domains(merge_domains(region, a.domain), b.domain)
-    rng = random.Random(seed)
-    keys = sorted(set(a.terms) | set(b.terms))
-    for key in keys:
-        if not expr_equal(
-            a.coefficient(key), b.coefficient(key), a.chart,
-            region=region, samples=samples, tol=tol, rng=rng,
-        ):
-            return False
-    return True
+               samples: int = 32, seed: int = 0, tol: float = 1e-9) -> EqualityResult:
+    """Coefficient-wise expr_equal over the union of the two key sets.
 
-
-def first_disagreement(a: MixedForm, b: MixedForm, region=None, samples: int = 16,
-                       seed: int = 0, tol: float = 1e-9):
-    """The first key whose coefficients differ, or None."""
+    Keys are compared in sorted order with one shared sampling rng; the
+    result names the first key whose coefficients differ.
+    """
     a._check(b)
     region = merge_domains(merge_domains(region, a.domain), b.domain)
     rng = random.Random(seed)
     for key in sorted(set(a.terms) | set(b.terms)):
-        if not expr_equal(a.coefficient(key), b.coefficient(key), a.chart,
-                          region=region, samples=samples, tol=tol, rng=rng):
-            return key
-    return None
+        if not expr_equal(
+            a.coefficient(key), b.coefficient(key), a.chart,
+            region=region, samples=samples, tol=tol, rng=rng,
+        ):
+            return EqualityResult(key)
+    return EqualityResult(None)

@@ -9,7 +9,7 @@ import sympy
 
 from .chart import Chart, Region
 from .forms import FormError, MixedForm, d_scalar, wedge_list
-from .scalars import compile_exprs, merge_domains
+from .scalars import compile_exprs, is_structural_zero, merge_domains
 
 
 class MapError(ValueError):
@@ -113,7 +113,7 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     out = MixedForm.zero(f.source)
     for key, c in a.terms.items():
         pc = sympy.sympify(c).subs(subs, simultaneous=True)
-        if pc.is_zero:
+        if is_structural_zero(pc):
             continue
         factor = MixedForm.scalar(f.source, pc)
         if key:

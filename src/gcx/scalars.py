@@ -6,6 +6,15 @@ exp, sqrt, trig) and opaque bump functions are kept symbolic, with
 derivative rules built in, and are only ever evaluated numerically
 during sampling.
 
+Equality is decided exactly wherever it can be.  When both sides are
+algebraic after pinning their bumps, :func:`expr_equal` compares them
+as elements of a polynomial ring over the Gaussian rationals ``QQ_I``,
+or, when a side has a denominator or a constant such as ``pi``, checks
+that ``cancel(together(a - b))`` is zero.  Only transcendental or opaque
+terms force a sampled, Schwartz-Zippel-style verdict at tolerance
+``tol``.  A zero test is structural (:func:`is_structural_zero`) and
+never queries sympy's assumptions on a compound expression.
+
 Numeric evaluation has one path, :func:`compile_exprs`: expressions are
 compiled once with ``sympy.lambdify`` over the chart's legs and then
 evaluated at each sample point in float64 complex arithmetic.  Forms pin
@@ -30,6 +39,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy
 import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.rings import ring
 from sympy.printing.numpy import NumPyPrinter
 
 from .chart import Chart, Region, RegionError
@@ -323,17 +334,40 @@ def evaluate_expr(expr: sympy.Expr, chart: Chart, point: Mapping[str, complex]) 
     return complex(compile_exprs([expr], chart)(point)[0])
 
 
+def is_structural_zero(expr) -> bool:
+    """True when the expression is literally zero.
+
+    A sympy ``Float(0.0)`` does not compare equal to ``0``, so a numeric
+    zero is caught through its value; compound expressions are never
+    handed to the assumptions engine.
+    """
+    return expr == 0 or (isinstance(expr, sympy.Number) and expr.is_zero)
+
+
+# atoms that a polynomial ring over QQ_I, or ``cancel`` with pi and E as
+# transcendental generators, handles exactly
+_ALGEBRAIC_ATOMS = (sympy.Rational, sympy.Symbol, type(sympy.I), type(sympy.pi), type(sympy.E))
+
+
 def is_algebraic_expr(expr: sympy.Expr) -> bool:
     """True when the expression uses only exact field operations."""
-    expr = sympy.sympify(expr)
-    for node in sympy.preorder_traversal(expr):
-        if isinstance(node, sympy.Float):
-            return False
-        if node.is_Pow and not (node.exp.is_Integer):
-            return False
-        if isinstance(node, sympy.Function):
+    for node in sympy.preorder_traversal(sympy.sympify(expr)):
+        if node.is_Atom:
+            if not isinstance(node, _ALGEBRAIC_ATOMS):
+                return False
+        elif isinstance(node, sympy.Function) or (node.is_Pow and not node.exp.is_Integer):
             return False
     return True
+
+
+def _algebraic_equal(a: sympy.Expr, b: sympy.Expr) -> bool:
+    """Exact equality of two algebraic expressions, with no sampling."""
+    gens = sorted(a.free_symbols | b.free_symbols, key=str)
+    R = ring(gens, QQ_I)[0]
+    try:
+        return R.from_expr(a) == R.from_expr(b)
+    except ValueError:  # a denominator, or a constant such as pi
+        return sympy.cancel(sympy.together(a - b)) == 0
 
 
 def expr_equal(
@@ -346,12 +380,18 @@ def expr_equal(
     tol: float = 1e-9,
     rng=None,
 ) -> bool:
-    """Structural-then-probabilistic equality of two scalars on a region.
+    """Equality of two scalars on a region: structural, exact, or sampled.
 
-    Decided structurally when the pinned, cancelled difference is zero;
-    otherwise sampled at up to ``samples`` points of the region, with
-    tolerance 1e-12 on purely algebraic differences and ``tol`` once
-    transcendental or opaque nodes are present.
+    Both sides have their region-pinned bumps substituted first.  Equal
+    pinned sides are decided structurally.  When both are algebraic the
+    verdict is exact: equality in a polynomial ring over ``QQ_I``, or a
+    zero ``cancel(together(a - b))`` when a side has a denominator or a
+    constant such as ``pi``.  A nonzero rational function cannot vanish on
+    an open region, and the Wirtinger legs (z, zb) are an invertible linear
+    change of the real coordinates, so no sampling is needed there.  Only
+    transcendental or opaque terms fall through to sampling at up to
+    ``samples`` points of the region, where ``|a - b|`` must stay within
+    ``tol`` times ``max(1, |a|)``.
     """
     if isinstance(a, ScalarExpr):
         chart = chart or a.chart
@@ -363,19 +403,23 @@ def expr_equal(
         b = b.expr
     if chart is None:
         raise ValueError("expr_equal needs a chart")
-    diff = sympy.expand(sympy.sympify(a) - sympy.sympify(b))
-    if region is not None:
-        diff = pin_bumps(diff, region.bump_map)
-    if diff.is_zero:
+    a, b = sympy.sympify(a), sympy.sympify(b)
+    pins = region.bump_map if region is not None else {}
+    pinned_a, pinned_b = pin_bumps(a, pins), pin_bumps(b, pins)
+    if pinned_a == pinned_b:
+        return True
+    if is_algebraic_expr(pinned_a) and is_algebraic_expr(pinned_b):
+        return _algebraic_equal(pinned_a, pinned_b)
+    diff = sympy.expand(pinned_a - pinned_b)
+    if is_structural_zero(diff):
         return True
     diff = sympy.cancel(sympy.together(diff))
-    if diff.is_zero:
+    if is_structural_zero(diff):
         return True
     if region is None:
         region = Region(chart, "everywhere")
     if rng is None:
         rng = random.Random(seed)
-    limit = 1e-12 if is_algebraic_expr(diff) else tol
     diff_at = compile_exprs([diff], chart)
     a_at = compile_exprs([a], chart)
     failures = 0
@@ -397,7 +441,7 @@ def expr_equal(
             scale = max(1.0, abs(a_at(point)[0]))
         except EvaluationError:
             pass
-        if abs(va) > limit * scale:
+        if abs(va) > tol * scale:
             return False
     if tried == 0:
         raise EvaluationError("sampling cannot avoid singular loci")

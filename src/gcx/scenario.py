@@ -20,17 +20,18 @@ from typing import Callable, Optional
 
 import sympy
 
-from .chart import Chart, Interval, Region
+from .chart import Chart, ChartError, Interval, Region, RegionError
 from .forms import FormError, GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
-from .maps import CoordinateMap, pullback
-from .scalars import opaque_function, register_bump
-from .groups import GroupPresentation, parse_word
-from .spinor import DecompositionHints, SpinorStructure
+from .maps import CoordinateMap, MapError, pullback
+from .scalars import EvaluationError, is_structural_zero, opaque_function, register_bump
+from .groups import GroupError, GroupPresentation, parse_word
+from .spinor import DecompositionHints, SpinorError, SpinorStructure
 from .topology import (
     BranchComponent,
     BranchingData,
     ManifoldDescriptor,
     SurgeryLocus,
+    TopologyError,
     TypeChangeComponent,
 )
 
@@ -271,7 +272,7 @@ class ExprParser:
         scalar = arg.coefficient(())
         rest = arg - MixedForm.scalar(self.chart, scalar)
         out = exp_form(rest) if not rest.is_zero() else MixedForm.one(self.chart)
-        if not sympy.sympify(scalar).is_zero:
+        if not is_structural_zero(scalar):
             out = out.scale(sympy.exp(scalar))
         return out
 
@@ -343,6 +344,14 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
+# gcx's own errors that a statement can raise while it is parsed; they are
+# reported as a ParseError on the statement's line
+_STATEMENT_ERRORS = (
+    ChartError, RegionError, FormError, MapError, EvaluationError,
+    GroupError, TopologyError, SpinorError,
+)
+
+
 def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
     head = ts.next()
     line = head.line
@@ -356,11 +365,15 @@ def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
     }
     if head.text == "branched" and ts.accept("-"):
         ts.expect("cover")
-        return _stmt_branched_cover(sc, ts, line, text)
-    fn = table.get(head.text)
-    if fn is None:
-        raise ParseError(f"unknown statement {head.text!r}", line)
-    fn(sc, ts, line, text)
+        fn = _stmt_branched_cover
+    else:
+        fn = table.get(head.text)
+        if fn is None:
+            raise ParseError(f"unknown statement {head.text!r}", line)
+    try:
+        fn(sc, ts, line, text)
+    except _STATEMENT_ERRORS as exc:
+        raise ParseError(str(exc), line) from exc
 
 
 def _stmt_title(sc, ts, line, text):

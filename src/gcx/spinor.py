@@ -26,13 +26,18 @@ from .forms import (
     clifford,
     d,
     exp_form,
-    first_disagreement,
     form_equal,
     interior,
     wedge,
 )
 from .maps import CoordinateMap, pullback
-from .scalars import EvaluationError, compile_exprs, merge_domains, register_bump
+from .scalars import (
+    EvaluationError,
+    compile_exprs,
+    is_structural_zero,
+    merge_domains,
+    register_bump,
+)
 from .topology import SurgeryParams, validate_surgery_params
 
 
@@ -200,12 +205,12 @@ def _solve_certificate(s: SpinorStructure, target: MixedForm,
     n = chart.dim
     vector = {
         leg.name: coeffs[i] for i, leg in enumerate(chart.legs)
-        if not sympy.sympify(coeffs[i]).is_zero
+        if not is_structural_zero(coeffs[i])
     }
     cov = MixedForm(chart, {
         (chart.leg_index(leg.name),): coeffs[n + i]
         for i, leg in enumerate(chart.legs)
-        if not sympy.sympify(coeffs[n + i]).is_zero
+        if not is_structural_zero(coeffs[n + i])
     })
     cert = GeneralizedSection.make(chart, vector, cov)
     if form_equal(target, clifford(cert, s.rho), region=s.region,
@@ -253,7 +258,7 @@ def check_stable(s: SpinorStructure, samples: int = 12, seed: int = 0,
     """
     chart = s.chart
     s0 = sympy.sympify(s.rho.coefficient(()))
-    if s0.is_zero:
+    if is_structural_zero(s0):
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
     region = s.region if s.region is not None else everywhere(chart)
     rng = random.Random(seed)
@@ -292,7 +297,7 @@ def _sample_zero_set(chart: Chart, s0: sympy.Expr, region: Region, rng,
             continue
         fz, fzb = sympy.diff(s0, z), sympy.diff(s0, zb)
         affine = all(
-            sympy.diff(g, v).is_zero for g in (fz, fzb) for v in (z, zb)
+            is_structural_zero(sympy.diff(g, v)) for g in (fz, fzb) for v in (z, zb)
         )
         if affine:
             pts = _affine_zeros(chart, s0, coord.name, region, rng, samples)
@@ -659,13 +664,12 @@ def assemble_piecewise(pieces: Sequence[tuple[Region, SpinorStructure]],
         _, right = pieces[ov.right]
         lrho = left.rho
         rrho = right.rho.scale(ov.scale)
-        if not form_equal(lrho, rrho, region=ov.region, samples=samples,
-                          seed=seed, tol=tol):
-            key = first_disagreement(lrho, rrho, region=ov.region, samples=8, seed=seed)
-            name = lrho.key_name(key) if key is not None else "?"
+        agree = form_equal(lrho, rrho, region=ov.region, samples=samples,
+                           seed=seed, tol=tol)
+        if not agree:
             raise SpinorError(
                 f"pieces {ov.left} and {ov.right} disagree on overlap "
-                f"{ov.region.name!r} at coefficient {name}"
+                f"{ov.region.name!r} at coefficient {lrho.key_name(agree.key)}"
             )
         if not form_equal(left.h, right.h, region=ov.region, samples=samples,
                           seed=seed, tol=tol):

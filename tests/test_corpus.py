@@ -75,6 +75,24 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.gcx")]) == 2
 
 
+def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
+    # errors raised by the kernel while a statement is parsed are parse errors
+    dup = tmp_path / "dup.gcx"
+    dup.write_text("chart C = complex z1, complex z1\n")
+    for command in ("verify", "run"):
+        assert main([command, str(dup)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "duplicate coordinate" in err
+        assert "Traceback" not in err
+    short_map = tmp_path / "map.gcx"
+    short_map.write_text(
+        "chart A = real x1, real x2\nchart B = real y1, real y2\n"
+        "map f : A -> B = y1 -> x1\n"
+    )
+    assert main(["verify", str(short_map)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_cli_verify_and_report_flag(tmp_path, capsys):
     scn = tmp_path / "s.gcx"
     scn.write_text('title "static"\nchart C = complex z1\n')

@@ -267,7 +267,27 @@ def test_form_equal_detects_difference():
     a = MixedForm.scalar(ch, x1 ** 2)
     b = MixedForm.scalar(ch, x1 ** 2 + sympy.Rational(1, 10 ** 6))
     assert form_equal(a, a)
+    assert form_equal(a, a).key is None
     assert not form_equal(a, b)
+
+
+def test_form_equal_names_first_differing_key():
+    ch = real_chart(3)
+    x1, x2, x3 = ch.symbols
+    a = MixedForm(ch, {(): x1, (0,): x2, (1, 2): x3})
+    b = MixedForm(ch, {(): x1, (0,): x2 + 1, (1, 2): 2 * x3})
+    result = form_equal(a, b)
+    assert not result and result.key == (0,)
+    assert form_equal(a, MixedForm(ch, {(): x1, (0,): x2, (1, 2): -x3})).key == (1, 2)
+
+
+def test_zero_coefficients_dropped_structurally():
+    ch = real_chart(2)
+    x1, x2 = ch.symbols
+    form = MixedForm(ch, {(0,): sympy.Float(0.0), (1,): sympy.Integer(0), (): x1 - x1, (0, 1): x2})
+    assert form.terms == {(0, 1): x2}
+    assert MixedForm.scalar(ch, sympy.Float(0.0)).is_zero()
+    assert GeneralizedSection.make(ch, {"x1": sympy.Float(0.0)}).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Opaque bumps, compiled evaluation and sampled scalar equality."""
+"""Opaque bumps, compiled evaluation, and exact or sampled scalar equality."""
 
 import cmath
 import math
@@ -6,7 +6,9 @@ import random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
+import gcx.scalars as scalars
 from conftest import real_chart
 from gcx import Chart, register_bump, opaque_function
 from gcx.scalars import (
@@ -15,6 +17,7 @@ from gcx.scalars import (
     compile_exprs,
     evaluate_expr,
     expr_equal,
+    is_structural_zero,
     pin_bumps,
 )
 
@@ -60,6 +63,76 @@ def test_expr_equal_algebraic_exact():
     x1, x2 = ch.symbols
     assert expr_equal((x1 + x2) ** 2, x1 ** 2 + 2 * x1 * x2 + x2 ** 2, ch)
     assert not expr_equal(x1 * x2, x1 * x2 + sympy.Rational(1, 10 ** 9), ch)
+    # differences far below any sampling tolerance are still differences
+    assert not expr_equal(x1 * x2, x1 * x2 + sympy.Rational(1, 10 ** 13), ch)
+    assert not expr_equal(x1 / (x2 ** 2 + 1) / 10 ** 13, 0, ch)
+
+
+def _no_sampling(monkeypatch):
+    def refuse(exprs, chart):
+        raise AssertionError(f"sampled {exprs}")
+
+    monkeypatch.setattr(scalars, "compile_exprs", refuse)
+
+
+def test_expr_equal_algebraic_decided_without_sampling(monkeypatch):
+    _no_sampling(monkeypatch)
+    ch = Chart("cz", [("z1", "complex"), ("x1", "real")])
+    z1, z1b, x1 = ch.symbols
+    p = z1 * z1b + sympy.I * x1 / 3
+    q = x1 ** 2 - 2 * z1
+    assert expr_equal((p + q) * (p - q), p ** 2 - q ** 2, ch)
+    assert expr_equal((p ** 2 - q ** 2) / (p - q), p + q, ch)
+    assert expr_equal(sympy.pi * p * q, sympy.pi * sympy.expand(p * q), ch)
+    assert not expr_equal((p + q) ** 2, p ** 2 + q ** 2, ch)
+    assert not expr_equal(p / q, q / p, ch)
+
+
+def test_expr_equal_transcendental_still_samples(monkeypatch):
+    _no_sampling(monkeypatch)
+    ch = real_chart(1)
+    (x1,) = ch.symbols
+    with pytest.raises(AssertionError, match="sampled"):
+        expr_equal(sympy.sin(x1) ** 2 + sympy.cos(x1) ** 2, 1, ch)
+
+
+_GAUSSIAN = st.builds(
+    lambda re, im, den: sympy.Rational(re, den) + sympy.I * sympy.Rational(im, den),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+)
+
+
+@st.composite
+def _gaussian_polys(draw, chart):
+    syms = chart.symbols
+    terms = draw(st.lists(
+        st.tuples(_GAUSSIAN, st.lists(st.sampled_from(syms), max_size=2)), max_size=4))
+    return sum((c * sympy.Mul(*mono) for c, mono in terms), sympy.Integer(0))
+
+
+_PROPERTY_CHART = Chart("pc", [("z1", "complex"), ("x1", "real")])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_gaussian_polys(_PROPERTY_CHART), _gaussian_polys(_PROPERTY_CHART),
+       _gaussian_polys(_PROPERTY_CHART), st.integers(0, 2))
+def test_expr_equal_agrees_with_cancel(p, q, r, shape):
+    ch = _PROPERTY_CHART
+    if shape == 0:  # polynomials: equal when p == q or r == 0
+        a, b = p * r, q * r
+    elif shape == 1:  # one quotient in two spellings: always equal
+        assume(not is_structural_zero(sympy.expand(q)))
+        a, b = p * r / q, sympy.expand(p * r) / q
+    else:  # (p^2 - q^2)/(p - q) = p + q + r: equal when r == 0
+        assume(not is_structural_zero(sympy.expand(p - q)))
+        a, b = (p ** 2 - q ** 2) / (p - q), p + q + r
+    # the reference is cancel(together(a - b)) == 0, except that cancel has
+    # no generator on a symbol-free difference and leaves constants such as
+    # (1 + I/2)**2 - 3/4 - I unexpanded; the expanded numerator of
+    # together(a - b) decides those too
+    diff = sympy.together(a - b)
+    expected = sympy.cancel(diff) == 0 or sympy.expand(diff.as_numer_denom()[0]) == 0
+    assert expr_equal(a, b, ch) == expected
 
 
 def test_expr_equal_transcendental_sampled():
