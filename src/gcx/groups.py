@@ -4,7 +4,10 @@ bounded Tietze simplification, and abelianization via Smith normal form."""
 from __future__ import annotations
 
 import re
+import string
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Word = tuple[tuple[str, int], ...]
@@ -14,59 +17,77 @@ class GroupError(ValueError):
     """Malformed word or presentation."""
 
 
-_TOKEN = re.compile(r"\s*(\[|\]|,|\*|\^|-?\d+|[A-Za-z_][A-Za-z_0-9]*)")
+# one scanner for words and relator lists; any other non-space character
+# becomes a one-character token that the parser rejects
+_TOKEN = re.compile(r"\s*(\[|\]|,|\*|\^|-?\d+|[A-Za-z_][A-Za-z_0-9]*|\S)")
+_NAME_START = frozenset(string.ascii_letters + "_")
+_COMMA = frozenset({","})
+_CLOSE = frozenset({"]"})
 
 
 def parse_word(text: str) -> Word:
     """Parse a free-group word: ``x*y^-2``, ``[x,y]`` (commutator), ``1``."""
-    tokens = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise GroupError(f"bad word syntax at {text[pos:]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    out, _ = _parse_word_seq(tokens, 0)
+    out, _ = _parse_word_seq(_TOKEN.findall(text), 0)
     return free_reduce(out)
 
 
-def _parse_word_seq(tokens: list[str], i: int, stop: set[str] = frozenset()) -> tuple[list, int]:
+def parse_relators(text: str) -> tuple[Word, ...]:
+    """Parse a comma-separated relator list, one word per top-level segment.
+
+    Commas inside a commutator ``[..]`` do not split; an empty segment
+    gives the empty word.
+    """
+    tokens = _TOKEN.findall(text)
+    words = []
+    i = 0
+    while True:
+        out, i = _parse_word_seq(tokens, i, _COMMA)
+        words.append(free_reduce(out))
+        if i >= len(tokens):
+            return tuple(words)
+        i += 1  # the comma
+
+
+def _exponent(tokens: list[str], i: int) -> int:
+    """The integer after the ``^`` at ``i``."""
+    try:
+        return int(tokens[i + 1])
+    except (IndexError, ValueError):
+        raise GroupError("'^' needs an integer exponent") from None
+
+
+def _parse_word_seq(tokens: list[str], i: int, stop: frozenset = frozenset()) -> tuple[list, int]:
     out: list[tuple[str, int]] = []
-    while i < len(tokens) and tokens[i] not in stop:
+    n = len(tokens)
+    while i < n:
         tok = tokens[i]
-        if tok == "*":
+        if tok in stop:
+            break
+        if tok == "*" or tok == "1":
             i += 1
-            continue
-        if tok == "[":
-            a, i = _parse_word_seq(tokens, i + 1, {","})
-            if i >= len(tokens) or tokens[i] != ",":
+        elif tok == "[":
+            a, i = _parse_word_seq(tokens, i + 1, _COMMA)
+            if i >= n or tokens[i] != ",":
                 raise GroupError("expected ',' in commutator")
-            b, i = _parse_word_seq(tokens, i + 1, {"]"})
-            if i >= len(tokens) or tokens[i] != "]":
+            b, i = _parse_word_seq(tokens, i + 1, _CLOSE)
+            if i >= n:
                 raise GroupError("expected ']' in commutator")
+            a, b = tuple(a), tuple(b)
+            comm = a + b + invert_word(a) + invert_word(b)
             i += 1
-            word = a + b + list(invert_word(tuple(a))) + list(invert_word(tuple(b)))
-            exp = 1
-            if i < len(tokens) and tokens[i] == "^":
-                exp = int(tokens[i + 1])
+            if i < n and tokens[i] == "^":
+                comm = _pow_word(comm, _exponent(tokens, i))
                 i += 2
-            out.extend(_pow_word(word, exp))
-            continue
-        if tok == "1":
+            out.extend(comm)
+        elif tok[0] in _NAME_START:
             i += 1
-            continue
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            gen = tok
-            exp = 1
-            i += 1
-            if i < len(tokens) and tokens[i] == "^":
-                exp = int(tokens[i + 1])
+            if i < n and tokens[i] == "^":
+                out.append((tok, _exponent(tokens, i)))
                 i += 2
-            out.append((gen, exp))
-            continue
-        raise GroupError(f"unexpected token {tok!r} in word")
+            else:
+                out.append((tok, 1))
+        else:
+            raise GroupError(f"unexpected token {tok!r} in word")
     return out, i
 
 
@@ -78,44 +99,39 @@ def _pow_word(word: Sequence[tuple[str, int]], exp: int) -> list[tuple[str, int]
 
 
 def free_reduce(word: Iterable[tuple[str, int]]) -> Word:
+    """Freely reduce in one stack pass; neighbours of the result differ."""
     out: list[tuple[str, int]] = []
     for gen, exp in word:
-        if exp == 0:
+        if not exp:
             continue
         if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            out.pop()
-            if merged:
-                out.append((gen, merged))
-        else:
-            out.append((gen, exp))
-    # repeat until stable (merges can cascade)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(out):
-            if out[i][0] == out[i + 1][0]:
-                merged = out[i][1] + out[i + 1][1]
-                out[i: i + 2] = [(out[i][0], merged)] if merged else []
-                changed = True
-            else:
-                i += 1
+            exp += out.pop()[1]
+            if not exp:
+                continue
+        out.append((gen, exp))
     return tuple(out)
 
 
 def invert_word(word: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(word))
+    return tuple([(g, -e) for g, e in reversed(word)])
 
 
 def cyclic_reduce(word: Word) -> Word:
-    word = free_reduce(word)
-    while len(word) >= 2 and word[0][0] == word[-1][0]:
-        g = word[0][0]
-        e = word[0][1] + word[-1][1]
-        middle = word[1:-1]
-        word = free_reduce(((g, e),) + middle) if e else free_reduce(middle)
-    return word
+    """Freely reduce, then trim letters that cancel around the cycle."""
+    return _trim_cycle(free_reduce(word))
+
+
+def _trim_cycle(word: Word) -> Word:
+    """Cyclically reduce a freely reduced word from both ends."""
+    i, j = 0, len(word) - 1
+    while i < j and word[i][0] == word[j][0]:
+        e = word[i][1] + word[j][1]
+        if e:
+            # the merged letter goes in front; its new neighbours differ
+            return ((word[i][0], e),) + word[i + 1:j]
+        i += 1
+        j -= 1
+    return word[i:j + 1]
 
 
 def word_str(word: Word) -> str:
@@ -128,12 +144,15 @@ def word_str(word: Word) -> str:
 
 
 def substitute(word: Word, gen: str, repl: Word) -> Word:
+    inverse = invert_word(repl)
     out: list[tuple[str, int]] = []
     for g, e in word:
-        if g == gen:
-            out.extend(_pow_word(repl, e))
-        else:
+        if g != gen:
             out.append((g, e))
+        elif e > 0:
+            out.extend(repl * e)
+        else:
+            out.extend(inverse * -e)
     return free_reduce(out)
 
 
@@ -233,22 +252,22 @@ def tietze_simplify(g: GroupPresentation, max_passes: int = 30) -> GroupPresenta
         rels = [r for r in rels if r]
         # dedupe (up to inversion)
         seen: set[Word] = set()
+        lengths: set[int] = set()
         unique = []
         for r in rels:
-            if r in seen or invert_word(r) in seen:
+            if r in seen or (len(r) in lengths and invert_word(r) in seen):
                 changed = True
                 continue
             seen.add(r)
+            lengths.add(len(r))
             unique.append(r)
         rels = unique
         # generator elimination: find a relator with a unique +-1 occurrence
         elim = None
         for ri, rel in enumerate(rels):
-            counts: dict[str, int] = {}
-            for gen, e in rel:
-                counts[gen] = counts.get(gen, 0) + abs(e)
+            occurrences = Counter(map(itemgetter(0), rel))
             for pos, (gen, e) in enumerate(rel):
-                if counts[gen] == 1 and abs(e) == 1:
+                if (e == 1 or e == -1) and occurrences[gen] == 1:
                     elim = (ri, pos, gen, e)
                     break
             if elim:
@@ -261,8 +280,10 @@ def tietze_simplify(g: GroupPresentation, max_passes: int = 30) -> GroupPresenta
             repl = free_reduce(invert_word(prefix) + invert_word(suffix))
             if e == -1:
                 repl = invert_word(repl)
+            # a relator without gen is cyclically reduced already
             rels = [
-                cyclic_reduce(substitute(r, gen, repl))
+                _trim_cycle(substitute(r, gen, repl))
+                if gen in map(itemgetter(0), r) else r
                 for i, r in enumerate(rels)
                 if i != ri
             ]
@@ -281,11 +302,12 @@ def tietze_simplify(g: GroupPresentation, max_passes: int = 30) -> GroupPresenta
 
 def exponent_matrix(g: GroupPresentation) -> list[list[int]]:
     """Relator exponent sums, one row per relator."""
+    column = {gen: j for j, gen in enumerate(g.generators)}
     rows = []
     for rel in g.relators:
         row = [0] * len(g.generators)
         for gen, e in rel:
-            row[g.generators.index(gen)] += e
+            row[column[gen]] += e
         rows.append(row)
     return rows
 

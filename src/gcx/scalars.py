@@ -288,15 +288,23 @@ def _real_argument(fn: Callable[[float], float]) -> Callable:
     return call
 
 
+_NON_FINITE = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
+
+
 def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], numpy.ndarray]:
     """Compile expressions over the chart's legs: point -> complex array.
 
     The callable canonicalises its point with ``Chart.point`` and raises
     :class:`EvaluationError` on a singular or non-finite value, on a
     symbol that is not a leg of the chart, and on an opaque function with
-    no registered bump.
+    no registered bump.  An infinite or undefined constant (``zoo``,
+    ``nan``, ``oo``, ``-oo``) raises :class:`EvaluationError` at once,
+    since the NumPy printer has no name for it.
     """
     exprs = [sympy.sympify(e) for e in exprs]
+    for e in exprs:
+        if e.has(*_NON_FINITE):
+            raise EvaluationError(f"infinite or undefined value in {e} on chart {chart.name!r}")
     unbound = set().union(*(e.free_symbols for e in exprs)) - set(chart.symbols)
     if unbound:
         def unbound_error(point):

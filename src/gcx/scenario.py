@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import sympy
 
-from .chart import Chart, ChartError, Interval, Region, RegionError
-from .forms import FormError, GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
-from .maps import CoordinateMap, MapError, pullback
-from .scalars import EvaluationError, is_structural_zero, opaque_function, register_bump
-from .groups import GroupError, GroupPresentation, parse_word
-from .spinor import DecompositionHints, SpinorError, SpinorStructure
+from .chart import Chart, Region
+from .forms import GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
+from .maps import CoordinateMap, pullback
+from .scalars import is_structural_zero, opaque_function, register_bump
+from .groups import GroupPresentation, parse_relators, parse_word
+from .spinor import DecompositionHints, SpinorStructure
 from .topology import (
     BranchComponent,
     BranchingData,
     ManifoldDescriptor,
     SurgeryLocus,
-    TopologyError,
     TypeChangeComponent,
 )
 
@@ -59,43 +58,39 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # string | number | name | op
     text: str
     line: int
 
 
-def tokenize(text: str, line: int) -> list[Token]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.start() != pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        kind = m.lastgroup
-        out.append(Token(kind, m.group(kind), line))
-        pos = m.end()
-    return out
-
-
 class TokenStream:
-    def __init__(self, tokens: list[Token], line: int):
-        self.tokens = tokens
-        self.pos = 0
+    """The tokens of one statement, scanned on demand."""
+
+    def __init__(self, text: str, line: int):
+        self.text = text
         self.line = line
+        self.pos = 0  # where the next unconsumed token's scan starts
+        self._next: Optional[tuple[Token, int]] = None  # peeked token, its end
 
     def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        if self._next is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            if m is None:
+                rest = self.text[self.pos:].lstrip()
+                if rest:
+                    raise ParseError(f"unexpected character {rest[0]!r}", self.line)
+                return None
+            kind = m.lastgroup
+            self._next = (Token(kind, m.group(kind), self.line), m.end())
+        return self._next[0]
 
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of statement", self.line)
-        self.pos += 1
+        self.pos = self._next[1]
+        self._next = None
         return tok
 
     def expect(self, text: str) -> Token:
@@ -107,15 +102,29 @@ class TokenStream:
     def accept(self, text: str) -> bool:
         tok = self.peek()
         if tok is not None and tok.text == text:
-            self.pos += 1
+            self.next()
             return True
         return False
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.peek() is None
 
     def rest(self) -> list[Token]:
-        return self.tokens[self.pos:]
+        """Consume and return the remaining tokens."""
+        out = []
+        while not self.at_end():
+            out.append(self.next())
+        return out
+
+    def raw_until(self, char: str) -> str:
+        """Consume the raw text up to the next ``char``, and the char."""
+        end = self.text.find(char, self.pos)
+        if end < 0:
+            raise ParseError(f"expected {char!r}", self.line)
+        raw = self.text[self.pos:end]
+        self.pos = end + 1
+        self._next = None
+        return raw
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +330,12 @@ def parse_expr(sc: Scenario, chart: Chart, ts: TokenStream) -> MixedForm:
 
 
 def _strip_comment(raw: str) -> str:
-    in_string = False
-    for i, ch in enumerate(raw):
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return raw[:i]
+    # a '#' after an even number of quotes is outside every string
+    pos = raw.find("#")
+    while pos >= 0:
+        if raw.count('"', 0, pos) % 2 == 0:
+            return raw[:pos]
+        pos = raw.find("#", pos + 1)
     return raw
 
 
@@ -339,17 +348,9 @@ def parse_scenario(text: str) -> Scenario:
             continue
         line = re.sub(r"\s+", " ", line)
         sc.statements.append(line)
-        ts = TokenStream(tokenize(line, raw_no), raw_no)
+        ts = TokenStream(line, raw_no)
         _parse_statement(sc, ts, line)
     return sc
-
-
-# gcx's own errors that a statement can raise while it is parsed; they are
-# reported as a ParseError on the statement's line
-_STATEMENT_ERRORS = (
-    ChartError, RegionError, FormError, MapError, EvaluationError,
-    GroupError, TopologyError, SpinorError,
-)
 
 
 def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
@@ -372,8 +373,12 @@ def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
             raise ParseError(f"unknown statement {head.text!r}", line)
     try:
         fn(sc, ts, line, text)
-    except _STATEMENT_ERRORS as exc:
+    except ParseError:
+        raise
+    except ValueError as exc:  # gcx's errors, and sympy's on a bad constant
         raise ParseError(str(exc), line) from exc
+    # a handler may stop early; the rest of the statement must still scan
+    ts.rest()
 
 
 def _stmt_title(sc, ts, line, text):
@@ -621,6 +626,7 @@ def _stmt_build(sc, ts, line, text):
 
 
 def _presentation(ts, line) -> GroupPresentation:
+    """``< gens | relators >``; the relator body runs to the first ``>``."""
     ts.expect("<")
     gens = []
     while True:
@@ -630,26 +636,9 @@ def _presentation(ts, line) -> GroupPresentation:
         if tok.text == ",":
             continue
         gens.append(tok.text)
-    relators = []
-    depth = 0
-    word: list[str] = []
-    while True:
-        tok = ts.next()
-        if tok.text == "[":
-            depth += 1
-        elif tok.text == "]":
-            depth -= 1
-        if tok.text == ">" and depth == 0:
-            break
-        if tok.text == "," and depth == 0:
-            if word:
-                relators.append("".join(word))
-            word = []
-            continue
-        word.append(tok.text)
-    if word:
-        relators.append("".join(word))
-    return GroupPresentation.make(gens, relators)
+    # spaces are deleted, so `x y` is the one generator `xy`
+    body = ts.raw_until(">").replace(" ", "")
+    return GroupPresentation.make(gens, parse_relators(body))
 
 
 def _stmt_group(sc, ts, line, text):
@@ -789,8 +778,10 @@ def _point(ts, line) -> dict[str, complex]:
             if depth == 0 and tok.text == ",":
                 break
             toks.append(ts.next().text)
-        expr = sympy.sympify("".join(toks).replace("i", "I"))
-        out[leg] = complex(expr)
+        value = sympy.sympify("".join(toks).replace("i", "I"))
+        if not value.is_number:
+            raise ParseError(f"coordinate {leg!r} needs a constant value", line)
+        out[leg] = complex(value)
         if not ts.accept(","):
             break
     return out
@@ -970,6 +961,6 @@ def _stmt_report(sc, ts, line, text):
 
 
 def _assert_consumed(ts: TokenStream, line: int):
-    if not ts.at_end():
-        rest = " ".join(t.text for t in ts.rest())
+    rest = " ".join(t.text for t in ts.rest())
+    if rest:
         raise ParseError(f"trailing tokens: {rest!r}", line)

@@ -4,6 +4,7 @@ import re
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcx.cli import main
 from gcx.runner import corpus_dir, corpus_files, list_corpus, run
@@ -91,6 +92,71 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     )
     assert main(["verify", str(short_map)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("statement, message", [
+    ('title "a" @', "unexpected character '@'"),
+    ("group G = < x, y | x * y $ >", "'$'"),
+    ("group G = < x, y | x y >", "undeclared generator 'xy'"),
+    ("group G = < x, y | [x, y]^ >", "integer exponent"),
+    ("group G = < x, y | x * y", "expected '>'"),
+    ("bump xi = 0 upto 0.5, 1 from 0.25", "zero_upto < one_from"),
+    ("check type s at z1 = 0.3 + 01*i expect 2", "could not parse"),
+    ("check type s at z1 = x expect 2", "needs a constant value"),
+])
+def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = complex z1\n{statement}\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err, err
+
+
+def test_cli_infinite_value_fails_the_check(tmp_path, capsys):
+    scn = tmp_path / "zoo.gcx"
+    scn.write_text("chart C = complex z1\n"
+                   "check equal on C 1/(z1 - z1), 1 expect different\n")
+    assert main(["run", str(scn)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out and "infinite or undefined" in out
+
+
+def _statement_lines(path) -> list[int]:
+    lines = path.read_text().splitlines()
+    return [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+
+
+_CORPUS = corpus_files()
+_MUTATION_CHARS = st.characters(min_codepoint=32, max_codepoint=126)  # printable ASCII
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_mutated_corpus_statement_never_crashes(tmp_path, capsys, data):
+    # one corpus statement loses, gains or swaps a character
+    path = data.draw(st.sampled_from(_CORPUS), label="scenario")
+    lines = path.read_text().splitlines()
+    index = data.draw(st.sampled_from(_statement_lines(path)), label="line")
+    line = lines[index]
+    pos = data.draw(st.integers(0, len(line) - 1), label="position")
+    kind = data.draw(st.sampled_from(["delete", "insert", "swap"]), label="mutation")
+    if kind == "delete":
+        line = line[:pos] + line[pos + 1:]
+    elif kind == "insert":
+        line = line[:pos] + data.draw(_MUTATION_CHARS, label="char") + line[pos:]
+    else:
+        other = data.draw(st.integers(0, len(line) - 1), label="other")
+        chars = list(line)
+        chars[pos], chars[other] = chars[other], chars[pos]
+        line = "".join(chars)
+    lines[index] = line
+    scn = tmp_path / "mutated.gcx"
+    scn.write_text("\n".join(lines) + "\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_verify_and_report_flag(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcx import (
     GroupError,
@@ -17,7 +18,14 @@ from gcx import (
     smith_normal_form,
     tietze_simplify,
 )
-from gcx.groups import cyclic_reduce, exponent_matrix, free_reduce, invert_word, word_str
+from gcx.groups import (
+    cyclic_reduce,
+    exponent_matrix,
+    free_reduce,
+    invert_word,
+    parse_relators,
+    word_str,
+)
 
 
 def test_parse_word_forms():
@@ -248,3 +256,117 @@ def test_abelianization_describe():
     g = GroupPresentation.make(["x", "y"], ["x^3", "[x,y]"])
     inv = abelianization(g)
     assert inv.describe() == "Z + Z_3"
+
+
+# ---------------------------------------------------------------------------
+# properties against naive references
+# ---------------------------------------------------------------------------
+
+
+def _naive_free_reduce(word) -> tuple:
+    """Drop zero powers and merge one adjacent pair at a time until stable."""
+    word = [letter for letter in word if letter[1]]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word) - 1):
+            (g, e), (h, f) = word[i], word[i + 1]
+            if g == h:
+                word[i: i + 2] = [(g, e + f)] if e + f else []
+                changed = True
+                break
+    return tuple(word)
+
+
+def _naive_cyclic_reduce(word) -> tuple:
+    """Rotate the last letter to the front while the two ends can merge."""
+    word = _naive_free_reduce(word)
+    while len(word) >= 2 and word[0][0] == word[-1][0]:
+        word = _naive_free_reduce(word[-1:] + word[:-1])
+    return word
+
+
+_letters = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(-3, 3)), max_size=14
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_letters)
+def test_free_and_cyclic_reduce_match_naive_reference(word):
+    assert free_reduce(word) == _naive_free_reduce(word)
+    assert cyclic_reduce(word) == _naive_cyclic_reduce(word)
+
+
+def _split_top_level(body: str) -> list[str]:
+    """Comma-separated segments outside every [..]."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body):
+        depth += {"[": 1, "]": -1}.get(ch, 0)
+        if ch == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:])
+    return parts
+
+
+_spaces = st.sampled_from(["", " ", "  "])
+_powers = st.sampled_from(["", "^2", "^-1", "^-3", "^0", "^ 2", " ^-2"])
+
+
+@st.composite
+def _atoms(draw, words):
+    kind = draw(st.sampled_from(["generator", "identity", "commutator"]))
+    if kind == "generator":
+        return draw(st.sampled_from(["x", "y", "t1", "l_2"])) + draw(_powers)
+    if kind == "identity":
+        return "1"
+    left, right = draw(words), draw(words)
+    return f"[{left},{draw(_spaces)}{right}]" + draw(_powers)
+
+
+_words = st.recursive(
+    st.sampled_from(["x", "y^3", "1"]),
+    lambda words: st.lists(_atoms(words), min_size=1, max_size=3).flatmap(
+        lambda atoms: _spaces.map(lambda sp: f"{sp}*{sp}".join(atoms))
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_words, min_size=1, max_size=4), _spaces)
+def test_parse_relators_matches_parse_word_per_segment(words, space):
+    body = f",{space}".join(words)
+    assert parse_relators(body) == tuple(parse_word(part) for part in _split_top_level(body))
+
+
+def test_parse_word_errors_are_group_errors():
+    for bad in ("x^", "x^y", "[x,y]^", "[x,y", "[x]", "x,y", "x]", "x@y", "2", "x-y"):
+        with pytest.raises(GroupError):
+            parse_word(bad)
+    assert parse_relators("[x,y],x^2,,1") == (
+        (("x", 1), ("y", 1), ("x", -1), ("y", -1)), (("x", 2),), (), ()
+    )
+
+
+def test_tietze_pinned_on_luttinger_shaped_presentation():
+    # complement of a torus with meridian m = [a,b], glued to the torus
+    # <t1, t2> with surgery parameters (p, q, a, b) = (1, 3, 1, 2)
+    g = GroupPresentation.make(
+        ["a", "b", "m", "l1", "l2", "t1", "t2"],
+        ["[l1,l2]", "[a,l1]", "[a,l2]", "[b,l1]", "[b,l2]", "m*[a,b]^-1",
+         "[t1,t2]", "m*l2^3", "l1*t1^-1", "m*l2^2*t2^-1"],
+    )
+    simple = tietze_simplify(g)
+    assert simple.generators == ("a", "b", "l2", "t1")
+    assert [word_str(r) for r in simple.relators] == [
+        "a*b*a^-1*b^-1*l2^3",
+        "a*l2*a^-1*l2^-1",
+        "a*t1*a^-1*t1^-1",
+        "b*l2*b^-1*l2^-1",
+        "b*t1*b^-1*t1^-1",
+        "t1*a*b*a^-1*b^-1*l2^2*t1^-1*l2^-2*b*a*b^-1*a^-1",
+        "t1*l2*t1^-1*l2^-1",
+    ]
+    assert abelianization(simple).describe() == "Z + Z + Z + Z_3"
