@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.rings import PolyElement, PolyRing, ring
 
 COORD_KINDS = ("real", "radial", "angle", "complex")
 
@@ -111,6 +114,27 @@ class Chart:
     def conj_index(self, i: int) -> int:
         return self.legs[i].conj
 
+    @cached_property
+    def ring(self) -> PolyRing:
+        """The polynomials over the Gaussian rationals in the chart's legs."""
+        return ring(self.symbols, QQ_I)[0]
+
+    def to_ring(self, value) -> Optional[PolyElement]:
+        """``value`` as an element of :attr:`ring`, or None when it is not a
+        polynomial over ``QQ_I`` in the legs.
+
+        A float is refused rather than read as the rational it rounds to.
+        """
+        if isinstance(value, PolyElement):
+            return value if value.ring == self.ring else None
+        value = sympy.sympify(value)
+        if value.has(sympy.Float):
+            return None
+        try:
+            return self.ring.from_expr(value)
+        except ValueError:  # a denominator, a function, pi, a foreign symbol
+            return None
+
     def coordinate(self, name: str) -> Coordinate:
         for c in self.coords:
             if c.name == name:
@@ -171,6 +195,15 @@ class Chart:
             if leg.conj != i:
                 swap[leg.symbol] = self.legs[leg.conj].symbol
         return _conj_walk(expr, swap)
+
+    def conj_poly(self, p: PolyElement) -> PolyElement:
+        """Formal conjugation in :attr:`ring`: each exponent moves to the
+        conjugate leg's slot and each coefficient is conjugated."""
+        conj = [leg.conj for leg in self.legs]
+        return self.ring({
+            tuple(monom[j] for j in conj): QQ_I.new(c.x, -c.y)
+            for monom, c in p.iterterms()
+        })
 
 
 def _conj_walk(e: sympy.Expr, swap: dict) -> sympy.Expr:

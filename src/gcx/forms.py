@@ -1,23 +1,38 @@
 """Mixed-degree differential forms and the exterior-calculus operation set.
 
 A :class:`MixedForm` maps strictly increasing leg-index tuples (the
-empty tuple is degree 0) to sympy coefficients.  Keys are canonically
-sorted on construction with the antisymmetry sign applied, and zero
-coefficients are dropped.  Zero means structurally zero
-(:func:`~gcx.scalars.is_structural_zero`): the coefficient is ``0`` or a
-numeric zero such as ``Float(0.0)``.  No assumption query runs, so a
-coefficient that only simplifies to zero is kept until an identity
-check decides it.
+empty tuple is degree 0) to coefficients.  Keys are canonically sorted
+on construction with the antisymmetry sign applied, and zero
+coefficients are dropped.
+
+Coefficients have one of two representations, chosen by the input:
+
+* a form whose coefficients are all polynomials over the Gaussian
+  rationals in the chart's legs keeps them as elements of the chart's
+  polynomial ring (``ring_terms``).  Sums, scaling by a polynomial,
+  wedge, ``d``, conjugation, pullback along a polynomial map and
+  :func:`form_equal` stay in the ring, where a zero is an exact zero
+  and equality is decided without sampling;
+* any other form keeps sympy expressions.  Zero there means
+  structurally zero (:func:`~gcx.scalars.is_structural_zero`): the
+  coefficient is ``0`` or a numeric zero such as ``Float(0.0)``.  No
+  assumption query runs, so a coefficient that only simplifies to zero
+  is kept until an identity check decides it.
+
+An operation with one form of each kind works on expressions.  ``terms``
+and :meth:`MixedForm.coefficient` are expression-valued for both kinds;
+on a ring form each coefficient is converted once, when first read.
 """
 
 from __future__ import annotations
 
-import math
 import random
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import sympy
+from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region, RegionError
 from .scalars import (
@@ -54,36 +69,89 @@ def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
     return (-1) ** inv
 
 
+def _add_to(data: dict, key, value) -> None:
+    data[key] = data[key] + value if key in data else value
+
+
+def _signed(sign: int, c):
+    """``sign * c``; a ring element is negated, since multiplying it by an
+    integer converts the integer into the coefficient domain first."""
+    if isinstance(c, PolyElement):
+        return c if sign > 0 else -c
+    return sign * c
+
+
+class _ExprView(MappingABC):
+    """The expression-valued ``terms`` of a ring form: each coefficient is
+    converted when first read and kept."""
+
+    __slots__ = ("_ring_terms", "_exprs")
+
+    def __init__(self, ring_terms: dict):
+        self._ring_terms = ring_terms
+        self._exprs: dict[tuple[int, ...], sympy.Expr] = {}
+
+    def __getitem__(self, key) -> sympy.Expr:
+        expr = self._exprs.get(key)
+        if expr is None:
+            expr = self._exprs[key] = self._ring_terms[key].as_expr()
+        return expr
+
+    def __contains__(self, key) -> bool:
+        return key in self._ring_terms
+
+    def __iter__(self):
+        return iter(self._ring_terms)
+
+    def __len__(self) -> int:
+        return len(self._ring_terms)
+
+
 class MixedForm:
-    """Immutable mixed-degree complex differential form on a chart."""
+    """Immutable mixed-degree complex differential form on a chart.
+
+    Coefficients given as elements of ``chart.ring`` make a ring form,
+    kept in ``ring_terms``; any other coefficient makes every coefficient
+    an expression, and ``ring_terms`` is None.  A form with no terms is
+    a ring form.
+    """
 
     # _compiled: region bump pins -> (keys, compiled coefficients), filled
     # by evaluate_at
-    __slots__ = ("chart", "terms", "domain", "_compiled")
+    __slots__ = ("chart", "terms", "ring_terms", "domain", "_compiled")
 
     def __init__(self, chart: Chart, terms: Mapping | None = None,
                  domain: Optional[Region] = None):
         self.chart = chart
         self.domain = domain
         self._compiled = {}
-        data: dict[tuple[int, ...], sympy.Expr] = {}
-        for key, coeff in (terms or {}).items():
-            if isinstance(coeff, ScalarExpr):
-                if coeff.chart != chart:
+        terms = terms or {}
+        polynomial = all(isinstance(c, PolyElement) for c in terms.values())
+        data: dict[tuple[int, ...], object] = {}
+        for key, coeff in terms.items():
+            if isinstance(coeff, PolyElement):
+                if coeff.ring != chart.ring:
                     raise FormError("coefficient chart mismatch")
-                self.domain = merge_domains(self.domain, coeff.domain)
-                coeff = coeff.expr
-            coeff = sympy.sympify(coeff)
+                if not polynomial:
+                    coeff = coeff.as_expr()
+            else:
+                if isinstance(coeff, ScalarExpr):
+                    if coeff.chart != chart:
+                        raise FormError("coefficient chart mismatch")
+                    self.domain = merge_domains(self.domain, coeff.domain)
+                    coeff = coeff.expr
+                coeff = sympy.sympify(coeff)
             skey, sign = _sort_key(key)
             if sign == 0:
                 continue
-            coeff = sign * coeff
-            if skey in data:
-                coeff = data[skey] + coeff
-            data[skey] = coeff
-        self.terms = {
-            k: v for k, v in data.items() if not is_structural_zero(v)
-        }
+            _add_to(data, skey, _signed(sign, coeff))
+        data = {k: v for k, v in data.items() if not is_structural_zero(v)}
+        if polynomial:
+            self.ring_terms = data
+            self.terms = _ExprView(data)
+        else:
+            self.ring_terms = None if data else {}
+            self.terms = data
 
     # -- constructors ----------------------------------------------------
 
@@ -93,7 +161,7 @@ class MixedForm:
 
     @classmethod
     def one(cls, chart: Chart) -> "MixedForm":
-        return cls(chart, {(): sympy.Integer(1)})
+        return cls(chart, {(): chart.ring.one})
 
     @classmethod
     def scalar(cls, chart: Chart, expr, domain: Optional[Region] = None) -> "MixedForm":
@@ -101,7 +169,7 @@ class MixedForm:
 
     @classmethod
     def basis(cls, chart: Chart, leg: str) -> "MixedForm":
-        return cls(chart, {(chart.leg_index(leg),): sympy.Integer(1)})
+        return cls(chart, {(chart.leg_index(leg),): chart.ring.one})
 
     # -- queries ---------------------------------------------------------
 
@@ -111,10 +179,15 @@ class MixedForm:
             return sympy.Integer(0)
         return sign * self.terms.get(skey, sympy.Integer(0))
 
+    @property
+    def _coefficients(self) -> Mapping:
+        """The stored coefficients: ring elements on a ring form."""
+        return self.ring_terms if self.ring_terms is not None else self.terms
+
     def degree_block(self, k: int) -> "MixedForm":
         return MixedForm(
             self.chart,
-            {key: c for key, c in self.terms.items() if len(key) == k},
+            {key: c for key, c in self._coefficients.items() if len(key) == k},
             self.domain,
         )
 
@@ -152,23 +225,34 @@ class MixedForm:
 
     def __add__(self, other: "MixedForm") -> "MixedForm":
         self._check(other)
-        data = dict(self.terms)
-        for key, c in other.terms.items():
-            data[key] = data.get(key, sympy.Integer(0)) + c
+        mine, theirs = _operands(self, other)
+        data = dict(mine)
+        for key, c in theirs.items():
+            _add_to(data, key, c)
         return MixedForm(self.chart, data, merge_domains(self.domain, other.domain))
 
     def __sub__(self, other: "MixedForm") -> "MixedForm":
         return self + (-other)
 
     def __neg__(self) -> "MixedForm":
-        return MixedForm(self.chart, {k: -c for k, c in self.terms.items()}, self.domain)
+        return MixedForm(self.chart, {k: -c for k, c in self._coefficients.items()},
+                         self.domain)
 
     def scale(self, scalar) -> "MixedForm":
+        """Multiply by a scalar: an expression, a ScalarExpr or a ring element.
+
+        A ring form scaled by a polynomial stays a ring form.
+        """
         dom = self.domain
         if isinstance(scalar, ScalarExpr):
             dom = merge_domains(dom, scalar.domain)
             scalar = scalar.expr
-        scalar = sympy.sympify(scalar)
+        if self.ring_terms is not None:
+            factor = self.chart.to_ring(scalar)
+            if factor is not None:
+                return MixedForm(self.chart,
+                                 {k: factor * c for k, c in self.ring_terms.items()}, dom)
+        scalar = scalar.as_expr() if isinstance(scalar, PolyElement) else sympy.sympify(scalar)
         return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()}, dom)
 
     def __mul__(self, scalar):
@@ -177,12 +261,13 @@ class MixedForm:
     __rmul__ = __mul__
 
     def conjugate(self) -> "MixedForm":
+        chart = self.chart
+        conj = chart.conj_poly if self.ring_terms is not None else chart.conj_expr
         data = {}
-        for key, c in self.terms.items():
-            ckey = tuple(self.chart.conj_index(i) for i in key)
-            skey, sign = _sort_key(ckey)
-            data[skey] = data.get(skey, sympy.Integer(0)) + sign * self.chart.conj_expr(c)
-        return MixedForm(self.chart, data, self.domain)
+        for key, c in self._coefficients.items():
+            skey, sign = _sort_key(chart.conj_index(i) for i in key)
+            _add_to(data, skey, _signed(sign, conj(c)))
+        return MixedForm(chart, data, self.domain)
 
     def map_coefficients(self, fn) -> "MixedForm":
         return MixedForm(self.chart, {k: fn(c) for k, c in self.terms.items()}, self.domain)
@@ -223,17 +308,24 @@ class MixedForm:
 # ---------------------------------------------------------------------------
 
 
+def _operands(a: MixedForm, b: MixedForm) -> tuple[Mapping, Mapping]:
+    """Both forms' coefficients: ring elements when both are ring forms,
+    else expressions."""
+    if a.ring_terms is not None and b.ring_terms is not None:
+        return a.ring_terms, b.ring_terms
+    return a.terms, b.terms
+
+
 def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
     """Graded-commutative exterior product."""
     a._check(b)
-    data: dict[tuple[int, ...], sympy.Expr] = {}
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
+    ca, cb = _operands(a, b)
+    data: dict[tuple[int, ...], object] = {}
+    for k1, c1 in ca.items():
+        for k2, c2 in cb.items():
             if set(k1) & set(k2):
                 continue
-            key = tuple(sorted(k1 + k2))
-            sign = _merge_sign(k1, k2)
-            data[key] = data.get(key, sympy.Integer(0)) + sign * c1 * c2
+            _add_to(data, tuple(sorted(k1 + k2)), _signed(_merge_sign(k1, k2), c1) * c2)
     return MixedForm(a.chart, data, merge_domains(a.domain, b.domain))
 
 
@@ -259,17 +351,18 @@ def wedge_power(a: MixedForm, n: int) -> MixedForm:
 def d(a: MixedForm) -> MixedForm:
     """Exterior derivative; opaque symbols use their formal derivatives."""
     chart = a.chart
-    data: dict[tuple[int, ...], sympy.Expr] = {}
-    for key, c in a.terms.items():
-        for j, leg in enumerate(chart.legs):
+    polynomial = a.ring_terms is not None
+    variables = chart.ring.gens if polynomial else chart.symbols
+    data: dict[tuple[int, ...], object] = {}
+    for key, c in a._coefficients.items():
+        for j, v in enumerate(variables):
             if j in key:
                 continue
-            dc = sympy.diff(c, leg.symbol)
+            dc = c.diff(v) if polynomial else sympy.diff(c, v)
             if is_structural_zero(dc):
                 continue
             pos = sum(1 for i in key if i < j)
-            nkey = tuple(sorted(key + (j,)))
-            data[nkey] = data.get(nkey, sympy.Integer(0)) + (-1) ** pos * dc
+            _add_to(data, tuple(sorted(key + (j,))), _signed((-1) ** pos, dc))
     return MixedForm(chart, data, a.domain)
 
 
@@ -441,16 +534,25 @@ def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
                samples: int = 32, seed: int = 0, tol: float = 1e-9) -> EqualityResult:
     """Coefficient-wise expr_equal over the union of the two key sets.
 
-    Keys are compared in sorted order with one shared sampling rng; the
-    result names the first key whose coefficients differ.
+    Keys are compared in sorted order; the result names the first key
+    whose coefficients differ.  Two ring forms are compared element by
+    element, exactly and with no sampling; otherwise every key goes
+    through :func:`expr_equal` with one shared sampling rng.
     """
     a._check(b)
     region = merge_domains(merge_domains(region, a.domain), b.domain)
-    rng = random.Random(seed)
+    if a.ring_terms is not None and b.ring_terms is not None:
+        zero = a.chart.ring.zero
+
+        def same(key):
+            return a.ring_terms.get(key, zero) == b.ring_terms.get(key, zero)
+    else:
+        rng = random.Random(seed)
+
+        def same(key):
+            return expr_equal(a.coefficient(key), b.coefficient(key), a.chart,
+                              region=region, samples=samples, tol=tol, rng=rng)
     for key in sorted(set(a.terms) | set(b.terms)):
-        if not expr_equal(
-            a.coefficient(key), b.coefficient(key), a.chart,
-            region=region, samples=samples, tol=tol, rng=rng,
-        ):
+        if not same(key):
             return EqualityResult(key)
     return EqualityResult(None)

@@ -112,6 +112,28 @@ def free_reduce(word: Iterable[tuple[str, int]]) -> Word:
     return tuple(out)
 
 
+def checked_words(generators: Sequence[str], words: Iterable[Word]) -> tuple[Word, ...]:
+    """The nonempty words, once the generators are known to be distinct and
+    every letter to be one of them.  The words are taken as given, so they
+    must be freely reduced already."""
+    declared = set(generators)
+    if len(declared) != len(generators):
+        raise GroupError("duplicate generator names")
+    out = []
+    for word in words:
+        for g, _ in word:
+            if g not in declared:
+                raise GroupError(f"relator uses undeclared generator {g!r}")
+        if word:
+            out.append(word)
+    return tuple(out)
+
+
+def _reduced(word) -> Word:
+    """A word given as a string, parsed, or as letters, freely reduced."""
+    return parse_word(word) if isinstance(word, str) else free_reduce(word)
+
+
 def invert_word(word: Word) -> Word:
     return tuple([(g, -e) for g, e in reversed(word)])
 
@@ -165,18 +187,10 @@ class GroupPresentation:
 
     @staticmethod
     def make(generators: Iterable[str], relators: Iterable = ()) -> "GroupPresentation":
+        """Relators are strings to parse or letter sequences to reduce;
+        empty words are dropped."""
         gens = tuple(generators)
-        if len(set(gens)) != len(gens):
-            raise GroupError("duplicate generator names")
-        rels = []
-        for r in relators:
-            word = parse_word(r) if isinstance(r, str) else free_reduce(r)
-            for g, _ in word:
-                if g not in gens:
-                    raise GroupError(f"relator uses undeclared generator {g!r}")
-            if word:
-                rels.append(word)
-        return GroupPresentation(gens, tuple(rels))
+        return GroupPresentation(gens, checked_words(gens, map(_reduced, relators)))
 
     @staticmethod
     def trivial() -> "GroupPresentation":
@@ -227,14 +241,8 @@ def free_product(g: GroupPresentation, h: GroupPresentation) -> GroupPresentatio
 def quotient_normal_closure(g: GroupPresentation, words: Iterable,
                             simplify: bool = True) -> GroupPresentation:
     """Quotient by the normal closure of the given words."""
-    extra = []
-    for w in words:
-        word = parse_word(w) if isinstance(w, str) else free_reduce(w)
-        for gen, _ in word:
-            if gen not in g.generators:
-                raise GroupError(f"word uses undeclared generator {gen!r}")
-        extra.append(word)
-    out = GroupPresentation(g.generators, g.relators + tuple(extra))
+    extra = checked_words(g.generators, map(_reduced, words))
+    out = GroupPresentation(g.generators, g.relators + extra)
     return tietze_simplify(out) if simplify else out
 
 

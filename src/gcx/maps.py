@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 import sympy
+from sympy.polys.rings import PolyElement, PolyRing
 
 from .chart import Chart, Region
 from .forms import FormError, MixedForm, d_scalar, wedge_list
-from .scalars import compile_exprs, is_structural_zero, merge_domains
+from .scalars import compile_exprs, is_structural_zero
 
 
 class MapError(ValueError):
@@ -73,6 +75,14 @@ class CoordinateMap:
     def scalar_subs(self) -> dict[sympy.Symbol, sympy.Expr]:
         return {self.target.symbol(k): v for k, v in self.assignments}
 
+    @cached_property
+    def ring_images(self) -> Optional[tuple[PolyElement, ...]]:
+        """The assignment of each target leg, in leg order, as an element of
+        the source chart's ring; None when one is not a polynomial."""
+        table = self.table
+        images = tuple(self.source.to_ring(table[leg.name]) for leg in self.target.legs)
+        return None if any(g is None for g in images) else images
+
     def apply_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
         """Push a source point forward to the target chart."""
         keys = [k for k, _ in self.assignments]
@@ -95,28 +105,56 @@ class CoordinateMap:
         )
 
 
+def _substitute(p: PolyElement, images: tuple[PolyElement, ...],
+                ring: PolyRing) -> PolyElement:
+    """``p`` with every generator replaced by its image at once; the images
+    live in ``ring``, which may differ from the ring of ``p``."""
+    out = ring.zero
+    powers: dict[tuple[int, int], PolyElement] = {}
+    for monom, coeff in p.iterterms():
+        term = ring.ground_new(coeff)
+        for i, n in enumerate(monom):
+            if n:
+                power = powers.get((i, n))
+                if power is None:
+                    power = powers[(i, n)] = images[i] ** n
+                term *= power
+        out += term
+    return out
+
+
 def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     """Pull a form on the target chart back along f.
 
-    Scalars are substituted; each target differential is replaced by the
-    source exterior derivative of its defining scalar, so the pullback
-    commutes with wedge and d by construction.
+    Scalars are substituted simultaneously; each target differential is
+    replaced by the source exterior derivative of its defining scalar, so
+    the pullback commutes with wedge and d by construction.  A ring form
+    pulled back along a polynomial map stays in the source chart's ring.
     """
     if a.chart != f.target:
         raise FormError(
             f"form lives on {a.chart.name!r}, expected target {f.target.name!r}"
         )
-    subs = f.scalar_subs()
-    dlegs = {
-        f.target.leg_index(k): d_scalar(f.source, v) for k, v in f.assignments
-    }
-    out = MixedForm.zero(f.source)
-    for key, c in a.terms.items():
-        pc = sympy.sympify(c).subs(subs, simultaneous=True)
+    images = f.ring_images if a.ring_terms is not None else None
+    if images is not None:
+        coefficients, values = a.ring_terms, images
+
+        def pull(c):
+            return _substitute(c, images, f.source.ring)
+    else:
+        table, subs = f.table, f.scalar_subs()
+        coefficients, values = a.terms, [table[leg.name] for leg in f.target.legs]
+
+        def pull(c):
+            return sympy.sympify(c).subs(subs, simultaneous=True)
+    dlegs = [d_scalar(f.source, v) for v in values]
+    out = MixedForm(f.source, {}, f.domain)
+    for key, c in coefficients.items():
+        pc = pull(c)
         if is_structural_zero(pc):
             continue
         factor = MixedForm.scalar(f.source, pc)
         if key:
             factor = wedge_list([factor] + [dlegs[i] for i in key])
         out = out + factor
-    return MixedForm(out.chart, out.terms, merge_domains(f.domain, None))
+    return out

@@ -8,10 +8,11 @@ during sampling.
 
 Equality is decided exactly wherever it can be.  When both sides are
 algebraic after pinning their bumps, :func:`expr_equal` compares them
-as elements of a polynomial ring over the Gaussian rationals ``QQ_I``,
-or, when a side has a denominator or a constant such as ``pi``, checks
-that ``cancel(together(a - b))`` is zero.  Only transcendental or opaque
-terms force a sampled, Schwartz-Zippel-style verdict at tolerance
+as elements of the chart's polynomial ring over the Gaussian rationals
+``QQ_I``; when a side has a denominator it tests the numerator of
+``together(a - b)`` in that ring, and with a constant such as ``pi`` it
+checks that ``cancel(together(a - b))`` is zero.  Only transcendental or
+opaque terms force a sampled, Schwartz-Zippel-style verdict at tolerance
 ``tol``.  A zero test is structural (:func:`is_structural_zero`) and
 never queries sympy's assumptions on a compound expression.
 
@@ -39,8 +40,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy
 import sympy
-from sympy.polys.domains import QQ_I
-from sympy.polys.rings import ring
 from sympy.printing.numpy import NumPyPrinter
 
 from .chart import Chart, Region, RegionError
@@ -291,6 +290,11 @@ def _real_argument(fn: Callable[[float], float]) -> Callable:
 _NON_FINITE = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
 
 
+def _require_finite(expr: sympy.Expr, chart: Chart) -> None:
+    if expr.has(*_NON_FINITE):
+        raise EvaluationError(f"infinite or undefined value in {expr} on chart {chart.name!r}")
+
+
 def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], numpy.ndarray]:
     """Compile expressions over the chart's legs: point -> complex array.
 
@@ -303,8 +307,7 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
     """
     exprs = [sympy.sympify(e) for e in exprs]
     for e in exprs:
-        if e.has(*_NON_FINITE):
-            raise EvaluationError(f"infinite or undefined value in {e} on chart {chart.name!r}")
+        _require_finite(e, chart)
     unbound = set().union(*(e.free_symbols for e in exprs)) - set(chart.symbols)
     if unbound:
         def unbound_error(point):
@@ -347,7 +350,8 @@ def is_structural_zero(expr) -> bool:
 
     A sympy ``Float(0.0)`` does not compare equal to ``0``, so a numeric
     zero is caught through its value; compound expressions are never
-    handed to the assumptions engine.
+    handed to the assumptions engine.  A polynomial ring element compares
+    equal to ``0`` exactly when it is zero.
     """
     return expr == 0 or (isinstance(expr, sympy.Number) and expr.is_zero)
 
@@ -368,14 +372,24 @@ def is_algebraic_expr(expr: sympy.Expr) -> bool:
     return True
 
 
-def _algebraic_equal(a: sympy.Expr, b: sympy.Expr) -> bool:
-    """Exact equality of two algebraic expressions, with no sampling."""
-    gens = sorted(a.free_symbols | b.free_symbols, key=str)
-    R = ring(gens, QQ_I)[0]
-    try:
-        return R.from_expr(a) == R.from_expr(b)
-    except ValueError:  # a denominator, or a constant such as pi
-        return sympy.cancel(sympy.together(a - b)) == 0
+def _algebraic_equal(a: sympy.Expr, b: sympy.Expr, chart: Chart) -> bool:
+    """Exact equality of two algebraic expressions, with no sampling.
+
+    Two polynomials compare in the chart's ring.  Otherwise ``a - b`` is
+    brought over one denominator; when the numerator and a nonzero
+    denominator are polynomials, ``a = b`` exactly when the numerator is
+    zero in the ring.  With a constant such as ``pi``, or a denominator
+    that is zero in the ring, ``cancel`` decides.
+    """
+    pa = chart.to_ring(a)
+    pb = chart.to_ring(b) if pa is not None else None
+    if pb is not None:
+        return pa == pb
+    difference = sympy.together(a - b)
+    numerator, denominator = (chart.to_ring(e) for e in sympy.fraction(difference))
+    if numerator is not None and denominator is not None and denominator:
+        return not numerator
+    return sympy.cancel(difference) == 0
 
 
 def expr_equal(
@@ -390,11 +404,14 @@ def expr_equal(
 ) -> bool:
     """Equality of two scalars on a region: structural, exact, or sampled.
 
-    Both sides have their region-pinned bumps substituted first.  Equal
-    pinned sides are decided structurally.  When both are algebraic the
-    verdict is exact: equality in a polynomial ring over ``QQ_I``, or a
-    zero ``cancel(together(a - b))`` when a side has a denominator or a
-    constant such as ``pi``.  A nonzero rational function cannot vanish on
+    Both sides have their region-pinned bumps substituted first.  A
+    pinned side holding an infinite or undefined value (``zoo``, ``nan``,
+    ``oo``) raises :class:`EvaluationError`.  Equal pinned sides are
+    decided structurally.  When both are algebraic the verdict is exact:
+    equality in the chart's polynomial ring over ``QQ_I``, a zero
+    numerator of ``together(a - b)`` in that ring when a side has a
+    denominator, or a zero ``cancel(together(a - b))`` with a constant
+    such as ``pi``.  A nonzero rational function cannot vanish on
     an open region, and the Wirtinger legs (z, zb) are an invertible linear
     change of the real coordinates, so no sampling is needed there.  Only
     transcendental or opaque terms fall through to sampling at up to
@@ -414,10 +431,12 @@ def expr_equal(
     a, b = sympy.sympify(a), sympy.sympify(b)
     pins = region.bump_map if region is not None else {}
     pinned_a, pinned_b = pin_bumps(a, pins), pin_bumps(b, pins)
+    _require_finite(pinned_a, chart)
+    _require_finite(pinned_b, chart)
     if pinned_a == pinned_b:
         return True
     if is_algebraic_expr(pinned_a) and is_algebraic_expr(pinned_b):
-        return _algebraic_equal(pinned_a, pinned_b)
+        return _algebraic_equal(pinned_a, pinned_b, chart)
     diff = sympy.expand(pinned_a - pinned_b)
     if is_structural_zero(diff):
         return True

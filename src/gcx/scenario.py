@@ -9,7 +9,9 @@ Form expressions use ``^`` for the wedge product, ``**`` for scalar
 powers, ``d(...)`` for the exterior derivative, ``i`` for the imaginary
 unit, and ``exp/re/im/conj/pullback`` plus the usual scalar functions.
 A wedge with a repeated differential (``dx1^dx1``) parses to the zero
-form with a warning.
+form with a warning.  Numbers, ``i``, legs and differentials are read
+as polynomial ring forms (see :mod:`gcx.forms`), which sums, products,
+powers and division by a nonzero constant keep.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import sympy
+from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region
 from .forms import GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
 from .maps import CoordinateMap, pullback
-from .scalars import is_structural_zero, opaque_function, register_bump
-from .groups import GroupPresentation, parse_relators, parse_word
+from .scalars import opaque_function, register_bump
+from .groups import GroupPresentation, checked_words, parse_relators, parse_word
 from .spinor import DecompositionHints, SpinorStructure
 from .topology import (
     BranchComponent,
@@ -204,10 +207,14 @@ class ExprParser:
             left = self.combine(tok.text, left, right, tok.line)
         return left
 
+    def constant(self, value: sympy.Expr) -> MixedForm:
+        """A Gaussian-rational constant as a ring form."""
+        return MixedForm.scalar(self.chart, self.chart.ring.ground_new(value))
+
     def atom(self) -> MixedForm:
         tok = self.ts.next()
         if tok.kind == "number":
-            return MixedForm.scalar(self.chart, sympy.Rational(tok.text))
+            return self.constant(sympy.Rational(tok.text))
         if tok.text == "(":
             inner = self.parse()
             self.ts.expect(")")
@@ -223,7 +230,7 @@ class ExprParser:
     def name_atom(self, tok: Token) -> MixedForm:
         name = tok.text
         if name == "i":
-            return MixedForm.scalar(self.chart, sympy.I)
+            return self.constant(sympy.I)
         if name == "pi":
             return MixedForm.scalar(self.chart, sympy.pi)
         if self.ts.peek() is not None and self.ts.peek().text == "(":
@@ -232,7 +239,7 @@ class ExprParser:
         if name.startswith("d") and name[1:] in {l.name for l in self.chart.legs}:
             return MixedForm.basis(self.chart, name[1:])
         if name in {l.name for l in self.chart.legs}:
-            return MixedForm.scalar(self.chart, self.chart.symbol(name))
+            return MixedForm.scalar(self.chart, self.chart.ring.gens[self.chart.leg_index(name)])
         if name in self.sc.forms:
             f = self.sc.forms[name]
             if f.chart != self.chart:
@@ -278,11 +285,11 @@ class ExprParser:
         raise ParseError(f"unknown function {name!r}", line)
 
     def exp(self, arg: MixedForm, line: int) -> MixedForm:
-        scalar = arg.coefficient(())
-        rest = arg - MixedForm.scalar(self.chart, scalar)
+        scalar = arg.degree_block(0)
+        rest = arg - scalar
         out = exp_form(rest) if not rest.is_zero() else MixedForm.one(self.chart)
-        if not is_structural_zero(scalar):
-            out = out.scale(sympy.exp(scalar))
+        if not scalar.is_zero():
+            out = out.scale(sympy.exp(scalar.coefficient(())))
         return out
 
     def as_scalar(self, f: MixedForm, line: int) -> sympy.Expr:
@@ -290,8 +297,16 @@ class ExprParser:
             raise ParseError("expected a scalar expression", line)
         return f.coefficient(())
 
+    def ring_scalar(self, f: MixedForm, line: int):
+        """The scalar of a degree-0 form: a ring element on a ring form."""
+        if f.ring_terms is None:
+            return self.as_scalar(f, line)
+        if not f.is_homogeneous(0):
+            raise ParseError("expected a scalar expression", line)
+        return f.ring_terms.get((), self.chart.ring.zero)
+
     def power(self, base: MixedForm, n: int, line: int) -> MixedForm:
-        s = self.as_scalar(base, line)
+        s = self.ring_scalar(base, line)
         return MixedForm.scalar(self.chart, s ** n)
 
     def combine(self, op: str, a: MixedForm, b: MixedForm, line: int) -> MixedForm:
@@ -311,11 +326,16 @@ class ExprParser:
             return out
         if op == "*":
             if a.is_homogeneous(0):
-                return b.scale(a.coefficient(()))
+                return b.scale(self.ring_scalar(a, line))
             if b.is_homogeneous(0):
-                return a.scale(b.coefficient(()))
+                return a.scale(self.ring_scalar(b, line))
             raise ParseError("'*' needs a scalar factor; use '^' to wedge forms", line)
         if op == "/":
+            divisor = self.ring_scalar(b, line)
+            if isinstance(divisor, PolyElement) and divisor.is_ground and divisor:
+                return a.scale(divisor.ring.one / divisor)
+            # a zero or non-constant divisor goes to the expression path, so
+            # 1/(z1 - z1) is zoo and fails its check
             return a.scale(1 / self.as_scalar(b, line))
         raise ParseError(f"unknown operator {op!r}", line)
 
@@ -638,7 +658,8 @@ def _presentation(ts, line) -> GroupPresentation:
         gens.append(tok.text)
     # spaces are deleted, so `x y` is the one generator `xy`
     body = ts.raw_until(">").replace(" ", "")
-    return GroupPresentation.make(gens, parse_relators(body))
+    gens = tuple(gens)
+    return GroupPresentation(gens, checked_words(gens, parse_relators(body)))
 
 
 def _stmt_group(sc, ts, line, text):
@@ -777,8 +798,10 @@ def _point(ts, line) -> dict[str, complex]:
                 break
             if depth == 0 and tok.text == ",":
                 break
-            toks.append(ts.next().text)
-        value = sympy.sympify("".join(toks).replace("i", "I"))
+            tok = ts.next()
+            # only the name i is the imaginary unit: pi and sin keep their i
+            toks.append("I" if tok.kind == "name" and tok.text == "i" else tok.text)
+        value = sympy.sympify("".join(toks))
         if not value.is_number:
             raise ParseError(f"coordinate {leg!r} needs a constant value", line)
         out[leg] = complex(value)

@@ -607,7 +607,7 @@ def lemma_extension_check(params, profile: str = "lemma", samples: int = 64,
     psi = disk_to_complex_map(polar, s.chart)
     exponent = surgery_exponent(s.chart, params)
     epull = pullback(psi, exponent).map_coefficients(
-        lambda c: sympy.simplify(c)
+        lambda c: sympy.cancel(sympy.together(c))
     )
     phi, omega_tilde = luttinger_gluing_map(params, profile=profile)
     omega_pull = pullback(phi, omega_tilde)

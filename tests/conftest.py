@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import sympy
+from hypothesis import strategies as st
 
 from gcx import Chart, CoordinateMap, GeneralizedSection, MixedForm
 
@@ -55,3 +56,19 @@ def random_polynomial_map(source: Chart, target: Chart,
                           rng: random.Random) -> CoordinateMap:
     table = {leg.name: random_poly(source, rng) for leg in target.legs}
     return CoordinateMap.make(source, target, table)
+
+
+GAUSSIAN_RATIONALS = st.builds(
+    lambda re, im, den: sympy.Rational(re, den) + sympy.I * sympy.Rational(im, den),
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
+)
+
+
+@st.composite
+def gaussian_polys(draw, chart: Chart):
+    """Sums of up to four Gaussian-rational monomials of degree at most 2."""
+    syms = chart.symbols
+    terms = draw(st.lists(
+        st.tuples(GAUSSIAN_RATIONALS, st.lists(st.sampled_from(syms), max_size=2)),
+        max_size=4))
+    return sum((c * sympy.Mul(*mono) for c, mono in terms), sympy.Integer(0))

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import gcx
 import gcx.forms as forms_module
 
 from conftest import (
+    gaussian_polys,
     random_form,
     random_polynomial_map,
     random_poly,
@@ -22,6 +24,7 @@ from conftest import (
 )
 from gcx import (
     Chart,
+    CoordinateMap,
     FormError,
     GeneralizedSection,
     MixedForm,
@@ -368,3 +371,144 @@ def test_evaluation_loads_no_numpy_star_import():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Ring forms against an expression reference
+# ---------------------------------------------------------------------------
+
+_RING_CHART = Chart("ring6", [("z1", "complex"), ("z2", "complex"),
+                              ("x1", "real"), ("y1", "real")])
+_POLY = gaussian_polys(_RING_CHART)
+
+
+def _keys(max_degree: int = 3, exact: int | None = None):
+    legs = st.integers(0, _RING_CHART.dim - 1)
+    if exact is not None:
+        keys = st.sets(legs, min_size=exact, max_size=exact)
+    else:
+        keys = st.sets(legs, max_size=max_degree)
+    return keys.map(lambda k: tuple(sorted(k)))
+
+
+def _coefficient_dicts(keys):
+    return st.dictionaries(keys, _POLY, min_size=1, max_size=3)
+
+
+def _ring_form(exprs: dict) -> MixedForm:
+    return MixedForm(_RING_CHART, {k: _RING_CHART.to_ring(c) for k, c in exprs.items()})
+
+
+def _sorted_sign(key) -> tuple[tuple[int, ...], int]:
+    inversions = sum(1 for i in range(len(key)) for j in range(i + 1, len(key))
+                     if key[i] > key[j])
+    return tuple(sorted(key)), (-1) ** inversions
+
+
+def _ref_add(data: dict, key, value):
+    data[key] = sympy.expand(data.get(key, 0) + value)
+
+
+def _ref_wedge(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            if not set(k1) & set(k2):
+                key, sign = _sorted_sign(k1 + k2)
+                _ref_add(out, key, sign * c1 * c2)
+    return out
+
+
+def _ref_d(a: dict) -> dict:
+    out: dict = {}
+    for key, c in a.items():
+        for j, sym in enumerate(_RING_CHART.symbols):
+            if j not in key:
+                nkey, sign = _sorted_sign((j,) + key)
+                _ref_add(out, nkey, sign * sympy.diff(c, sym))
+    return out
+
+
+def _assert_terms_equal(form: MixedForm, ref: dict):
+    assert form.ring_terms is not None, "expected a ring form"
+    for key in set(form.terms) | set(ref):
+        assert sympy.expand(form.coefficient(key) - ref.get(key, 0)) == 0, key
+
+
+_RING_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_RING_SETTINGS
+@given(_coefficient_dicts(_keys()), _coefficient_dicts(_keys()))
+def test_ring_wedge_matches_reference(a, b):
+    _assert_terms_equal(wedge(_ring_form(a), _ring_form(b)), _ref_wedge(a, b))
+
+
+@_RING_SETTINGS
+@given(_coefficient_dicts(_keys()))
+def test_ring_d_and_conjugate_match_reference(a):
+    form = _ring_form(a)
+    _assert_terms_equal(d(form), _ref_d(a))
+    legs = _RING_CHART.legs
+    swap = {leg.symbol: legs[leg.conj].symbol for leg in legs}
+    swap[sympy.I] = -sympy.I
+    ref: dict = {}
+    for key, c in a.items():
+        ckey, sign = _sorted_sign(tuple(legs[i].conj for i in key))
+        _ref_add(ref, ckey, sign * c.subs(swap, simultaneous=True))
+    _assert_terms_equal(form.conjugate(), ref)
+
+
+@_RING_SETTINGS
+@given(_coefficient_dicts(_keys(exact=2)))
+def test_ring_exp_form_matches_reference(b):
+    ref, power = {(): sympy.Integer(1)}, {(): sympy.Integer(1)}
+    for k in range(1, _RING_CHART.dim // 2 + 1):
+        power = _ref_wedge(power, b)
+        for key, c in power.items():
+            _ref_add(ref, key, c / sympy.factorial(k))
+    _assert_terms_equal(exp_form(_ring_form(b)), ref)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_coefficient_dicts(_keys()), st.lists(_POLY, min_size=4, max_size=4))
+def test_ring_pullback_matches_reference(a, images):
+    ch = _RING_CHART
+    f = CoordinateMap.make(ch, ch, dict(zip(("z1", "z2", "x1", "y1"), images)))
+    table = f.table
+    subs = {leg.symbol: table[leg.name] for leg in ch.legs}
+    dlegs = [_ref_d({(): table[leg.name]}) for leg in ch.legs]
+    ref: dict = {}
+    for key, c in a.items():
+        term = {(): c.subs(subs, simultaneous=True)}
+        for i in key:
+            term = _ref_wedge(term, dlegs[i])
+        for k, v in term.items():
+            _ref_add(ref, k, v)
+    _assert_terms_equal(pullback(f, _ring_form(a)), ref)
+
+
+def test_ring_form_equal_compiles_and_samples_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ring forms compared through compiled sampling")
+
+    monkeypatch.setattr(gcx.scalars, "compile_exprs", forbidden)
+    monkeypatch.setattr(Region, "sample", forbidden)
+    z1, x1 = _RING_CHART.symbols[0], _RING_CHART.symbols[4]
+    a = _ring_form({(0,): z1 ** 2, (2,): sympy.I / 3})
+    b = _ring_form({(1,): x1 - 1})
+    w = wedge(a, b)
+    assert form_equal(w, wedge(b, a).scale(-1), region=everywhere(_RING_CHART))
+    result = form_equal(w, wedge(b, a))
+    assert not result and result.key == (0, 1)
+    # w ^ w = 0, since both of its terms contain dz1b
+    assert form_equal(exp_form(w), MixedForm.one(_RING_CHART) + w)
+
+
+def test_ring_d_of_d_has_no_terms():
+    ch = _RING_CHART
+    z1, z1b, z2, z2b, x1, y1 = ch.symbols
+    m = _ring_form({(): z1 ** 2 * z2b + sympy.I * x1 * y1, (0,): z1b * x1 ** 3,
+                    (2, 5): (1 + sympy.I) * z2 * y1 ** 2})
+    ddm = d(d(m))
+    assert ddm.ring_terms == {} and not ddm.terms

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import gcx.scalars as scalars
-from conftest import real_chart
+from conftest import gaussian_polys, real_chart
 from gcx import Chart, register_bump, opaque_function
 from gcx.scalars import (
     EvaluationError,
@@ -96,26 +96,12 @@ def test_expr_equal_transcendental_still_samples(monkeypatch):
         expr_equal(sympy.sin(x1) ** 2 + sympy.cos(x1) ** 2, 1, ch)
 
 
-_GAUSSIAN = st.builds(
-    lambda re, im, den: sympy.Rational(re, den) + sympy.I * sympy.Rational(im, den),
-    st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 4),
-)
-
-
-@st.composite
-def _gaussian_polys(draw, chart):
-    syms = chart.symbols
-    terms = draw(st.lists(
-        st.tuples(_GAUSSIAN, st.lists(st.sampled_from(syms), max_size=2)), max_size=4))
-    return sum((c * sympy.Mul(*mono) for c, mono in terms), sympy.Integer(0))
-
-
 _PROPERTY_CHART = Chart("pc", [("z1", "complex"), ("x1", "real")])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_gaussian_polys(_PROPERTY_CHART), _gaussian_polys(_PROPERTY_CHART),
-       _gaussian_polys(_PROPERTY_CHART), st.integers(0, 2))
+@given(gaussian_polys(_PROPERTY_CHART), gaussian_polys(_PROPERTY_CHART),
+       gaussian_polys(_PROPERTY_CHART), st.integers(0, 2))
 def test_expr_equal_agrees_with_cancel(p, q, r, shape):
     ch = _PROPERTY_CHART
     if shape == 0:  # polynomials: equal when p == q or r == 0

@@ -1,5 +1,8 @@
 """Scenario language: parsing, round trips, error localization."""
 
+import cmath
+import math
+
 import pytest
 
 from gcx import ParseError, parse_scenario
@@ -76,3 +79,27 @@ def test_mutated_expectation_fails_exactly_one_check():
     assert "type" in report.failures[0]
     # the unmutated scenario is clean
     assert not run(parse_scenario(SMALL)).failures
+
+
+@pytest.mark.parametrize("text, value", [
+    ("pi", math.pi),
+    ("sin(1)", math.sin(1)),
+    ("0.3 - 0.8*i", 0.3 - 0.8j),
+])
+def test_point_values_read_i_as_a_name_only(text, value):
+    sc = parse_scenario(f"chart C = complex z1\ncheck type s at z1 = {text} expect 0\n")
+    assert cmath.isclose(sc.commands[0].payload["point"]["z1"], value)
+
+
+def test_parser_keeps_polynomial_forms_in_the_ring():
+    sc = parse_scenario(
+        "chart C = complex z1, real x1\n"
+        "form P on C = ((1/3 + 2*i)*z1**2 - x1/2) * dz1 ^ dx1 + conj(z1)**3\n"
+        "form Q on C = d(P) + exp(dz1 ^ dz1b) ^ P / (2 - i)\n"
+        "form T on C = pi * dz1\n"
+        "form U on C = dz1 / (1 + z1)\n"
+    )
+    assert sc.forms["P"].ring_terms is not None
+    assert sc.forms["Q"].ring_terms is not None
+    assert sc.forms["T"].ring_terms is None
+    assert sc.forms["U"].ring_terms is None

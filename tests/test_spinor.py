@@ -1,7 +1,14 @@
 """Spinor structures: type, stability, integrability, transforms, gluing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import sympy
+
+import gcx
 
 from gcx import (
     Chart,
@@ -224,6 +231,21 @@ def test_lemma_profile_discriminates():
     assert not lemma_extension_check((0, 1, 1, 0), profile="paper", samples=16)
     with pytest.raises(SpinorError):
         lemma_extension_check((0, 1, 1, 0), profile="cubic")
+
+
+def test_lemma_check_loads_no_sympy_physics():
+    # sympy.simplify imports sympy.physics.units on its first call
+    code = (
+        "import sys\n"
+        "from gcx.runner import corpus_dir, run\n"
+        "assert run(corpus_dir() / 'lemma_3_3.gcx').ok\n"
+        "assert 'sympy.physics' not in sys.modules, 'sympy.physics was imported'\n"
+    )
+    src = str(Path(gcx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_assembly_agrees_on_collar():
