@@ -34,7 +34,7 @@ from .groups import (
     tietze_simplify,
 )
 from .maps import CoordinateMap, MapError, pullback
-from .scalars import expr_equal, opaque_function, register_bump
+from .scalars import bump_function, expr_equal, opaque_function
 from .scenario import ParseError, Scenario, parse_scenario
 from .runner import Report, RunError, list_corpus, load_scenario, run
 from .spinor import (

@@ -36,7 +36,6 @@ from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region, RegionError
 from .scalars import (
-    ScalarExpr,
     compile_exprs,
     expr_equal,
     is_structural_zero,
@@ -135,11 +134,6 @@ class MixedForm:
                 if not polynomial:
                     coeff = coeff.as_expr()
             else:
-                if isinstance(coeff, ScalarExpr):
-                    if coeff.chart != chart:
-                        raise FormError("coefficient chart mismatch")
-                    self.domain = merge_domains(self.domain, coeff.domain)
-                    coeff = coeff.expr
                 coeff = sympy.sympify(coeff)
             skey, sign = _sort_key(key)
             if sign == 0:
@@ -239,21 +233,17 @@ class MixedForm:
                          self.domain)
 
     def scale(self, scalar) -> "MixedForm":
-        """Multiply by a scalar: an expression, a ScalarExpr or a ring element.
+        """Multiply by a scalar: an expression or a ring element.
 
         A ring form scaled by a polynomial stays a ring form.
         """
-        dom = self.domain
-        if isinstance(scalar, ScalarExpr):
-            dom = merge_domains(dom, scalar.domain)
-            scalar = scalar.expr
         if self.ring_terms is not None:
             factor = self.chart.to_ring(scalar)
             if factor is not None:
-                return MixedForm(self.chart,
-                                 {k: factor * c for k, c in self.ring_terms.items()}, dom)
+                return MixedForm(self.chart, {k: factor * c for k, c in self.ring_terms.items()},
+                                 self.domain)
         scalar = scalar.as_expr() if isinstance(scalar, PolyElement) else sympy.sympify(scalar)
-        return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()}, dom)
+        return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()}, self.domain)
 
     def __mul__(self, scalar):
         return self.scale(scalar)
@@ -467,7 +457,7 @@ def clifford(section: GeneralizedSection, rho: MixedForm) -> MixedForm:
     return interior(section.vector_map, rho) + wedge(section.covector, rho)
 
 
-def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> ScalarExpr:
+def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> sympy.Expr:
     """Symmetric pairing <X+xi, Y+eta> = (eta(X) + xi(Y)) / 2."""
     if s1.chart != s2.chart:
         raise FormError("chart mismatch")
@@ -477,8 +467,7 @@ def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> ScalarExpr:
         val += x * s2.covector.coefficient((chart.leg_index(name),))
     for name, y in s2.vector:
         val += y * s1.covector.coefficient((chart.leg_index(name),))
-    dom = merge_domains(s1.covector.domain, s2.covector.domain)
-    return ScalarExpr(chart, sympy.Rational(1, 2) * val, dom)
+    return sympy.Rational(1, 2) * val
 
 
 def vector_bracket(X: Mapping[str, sympy.Expr], Y: Mapping[str, sympy.Expr],

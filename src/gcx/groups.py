@@ -201,15 +201,6 @@ class GroupPresentation:
         return GroupPresentation.make(names)
 
     @staticmethod
-    def free_abelian(*names: str) -> "GroupPresentation":
-        rels = []
-        names = tuple(names)
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                rels.append(f"[{names[i]},{names[j]}]")
-        return GroupPresentation.make(names, rels)
-
-    @staticmethod
     def cyclic(name: str, order: int) -> "GroupPresentation":
         return GroupPresentation.make([name], [f"{name}^{order}"])
 

@@ -25,6 +25,7 @@ from .topology import (
     ManifoldDescriptor,
     TopologyError,
     apply_branched_cover,
+    apply_cover,
     apply_gluck,
     apply_luttinger,
     classify_simply_connected_5,
@@ -212,7 +213,7 @@ class _Runner:
         self.done(cmd, got == p["expect"], f"got {got}")
 
     def chk_lemma(self, cmd, p):
-        got = lemma_extension_check(p["params"], profile=p.get("profile", "lemma"),
+        got = lemma_extension_check(p["params"], profile=p["profile"],
                                     samples=self.samples, seed=self.seed,
                                     tol=self.tol)
         verdict = "ok" if got else "fail"
@@ -220,7 +221,7 @@ class _Runner:
 
     def chk_assembly(self, cmd, p):
         try:
-            assembly_check(p["params"], samples=min(self.samples, 16),
+            assembly_check(p["params"], profile=p["profile"], samples=min(self.samples, 16),
                            seed=self.seed, tol=self.tol)
             verdict = "ok"
         except SpinorError as exc:
@@ -290,8 +291,6 @@ class _Runner:
 
     def cmd_cover(self, cmd: Command):
         p = cmd.payload
-        from .topology import apply_cover
-
         out = apply_cover(self.manifold(p["manifold"]), p["degree"])
         self.manifolds[p["new"]] = out
         self.report.note(f"[do] {out.describe()}")

@@ -22,17 +22,20 @@ evaluated at each sample point in float64 complex arithmetic.  Forms pin
 their bumps and cancel their coefficients before compiling, once per set
 of region pins.
 
-An opaque smooth symbol like the radial bump ``xi`` carries
-
-* a named formal derivative ``xi_prime`` produced by differentiation,
-* interval constraints (identically 0 below one threshold, identically
-  1 above another), and
-* a concrete smooth-step instance used for numeric evaluation on the
-  interpolation interval.
+An opaque smooth symbol like the radial bump ``xi`` is a sympy Function
+class made by :func:`opaque_function`.  A bump's class carries its own
+:class:`BumpSpec` as ``cls.spec``: identically 0 up to one threshold,
+identically 1 from another, and a concrete smooth step in between for
+numeric evaluation.  Differentiation produces the formal derivative
+``xi_prime``, whose class carries the same spec.  Nothing is registered
+anywhere: a class depends only on its name, spec and derivative order,
+so two scenarios declaring ``xi`` differently get two classes and
+cannot change each other's verdicts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -42,10 +45,7 @@ import numpy
 import sympy
 from sympy.printing.numpy import NumPyPrinter
 
-from .chart import Chart, Region, RegionError
-
-_CACHE: dict[str, type] = {}
-_BUMPS: dict[str, "BumpSpec"] = {}
+from .chart import Chart, Region
 
 
 class EvaluationError(ValueError):
@@ -93,62 +93,56 @@ def _smoothstep_d(s: float) -> float:
     return (_smoothstep(hi) - _smoothstep(lo)) / (hi - lo)
 
 
-def opaque_function(name: str) -> type:
+def opaque_function(name: str, spec: Optional[BumpSpec] = None, order: int = 0) -> type:
     """A sympy Function class for an opaque smooth real-valued symbol.
 
-    Differentiation produces the opaque symbol ``<name>_prime``; numeric
-    arguments are resolved through the registered bump instance, if any.
+    The class depends only on its arguments, so equal declarations share
+    one class and no declaration changes another's.  A bump's class
+    carries its thresholds as ``cls.spec``: numeric arguments fold to the
+    spec's value (its derivative for ``order`` 1), and
+    :func:`compile_exprs` evaluates it through the spec.  Differentiation
+    produces ``<name>_prime``, which carries the spec only as a first
+    derivative.
     """
-    cls = _CACHE.get(name)
-    if cls is not None:
-        return cls
+    # one cache key per meaning, however the arguments were passed
+    return _opaque_class(name, spec, order)
 
+
+@functools.cache
+def _opaque_class(name: str, spec: Optional[BumpSpec], order: int) -> type:
     def eval_(cls_, arg):
-        spec = _BUMPS.get(cls_.__name__)
-        if spec is not None and arg.is_Number and arg.is_real:
-            t = float(arg)
-            base = cls_.__name__
-            if base.endswith("_prime"):
-                root = base[: -len("_prime")]
-                root_spec = _BUMPS.get(root)
-                if root_spec is not None:
-                    return sympy.Float(root_spec.derivative(t))
-            if t <= spec.zero_upto:
-                return sympy.Integer(0)
-            if t >= spec.one_from:
-                return sympy.Integer(1)
-            return sympy.Float(spec.value(t))
-        return None
+        if spec is None or not (arg.is_Number and arg.is_real):
+            return None
+        t = float(arg)
+        if order:
+            return sympy.Float(spec.derivative(t))
+        if t <= spec.zero_upto:
+            return sympy.Integer(0)
+        if t >= spec.one_from:
+            return sympy.Integer(1)
+        return sympy.Float(spec.value(t))
 
     def fdiff(self, argindex=1):
-        return opaque_function(self.func.__name__ + "_prime")(self.args[0])
+        return opaque_function(name + "_prime", spec if order == 0 else None,
+                               order + 1)(self.args[0])
 
-    cls = type(
+    return type(
         name,
         (sympy.Function,),
         {
             "eval": classmethod(eval_),
             "fdiff": fdiff,
             "is_real": True,
+            "spec": spec,
+            "order": order,
             "_gcx_opaque": True,
         },
     )
-    _CACHE[name] = cls
-    return cls
 
 
-def register_bump(name: str, zero_upto: float, one_from: float) -> type:
-    """Declare an opaque bump with its 0/1 thresholds; returns its Function."""
-    spec = BumpSpec(name, float(zero_upto), float(one_from))
-    _BUMPS[name] = spec
-    # derivative shares the interpolation window; eval_ dispatches on suffix
-    _BUMPS[name + "_prime"] = BumpSpec(name + "_prime", spec.zero_upto, spec.one_from)
-    opaque_function(name + "_prime")
-    return opaque_function(name)
-
-
-def bump_spec(name: str) -> Optional[BumpSpec]:
-    return _BUMPS.get(name)
+def bump_function(name: str, zero_upto: float, one_from: float) -> type:
+    """The opaque bump ``name``: 0 up to ``zero_upto``, 1 from ``one_from``."""
+    return opaque_function(name, BumpSpec(name, float(zero_upto), float(one_from)))
 
 
 def pin_bumps(expr: sympy.Expr, bump_values: Mapping[str, int]) -> sympy.Expr:
@@ -173,85 +167,6 @@ def pin_bumps(expr: sympy.Expr, bump_values: Mapping[str, int]) -> sympy.Expr:
     )
 
 
-# ---------------------------------------------------------------------------
-# ScalarExpr: a sympy expression plus the region where it is defined.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarExpr:
-    """An exact symbolic scalar on a chart, with a validity region.
-
-    Division by a possibly-vanishing expression must carry a region
-    annotation excluding the singular locus; operations propagate the
-    intersection of regions.
-    """
-
-    chart: Chart
-    expr: sympy.Expr
-    domain: Optional[Region] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "expr", sympy.sympify(self.expr))
-
-    def _combine(self, other) -> tuple[sympy.Expr, Optional[Region]]:
-        if isinstance(other, ScalarExpr):
-            if other.chart != self.chart:
-                raise ValueError("scalar operands live on different charts")
-            dom = merge_domains(self.domain, other.domain)
-            return other.expr, dom
-        return sympy.sympify(other), self.domain
-
-    def __add__(self, other):
-        e, d = self._combine(other)
-        return ScalarExpr(self.chart, self.expr + e, d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        e, d = self._combine(other)
-        return ScalarExpr(self.chart, self.expr - e, d)
-
-    def __rsub__(self, other):
-        e, d = self._combine(other)
-        return ScalarExpr(self.chart, e - self.expr, d)
-
-    def __mul__(self, other):
-        e, d = self._combine(other)
-        return ScalarExpr(self.chart, self.expr * e, d)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarExpr(self.chart, -self.expr, self.domain)
-
-    def __pow__(self, n: int):
-        return ScalarExpr(self.chart, self.expr ** int(n), self.domain)
-
-    def div(self, other, nonzero: Optional[Region] = None) -> "ScalarExpr":
-        """Division; ``nonzero`` annotates where the denominator lives."""
-        e, d = self._combine(other)
-        if nonzero is not None:
-            d = merge_domains(d, nonzero)
-        return ScalarExpr(self.chart, self.expr / e, d)
-
-    def __truediv__(self, other):
-        return self.div(other)
-
-    def diff(self, leg: str) -> "ScalarExpr":
-        return ScalarExpr(self.chart, sympy.diff(self.expr, self.chart.symbol(leg)), self.domain)
-
-    def conjugate(self) -> "ScalarExpr":
-        return ScalarExpr(self.chart, self.chart.conj_expr(self.expr), self.domain)
-
-    def evaluate(self, point: Mapping[str, complex]) -> complex:
-        if self.domain is not None and not self.domain.contains(point):
-            raise RegionError(
-                f"point outside declared domain {self.domain.name!r}"
-            )
-        return evaluate_expr(self.expr, self.chart, point)
-
-
 def merge_domains(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
     if a is None:
         return b
@@ -265,14 +180,19 @@ def merge_domains(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
 # ---------------------------------------------------------------------------
 
 
-def _bump_namespace() -> dict[str, Callable]:
-    """Numeric bumps for compiled code, resolved as ``opaque_function`` does:
-    ``<root>_prime`` is the root's derivative, any other name its value."""
-    out = {}
-    for name, spec in _BUMPS.items():
-        root = _BUMPS.get(name[: -len("_prime")]) if name.endswith("_prime") else None
-        out[name] = _real_argument(root.derivative if root is not None else spec.value)
-    return out
+def _bump_namespace(exprs: Sequence[sympy.Expr]) -> dict[str, Callable]:
+    """Numeric values of the bumps in the expressions, read from each
+    class's own spec: the derivative for a ``_prime``, else the value."""
+    bumps = {}
+    for e in exprs:
+        for node in e.atoms(sympy.Function):
+            fn = node.func
+            if getattr(fn, "spec", None) is None:
+                continue
+            if bumps.setdefault(fn.__name__, fn) is not fn:
+                raise EvaluationError(f"two bumps named {fn.__name__!r} with different thresholds")
+    return {name: _real_argument(fn.spec.derivative if fn.order else fn.spec.value)
+            for name, fn in bumps.items()}
 
 
 def _real_argument(fn: Callable[[float], float]) -> Callable:
@@ -301,7 +221,7 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
     The callable canonicalises its point with ``Chart.point`` and raises
     :class:`EvaluationError` on a singular or non-finite value, on a
     symbol that is not a leg of the chart, and on an opaque function with
-    no registered bump.  An infinite or undefined constant (``zoo``,
+    no bump spec.  An infinite or undefined constant (``zoo``,
     ``nan``, ``oo``, ``-oo``) raises :class:`EvaluationError` at once,
     since the NumPy printer has no name for it.
     """
@@ -322,7 +242,7 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
         "fully_qualified_modules": True, "inline": True,
         "allow_unknown_functions": True, "user_functions": {},
     })
-    fn = sympy.lambdify(chart.symbols, exprs, modules=[_bump_namespace(), {"numpy": numpy}],
+    fn = sympy.lambdify(chart.symbols, exprs, modules=[_bump_namespace(exprs), {"numpy": numpy}],
                         printer=printer, docstring_limit=0)
     names = [leg.name for leg in chart.legs]
 
@@ -395,7 +315,7 @@ def _algebraic_equal(a: sympy.Expr, b: sympy.Expr, chart: Chart) -> bool:
 def expr_equal(
     a,
     b,
-    chart: Chart = None,
+    chart: Chart,
     region: Optional[Region] = None,
     samples: int = 32,
     seed: int = 0,
@@ -418,16 +338,6 @@ def expr_equal(
     ``samples`` points of the region, where ``|a - b|`` must stay within
     ``tol`` times ``max(1, |a|)``.
     """
-    if isinstance(a, ScalarExpr):
-        chart = chart or a.chart
-        region = merge_domains(region, a.domain)
-        a = a.expr
-    if isinstance(b, ScalarExpr):
-        chart = chart or b.chart
-        region = merge_domains(region, b.domain)
-        b = b.expr
-    if chart is None:
-        raise ValueError("expr_equal needs a chart")
     a, b = sympy.sympify(a), sympy.sympify(b)
     pins = region.bump_map if region is not None else {}
     pinned_a, pinned_b = pin_bumps(a, pins), pin_bumps(b, pins)

@@ -17,7 +17,7 @@ powers and division by a nonzero constant keep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import sympy
@@ -26,9 +26,16 @@ from sympy.polys.rings import PolyElement
 from .chart import Chart, Region
 from .forms import GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
 from .maps import CoordinateMap, pullback
-from .scalars import opaque_function, register_bump
+from .scalars import bump_function
 from .groups import GroupPresentation, checked_words, parse_relators, parse_word
-from .spinor import DecompositionHints, SpinorStructure
+from .spinor import (
+    RADIAL_PROFILES,
+    XI,
+    DecompositionHints,
+    SpinorStructure,
+    build_gluck_spinor,
+    build_luttinger_spinor,
+)
 from .topology import (
     BranchComponent,
     BranchingData,
@@ -148,7 +155,7 @@ class Scenario:
     title: str = ""
     charts: dict[str, Chart] = field(default_factory=dict)
     regions: dict[str, Region] = field(default_factory=dict)
-    bumps: dict[str, tuple[float, float]] = field(default_factory=dict)
+    bumps: dict[str, type] = field(default_factory=dict)  # name -> bump class
     forms: dict[str, MixedForm] = field(default_factory=dict)
     maps: dict[str, CoordinateMap] = field(default_factory=dict)
     spinors: dict[str, SpinorStructure] = field(default_factory=dict)
@@ -280,8 +287,7 @@ class ExprParser:
         if name in _SCALAR_FUNCS:
             return MixedForm.scalar(self.chart, _SCALAR_FUNCS[name](self.as_scalar(arg, line)))
         if name in self.sc.bumps:
-            fn = opaque_function(name)
-            return MixedForm.scalar(self.chart, fn(self.as_scalar(arg, line)))
+            return MixedForm.scalar(self.chart, self.sc.bumps[name](self.as_scalar(arg, line)))
         raise ParseError(f"unknown function {name!r}", line)
 
     def exp(self, arg: MixedForm, line: int) -> MixedForm:
@@ -481,8 +487,7 @@ def _stmt_bump(sc, ts, line, text):
     ts.expect("1")
     ts.expect("from")
     one_from = _read_number(ts, line)
-    register_bump(name, zero_upto, one_from)
-    sc.bumps[name] = (zero_upto, one_from)
+    sc.bumps[name] = bump_function(name, zero_upto, one_from)
 
 
 def _chart_ref(sc, ts, line) -> Chart:
@@ -618,8 +623,6 @@ def _params(ts, line) -> tuple[int, int, int, int]:
 
 
 def _stmt_build(sc, ts, line, text):
-    from .spinor import build_gluck_spinor, build_luttinger_spinor
-
     which = ts.next().text
     if which not in ("luttinger", "gluck"):
         raise ParseError("build needs 'luttinger' or 'gluck'", line)
@@ -638,11 +641,11 @@ def _stmt_build(sc, ts, line, text):
             extra = parse_expr(sc, chart, ts)
         else:
             raise ParseError(f"unknown build clause {key!r}", line)
+    xi = sc.bumps.setdefault("xi", XI)
     if which == "luttinger":
-        sc.spinors[name] = build_luttinger_spinor(params, sigma_form=extra, chart=chart)
+        sc.spinors[name] = build_luttinger_spinor(params, sigma_form=extra, chart=chart, bump=xi)
     else:
-        sc.spinors[name] = build_gluck_spinor(params, r_form=extra, chart=chart)
-    sc.bumps.setdefault("xi", (0.25, 0.5))
+        sc.spinors[name] = build_gluck_spinor(params, r_form=extra, chart=chart, bump=xi)
 
 
 def _presentation(ts, line) -> GroupPresentation:
@@ -775,9 +778,7 @@ def _stmt_locus(sc, ts, line, text):
         raise ParseError("locus needs a 'kind' clause", line)
     locus = SurgeryLocus(name=name, kind=kind, **flags, **fields)
     m = sc.manifolds[mname]
-    from dataclasses import replace as _replace
-
-    sc.manifolds[mname] = _replace(m, loci=m.loci + (locus,))
+    sc.manifolds[mname] = replace(m, loci=m.loci + (locus,))
 
 
 def _point(ts, line) -> dict[str, complex]:
@@ -838,16 +839,12 @@ def _stmt_check(sc, ts, line, text):
         if ts.accept("scale"):
             scale = parse_expr(sc, chart, ts)
             payload["scale"] = scale.coefficient(())
-    elif what == "lemma":
+    elif what in ("lemma", "assembly"):
         ts.expect("params")
         payload["params"] = _params(ts, line)
-        if ts.accept("profile"):
-            payload["profile"] = ts.next().text
-    elif what == "assembly":
-        ts.expect("params")
-        payload["params"] = _params(ts, line)
-        if ts.accept("profile"):
-            payload["profile"] = ts.next().text
+        payload["profile"] = ts.next().text if ts.accept("profile") else "lemma"
+        if payload["profile"] not in RADIAL_PROFILES:
+            raise ParseError(f"unknown radial profile {payload['profile']!r}", line)
     elif what in ("chi", "sigma", "components", "hetero"):
         payload["manifold"] = ts.next().text
     elif what == "abelianization":

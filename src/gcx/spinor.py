@@ -10,6 +10,7 @@ symbolic re-verification.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -29,14 +30,15 @@ from .forms import (
     form_equal,
     interior,
     wedge,
+    wedge_power,
 )
 from .maps import CoordinateMap, pullback
 from .scalars import (
     EvaluationError,
+    bump_function,
     compile_exprs,
     is_structural_zero,
     merge_domains,
-    register_bump,
 )
 from .topology import SurgeryParams, validate_surgery_params
 
@@ -126,8 +128,6 @@ def check_nondegenerate(s: SpinorStructure, point: Mapping[str, complex],
     if not big.is_homogeneous(k):
         raise SpinorError("Omega hint is not homogeneous")
     top = wedge(big, big.conjugate())
-    from .forms import wedge_power
-
     top = wedge(top, wedge_power(s.hints.omega, m - k))
     region = merge_domains(s.region, s.hints.region)
     values = top.evaluate_at(point, region)
@@ -404,9 +404,8 @@ def b_field_transform(s: SpinorStructure, b: MixedForm,
 # Surgery spinors (Luttinger and Gluck)
 # ---------------------------------------------------------------------------
 
-# bump thresholds shared by all builders: xi = 0 on [0, 1/4], 1 on [1/2, 1]
-BUMP_ZERO_UPTO = 0.25
-BUMP_ONE_FROM = 0.5
+# the default radial bump: xi = 0 on [0, 1/4], 1 from 1/2
+XI = bump_function("xi", 0.25, 0.5)
 
 
 def _as_params(params) -> SurgeryParams:
@@ -415,7 +414,7 @@ def _as_params(params) -> SurgeryParams:
     return validate_surgery_params(*params)
 
 
-def surgery_exponent(chart: Chart, params: SurgeryParams, bump: str = "xi",
+def surgery_exponent(chart: Chart, params: SurgeryParams, bump: type = XI,
                      squared: bool = False, sphere: bool = False) -> MixedForm:
     """The closed 2-form exponent of the surgery spinor z1 e^E.
 
@@ -425,13 +424,12 @@ def surgery_exponent(chart: Chart, params: SurgeryParams, bump: str = "xi",
     """
     p, q, a, b = params.p, params.q, params.a, params.b
     z1, z1b = chart.symbol("z1"), chart.symbol("z1b")
-    xi = register_bump(bump, BUMP_ZERO_UPTO, BUMP_ONE_FROM)
     arg = z1 * z1b if squared else sympy.sqrt(z1 * z1b)
     i1, i1b = chart.leg_index("z1"), chart.leg_index("z1b")
     i2, i2b = chart.leg_index("z2"), chart.leg_index("z2b")
     half_a = sympy.Rational(a, 2)
     terms = {
-        (i1, i1b): -sympy.Rational(p, 4) * xi(arg) / (z1 * z1b),
+        (i1, i1b): -sympy.Rational(p, 4) * bump(arg) / (z1 * z1b),
         (i2, i2b): -sympy.Rational(b, 2),
         (i1, i2): (half_a - q) / (2 * z1),
         (i1, i2b): -(half_a + q) / (2 * z1),
@@ -468,20 +466,31 @@ def surgery_certificate(chart: Chart, params: SurgeryParams,
     return GeneralizedSection.make(chart, vector, cov)
 
 
-def surgery_regions(chart: Chart, bump: str = "xi") -> dict[str, Region]:
-    """The sampling regions of the surgery disk: full, bump-0 core, bump-1 annulus."""
+def surgery_regions(chart: Chart, bump: type = XI,
+                    squared: bool = False) -> dict[str, Region]:
+    """The sampling regions of the surgery disk: full, bump-0 core, bump-1 annulus.
+
+    The bump's argument is |z1|, or |z1|^2 when ``squared`` (Gluck), so
+    the core ends and the plateau starts where that argument meets the
+    bump's thresholds.  The annulus keeps 0.1 clear of the plateau's
+    edge, or half the gap to its outer radius 0.95 when that is less.
+    """
+    radius = math.sqrt if squared else float
+    inner, outer = radius(bump.spec.zero_upto), radius(bump.spec.one_from)
+    name = bump.__name__
     return {
         "disk": Region.make(chart, "disk", bounds={"z1": (0.05, 1.0)}),
-        "core": Region.make(chart, "core", bounds={"z1": (0.02, BUMP_ZERO_UPTO)},
-                            bump_values={bump: 0}),
-        "annulus": Region.make(chart, "annulus", bounds={"z1": (0.6, 0.95)},
-                               bump_values={bump: 1}),
+        "core": Region.make(chart, "core", bounds={"z1": (0.02, inner)},
+                            bump_values={name: 0}),
+        "annulus": Region.make(chart, "annulus",
+                               bounds={"z1": (min(outer + 0.1, (outer + 0.95) / 2), 0.95)},
+                               bump_values={name: 1}),
     }
 
 
 def build_luttinger_spinor(params, sigma_form: Optional[MixedForm] = None,
                            chart: Optional[Chart] = None,
-                           bump: str = "xi") -> SpinorStructure:
+                           bump: type = XI) -> SpinorStructure:
     """The extension spinor z1 e^E ^ e^{i phi*(omega_Sigma)} on D^2 x T^2 x Sigma.
 
     With no Sigma factor the chart is C^2 = {(z1, z2)}; otherwise the
@@ -489,47 +498,40 @@ def build_luttinger_spinor(params, sigma_form: Optional[MixedForm] = None,
     sigma_form (on which the gluing acts as the identity, so the
     pullback of omega_Sigma is omega_Sigma itself).
     """
-    params = _as_params(params)
-    if chart is None:
-        chart = sigma_form.chart if sigma_form is not None else Chart(
-            "luttinger", [("z1", "complex"), ("z2", "complex")]
-        )
-    exponent = surgery_exponent(chart, params, bump=bump)
-    if sigma_form is not None:
-        if not form_equal(d(sigma_form), MixedForm.zero(chart), samples=8):
-            raise SpinorError("Sigma symplectic form must be closed")
-        exponent = exponent + sigma_form.scale(sympy.I)
-    z1 = chart.symbol("z1")
-    rho = wedge(MixedForm.scalar(chart, z1), exp_form(exponent))
-    rho = rho.map_coefficients(lambda c: sympy.cancel(sympy.together(c)))
-    cert = surgery_certificate(chart, params, exponent)
-    full = surgery_regions(chart, bump)["disk"]
-    return SpinorStructure(chart, rho, MixedForm.zero(chart), full, cert, None)
+    return _surgery_spinor(params, sigma_form, chart, bump, gluck=False)
 
 
 def build_gluck_spinor(params, r_form: Optional[MixedForm] = None,
                        chart: Optional[Chart] = None,
-                       bump: str = "xi") -> SpinorStructure:
+                       bump: type = XI) -> SpinorStructure:
     """The Gluck spinor rho~1 ^ e^{i phi*(omega_R)} on D^2 x T^2 x R x S^2.
 
     z3 is the stereographic coordinate on S^2; with R a point this
     reduces to rho~1 alone.
     """
+    return _surgery_spinor(params, r_form, chart, bump, gluck=True)
+
+
+def _surgery_spinor(params, extra: Optional[MixedForm], chart: Optional[Chart],
+                    bump: type, gluck: bool) -> SpinorStructure:
+    """z1 e^E ^ e^{i extra}, the Gluck exponent having the bump argument
+    |z1|^2 and the sphere block."""
     params = _as_params(params)
     if chart is None:
-        chart = r_form.chart if r_form is not None else Chart(
-            "gluck", [("z1", "complex"), ("z2", "complex"), ("z3", "complex")]
+        names = ("z1", "z2", "z3") if gluck else ("z1", "z2")
+        chart = extra.chart if extra is not None else Chart(
+            "gluck" if gluck else "luttinger", [(n, "complex") for n in names]
         )
-    exponent = surgery_exponent(chart, params, bump=bump, squared=True, sphere=True)
-    if r_form is not None:
-        if not form_equal(d(r_form), MixedForm.zero(chart), samples=8):
-            raise SpinorError("R symplectic form must be closed")
-        exponent = exponent + r_form.scale(sympy.I)
+    exponent = surgery_exponent(chart, params, bump, squared=gluck, sphere=gluck)
+    if extra is not None:
+        if not form_equal(d(extra), MixedForm.zero(chart), samples=8):
+            raise SpinorError(f"{'R' if gluck else 'Sigma'} symplectic form must be closed")
+        exponent = exponent + extra.scale(sympy.I)
     z1 = chart.symbol("z1")
     rho = wedge(MixedForm.scalar(chart, z1), exp_form(exponent))
     rho = rho.map_coefficients(lambda c: sympy.cancel(sympy.together(c)))
     cert = surgery_certificate(chart, params, exponent)
-    full = surgery_regions(chart, bump)["disk"]
+    full = surgery_regions(chart, bump, squared=gluck)["disk"]
     return SpinorStructure(chart, rho, MixedForm.zero(chart), full, cert, None)
 
 
@@ -612,7 +614,7 @@ def lemma_extension_check(params, profile: str = "lemma", samples: int = 64,
     phi, omega_tilde = luttinger_gluing_map(params, profile=profile)
     omega_pull = pullback(phi, omega_tilde)
     annulus = Region.make(polar, "annulus", bounds={"r": (0.6, 0.95)},
-                          bump_values={"xi": 1})
+                          bump_values={XI.__name__: 1})
     if not form_equal(epull.imag_part(), omega_pull, region=annulus,
                       samples=samples, seed=seed, tol=tol):
         return False
@@ -680,7 +682,7 @@ def assemble_piecewise(pieces: Sequence[tuple[Region, SpinorStructure]],
     return PiecewiseSpinor(pieces, tuple(overlaps))
 
 
-def assembly_check(params, samples: int = 16, seed: int = 0,
+def assembly_check(params, profile: str = "lemma", samples: int = 16, seed: int = 0,
                    tol: float = 1e-9, perturb=None) -> PiecewiseSpinor:
     """Assemble the glued structure from its two pieces on the collar.
 
@@ -688,22 +690,23 @@ def assembly_check(params, samples: int = 16, seed: int = 0,
     coordinates; the outside piece is e^{B0} ^ phi*(e^{i omega~}), with
     B0 the real part of the extension exponent.  They must agree on the
     xi = 1 annulus up to the scalar z1 = r e^{i t0}, with equal
-    twisting forms.  ``perturb`` optionally rescales B0 on the outside
-    piece to exhibit a detected mismatch.  Raises SpinorError on any
-    disagreement.
+    twisting forms.  ``profile`` is the gluing's radial profile, as in
+    :func:`luttinger_gluing_map`.  ``perturb`` optionally rescales B0 on
+    the outside piece to exhibit a detected mismatch.  Raises
+    SpinorError on any disagreement.
     """
     sparams = _as_params(params)
     s = build_luttinger_spinor(sparams)
     polar, _ = collar_charts()
     psi = disk_to_complex_map(polar, s.chart)
     rho_in = pullback(psi, s.rho)
-    phi, omega_tilde = luttinger_gluing_map(sparams)
+    phi, omega_tilde = luttinger_gluing_map(sparams, profile=profile)
     rho_out = pullback(phi, exp_form(omega_tilde.scale(sympy.I)))
     b0 = pullback(psi, surgery_exponent(s.chart, sparams)).real_part()
     if perturb is not None:
         b0 = b0.scale(sympy.sympify(perturb))
     annulus = Region.make(polar, "assembly-annulus", bounds={"r": (0.6, 0.95)},
-                          bump_values={"xi": 1})
+                          bump_values={XI.__name__: 1})
     z1 = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))
     piece_in = SpinorStructure(polar, rho_in, MixedForm.zero(polar))
     piece_out = SpinorStructure(

@@ -206,9 +206,6 @@ class ManifoldDescriptor:
                 return l
         raise TopologyError(f"descriptor {self.name!r} has no locus {name!r}")
 
-    def with_note(self, note: str) -> "ManifoldDescriptor":
-        return replace(self, notes=self.notes + (note,))
-
     def describe(self) -> str:
         sig = "" if self.signature is None else f", sigma={self.signature}"
         pi1 = "unknown" if self.pi1 is None else self.pi1.describe()

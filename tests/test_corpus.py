@@ -103,6 +103,8 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("bump xi = 0 upto 0.5, 1 from 0.25", "zero_upto < one_from"),
     ("check type s at z1 = 0.3 + 01*i expect 2", "could not parse"),
     ("check type s at z1 = x expect 2", "needs a constant value"),
+    ("check lemma params (0, 1, 1, 0) profile cubic expect ok", "unknown radial profile 'cubic'"),
+    ("check assembly params (0, 1, 1, 0) profile cubic expect ok", "unknown radial profile"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -123,6 +125,14 @@ def test_cli_infinite_value_fails_the_check(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "[FAIL]" in captured.out and "infinite or undefined" in captured.out
         assert "Traceback" not in captured.err
+
+
+def test_cli_assembly_check_uses_its_profile(tmp_path, capsys):
+    scn = tmp_path / "assembly.gcx"
+    for expect, code in (("ok", 1), ("fail", 0)):
+        scn.write_text(f"check assembly params (0, 1, 1, 0) profile paper expect {expect}\n")
+        assert main(["run", str(scn)]) == code
+        assert "dr^dt0^dt1^dt2" in capsys.readouterr().out
 
 
 def _statement_lines(path) -> list[int]:

@@ -10,10 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gcx.scalars as scalars
 from conftest import gaussian_polys, real_chart
-from gcx import Chart, register_bump, opaque_function
+from gcx import Chart, bump_function, opaque_function
 from gcx.scalars import (
     EvaluationError,
-    bump_spec,
     compile_exprs,
     evaluate_expr,
     expr_equal,
@@ -23,7 +22,7 @@ from gcx.scalars import (
 
 
 def test_bump_thresholds():
-    xi = register_bump("xi_t", 0.25, 0.5)
+    xi = bump_function("xi_t", 0.25, 0.5)
     assert xi(sympy.Float(0.1)) == 0
     assert xi(sympy.Float(0.25)) == 0
     assert xi(sympy.Float(0.9)) == 1
@@ -32,8 +31,7 @@ def test_bump_thresholds():
 
 
 def test_bump_derivative_vanishes_on_plateaus():
-    register_bump("xi_d", 0.25, 0.5)
-    xi = opaque_function("xi_d")
+    xi = bump_function("xi_d", 0.25, 0.5)
     t = sympy.Symbol("t", real=True)
     deriv = sympy.diff(xi(t), t)
     assert float(deriv.subs(t, 0.1)) == 0.0
@@ -42,7 +40,7 @@ def test_bump_derivative_vanishes_on_plateaus():
 
 
 def test_bump_smooth_and_monotone_in_window():
-    spec = bump_spec("xi_t") or register_bump("xi_t", 0.25, 0.5) and bump_spec("xi_t")
+    spec = bump_function("xi_t", 0.25, 0.5).spec
     values = [spec.value(0.25 + 0.25 * k / 20) for k in range(21)]
     assert values == sorted(values)
     assert values[0] == pytest.approx(0.0, abs=1e-12)
@@ -50,8 +48,7 @@ def test_bump_smooth_and_monotone_in_window():
 
 
 def test_pin_bumps_kills_derivatives():
-    register_bump("xi_p", 0.25, 0.5)
-    xi = opaque_function("xi_p")
+    xi = bump_function("xi_p", 0.25, 0.5)
     r = sympy.Symbol("r", positive=True)
     expr = xi(r) * r + sympy.diff(xi(r), r)
     assert pin_bumps(expr, {"xi_p": 0}) == 0
@@ -166,10 +163,23 @@ def test_compiled_opaque_function_without_bump_raises():
         compile_exprs([1 + f(x1)], ch)({"x1": 0.3})
 
 
+def test_bump_classes_carry_their_own_specs():
+    low, high = bump_function("xi_s", 0.6, 0.9), bump_function("xi_s", 0.25, 0.5)
+    assert low is bump_function("xi_s", 0.6, 0.9) and low is not high
+    assert low(sympy.Float(0.5)) == 0 and high(sympy.Float(0.5)) == 1
+    assert sympy.diff(low(sympy.Symbol("t")), "t").func.spec == low.spec
+    ch = real_chart(1)
+    (x1,) = ch.symbols
+    assert compile_exprs([low(x1)], ch)({"x1": 0.5})[0] == 0
+    assert compile_exprs([high(x1)], ch)({"x1": 0.5})[0] == 1
+    # one name cannot stand for two specs in compiled code
+    with pytest.raises(EvaluationError):
+        compile_exprs([low(x1) + high(x1)], ch)
+
+
 def test_compiled_bumps_match_spec_in_window():
-    register_bump("xi_c", 0.25, 0.5)
-    spec = bump_spec("xi_c")
-    xi = opaque_function("xi_c")
+    xi = bump_function("xi_c", 0.25, 0.5)
+    spec = xi.spec
     ch = _complex_chart()
     z1, z1b, r = ch.symbols
     at_r = compile_exprs([xi(r), sympy.diff(xi(r), r)], ch)

@@ -1,6 +1,7 @@
 """Spinor structures: type, stability, integrability, transforms, gluing."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,8 @@ from gcx import (
     validate_surgery_params,
     wedge,
 )
-from gcx.spinor import surgery_certificate, surgery_exponent, surgery_regions
+from gcx.scalars import bump_function, compile_exprs
+from gcx.spinor import XI, surgery_certificate, surgery_exponent, surgery_regions
 
 
 def _c2():
@@ -212,6 +214,30 @@ def test_surgery_certificate_is_smooth():
             assert not sympy.denom(sympy.cancel(sympy.together(c))).has(z1)
 
 
+@pytest.mark.parametrize("build, squared", [(build_luttinger_spinor, False),
+                                            (build_gluck_spinor, True)],
+                         ids=["luttinger", "gluck"])
+@pytest.mark.parametrize("bump", [XI, bump_function("xi", 0.3, 0.7)], ids=["default", "0.3-0.7"])
+def test_surgery_regions_pin_the_bump_they_sample(build, squared, bump):
+    s = build((1, 3, 1, 2), bump=bump)
+    # the bump's argument as the builder wrote it: |z1| or |z1|^2
+    (arg,) = {node.args[0] for c in s.rho.terms.values()
+              for node in c.find(lambda n: n.func is bump)}
+    arg_at = compile_exprs([arg], s.chart)
+    regions = surgery_regions(s.chart, bump, squared=squared)
+    rng = random.Random(0)
+    for name, pin in (("core", 0), ("annulus", 1)):
+        assert regions[name].bump_map == {"xi": pin}
+        for _ in range(100):
+            assert bump.spec.value(arg_at(regions[name].sample(rng))[0].real) == pin
+
+
+def test_default_luttinger_regions_are_unchanged():
+    regions = surgery_regions(_c2())
+    assert regions["core"].bound_for("z1") == gcx.Interval(0.02, 0.25)
+    assert regions["annulus"].bound_for("z1") == gcx.Interval(0.6, 0.95)
+
+
 def test_gluck_spinor():
     s = build_gluck_spinor((1, 3, 1, 2))
     res = check_integrable(s, samples=10)
@@ -252,6 +278,13 @@ def test_assembly_agrees_on_collar():
     glued = assembly_check((0, 1, 1, 0), samples=8)
     assert len(glued.pieces) == 2
     assert glued.overlaps[0].scale != 1
+
+
+def test_assembly_uses_its_radial_profile():
+    with pytest.raises(SpinorError, match=r"at coefficient dr\^dt0\^dt1\^dt2"):
+        assembly_check((0, 1, 1, 0), profile="paper", samples=8)
+    with pytest.raises(SpinorError, match="unknown radial profile"):
+        assembly_check((0, 1, 1, 0), profile="cubic", samples=8)
 
 
 def test_assembly_detects_perturbed_b_field():
