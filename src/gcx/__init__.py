@@ -40,12 +40,9 @@ from .runner import Report, RunError, list_corpus, load_scenario, run
 from .spinor import (
     DecompositionHints,
     IntegrabilityResult,
-    Overlap,
-    PiecewiseSpinor,
     SpinorError,
     SpinorStructure,
     StabilityResult,
-    assemble_piecewise,
     assembly_check,
     b_field_transform,
     build_gluck_spinor,

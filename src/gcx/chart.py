@@ -175,10 +175,6 @@ class Chart:
             raise ChartError(f"point misses legs {missing} on chart {self.name!r}")
         return pt
 
-    def point_subs(self, point: Mapping[str, complex]) -> dict[sympy.Symbol, complex]:
-        pt = self.point(point)
-        return {self.symbol(n): v for n, v in pt.items()}
-
     # -- formal conjugation --------------------------------------------
 
     def conj_expr(self, expr) -> sympy.Expr:

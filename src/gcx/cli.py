@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from .runner import Report, RunError, corpus_files, list_corpus, run
+from .runner import RunError, corpus_files, list_corpus, run
 from .scenario import ParseError, parse_scenario
 
 

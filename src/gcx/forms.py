@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Optional
 import sympy
 from sympy.polys.rings import PolyElement
 
-from .chart import Chart, Region, RegionError
+from .chart import Chart, Region
 from .scalars import (
     compile_exprs,
     expr_equal,
@@ -514,6 +514,7 @@ class EqualityResult:
     """Verdict of :func:`form_equal`: true when no coefficient differs."""
 
     key: Optional[tuple[int, ...]]  # first differing key, None when equal
+    name: Optional[str] = None  # that key as a wedge of differentials
 
     def __bool__(self):
         return self.key is None
@@ -543,5 +544,5 @@ def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
                               region=region, samples=samples, tol=tol, rng=rng)
     for key in sorted(set(a.terms) | set(b.terms)):
         if not same(key):
-            return EqualityResult(key)
+            return EqualityResult(key, a.key_name(key))
     return EqualityResult(None)

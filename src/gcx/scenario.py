@@ -260,9 +260,7 @@ class ExprParser:
         self.ts.expect("(")
         if name == "pullback":
             mname = self.ts.next().text
-            if mname not in self.sc.maps:
-                raise ParseError(f"unknown map {mname!r}", line)
-            cmap = self.sc.maps[mname]
+            cmap = _named(self.sc.maps, "map", mname, line)
             self.ts.expect(",")
             inner_parser = ExprParser(self.sc, cmap.target, self.ts)
             arg = inner_parser.parse()
@@ -365,18 +363,45 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
+def _statements(text: str):
+    """(line number, statement) for every line that is not blank or a comment."""
+    for raw_no, raw in enumerate(text.splitlines(), start=1):
+        line = re.sub(r"\s+", " ", _strip_comment(raw).strip())
+        if line:
+            yield raw_no, line
+
+
 def parse_scenario(text: str) -> Scenario:
     sc = Scenario()
-    # join continuation lines ending in a comma or an opening bracket
-    for raw_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        line = re.sub(r"\s+", " ", line)
+    for raw_no, line in _statements(text):
         sc.statements.append(line)
-        ts = TokenStream(line, raw_no)
-        _parse_statement(sc, ts, line)
+        _parse_statement(sc, TokenStream(line, raw_no), line)
+    _resolve_manifolds(sc)
     return sc
+
+
+def read_title(text: str) -> str:
+    """The title that :func:`parse_scenario` gives, read without the other statements."""
+    sc = Scenario()
+    for raw_no, line in _statements(text):
+        ts = TokenStream(line, raw_no)
+        if ts.accept("title"):
+            _stmt_title(sc, ts, raw_no, line)
+    return sc.title
+
+
+def _resolve_manifolds(sc: Scenario):
+    """Every manifold a command names is declared, or made by an earlier command."""
+    known = set(sc.manifolds)
+    for cmd in sc.commands:
+        p = cmd.payload
+        name = p.get("manifold")
+        if p.get("what") == "abelianization" and p["target"] not in sc.groups:
+            name = p["target"]
+        if name is not None and name not in known:
+            raise ParseError(f"unknown manifold {name!r}", cmd.line)
+        if "new" in p:
+            known.add(p["new"])
 
 
 def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
@@ -474,6 +499,8 @@ def _interval(ts, line) -> tuple[float, float]:
     ts.expect(",")
     hi = _read_number(ts, line)
     ts.expect(")")
+    if not lo < hi:
+        raise ParseError(f"empty interval ({lo:g}, {hi:g})", line)
     return (lo, hi)
 
 
@@ -532,11 +559,10 @@ def _stmt_map(sc, ts, line, text):
     sc.maps[name] = CoordinateMap.make(source, target, table, name=name)
 
 
-def _region_ref(sc, ts, line) -> Region:
-    tok = ts.next()
-    if tok.text not in sc.regions:
-        raise ParseError(f"unknown region {tok.text!r}", line)
-    return sc.regions[tok.text]
+def _named(table: dict, kind: str, name: str, line: int):
+    if name not in table:
+        raise ParseError(f"unknown {kind} {name!r}", line)
+    return table[name]
 
 
 _SPINOR_CLAUSES = ("on", "rho", "h", "region", "vector", "covector",
@@ -570,7 +596,7 @@ def _stmt_spinor(sc, ts, line, text):
             chart = chart or sc.only_chart(line)
             h = parse_expr(sc, chart, ts)
         elif key == "region":
-            region = _region_ref(sc, ts, line)
+            region = _named(sc.regions, "region", ts.next().text, line)
         elif key == "vector":
             chart = chart or sc.only_chart(line)
             while True:
@@ -587,7 +613,7 @@ def _stmt_spinor(sc, ts, line, text):
             chart = chart or sc.only_chart(line)
             hints[key[5:]] = parse_expr(sc, chart, ts)
         elif key == "hint_region":
-            hints["region"] = _region_ref(sc, ts, line)
+            hints["region"] = _named(sc.regions, "region", ts.next().text, line)
         else:
             raise ParseError(f"unknown spinor clause {key!r}", line)
         if not ts.accept(";"):
@@ -698,12 +724,8 @@ def _stmt_manifold(sc, ts, line, text):
                 fields["pi1"] = _presentation(ts, line)
             else:
                 gname = ts.next().text
-                if gname == "unknown":
-                    fields["pi1"] = None
-                elif gname in sc.groups:
-                    fields["pi1"] = sc.groups[gname]
-                else:
-                    raise ParseError(f"unknown group {gname!r}", line)
+                if gname != "unknown":
+                    fields["pi1"] = _named(sc.groups, "group", gname, line)
         elif key == "b2":
             fields["b2"] = int(_read_number(ts, line))
         elif key == "component":
@@ -738,8 +760,7 @@ def _stmt_locus(sc, ts, line, text):
     name = ts.next().text
     ts.expect("on")
     mname = ts.next().text
-    if mname not in sc.manifolds:
-        raise ParseError(f"unknown manifold {mname!r}", line)
+    m = _named(sc.manifolds, "manifold", mname, line)
     ts.expect("=")
     kind = None
     fields = {"complement": None, "meridian": None, "circle1": None,
@@ -754,10 +775,7 @@ def _stmt_locus(sc, ts, line, text):
             if tok is not None and tok.text == "<":
                 fields["complement"] = _presentation(ts, line)
             else:
-                gname = ts.next().text
-                if gname not in sc.groups:
-                    raise ParseError(f"unknown group {gname!r}", line)
-                fields["complement"] = sc.groups[gname]
+                fields["complement"] = _named(sc.groups, "group", ts.next().text, line)
         elif key in ("meridian", "circle1", "circle2"):
             fields[key] = parse_word(_word_tokens(ts, line))
         elif key == "sigma_label":
@@ -777,7 +795,6 @@ def _stmt_locus(sc, ts, line, text):
     if kind is None:
         raise ParseError("locus needs a 'kind' clause", line)
     locus = SurgeryLocus(name=name, kind=kind, **flags, **fields)
-    m = sc.manifolds[mname]
     sc.manifolds[mname] = replace(m, loci=m.loci + (locus,))
 
 
@@ -821,7 +838,7 @@ def _stmt_check(sc, ts, line, text):
         ts.expect("at")
         payload["point"] = _point(ts, line)
         if ts.accept("on"):
-            payload["region"] = _region_ref(sc, ts, line).name
+            payload["region"] = _named(sc.regions, "region", ts.next().text, line)
     elif what in ("stable", "integrable"):
         payload["spinor"] = ts.next().text
     elif what == "nondegenerate":
@@ -835,7 +852,7 @@ def _stmt_check(sc, ts, line, text):
         ts.expect(",")
         payload["right"] = parse_expr(sc, chart, ts)
         if ts.accept("on"):
-            payload["region"] = _region_ref(sc, ts, line).name
+            payload["region"] = _named(sc.regions, "region", ts.next().text, line)
         if ts.accept("scale"):
             scale = parse_expr(sc, chart, ts)
             payload["scale"] = scale.coefficient(())
@@ -904,6 +921,8 @@ def _stmt_check(sc, ts, line, text):
     ts.expect("expect")
     payload["expect"] = _expect_value(ts, line)
     _assert_consumed(ts, line)
+    if "spinor" in payload:
+        payload["spinor"] = _named(sc.spinors, "spinor", payload["spinor"], line)
     sc.commands.append(Command("check", payload, line, text))
 
 

@@ -19,9 +19,9 @@ from typing import Mapping, Optional, Sequence
 import numpy
 import sympy
 
-from .chart import Chart, Coordinate, Region, everywhere
+from .chart import Chart, Region, everywhere
 from .forms import (
-    FormError,
+    EqualityResult,
     GeneralizedSection,
     MixedForm,
     clifford,
@@ -248,13 +248,12 @@ class StabilityResult:
 
 
 def check_stable(s: SpinorStructure, samples: int = 12, seed: int = 0,
-                 witnesses: Optional[Sequence[Mapping[str, complex]]] = None,
                  tol: float = 1e-7) -> StabilityResult:
     """Transversality of the degree-0 part along its zero set.
 
     Zero-set points are found by solving when s0 is affine in one
-    complex coordinate (or polynomial in a single one); otherwise
-    witness points must be supplied.
+    complex coordinate (or polynomial in a single one); other zero sets
+    are not sampled.
     """
     chart = s.chart
     s0 = sympy.sympify(s.rho.coefficient(()))
@@ -262,14 +261,9 @@ def check_stable(s: SpinorStructure, samples: int = 12, seed: int = 0,
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
     region = s.region if s.region is not None else everywhere(chart)
     rng = random.Random(seed)
-    if witnesses is not None:
-        zeros = [chart.point(w) for w in witnesses]
-    else:
-        zeros = _sample_zero_set(chart, s0, region, rng, samples)
+    zeros = _sample_zero_set(chart, s0, region, rng, samples)
     if zeros is None:
-        raise SpinorError(
-            "cannot sample the zero set of the degree-0 part; supply witness points"
-        )
+        raise SpinorError("cannot sample the zero set of the degree-0 part")
     if not zeros:
         return StabilityResult(True, None, "degree-0 part has empty zero set")
     rank_at = _real_differential_rank(chart, s0, tol)
@@ -415,16 +409,15 @@ def _as_params(params) -> SurgeryParams:
 
 
 def surgery_exponent(chart: Chart, params: SurgeryParams, bump: type = XI,
-                     squared: bool = False, sphere: bool = False) -> MixedForm:
+                     gluck: bool = False) -> MixedForm:
     """The closed 2-form exponent of the surgery spinor z1 e^E.
 
-    ``squared`` selects the bump argument |z1|^2 instead of |z1|;
-    ``sphere`` appends the Gluck block in the stereographic coordinate
-    z3.
+    ``gluck`` selects the bump argument |z1|^2 instead of |z1| and
+    appends the Gluck block in the stereographic coordinate z3.
     """
     p, q, a, b = params.p, params.q, params.a, params.b
     z1, z1b = chart.symbol("z1"), chart.symbol("z1b")
-    arg = z1 * z1b if squared else sympy.sqrt(z1 * z1b)
+    arg = z1 * z1b if gluck else sympy.sqrt(z1 * z1b)
     i1, i1b = chart.leg_index("z1"), chart.leg_index("z1b")
     i2, i2b = chart.leg_index("z2"), chart.leg_index("z2b")
     half_a = sympy.Rational(a, 2)
@@ -434,7 +427,7 @@ def surgery_exponent(chart: Chart, params: SurgeryParams, bump: type = XI,
         (i1, i2): (half_a - q) / (2 * z1),
         (i1, i2b): -(half_a + q) / (2 * z1),
     }
-    if sphere:
+    if gluck:
         z3, z3b = chart.symbol("z3"), chart.symbol("z3b")
         i3, i3b = chart.leg_index("z3"), chart.leg_index("z3b")
         den = (1 + z3 * z3b) ** 2
@@ -522,7 +515,7 @@ def _surgery_spinor(params, extra: Optional[MixedForm], chart: Optional[Chart],
         chart = extra.chart if extra is not None else Chart(
             "gluck" if gluck else "luttinger", [(n, "complex") for n in names]
         )
-    exponent = surgery_exponent(chart, params, bump, squared=gluck, sphere=gluck)
+    exponent = surgery_exponent(chart, params, bump, gluck=gluck)
     if extra is not None:
         if not form_equal(d(extra), MixedForm.zero(chart), samples=8):
             raise SpinorError(f"{'R' if gluck else 'Sigma'} symplectic form must be closed")
@@ -595,124 +588,68 @@ def disk_to_complex_map(polar: Chart, cx: Chart) -> CoordinateMap:
     return CoordinateMap.make(polar, cx, table, name="psi")
 
 
+def _collar(params, profile: str):
+    """The setup both collar checks share.
+
+    Returns the Luttinger spinor and its exponent E pulled back along
+    psi to the polar collar, the gluing phi with its form omega~, the
+    xi = 1 annulus r in (0.6, 0.95), and z1 = r e^{i t0} there.
+    """
+    params = _as_params(params)
+    phi, omega_tilde = luttinger_gluing_map(params, profile=profile)
+    s = build_luttinger_spinor(params)
+    polar, _ = collar_charts()
+    psi = disk_to_complex_map(polar, s.chart)
+    rho = pullback(psi, s.rho)
+    exponent = pullback(psi, surgery_exponent(s.chart, params)).map_coefficients(
+        lambda c: sympy.cancel(sympy.together(c))
+    )
+    annulus = Region.make(polar, "annulus", bounds={"r": (0.6, 0.95)},
+                          bump_values={XI.__name__: 1})
+    z1 = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))
+    return rho, exponent, phi, omega_tilde, annulus, z1
+
+
 def lemma_extension_check(params, profile: str = "lemma", samples: int = 64,
-                          seed: int = 0, tol: float = 1e-9) -> bool:
+                          seed: int = 0, tol: float = 1e-9) -> EqualityResult:
     """On the xi = 1 annulus, z1 e^E equals z1 e^{B0 + i phi*(omega~)}.
 
     This is the extension lemma with Sigma a point: the imaginary part
     of the pulled-back exponent must coincide with phi*(omega~) for the
     chosen radial profile, the real part being the B-field witness B0.
+    The result names the first coefficient that differs.
     """
-    params = _as_params(params)
-    s = build_luttinger_spinor(params)
-    polar, _ = collar_charts()
-    psi = disk_to_complex_map(polar, s.chart)
-    exponent = surgery_exponent(s.chart, params)
-    epull = pullback(psi, exponent).map_coefficients(
-        lambda c: sympy.cancel(sympy.together(c))
-    )
-    phi, omega_tilde = luttinger_gluing_map(params, profile=profile)
+    rho, exponent, phi, omega_tilde, annulus, z1 = _collar(params, profile)
     omega_pull = pullback(phi, omega_tilde)
-    annulus = Region.make(polar, "annulus", bounds={"r": (0.6, 0.95)},
-                          bump_values={XI.__name__: 1})
-    if not form_equal(epull.imag_part(), omega_pull, region=annulus,
-                      samples=samples, seed=seed, tol=tol):
-        return False
-    b0 = epull.real_part()
-    rho_pull = pullback(psi, s.rho)
-    z1_here = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))
+    same = form_equal(exponent.imag_part(), omega_pull, region=annulus,
+                      samples=samples, seed=seed, tol=tol)
+    if not same:
+        return same
     stated = wedge(
-        MixedForm.scalar(polar, z1_here),
-        exp_form(b0 + omega_pull.scale(sympy.I)),
+        MixedForm.scalar(annulus.chart, z1),
+        exp_form(exponent.real_part() + omega_pull.scale(sympy.I)),
     )
-    return form_equal(rho_pull, stated, region=annulus, samples=samples,
+    return form_equal(rho, stated, region=annulus, samples=samples,
                       seed=seed, tol=tol)
 
 
-# ---------------------------------------------------------------------------
-# Piecewise assembly
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Overlap:
-    """Required agreement of two pieces on a region, up to a stated scalar.
-
-    Pure spinor lines are defined up to a nonvanishing function; the
-    surgery overlaps match only after multiplying the second piece by
-    ``scale`` (z1 in the glued construction).  The twisting forms must
-    agree on the nose.
-    """
-
-    left: int
-    right: int
-    region: Region
-    scale: sympy.Expr = sympy.Integer(1)
-
-
-@dataclass(frozen=True)
-class PiecewiseSpinor:
-    pieces: tuple[tuple[Region, SpinorStructure], ...]
-    overlaps: tuple[Overlap, ...]
-
-
-def assemble_piecewise(pieces: Sequence[tuple[Region, SpinorStructure]],
-                       overlaps: Sequence[Overlap], samples: int = 32,
-                       seed: int = 0, tol: float = 1e-9) -> PiecewiseSpinor:
-    """Check spinor and twisting-form agreement on every flagged overlap."""
-    pieces = tuple(pieces)
-    for ov in overlaps:
-        _, left = pieces[ov.left]
-        _, right = pieces[ov.right]
-        lrho = left.rho
-        rrho = right.rho.scale(ov.scale)
-        agree = form_equal(lrho, rrho, region=ov.region, samples=samples,
-                           seed=seed, tol=tol)
-        if not agree:
-            raise SpinorError(
-                f"pieces {ov.left} and {ov.right} disagree on overlap "
-                f"{ov.region.name!r} at coefficient {lrho.key_name(agree.key)}"
-            )
-        if not form_equal(left.h, right.h, region=ov.region, samples=samples,
-                          seed=seed, tol=tol):
-            raise SpinorError(
-                f"twisting forms of pieces {ov.left} and {ov.right} disagree "
-                f"on overlap {ov.region.name!r}"
-            )
-    return PiecewiseSpinor(pieces, tuple(overlaps))
-
-
 def assembly_check(params, profile: str = "lemma", samples: int = 16, seed: int = 0,
-                   tol: float = 1e-9, perturb=None) -> PiecewiseSpinor:
-    """Assemble the glued structure from its two pieces on the collar.
+                   tol: float = 1e-9, perturb=None) -> EqualityResult:
+    """Compare the two pieces of the glued structure on the collar.
 
     The inside piece is the extension spinor pulled back to polar
     coordinates; the outside piece is e^{B0} ^ phi*(e^{i omega~}), with
     B0 the real part of the extension exponent.  They must agree on the
-    xi = 1 annulus up to the scalar z1 = r e^{i t0}, with equal
-    twisting forms.  ``profile`` is the gluing's radial profile, as in
-    :func:`luttinger_gluing_map`.  ``perturb`` optionally rescales B0 on
-    the outside piece to exhibit a detected mismatch.  Raises
-    SpinorError on any disagreement.
+    xi = 1 annulus up to the scalar z1 = r e^{i t0}; the result names
+    the first coefficient that differs.  ``profile`` is the gluing's
+    radial profile, as in :func:`luttinger_gluing_map`.  ``perturb``
+    optionally rescales B0 on the outside piece to exhibit a detected
+    mismatch.
     """
-    sparams = _as_params(params)
-    s = build_luttinger_spinor(sparams)
-    polar, _ = collar_charts()
-    psi = disk_to_complex_map(polar, s.chart)
-    rho_in = pullback(psi, s.rho)
-    phi, omega_tilde = luttinger_gluing_map(sparams, profile=profile)
-    rho_out = pullback(phi, exp_form(omega_tilde.scale(sympy.I)))
-    b0 = pullback(psi, surgery_exponent(s.chart, sparams)).real_part()
+    rho, exponent, phi, omega_tilde, annulus, z1 = _collar(params, profile)
+    b0 = exponent.real_part()
     if perturb is not None:
         b0 = b0.scale(sympy.sympify(perturb))
-    annulus = Region.make(polar, "assembly-annulus", bounds={"r": (0.6, 0.95)},
-                          bump_values={XI.__name__: 1})
-    z1 = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))
-    piece_in = SpinorStructure(polar, rho_in, MixedForm.zero(polar))
-    piece_out = SpinorStructure(
-        polar, wedge(exp_form(b0), rho_out), MixedForm.zero(polar)
-    )
-    return assemble_piecewise(
-        [(annulus, piece_in), (annulus, piece_out)],
-        [Overlap(0, 1, annulus, z1)], samples=samples, seed=seed, tol=tol,
-    )
+    outside = wedge(exp_form(b0), pullback(phi, exp_form(omega_tilde.scale(sympy.I))))
+    return form_equal(rho, outside.scale(z1), region=annulus, samples=samples,
+                      seed=seed, tol=tol)

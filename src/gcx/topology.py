@@ -9,16 +9,15 @@ the surgery operations transform descriptors and never touch geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .groups import (
     GroupPresentation,
     Word,
-    abelianization,
+    _pow_word,
     free_product,
     parse_word,
     quotient_normal_closure,
-    word_str,
 )
 
 SPIN_STATES = ("spin", "non-spin", "unknown")
@@ -228,16 +227,10 @@ def _surgery_pi1(locus: SurgeryLocus, params: SurgeryParams):
     amalgam = free_product(locus.complement, torus)
     m, l1, l2 = locus.meridian, locus.circle1, locus.circle2
     p, q, a, b = params.p, params.q, params.a, params.b
-
-    def power(word: Word, e: int) -> list:
-        from .groups import _pow_word
-
-        return _pow_word(word, e)
-
     relators = [
-        tuple(power(m, p) + power(l2, q)),
+        tuple(_pow_word(m, p) + _pow_word(l2, q)),
         tuple(list(l1) + [("t1", -1)]),
-        tuple(power(m, a) + power(l2, b) + [("t2", -1)]),
+        tuple(_pow_word(m, a) + _pow_word(l2, b) + [("t2", -1)]),
     ]
     return quotient_normal_closure(amalgam, relators)
 

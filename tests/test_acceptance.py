@@ -166,8 +166,7 @@ def test_gluing_parameter_box_exhaustive():
 def test_extension_lemma_and_assembly():
     assert lemma_extension_check((0, 1, 1, 0), samples=64, seed=0)
     assert lemma_extension_check((1, 3, 1, 2), samples=64, seed=0)
-    glued = assembly_check((0, 1, 1, 0), samples=16, seed=0)
-    assert len(glued.pieces) == 2 and len(glued.overlaps) == 1
+    assert assembly_check((0, 1, 1, 0), samples=16, seed=0)
 
 
 # -- 5. invariant preservation over random descriptors -------------------------

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcx.cli import main
 from gcx.runner import corpus_dir, corpus_files, list_corpus, run
+from gcx.scenario import parse_scenario
 
 EXPECTED_STEMS = {
     "cor_2_8",
@@ -105,6 +106,13 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("check type s at z1 = x expect 2", "needs a constant value"),
     ("check lemma params (0, 1, 1, 0) profile cubic expect ok", "unknown radial profile 'cubic'"),
     ("check assembly params (0, 1, 1, 0) profile cubic expect ok", "unknown radial profile"),
+    ("region bad on C = z1 in (0.5, 0.2)", "empty interval (0.5, 0.2)"),
+    ("region bad on C = |z1| in (0.5, 0.5)", "empty interval (0.5, 0.5)"),
+    ("check type foo at z1 = 0 expect 0", "unknown spinor 'foo'"),
+    ("check integrable foo expect true", "unknown spinor 'foo'"),
+    ("check chi M expect 0", "unknown manifold 'M'"),
+    ("report components M", "unknown manifold 'M'"),
+    ("check abelianization M expect rank 0 torsion []", "unknown manifold 'M'"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -113,6 +121,36 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and message in err, err
+
+
+_SURGERY = (
+    "group comp = < l1, l2 | [l1, l2] >\n"
+    "manifold M = dim 6; chi 0; pi1 < a1, a2 | [a1, a2] >\n"
+    "locus L on M = kind luttinger; complement comp; meridian 1; circle1 l1; circle2 l2\n"
+)
+
+
+def test_cli_manifold_names_resolve_at_parse_time(tmp_path, capsys):
+    scn = tmp_path / "m.gcx"
+    # a manifold may be declared after the check that names it
+    scn.write_text("check chi M expect 0\nmanifold M = dim 4; chi 0\n")
+    assert main(["run", str(scn)]) == 0
+    # or made by an earlier surgery, but not by a later one
+    scn.write_text(_SURGERY + "surgery N = luttinger M at L params (1, 5, 1, 4)\n"
+                   "check chi N expect 0\n")
+    assert main(["run", str(scn)]) == 0
+    scn.write_text(_SURGERY + "check chi N expect 0\n"
+                   "surgery N = luttinger M at L params (1, 5, 1, 4)\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        assert "line 4: unknown manifold 'N'" in capsys.readouterr().err
+    # a surgery that fails at run time leaves its product unmade: a failed check
+    scn.write_text(_SURGERY + "surgery N = luttinger M at K params (1, 5, 1, 4)\n"
+                   "check chi N expect 0\n")
+    assert main(["verify", str(scn)]) == 0
+    assert main(["run", str(scn)]) == 1
+    out = capsys.readouterr().out
+    assert "no locus 'K'" in out and "unknown manifold 'N'" in out
 
 
 def test_cli_infinite_value_fails_the_check(tmp_path, capsys):
@@ -205,6 +243,14 @@ def test_corpus_dir_override(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "solo" in out and "override" in out
     assert main(["corpus", "run-all"]) == 0
+
+
+def test_corpus_list_reads_titles_as_the_parser_does(tmp_path, monkeypatch):
+    monkeypatch.setenv("GCX_CORPUS_DIR", str(tmp_path))
+    text = 'title  "Case  #1 of 2"  # a comment\nchart C = complex z1\n'
+    (tmp_path / "hash.gcx").write_text(text)
+    assert parse_scenario(text).title == "Case #1 of 2"
+    assert list_corpus() == [("hash", parse_scenario(text).title)]
 
 
 def test_cli_missing_corpus_dir_is_config_error(tmp_path, monkeypatch):

@@ -301,7 +301,7 @@ def test_zero_coefficients_dropped_structurally():
 def _reference_values(form: MixedForm, point, region) -> dict:
     """Pin, cancel, then sympy subs + N: an evaluation independent of compile_exprs."""
     pins = region.bump_map if region is not None else {}
-    subs = form.chart.point_subs(point)
+    subs = {form.chart.symbol(n): v for n, v in form.chart.point(point).items()}
     out = {}
     for key, c in form.terms.items():
         c = sympy.cancel(sympy.together(pin_bumps(c, pins)))

@@ -87,7 +87,9 @@ def test_mutated_expectation_fails_exactly_one_check():
     ("0.3 - 0.8*i", 0.3 - 0.8j),
 ])
 def test_point_values_read_i_as_a_name_only(text, value):
-    sc = parse_scenario(f"chart C = complex z1\ncheck type s at z1 = {text} expect 0\n")
+    sc = parse_scenario(
+        f"chart C = complex z1\nspinor s = z1\ncheck type s at z1 = {text} expect 0\n"
+    )
     assert cmath.isclose(sc.commands[0].payload["point"]["z1"], value)
 
 
