@@ -173,6 +173,18 @@ class MixedForm:
             return sympy.Integer(0)
         return sign * self.terms.get(skey, sympy.Integer(0))
 
+    def as_ring(self) -> "MixedForm":
+        """This form with its coefficients in ``chart.ring`` when every one
+        converts with :meth:`~gcx.chart.Chart.to_ring`; otherwise itself."""
+        if self.ring_terms is not None:
+            return self
+        data = {}
+        for key, c in self.terms.items():
+            data[key] = self.chart.to_ring(c)
+            if data[key] is None:
+                return self
+        return MixedForm(self.chart, data, self.domain)
+
     @property
     def _coefficients(self) -> Mapping:
         """The stored coefficients: ring elements on a ring form."""
@@ -361,17 +373,27 @@ def d_scalar(chart: Chart, expr) -> MixedForm:
 
 
 def interior(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
-    """Interior product with a vector field given as leg-name -> coefficient."""
+    """Interior product with a vector field given as leg-name -> coefficient.
+
+    A ring form stays in the ring when every coefficient of X converts
+    with :meth:`~gcx.chart.Chart.to_ring`.
+    """
     chart = a.chart
-    idx = {chart.leg_index(name): sympy.sympify(c) for name, c in X.items()}
-    data: dict[tuple[int, ...], sympy.Expr] = {}
-    for key, c in a.terms.items():
+    idx = {chart.leg_index(name): c for name, c in X.items()}
+    ring_idx = ({j: chart.to_ring(c) for j, c in idx.items()}
+                if a.ring_terms is not None else None)
+    if ring_idx is not None and all(c is not None for c in ring_idx.values()):
+        idx, coefficients = ring_idx, a.ring_terms
+    else:
+        idx = {j: c.as_expr() if isinstance(c, PolyElement) else sympy.sympify(c)
+               for j, c in idx.items()}
+        coefficients = a.terms
+    data: dict[tuple[int, ...], object] = {}
+    for key, c in coefficients.items():
         for t, j in enumerate(key):
             xc = idx.get(j)
-            if xc is None:
-                continue
-            nkey = key[:t] + key[t + 1:]
-            data[nkey] = data.get(nkey, sympy.Integer(0)) + (-1) ** t * xc * c
+            if xc is not None:
+                _add_to(data, key[:t] + key[t + 1:], _signed((-1) ** t, xc) * c)
     return MixedForm(chart, data, a.domain)
 
 

@@ -83,6 +83,20 @@ class CoordinateMap:
         images = tuple(self.source.to_ring(table[leg.name]) for leg in self.target.legs)
         return None if any(g is None for g in images) else images
 
+    @cached_property
+    def ring_differentials(self) -> Optional[tuple[MixedForm, ...]]:
+        """The source differential of each of :attr:`ring_images`, as ring
+        forms; None when the map is not polynomial."""
+        images = self.ring_images
+        return None if images is None else tuple(d_scalar(self.source, g) for g in images)
+
+    @cached_property
+    def differentials(self) -> tuple[MixedForm, ...]:
+        """The source differential of each target leg's assignment, in leg
+        order."""
+        table = self.table
+        return tuple(d_scalar(self.source, table[leg.name]) for leg in self.target.legs)
+
     def apply_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
         """Push a source point forward to the target chart."""
         keys = [k for k, _ in self.assignments]
@@ -137,17 +151,16 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
         )
     images = f.ring_images if a.ring_terms is not None else None
     if images is not None:
-        coefficients, values = a.ring_terms, images
+        coefficients, dlegs = a.ring_terms, f.ring_differentials
 
         def pull(c):
             return _substitute(c, images, f.source.ring)
     else:
-        table, subs = f.table, f.scalar_subs()
-        coefficients, values = a.terms, [table[leg.name] for leg in f.target.legs]
+        subs = f.scalar_subs()
+        coefficients, dlegs = a.terms, f.differentials
 
         def pull(c):
             return sympy.sympify(c).subs(subs, simultaneous=True)
-    dlegs = [d_scalar(f.source, v) for v in values]
     out = MixedForm(f.source, {}, f.domain)
     for key, c in coefficients.items():
         pc = pull(c)

@@ -923,6 +923,13 @@ def _stmt_check(sc, ts, line, text):
     _assert_consumed(ts, line)
     if "spinor" in payload:
         payload["spinor"] = _named(sc.spinors, "spinor", payload["spinor"], line)
+    region = payload.get("region")
+    if region is not None:
+        # check type samples on the spinor's chart, check equal on its own
+        chart = payload["spinor"].chart if what == "type" else sc.charts[payload["chart"]]
+        if region.chart != chart:
+            raise ParseError(f"region {region.name!r} lies on chart {region.chart.name!r}, "
+                             f"not on {chart.name!r}", line)
     sc.commands.append(Command("check", payload, line, text))
 
 

@@ -3,9 +3,19 @@ B-field transforms, and the glued surgery spinors.
 
 A spinor structure is a mixed form rho together with a closed twisting
 3-form H.  Integrability means d_H rho = (X + xi) . rho for some
-generalized section; certificates are either supplied and verified, or
-searched for with a constant-coefficient linear solve followed by
-symbolic re-verification.
+generalized section; a certificate is either supplied and verified, or
+searched for among constant ones, which makes the condition linear in
+the 2n unknowns:
+
+* when rho and H are polynomial over ``QQ_I`` (however they are held),
+  each pair (form key, monomial) is one equation, and ``rref`` over
+  ``QQ_I`` solves the system exactly: it finds a Gaussian-rational
+  certificate, with free unknowns set to 0, or proves that none exists;
+* any other spinor (bumps, ``sqrt``, ``1/z1``) is solved by least squares
+  at sampled points, rounded and re-verified symbolically.
+
+:class:`IntegrabilityResult` names the path taken (``"stored"``,
+``"exact"`` or ``"sampled"``) and the rank of an exact solve.
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy
 import sympy
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from .chart import Chart, Region, everywhere
 from .forms import (
@@ -93,9 +105,6 @@ class SpinorStructure:
                 )
         return s
 
-    def d_h_rho(self) -> MixedForm:
-        return d(self.rho) + wedge(self.h, self.rho)
-
 
 # ---------------------------------------------------------------------------
 # Pointwise checks
@@ -145,6 +154,8 @@ class IntegrabilityResult:
     ok: bool
     certificate: Optional[GeneralizedSection]
     message: str
+    path: str  # "stored", "exact" (rref over QQ_I) or "sampled" (lstsq)
+    rank: Optional[int] = None  # rank of the exact solve's system
 
     def __bool__(self):
         return self.ok
@@ -152,29 +163,95 @@ class IntegrabilityResult:
 
 def check_integrable(s: SpinorStructure, samples: int = 32, seed: int = 0,
                      tol: float = 1e-9) -> IntegrabilityResult:
-    """Verify a stored certificate, or solve for a constant one."""
-    target = s.d_h_rho()
+    """Verify a stored certificate, or solve for a constant one.
+
+    A spinor whose rho and H are polynomial over ``QQ_I`` is solved
+    exactly (:func:`_exact_certificate`); any other spinor by sampling.
+    """
+    rho, h = s.rho.as_ring(), s.h.as_ring()
+    target = d(rho) + wedge(h, rho)
     if s.certificate is not None:
-        ok = form_equal(target, clifford(s.certificate, s.rho), region=s.region,
+        ok = form_equal(target, clifford(s.certificate, rho), region=s.region,
                         samples=samples, seed=seed, tol=tol)
         if ok:
-            return IntegrabilityResult(True, s.certificate, "stored certificate verified")
-        return IntegrabilityResult(False, None, "stored certificate fails to reproduce d_H rho")
-    cert = _solve_certificate(s, target, samples=samples, seed=seed, tol=tol)
+            return IntegrabilityResult(True, s.certificate, "stored certificate verified",
+                                       "stored")
+        return IntegrabilityResult(False, None, "stored certificate fails to reproduce d_H rho",
+                                   "stored")
+    if target.ring_terms is not None and rho.ring_terms is not None:
+        cert, rank = _exact_certificate(rho, target)
+        if cert is None:
+            return IntegrabilityResult(False, None, "not integrable: no constant certificate",
+                                       "exact", rank)
+        # an independent check of the solve; exact and cheap on ring forms
+        if not form_equal(target, clifford(cert, rho)):
+            raise SpinorError("the exact certificate fails to reproduce d_H rho")
+        return IntegrabilityResult(True, cert, "certificate found by linear solve",
+                                   "exact", rank)
+    cert = _sampled_certificate(s, target, samples=samples, seed=seed, tol=tol)
     if cert is None:
         return IntegrabilityResult(
-            False, None, "not integrable (at sampled genericity): no constant certificate"
+            False, None, "not integrable (at sampled genericity): no constant certificate",
+            "sampled",
         )
-    return IntegrabilityResult(True, cert, "certificate found by linear solve")
+    return IntegrabilityResult(True, cert, "certificate found by linear solve", "sampled")
 
 
-def _solve_certificate(s: SpinorStructure, target: MixedForm,
-                       samples: int, seed: int, tol: float) -> Optional[GeneralizedSection]:
+def _actions(rho: MixedForm) -> list[MixedForm]:
+    """The Clifford action on rho of each unit unknown: the vector legs'
+    interior products, then the covector legs' wedges."""
+    chart = rho.chart
+    return ([interior({leg.name: 1}, rho) for leg in chart.legs]
+            + [wedge(MixedForm.basis(chart, leg.name), rho) for leg in chart.legs])
+
+
+def _certificate(chart: Chart, coeffs: Sequence) -> GeneralizedSection:
+    """The section with the vector legs' coefficients first, then the
+    covector legs'; zero coefficients are left out, and a Gaussian-rational
+    covector is a ring form."""
+    n = chart.dim
+    vector = {leg.name: coeffs[i] for i, leg in enumerate(chart.legs)
+              if not is_structural_zero(coeffs[i])}
+    cov = MixedForm(chart, {(i,): coeffs[n + i] for i in range(n)
+                            if not is_structural_zero(coeffs[n + i])})
+    return GeneralizedSection.make(chart, vector, cov.as_ring())
+
+
+def _exact_certificate(rho: MixedForm,
+                       target: MixedForm) -> tuple[Optional[GeneralizedSection], int]:
+    """Solve target = (X + xi) . rho for constant X and xi over ``QQ_I``.
+
+    Both forms are ring forms.  Each pair (form key, monomial) is one
+    linear equation in the 2n unknowns; ``DomainMatrix.rref`` solves the
+    augmented system.  Returns the certificate, with every free unknown
+    set to 0, or None when the system is inconsistent; and the rank.
+    """
+    chart = rho.chart
+    columns = [a.ring_terms for a in _actions(rho)] + [target.ring_terms]
+    rows: dict[tuple, dict[int, object]] = {}
+    for col, terms in enumerate(columns):
+        for key, poly in terms.items():
+            for monom, coeff in poly.iterterms():
+                rows.setdefault((key, monom), {})[col] = coeff
+    last = len(columns) - 1
+    system = DomainMatrix(dict(enumerate(rows.values())), (len(rows), last + 1), QQ_I)
+    reduced, pivots = system.rref()
+    if last in pivots:
+        return None, len(pivots) - 1
+    entries = reduced.to_dok()
+    coeffs = [sympy.Integer(0)] * last
+    for row, col in enumerate(pivots):
+        coeffs[col] = QQ_I.to_sympy(entries.get((row, last), QQ_I.zero))
+    return _certificate(chart, coeffs), len(pivots)
+
+
+def _sampled_certificate(s: SpinorStructure, target: MixedForm,
+                         samples: int, seed: int, tol: float) -> Optional[GeneralizedSection]:
+    """Least squares at sampled points, rounded and re-verified; for
+    spinors with non-polynomial coefficients."""
     chart = s.chart
     region = s.region if s.region is not None else everywhere(chart)
-    # one unknown per vector leg and per covector leg
-    actions = [interior({leg.name: 1}, s.rho) for leg in chart.legs]
-    actions += [wedge(MixedForm.basis(chart, leg.name), s.rho) for leg in chart.legs]
+    actions = _actions(s.rho)
     keys = sorted(set(target.terms) | {k for a in actions for k in a.terms})
     rng = random.Random(seed)
     rows, rhs = [], []
@@ -201,18 +278,7 @@ def _solve_certificate(s: SpinorStructure, target: MixedForm,
     scale = max(1.0, numpy.linalg.norm(vec))
     if residual > 1e-7 * scale:
         return None
-    coeffs = [_rationalize(c) for c in sol]
-    n = chart.dim
-    vector = {
-        leg.name: coeffs[i] for i, leg in enumerate(chart.legs)
-        if not is_structural_zero(coeffs[i])
-    }
-    cov = MixedForm(chart, {
-        (chart.leg_index(leg.name),): coeffs[n + i]
-        for i, leg in enumerate(chart.legs)
-        if not is_structural_zero(coeffs[n + i])
-    })
-    cert = GeneralizedSection.make(chart, vector, cov)
+    cert = _certificate(chart, [_rationalize(c) for c in sol])
     if form_equal(target, clifford(cert, s.rho), region=s.region,
                   samples=samples, seed=seed + 1, tol=tol):
         return cert

@@ -123,6 +123,24 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
         assert "line 2" in err and message in err, err
 
 
+@pytest.mark.parametrize("check", [
+    "check equal on C z1, z1 on R expect equal",
+    "check type s at z1 = 0.3 on R expect 0",
+])
+def test_cli_region_must_lie_on_the_checks_chart(tmp_path, capsys, check):
+    scn = tmp_path / "s.gcx"
+    scn.write_text("chart C = complex z1\nchart D = complex w1\n"
+                   "region R on D = w1 in (0.2, 0.5)\nspinor s = on C; rho z1\n"
+                   f"{check}\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5: region 'R' lies on chart 'D', not on 'C'" in err, err
+    # the same check on a region of its own chart runs
+    scn.write_text(scn.read_text().replace("region R on D = w1", "region R on C = z1"))
+    assert main(["run", str(scn)]) == 0
+
+
 _SURGERY = (
     "group comp = < l1, l2 | [l1, l2] >\n"
     "manifold M = dim 6; chi 0; pi1 < a1, a2 | [a1, a2] >\n"

@@ -488,6 +488,33 @@ def test_ring_pullback_matches_reference(a, images):
     _assert_terms_equal(pullback(f, _ring_form(a)), ref)
 
 
+def _ref_interior(vector: dict, a: dict) -> dict:
+    out: dict = {}
+    for key, c in a.items():
+        for t, j in enumerate(key):
+            if j in vector:
+                _ref_add(out, key[:t] + key[t + 1:], (-1) ** t * vector[j] * c)
+    return out
+
+
+@_RING_SETTINGS
+@given(_coefficient_dicts(_keys()),
+       st.dictionaries(st.integers(0, _RING_CHART.dim - 1), _POLY, max_size=3))
+def test_ring_interior_matches_expression_path(a, vector):
+    X = {_RING_CHART.legs[j].name: c for j, c in vector.items()}
+    ring = interior(X, _ring_form(a))
+    expression = interior(X, MixedForm(_RING_CHART, a))
+    _assert_terms_equal(ring, _ref_interior(vector, a))
+    for key in set(ring.terms) | set(expression.terms):
+        assert sympy.expand(ring.coefficient(key) - expression.coefficient(key)) == 0, key
+    # a field that is not polynomial leaves the ring
+    mixed = interior({**X, "z1": sympy.sqrt(2)}, _ring_form(a))
+    assert mixed.ring_terms is None or not mixed.terms
+    # a ring-element field acts on an expression form too
+    ring_X = {name: _RING_CHART.to_ring(c) for name, c in X.items()}
+    assert form_equal(interior(ring_X, MixedForm(_RING_CHART, a)), ring)
+
+
 def test_ring_form_equal_compiles_and_samples_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ring forms compared through compiled sampling")

@@ -6,6 +6,7 @@ import sympy
 from conftest import real_chart
 from gcx import Chart, CoordinateMap, MixedForm, pullback
 from gcx.maps import MapError
+import gcx.maps as maps_module
 
 
 def test_identity_pullback_is_identity():
@@ -60,3 +61,26 @@ def test_compose_shared_names_simultaneous():
     gf = f.compose(g)
     assert sympy.expand(gf.table["x1"] - (x1 + x2)) == 0
     assert sympy.expand(gf.table["x2"] - (x2 - x1)) == 0
+
+
+@pytest.mark.parametrize("polynomial", [True, False], ids=["ring", "expression"])
+def test_pullback_differentiates_each_image_once(monkeypatch, polynomial):
+    A, B = real_chart(2, "A"), real_chart(2, "B")
+    x1, x2 = A.symbols
+    f = CoordinateMap.make(A, B, {"x1": x1 * x2, "x2": x1 + x2 ** 2})
+    calls = []
+    real_d_scalar = maps_module.d_scalar
+
+    def counting(chart, value):
+        calls.append(value)
+        return real_d_scalar(chart, value)
+
+    monkeypatch.setattr(maps_module, "d_scalar", counting)
+    y1, y2 = B.symbols
+    scalar = y1 * y2 if polynomial else sympy.exp(y1)
+    a = MixedForm(B, {(0,): scalar, (0, 1): y2}).as_ring()
+    first = pullback(f, a)
+    assert (first.ring_terms is not None) == polynomial
+    pullback(f, a)
+    pullback(f, MixedForm(B, {(1,): scalar}).as_ring())
+    assert len(calls) == B.dim

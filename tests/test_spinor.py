@@ -6,10 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import gcx
+
+from conftest import GAUSSIAN_RATIONALS, gaussian_polys
 
 from gcx import (
     Chart,
@@ -36,7 +40,13 @@ from gcx import (
     wedge,
 )
 from gcx.scalars import bump_function, compile_exprs
-from gcx.spinor import XI, surgery_certificate, surgery_exponent, surgery_regions
+from gcx.spinor import (
+    XI,
+    _exact_certificate,
+    surgery_certificate,
+    surgery_exponent,
+    surgery_regions,
+)
 
 
 def _c2():
@@ -78,6 +88,85 @@ def test_local_model_integrable_and_stable():
     assert form_equal(d(rho), clifford(res.certificate, rho))
     stab = check_stable(s)
     assert stab.stable
+
+
+def test_expression_held_polynomial_spinor_is_solved_exactly():
+    ch = _c2()
+    rho, _, _ = _local_model(ch)
+    assert rho.ring_terms is None  # built from MixedForm.scalar(ch, z1)
+    res = check_integrable(SpinorStructure.make(rho))
+    assert res.ok and res.path == "exact" and res.rank == 6
+    assert res.certificate.vector_map == {"z2": -1}
+    assert res.certificate.covector.terms == {(ch.leg_index("z2b"),): sympy.Rational(-1, 2)}
+
+
+def _forbid_sampling(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact solve sampled")
+
+    for module in (gcx.scalars, gcx.forms, gcx.spinor):
+        if hasattr(module, "compile_exprs"):
+            monkeypatch.setattr(module, "compile_exprs", forbidden)
+    monkeypatch.setattr(Region, "sample", forbidden)
+    monkeypatch.setattr(numpy.linalg, "lstsq", forbidden)
+
+
+def test_certificate_1009_is_exact(monkeypatch):
+    _forbid_sampling(monkeypatch)
+    ch = _c2()
+    rho = MixedForm.scalar(ch, ch.symbol("z1")) + wedge(
+        MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z2")).scale(1009)
+    res = check_integrable(SpinorStructure.make(rho))
+    assert res.ok and res.path == "exact"
+    assert res.certificate.vector_map == {"z2": sympy.Rational(-1, 1009)}
+    assert res.certificate.covector.is_zero()
+
+
+def test_inconsistent_ring_system_fails_exactly(monkeypatch):
+    _forbid_sampling(monkeypatch)
+    ch = _c2()
+    # d(z1^2) = 2 z1 dz1 has a z1 dz1 term no constant certificate can reach
+    rho = MixedForm.scalar(ch, ch.symbol("z1") ** 2) + wedge(
+        MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z2"))
+    res = check_integrable(SpinorStructure.make(rho))
+    assert not res and res.certificate is None
+    assert res.message == "not integrable: no constant certificate"
+    assert res.path == "exact" and res.rank is not None
+
+
+def test_non_polynomial_spinor_takes_the_sampled_path():
+    ch = _c2()
+    z1, z2 = ch.symbol("z1"), ch.symbol("z2")
+    res = check_integrable(SpinorStructure.make(MixedForm.scalar(ch, sympy.exp(z2))))
+    assert res.ok and res.path == "sampled" and res.rank is None
+    assert form_equal(res.certificate.covector, MixedForm.basis(ch, "z2"))
+    res = check_integrable(SpinorStructure.make(MixedForm.scalar(ch, 1 / z1)))
+    assert not res and res.path == "sampled"
+    assert res.message == "not integrable (at sampled genericity): no constant certificate"
+
+
+_C2 = _c2()
+_C2_POLY = gaussian_polys(_C2)
+_C2_KEYS = st.sets(st.integers(0, _C2.dim - 1), max_size=3).map(lambda k: tuple(sorted(k)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.dictionaries(_C2_KEYS, _C2_POLY, min_size=1, max_size=4),
+       st.lists(GAUSSIAN_RATIONALS, min_size=2 * _C2.dim, max_size=2 * _C2.dim))
+def test_exact_solve_recovers_a_constant_certificate(terms, coeffs):
+    ch = _C2
+    rho = MixedForm(ch, {k: ch.to_ring(c) for k, c in terms.items()})
+    n = ch.dim
+    true = GeneralizedSection.make(
+        ch, {leg.name: coeffs[i] for i, leg in enumerate(ch.legs)},
+        MixedForm(ch, {(i,): ch.to_ring(coeffs[n + i]) for i in range(n)}))
+    target = clifford(true, rho)
+    assert target.ring_terms is not None
+    found, rank = _exact_certificate(rho, target)
+    assert found is not None and rank <= 2 * n
+    # with free unknowns the certificate need not be unique; its action is
+    action = clifford(found, rho)
+    assert action.ring_terms is not None and form_equal(action, target)
 
 
 def test_stability_detects_degenerate_s0():
