@@ -135,12 +135,6 @@ class Chart:
         except ValueError:  # a denominator, a function, pi, a foreign symbol
             return None
 
-    def coordinate(self, name: str) -> Coordinate:
-        for c in self.coords:
-            if c.name == name:
-                return c
-        raise ChartError(f"chart {self.name!r} has no coordinate {name!r}")
-
     def __repr__(self):
         return f"Chart({self.name!r}, dim={self.dim})"
 
@@ -217,13 +211,6 @@ class Interval:
     lo: Optional[float] = None
     hi: Optional[float] = None
 
-    def contains(self, x: float, tol: float = 1e-12) -> bool:
-        if self.lo is not None and x < self.lo - tol:
-            return False
-        if self.hi is not None and x > self.hi + tol:
-            return False
-        return True
-
     def intersect(self, other: "Interval") -> "Interval":
         lo = self.lo if other.lo is None else (other.lo if self.lo is None else max(self.lo, other.lo))
         hi = self.hi if other.hi is None else (other.hi if self.hi is None else min(self.hi, other.hi))
@@ -280,26 +267,7 @@ class Region:
     def bump_map(self) -> dict[str, int]:
         return dict(self.bump_values)
 
-    def contains(self, point: Mapping[str, complex]) -> bool:
-        pt = self.chart.point(point)
-        for c in self.chart.coords:
-            iv = self.bound_for(c.name)
-            if iv.lo is None and iv.hi is None:
-                continue
-            if c.kind == "complex":
-                if not iv.contains(abs(pt[c.name])):
-                    return False
-            else:
-                if not iv.contains(pt[c.name].real):
-                    return False
-        for name in self.nonzero:
-            if abs(pt[name]) == 0.0:
-                return False
-        return True
-
     def intersect(self, other: "Region") -> "Region":
-        if other is None:
-            return self
         if self.chart is not other.chart and self.chart != other.chart:
             raise RegionError("cannot intersect regions on different charts")
         bumps = dict(self.bump_values)
@@ -338,6 +306,15 @@ class Region:
                 lo, hi = _window(iv, c.kind)
                 values[c.name] = complex(rng.uniform(lo, hi))
         return self.chart.point(values)
+
+
+def merge_regions(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
+    """The intersection of two optional regions; None when both are None."""
+    if a is None:
+        return b
+    if b is None or b is a:
+        return a
+    return a.intersect(b)
 
 
 def _window(iv: Interval, kind: str) -> tuple[float, float]:

@@ -39,7 +39,6 @@ from .scalars import (
     compile_exprs,
     expr_equal,
     is_structural_zero,
-    merge_domains,
     pin_bumps,
 )
 
@@ -70,6 +69,11 @@ def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
 
 def _add_to(data: dict, key, value) -> None:
     data[key] = data[key] + value if key in data else value
+
+
+def _as_expr(c) -> sympy.Expr:
+    """A coefficient as an expression: a ring element is converted."""
+    return c.as_expr() if isinstance(c, PolyElement) else sympy.sympify(c)
 
 
 def _signed(sign: int, c):
@@ -117,12 +121,10 @@ class MixedForm:
 
     # _compiled: region bump pins -> (keys, compiled coefficients), filled
     # by evaluate_at
-    __slots__ = ("chart", "terms", "ring_terms", "domain", "_compiled")
+    __slots__ = ("chart", "terms", "ring_terms", "_compiled")
 
-    def __init__(self, chart: Chart, terms: Mapping | None = None,
-                 domain: Optional[Region] = None):
+    def __init__(self, chart: Chart, terms: Mapping | None = None):
         self.chart = chart
-        self.domain = domain
         self._compiled = {}
         terms = terms or {}
         polynomial = all(isinstance(c, PolyElement) for c in terms.values())
@@ -158,8 +160,8 @@ class MixedForm:
         return cls(chart, {(): chart.ring.one})
 
     @classmethod
-    def scalar(cls, chart: Chart, expr, domain: Optional[Region] = None) -> "MixedForm":
-        return cls(chart, {(): expr}, domain)
+    def scalar(cls, chart: Chart, expr) -> "MixedForm":
+        return cls(chart, {(): expr})
 
     @classmethod
     def basis(cls, chart: Chart, leg: str) -> "MixedForm":
@@ -183,7 +185,7 @@ class MixedForm:
             data[key] = self.chart.to_ring(c)
             if data[key] is None:
                 return self
-        return MixedForm(self.chart, data, self.domain)
+        return MixedForm(self.chart, data)
 
     @property
     def _coefficients(self) -> Mapping:
@@ -194,7 +196,6 @@ class MixedForm:
         return MixedForm(
             self.chart,
             {key: c for key, c in self._coefficients.items() if len(key) == k},
-            self.domain,
         )
 
     @property
@@ -235,14 +236,13 @@ class MixedForm:
         data = dict(mine)
         for key, c in theirs.items():
             _add_to(data, key, c)
-        return MixedForm(self.chart, data, merge_domains(self.domain, other.domain))
+        return MixedForm(self.chart, data)
 
     def __sub__(self, other: "MixedForm") -> "MixedForm":
         return self + (-other)
 
     def __neg__(self) -> "MixedForm":
-        return MixedForm(self.chart, {k: -c for k, c in self._coefficients.items()},
-                         self.domain)
+        return MixedForm(self.chart, {k: -c for k, c in self._coefficients.items()})
 
     def scale(self, scalar) -> "MixedForm":
         """Multiply by a scalar: an expression or a ring element.
@@ -252,10 +252,9 @@ class MixedForm:
         if self.ring_terms is not None:
             factor = self.chart.to_ring(scalar)
             if factor is not None:
-                return MixedForm(self.chart, {k: factor * c for k, c in self.ring_terms.items()},
-                                 self.domain)
-        scalar = scalar.as_expr() if isinstance(scalar, PolyElement) else sympy.sympify(scalar)
-        return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()}, self.domain)
+                return MixedForm(self.chart, {k: factor * c for k, c in self.ring_terms.items()})
+        scalar = _as_expr(scalar)
+        return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()})
 
     def __mul__(self, scalar):
         return self.scale(scalar)
@@ -269,10 +268,10 @@ class MixedForm:
         for key, c in self._coefficients.items():
             skey, sign = _sort_key(chart.conj_index(i) for i in key)
             _add_to(data, skey, _signed(sign, conj(c)))
-        return MixedForm(chart, data, self.domain)
+        return MixedForm(chart, data)
 
     def map_coefficients(self, fn) -> "MixedForm":
-        return MixedForm(self.chart, {k: fn(c) for k, c in self.terms.items()}, self.domain)
+        return MixedForm(self.chart, {k: fn(c) for k, c in self.terms.items()})
 
     def real_part(self) -> "MixedForm":
         return (self + self.conjugate()).scale(sympy.Rational(1, 2))
@@ -328,7 +327,7 @@ def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
             if set(k1) & set(k2):
                 continue
             _add_to(data, tuple(sorted(k1 + k2)), _signed(_merge_sign(k1, k2), c1) * c2)
-    return MixedForm(a.chart, data, merge_domains(a.domain, b.domain))
+    return MixedForm(a.chart, data)
 
 
 def wedge_list(forms: Iterable[MixedForm]) -> MixedForm:
@@ -365,7 +364,7 @@ def d(a: MixedForm) -> MixedForm:
                 continue
             pos = sum(1 for i in key if i < j)
             _add_to(data, tuple(sorted(key + (j,))), _signed((-1) ** pos, dc))
-    return MixedForm(chart, data, a.domain)
+    return MixedForm(chart, data)
 
 
 def d_scalar(chart: Chart, expr) -> MixedForm:
@@ -385,8 +384,7 @@ def interior(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
     if ring_idx is not None and all(c is not None for c in ring_idx.values()):
         idx, coefficients = ring_idx, a.ring_terms
     else:
-        idx = {j: c.as_expr() if isinstance(c, PolyElement) else sympy.sympify(c)
-               for j, c in idx.items()}
+        idx = {j: _as_expr(c) for j, c in idx.items()}
         coefficients = a.terms
     data: dict[tuple[int, ...], object] = {}
     for key, c in coefficients.items():
@@ -394,7 +392,7 @@ def interior(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
             xc = idx.get(j)
             if xc is not None:
                 _add_to(data, key[:t] + key[t + 1:], _signed((-1) ** t, xc) * c)
-    return MixedForm(chart, data, a.domain)
+    return MixedForm(chart, data)
 
 
 def lie_derivative(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
@@ -433,7 +431,7 @@ class GeneralizedSection:
     def make(chart: Chart, vector: Mapping[str, object] | None = None,
              covector: MixedForm | None = None) -> "GeneralizedSection":
         vec = tuple(
-            sorted((name, sympy.sympify(v)) for name, v in (vector or {}).items())
+            sorted((name, _as_expr(v)) for name, v in (vector or {}).items())
         )
         for name, _ in vec:
             chart.leg_index(name)
@@ -464,7 +462,7 @@ class GeneralizedSection:
         return GeneralizedSection.make(self.chart, vec, self.covector + other.covector)
 
     def scale(self, c) -> "GeneralizedSection":
-        c = sympy.sympify(c)
+        c = _as_expr(c)
         return GeneralizedSection.make(
             self.chart,
             {name: c * v for name, v in self.vector},
@@ -552,7 +550,6 @@ def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
     through :func:`expr_equal` with one shared sampling rng.
     """
     a._check(b)
-    region = merge_domains(merge_domains(region, a.domain), b.domain)
     if a.ring_terms is not None and b.ring_terms is not None:
         zero = a.chart.ring.zero
 

@@ -193,16 +193,8 @@ class GroupPresentation:
         return GroupPresentation(gens, checked_words(gens, map(_reduced, relators)))
 
     @staticmethod
-    def trivial() -> "GroupPresentation":
-        return GroupPresentation((), ())
-
-    @staticmethod
     def free(*names: str) -> "GroupPresentation":
         return GroupPresentation.make(names)
-
-    @staticmethod
-    def cyclic(name: str, order: int) -> "GroupPresentation":
-        return GroupPresentation.make([name], [f"{name}^{order}"])
 
     def describe(self) -> str:
         gens = ", ".join(self.generators)
@@ -229,24 +221,21 @@ def free_product(g: GroupPresentation, h: GroupPresentation) -> GroupPresentatio
     return GroupPresentation(g.generators + tuple(new_h_gens), g.relators + h_rels)
 
 
-def quotient_normal_closure(g: GroupPresentation, words: Iterable,
-                            simplify: bool = True) -> GroupPresentation:
-    """Quotient by the normal closure of the given words."""
+def quotient_normal_closure(g: GroupPresentation, words: Iterable) -> GroupPresentation:
+    """Quotient by the normal closure of the given words, Tietze-simplified."""
     extra = checked_words(g.generators, map(_reduced, words))
-    out = GroupPresentation(g.generators, g.relators + extra)
-    return tietze_simplify(out) if simplify else out
+    return tietze_simplify(GroupPresentation(g.generators, g.relators + extra))
 
 
-def tietze_simplify(g: GroupPresentation, max_passes: int = 30) -> GroupPresentation:
+def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
     """Bounded Tietze simplification.
 
     Removes trivial relators, eliminates generators that some relator
-    defines in terms of the others, and deduplicates; stops after a
-    bounded number of passes.
+    defines in terms of the others, and deduplicates, for at most 30 passes.
     """
     gens = list(g.generators)
     rels = [cyclic_reduce(r) for r in g.relators]
-    for _ in range(max_passes):
+    for _ in range(30):
         changed = False
         rels = [r for r in rels if r]
         # dedupe (up to inversion)

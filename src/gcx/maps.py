@@ -9,7 +9,7 @@ from typing import Mapping, Optional
 import sympy
 from sympy.polys.rings import PolyElement, PolyRing
 
-from .chart import Chart, Region
+from .chart import Chart
 from .forms import FormError, MixedForm, d_scalar, wedge_list
 from .scalars import compile_exprs, is_structural_zero
 
@@ -30,12 +30,11 @@ class CoordinateMap:
     source: Chart
     target: Chart
     assignments: tuple[tuple[str, sympy.Expr], ...]
-    domain: Optional[Region] = None
     name: str = "map"
 
     @staticmethod
     def make(source: Chart, target: Chart, assignments: Mapping[str, object],
-             domain: Optional[Region] = None, name: str = "map") -> "CoordinateMap":
+             name: str = "map") -> "CoordinateMap":
         table: dict[str, sympy.Expr] = {}
         for key, expr in assignments.items():
             target.leg_index(key)
@@ -58,8 +57,7 @@ class CoordinateMap:
                     f"assignment {key!r} of map {name!r} uses non-source symbols {extra}"
                 )
         return CoordinateMap(
-            source, target, tuple(sorted(table.items(), key=lambda kv: kv[0])),
-            domain, name,
+            source, target, tuple(sorted(table.items(), key=lambda kv: kv[0])), name,
         )
 
     @staticmethod
@@ -114,8 +112,7 @@ class CoordinateMap:
             for k, v in outer.assignments
         }
         return CoordinateMap.make(
-            self.source, outer.target, table, self.domain,
-            name or f"{outer.name}*{self.name}",
+            self.source, outer.target, table, name or f"{outer.name}*{self.name}",
         )
 
 
@@ -161,7 +158,7 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
 
         def pull(c):
             return sympy.sympify(c).subs(subs, simultaneous=True)
-    out = MixedForm(f.source, {}, f.domain)
+    out = MixedForm.zero(f.source)
     for key, c in coefficients.items():
         pc = pull(c)
         if is_structural_zero(pc):

@@ -167,14 +167,6 @@ def pin_bumps(expr: sympy.Expr, bump_values: Mapping[str, int]) -> sympy.Expr:
     )
 
 
-def merge_domains(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
-    if a is None:
-        return b
-    if b is None or b is a:
-        return a
-    return a.intersect(b)
-
-
 # ---------------------------------------------------------------------------
 # Numeric evaluation and structural/probabilistic equality.
 # ---------------------------------------------------------------------------
@@ -318,7 +310,6 @@ def expr_equal(
     chart: Chart,
     region: Optional[Region] = None,
     samples: int = 32,
-    seed: int = 0,
     tol: float = 1e-9,
     rng=None,
 ) -> bool:
@@ -335,8 +326,9 @@ def expr_equal(
     an open region, and the Wirtinger legs (z, zb) are an invertible linear
     change of the real coordinates, so no sampling is needed there.  Only
     transcendental or opaque terms fall through to sampling at up to
-    ``samples`` points of the region, where ``|a - b|`` must stay within
-    ``tol`` times ``max(1, |a|)``.
+    ``samples`` points of the region, drawn with ``rng`` (by default
+    ``random.Random(0)``), where ``|a - b|`` must stay within ``tol`` times
+    ``max(1, |a|)``.
     """
     a, b = sympy.sympify(a), sympy.sympify(b)
     pins = region.bump_map if region is not None else {}
@@ -356,7 +348,7 @@ def expr_equal(
     if region is None:
         region = Region(chart, "everywhere")
     if rng is None:
-        rng = random.Random(seed)
+        rng = random.Random(0)
     diff_at = compile_exprs([diff], chart)
     a_at = compile_exprs([a], chart)
     failures = 0

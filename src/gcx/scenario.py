@@ -493,6 +493,24 @@ def _stmt_region(sc, ts, line, text):
     sc.regions[name] = Region.make(chart, name, bounds, nonzero, bump_values)
 
 
+def _int_list(ts, line) -> list[int]:
+    """``[a, b, ...]``; the commas are optional."""
+    ts.expect("[")
+    out = []
+    while not ts.accept("]"):
+        out.append(int(_read_number(ts, line)))
+        ts.accept(",")
+    return out
+
+
+def _spin_flag(ts) -> str:
+    """A spin flag: one name, or ``non-spin``."""
+    tok = ts.next().text
+    if tok == "non" and ts.accept("-"):
+        tok = "non-" + ts.next().text
+    return tok
+
+
 def _interval(ts, line) -> tuple[float, float]:
     ts.expect("(")
     lo = _read_number(ts, line)
@@ -714,10 +732,7 @@ def _stmt_manifold(sc, ts, line, text):
         elif key == "sigma":
             fields["signature"] = int(_read_number(ts, line))
         elif key == "spin":
-            tok = ts.next().text
-            if tok == "non" and ts.accept("-"):
-                tok = "non-" + ts.next().text
-            fields["spin"] = tok
+            fields["spin"] = _spin_flag(ts)
         elif key == "pi1":
             tok = ts.peek()
             if tok is not None and tok.text == "<":
@@ -866,18 +881,6 @@ def _stmt_check(sc, ts, line, text):
         payload["manifold"] = ts.next().text
     elif what == "abelianization":
         payload["target"] = ts.next().text
-        ts.expect("expect")
-        ts.expect("rank")
-        payload["rank"] = int(_read_number(ts, line))
-        ts.expect("torsion")
-        ts.expect("[")
-        torsion = []
-        while not ts.accept("]"):
-            torsion.append(int(_read_number(ts, line)))
-            ts.accept(",")
-        payload["torsion"] = torsion
-        sc.commands.append(Command("check", payload, line, text))
-        return
     elif what == "classify5":
         if ts.accept("k"):
             payload["k"] = int(_read_number(ts, line))
@@ -888,17 +891,7 @@ def _stmt_check(sc, ts, line, text):
             genus = int(_read_number(ts, line))
             payload["k"] = b2 + 2 * genus - 1
         ts.expect("spin")
-        tok = ts.next().text
-        if tok == "non" and ts.accept("-"):
-            tok = "non-" + ts.next().text
-        payload["spin"] = tok
-        ts.expect("expect")
-        s = ts.next()
-        if s.kind != "string":
-            raise ParseError("classify5 expects a quoted string", line)
-        payload["expect"] = s.text.strip('"')
-        sc.commands.append(Command("check", payload, line, text))
-        return
+        payload["spin"] = _spin_flag(ts)
     elif what == "riemann":
         ts.expect("-")
         ts.expect("hurwitz")
@@ -909,17 +902,20 @@ def _stmt_check(sc, ts, line, text):
         ts.expect("degree")
         payload["degree"] = int(_read_number(ts, line))
         ts.expect("indices")
-        ts.expect("[")
-        idx = []
-        while not ts.accept("]"):
-            idx.append(int(_read_number(ts, line)))
-            ts.accept(",")
-        payload["indices"] = idx
+        payload["indices"] = _int_list(ts, line)
         payload["what"] = "riemann-hurwitz"
     else:
         raise ParseError(f"unknown check {what!r}", line)
     ts.expect("expect")
-    payload["expect"] = _expect_value(ts, line)
+    if what == "abelianization":
+        ts.expect("rank")
+        payload["rank"] = int(_read_number(ts, line))
+        ts.expect("torsion")
+        payload["torsion"] = _int_list(ts, line)
+    elif what == "classify5" and getattr(ts.peek(), "kind", None) != "string":
+        raise ParseError("classify5 expects a quoted string", line)
+    else:
+        payload["expect"] = _expect_value(ts, line)
     _assert_consumed(ts, line)
     if "spinor" in payload:
         payload["spinor"] = _named(sc.spinors, "spinor", payload["spinor"], line)

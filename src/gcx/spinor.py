@@ -31,7 +31,7 @@ import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from .chart import Chart, Region, everywhere
+from .chart import Chart, Region, everywhere, merge_regions
 from .forms import (
     EqualityResult,
     GeneralizedSection,
@@ -50,13 +50,16 @@ from .scalars import (
     bump_function,
     compile_exprs,
     is_structural_zero,
-    merge_domains,
 )
 from .topology import SurgeryParams, validate_surgery_params
 
 
 class SpinorError(ValueError):
     """Ill-formed spinor structure or failed geometric precondition."""
+
+
+_BUILD_SAMPLES = 8  # for the identity checks made while a spinor is built
+_STABLE_SAMPLES, _STABLE_TOL = 12, 1e-7  # check_stable's zero set and rank
 
 
 @dataclass(frozen=True)
@@ -82,24 +85,21 @@ class SpinorStructure:
     def make(rho: MixedForm, h: Optional[MixedForm] = None,
              region: Optional[Region] = None,
              certificate: Optional[GeneralizedSection] = None,
-             hints: Optional[DecompositionHints] = None,
-             samples: int = 8, seed: int = 0, tol: float = 1e-9) -> "SpinorStructure":
+             hints: Optional[DecompositionHints] = None) -> "SpinorStructure":
         chart = rho.chart
         if h is None:
             h = MixedForm.zero(chart)
         if not h.is_zero() and not h.is_homogeneous(3):
             raise SpinorError("twisting form must be a 3-form")
-        if not form_equal(d(h), MixedForm.zero(chart), region=region,
-                          samples=samples, seed=seed, tol=tol):
+        if not form_equal(d(h), MixedForm.zero(chart), region=region, samples=_BUILD_SAMPLES):
             raise SpinorError("twisting 3-form is not closed")
         s = SpinorStructure(chart, rho, h, region, certificate, hints)
         if hints is not None:
             stated = wedge(
                 exp_form(hints.b + hints.omega.scale(sympy.I)), hints.big_omega
             )
-            reg = merge_domains(region, hints.region)
-            if not form_equal(rho, stated, region=reg, samples=samples,
-                              seed=seed, tol=tol):
+            reg = merge_regions(region, hints.region)
+            if not form_equal(rho, stated, region=reg, samples=_BUILD_SAMPLES):
                 raise SpinorError(
                     "decomposition hints do not reproduce rho on their region"
                 )
@@ -111,10 +111,31 @@ class SpinorStructure:
 # ---------------------------------------------------------------------------
 
 
+def _require_plateau(form: MixedForm, point: Mapping[str, complex],
+                     region: Optional[Region]) -> None:
+    """Raise :class:`SpinorError` unless the point is on every plateau the
+    region pins: the argument of a bump pinned to 0 must be at most its
+    ``zero_upto``, of one pinned to 1 at least its ``one_from``."""
+    if region is None or not region.bump_values:
+        return
+    pins = region.bump_map
+    nodes = list(dict.fromkeys(
+        node for c in form.terms.values() for node in c.atoms(sympy.Function)
+        if node.func.__name__.removesuffix("_prime") in pins
+        and getattr(node.func, "spec", None) is not None))
+    args = compile_exprs([node.args[0] for node in nodes], form.chart)(point)
+    for node, t in zip(nodes, args.real.tolist()):
+        name, spec = node.func.__name__.removesuffix("_prime"), node.func.spec
+        if t > spec.zero_upto if pins[name] == 0 else t < spec.one_from:
+            raise SpinorError(f"point is off the plateau of bump {name!r}: region "
+                              f"{region.name!r} pins it to {pins[name]}, but its argument is {t:.6g}")
+
+
 def type_at(rho: MixedForm, point: Mapping[str, complex],
             region: Optional[Region] = None, tol: float = 1e-9) -> int:
-    """Lowest degree with a nonvanishing coefficient block at the point."""
-    region = merge_domains(region, rho.domain)
+    """Lowest degree with a nonvanishing coefficient block at the point,
+    which must lie on the region's bump plateaus."""
+    _require_plateau(rho, point, region)
     values = rho.evaluate_at(point, region)
     live = [len(k) for k, v in values.items() if abs(v) > tol]
     if not live:
@@ -138,7 +159,8 @@ def check_nondegenerate(s: SpinorStructure, point: Mapping[str, complex],
         raise SpinorError("Omega hint is not homogeneous")
     top = wedge(big, big.conjugate())
     top = wedge(top, wedge_power(s.hints.omega, m - k))
-    region = merge_domains(s.region, s.hints.region)
+    region = merge_regions(s.region, s.hints.region)
+    _require_plateau(top, point, region)
     values = top.evaluate_at(point, region)
     full = tuple(range(chart.dim))
     return abs(values.get(full, 0.0)) > tol
@@ -313,8 +335,7 @@ class StabilityResult:
         return self.stable
 
 
-def check_stable(s: SpinorStructure, samples: int = 12, seed: int = 0,
-                 tol: float = 1e-7) -> StabilityResult:
+def check_stable(s: SpinorStructure, seed: int = 0) -> StabilityResult:
     """Transversality of the degree-0 part along its zero set.
 
     Zero-set points are found by solving when s0 is affine in one
@@ -327,12 +348,12 @@ def check_stable(s: SpinorStructure, samples: int = 12, seed: int = 0,
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
     region = s.region if s.region is not None else everywhere(chart)
     rng = random.Random(seed)
-    zeros = _sample_zero_set(chart, s0, region, rng, samples)
+    zeros = _sample_zero_set(chart, s0, region, rng, _STABLE_SAMPLES)
     if zeros is None:
         raise SpinorError("cannot sample the zero set of the degree-0 part")
     if not zeros:
         return StabilityResult(True, None, "degree-0 part has empty zero set")
-    rank_at = _real_differential_rank(chart, s0, tol)
+    rank_at = _real_differential_rank(chart, s0, _STABLE_TOL)
     if any(rank_at(pt) != 2 for pt in zeros):
         return StabilityResult(
             False, s0, "real differential drops rank on the zero set"
@@ -439,12 +460,11 @@ def _real_differential_rank(chart: Chart, s0: sympy.Expr, tol: float):
 # ---------------------------------------------------------------------------
 
 
-def b_field_transform(s: SpinorStructure, b: MixedForm,
-                      samples: int = 8, seed: int = 0) -> SpinorStructure:
+def b_field_transform(s: SpinorStructure, b: MixedForm) -> SpinorStructure:
     """rho -> e^B ^ rho, H -> H - dB; the certificate is transported."""
     if not b.is_homogeneous(2):
         raise SpinorError("B-field must be a 2-form")
-    if not form_equal(b, b.conjugate(), region=s.region, samples=samples, seed=seed):
+    if not form_equal(b, b.conjugate(), region=s.region, samples=_BUILD_SAMPLES):
         raise SpinorError("B-field must be real")
     rho = wedge(exp_form(b), s.rho)
     h = s.h - d(b)
@@ -583,7 +603,7 @@ def _surgery_spinor(params, extra: Optional[MixedForm], chart: Optional[Chart],
         )
     exponent = surgery_exponent(chart, params, bump, gluck=gluck)
     if extra is not None:
-        if not form_equal(d(extra), MixedForm.zero(chart), samples=8):
+        if not form_equal(d(extra), MixedForm.zero(chart), samples=_BUILD_SAMPLES):
             raise SpinorError(f"{'R' if gluck else 'Sigma'} symplectic form must be closed")
         exponent = exponent + extra.scale(sympy.I)
     z1 = chart.symbol("z1")
@@ -601,29 +621,29 @@ def _surgery_spinor(params, extra: Optional[MixedForm], chart: Optional[Chart],
 RADIAL_PROFILES = ("lemma", "paper")
 
 
-def collar_charts(sigma: Sequence[tuple[str, str]] = ()) -> tuple[Chart, Chart]:
+def collar_charts() -> tuple[Chart, Chart]:
     """Polar collar charts for the two sides of the gluing."""
     src = Chart("collar", [("r", "radial"), ("t0", "angle"), ("t1", "angle"),
-                           ("t2", "angle"), *sigma])
+                           ("t2", "angle")])
     tgt = Chart("collar~", [("rt", "radial"), ("s0", "angle"), ("s1", "angle"),
-                            ("s2", "angle"), *sigma])
+                            ("s2", "angle")])
     return src, tgt
 
 
-def luttinger_gluing_map(params, sigma: Sequence[tuple[str, str]] = (),
-                         profile: str = "lemma") -> tuple[CoordinateMap, MixedForm]:
+def luttinger_gluing_map(params, profile: str = "lemma") -> tuple[CoordinateMap, MixedForm]:
     """The gluing phi on the collar, and the product form omega~ upstairs.
 
     The radial profile fixes r_t as a function of r: "paper" uses
     sqrt(2 log(r e)) as displayed; "lemma" uses sqrt(log(r e)), for
     which r_t dr_t = dr/2r and the extension spinor's imaginary
     exponent equals phi*(omega~) exactly.  The angular part is
-    (t0, t2) -> (p t0 + a t2, q t0 + b t2), identity on t1 and Sigma.
+    (t0, t2) -> (p t0 + a t2, q t0 + b t2), identity on t1.  The collar
+    checks sample phi on the annulus r in (0.6, 0.95), where it is defined.
     """
     params = _as_params(params)
     if profile not in RADIAL_PROFILES:
         raise SpinorError(f"unknown radial profile {profile!r}")
-    src, tgt = collar_charts(sigma)
+    src, tgt = collar_charts()
     r = src.symbol("r")
     inner = sympy.log(r * sympy.E)
     rt = sympy.sqrt(2 * inner) if profile == "paper" else sympy.sqrt(inner)
@@ -633,10 +653,7 @@ def luttinger_gluing_map(params, sigma: Sequence[tuple[str, str]] = (),
         "s1": src.symbol("t1"),
         "s2": params.q * src.symbol("t0") + params.b * src.symbol("t2"),
     }
-    for name, _kind in sigma:
-        table[name] = src.symbol(name)
-    domain = Region.make(src, "gluing-collar", bounds={"r": (0.45, 0.99)})
-    phi = CoordinateMap.make(src, tgt, table, domain=domain, name="phi")
+    phi = CoordinateMap.make(src, tgt, table, name="phi")
     omega_tilde = MixedForm(tgt, {
         (tgt.leg_index("rt"), tgt.leg_index("s0")): tgt.symbol("rt"),
         (tgt.leg_index("s1"), tgt.leg_index("s2")): sympy.Integer(1),
@@ -645,12 +662,9 @@ def luttinger_gluing_map(params, sigma: Sequence[tuple[str, str]] = (),
 
 
 def disk_to_complex_map(polar: Chart, cx: Chart) -> CoordinateMap:
-    """z1 = r e^{i t0}, z2 = t1 + i t2 (plus identity on any extra legs)."""
+    """z1 = r e^{i t0}, z2 = t1 + i t2."""
     r, t0, t1, t2 = (polar.symbol(n) for n in ("r", "t0", "t1", "t2"))
     table = {"z1": r * sympy.exp(sympy.I * t0), "z2": t1 + sympy.I * t2}
-    for leg in cx.legs:
-        if leg.coord not in ("z1", "z2") and leg.kind not in ("anti",):
-            table[leg.name] = polar.symbol(leg.name)
     return CoordinateMap.make(polar, cx, table, name="psi")
 
 
@@ -700,7 +714,7 @@ def lemma_extension_check(params, profile: str = "lemma", samples: int = 64,
 
 
 def assembly_check(params, profile: str = "lemma", samples: int = 16, seed: int = 0,
-                   tol: float = 1e-9, perturb=None) -> EqualityResult:
+                   tol: float = 1e-9) -> EqualityResult:
     """Compare the two pieces of the glued structure on the collar.
 
     The inside piece is the extension spinor pulled back to polar
@@ -708,14 +722,10 @@ def assembly_check(params, profile: str = "lemma", samples: int = 16, seed: int 
     B0 the real part of the extension exponent.  They must agree on the
     xi = 1 annulus up to the scalar z1 = r e^{i t0}; the result names
     the first coefficient that differs.  ``profile`` is the gluing's
-    radial profile, as in :func:`luttinger_gluing_map`.  ``perturb``
-    optionally rescales B0 on the outside piece to exhibit a detected
-    mismatch.
+    radial profile, as in :func:`luttinger_gluing_map`.
     """
     rho, exponent, phi, omega_tilde, annulus, z1 = _collar(params, profile)
     b0 = exponent.real_part()
-    if perturb is not None:
-        b0 = b0.scale(sympy.sympify(perturb))
     outside = wedge(exp_form(b0), pullback(phi, exp_form(omega_tilde.scale(sympy.I))))
     return form_equal(rho, outside.scale(z1), region=annulus, samples=samples,
                       seed=seed, tol=tol)

@@ -182,10 +182,8 @@ class ManifoldDescriptor:
     spin: str = "unknown"
     pi1: Optional[GroupPresentation] = None  # None means unknown
     b2: Optional[int] = None
-    h2_torsion: tuple[int, ...] = ()
     components: tuple[TypeChangeComponent, ...] = ()
     loci: tuple[SurgeryLocus, ...] = ()
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.dimension % 2:
@@ -236,57 +234,40 @@ def _surgery_pi1(locus: SurgeryLocus, params: SurgeryParams):
 
 
 def _do_torus_surgery(m: ManifoldDescriptor, locus: SurgeryLocus,
-                      params: SurgeryParams, kind: str, label: str,
-                      note: str) -> ManifoldDescriptor:
+                      params: SurgeryParams, kind: str, label: str) -> ManifoldDescriptor:
+    """The descriptor after the surgery: one more type-change component, and
+    pi1 from the gluing data, or unknown when the locus has none."""
     if locus.kind != kind:
         raise TopologyError(f"locus {locus.name!r} has kind {locus.kind!r}, need {kind!r}")
     if not locus.neighborhood_trivial:
         raise TopologyError(f"locus {locus.name!r} lacks a trivial neighborhood")
     if not locus.j_symplectic:
         raise TopologyError(f"locus {locus.name!r} is not J-symplectic")
-    if locus.has_pi1_data:
-        pi1 = _surgery_pi1(locus, params)
-        pi1_note = None
-    else:
-        pi1 = None
-        pi1_note = f"pi1 gluing data missing for locus {locus.name!r}; pi1 set to unknown"
+    pi1 = _surgery_pi1(locus, params) if locus.has_pi1_data else None
     comp = TypeChangeComponent.make(label, origin=kind, r_b1=locus.r_b1)
-    out = replace(
-        m,
-        pi1=pi1,
-        components=m.components + (comp,),
-        notes=m.notes + (note,) + ((pi1_note,) if pi1_note else ()),
-    )
-    return out
+    return replace(m, pi1=pi1, components=m.components + (comp,))
 
 
 def apply_luttinger(m: ManifoldDescriptor, locus: SurgeryLocus,
                     params: SurgeryParams) -> ManifoldDescriptor:
     """Torus surgery along a T2 x Sigma locus; chi and sigma unchanged."""
     label = "T2" if locus.sigma_label == "pt" else f"{locus.sigma_label}xT2"
-    note = (
-        f"luttinger({locus.name}; p={params.p},q={params.q},a={params.a},b={params.b})"
-    )
-    return _do_torus_surgery(m, locus, params, "luttinger", label, note)
+    return _do_torus_surgery(m, locus, params, "luttinger", label)
 
 
 def apply_gluck(m: ManifoldDescriptor, locus: SurgeryLocus,
                 params: SurgeryParams) -> ManifoldDescriptor:
-    """Combined torus surgery / Gluck twist along T2 x R x S2."""
+    """Combined torus surgery / Gluck twist along T2 x R x S2: the torus
+    surgery of multiplicity p on D2 x T2 and the Gluck twist on D2 x S2.
+    With R a point (``sigma_label`` ``pt``) it is the 6-dimensional torus
+    surgery."""
     label = f"T2x{locus.sigma_label}xS2" if locus.sigma_label != "pt" else "T2xS2"
-    note = (
-        f"gluck({locus.name}; p={params.p},q={params.q},a={params.a},b={params.b}): "
-        f"restricts to torus surgery of multiplicity {params.p} on D2xT2 "
-        f"and to the Gluck twist on D2xS2"
-    )
-    if locus.sigma_label == "pt":
-        note += "; R = point, reduces to the 6-dimensional torus surgery"
-    return _do_torus_surgery(m, locus, params, "gluck", label, note)
+    return _do_torus_surgery(m, locus, params, "gluck", label)
 
 
-def apply_cover(m: ManifoldDescriptor, d: int,
-                pi1_witness: Optional[GroupPresentation] = None) -> ManifoldDescriptor:
-    """Unbranched d-fold cover: chi scales by d, components come in d copies."""
+def apply_cover(m: ManifoldDescriptor, d: int) -> ManifoldDescriptor:
+    """Unbranched d-fold cover: chi scales by d, components come in d copies;
+    pi1, b2 and the spin flag become unknown."""
     d = int(d)
     if d < 1:
         raise TopologyError("covering degree must be >= 1")
@@ -303,12 +284,10 @@ def apply_cover(m: ManifoldDescriptor, d: int,
         name=f"{m.name}~cover{d}",
         euler=d * m.euler,
         signature=None if m.signature is None else d * m.signature,
-        pi1=pi1_witness,
+        pi1=None,
         spin="unknown",
         b2=None,
-        h2_torsion=(),
         components=comps,
-        notes=m.notes + (f"{d}-fold cover",),
     )
 
 
@@ -349,7 +328,9 @@ class BranchingData:
 
 def apply_branched_cover(m: ManifoldDescriptor,
                          branching: BranchingData) -> ManifoldDescriptor:
-    """Branched d-fold cover: chi = d*chi(M) - sum (t_i - 1) * chi(component)."""
+    """Branched d-fold cover, by the stratified chi convention: chi =
+    d*chi(M) - sum (t_i - 1)*chi(branch component).  The signature, pi1,
+    b2 and spin flag become unknown."""
     d = branching.degree
     if not branching.components:
         return apply_cover(m, d)
@@ -359,10 +340,6 @@ def apply_branched_cover(m: ManifoldDescriptor,
         for c in m.components
         for i in range(d)
     )
-    note = (
-        f"{d}-fold branched cover; stratified chi convention: "
-        f"chi = d*chi - sum (t_i - 1)*chi(branch component)"
-    )
     return replace(
         m,
         name=f"{m.name}~branched{d}",
@@ -371,9 +348,7 @@ def apply_branched_cover(m: ManifoldDescriptor,
         pi1=None,
         spin="unknown",
         b2=None,
-        h2_torsion=(),
         components=comps,
-        notes=m.notes + (note,),
     )
 
 

@@ -2,6 +2,7 @@
 
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -113,6 +114,9 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("check chi M expect 0", "unknown manifold 'M'"),
     ("report components M", "unknown manifold 'M'"),
     ("check abelianization M expect rank 0 torsion []", "unknown manifold 'M'"),
+    ("check abelianization M expect rank 0 torsion [2] x", "trailing tokens: 'x'"),
+    ('check classify5 k 1 spin spin expect "S2xS3" x', "trailing tokens: 'x'"),
+    ("check classify5 k 1 spin spin expect S2xS3", "classify5 expects a quoted string"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -274,3 +278,31 @@ def test_corpus_list_reads_titles_as_the_parser_does(tmp_path, monkeypatch):
 def test_cli_missing_corpus_dir_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("GCX_CORPUS_DIR", str(tmp_path / "nope"))
     assert main(["corpus", "run-all"]) == 2
+
+
+def test_corpus_report_matches_the_golden_file(capsys):
+    # seeds 1 and 2 differ from seed 0 only in the `seed:` lines
+    assert main(["--seed", "0", "corpus", "run-all"]) == 0
+    out = re.sub(r"(?m)^elapsed_s: .*\n", "", capsys.readouterr().out)
+    out = re.sub(r"(?m)^(corpus: .* failing), [0-9.]+s$", r"\1", out)
+    assert out == (Path(__file__).parent / "data" / "corpus_seed0.txt").read_text()
+
+
+_PLATEAU = (
+    "chart C = complex z1, complex z2\n"
+    "bump xi = 0 upto 0.25, 1 from 0.5\n"
+    "region core on C = z1 in (0.02, 0.25), xi = 0\n"
+    "spinor s = rho xi(sqrt(z1*z1b))*dz1^dz2 + (1 - xi(sqrt(z1*z1b)))\n"
+)
+
+
+def test_cli_type_point_off_the_regions_plateau_fails(tmp_path, capsys):
+    scn = tmp_path / "plateau.gcx"
+    scn.write_text(_PLATEAU + "check type s at z1 = 0.9, z2 = 0 on core expect 0\n")
+    assert main(["run", str(scn)]) == 1
+    out = capsys.readouterr().out
+    assert "bump 'xi'" in out and "region 'core'" in out
+    # off core's bounds but on its plateau, and off the region altogether
+    scn.write_text(_PLATEAU + "check type s at z1 = 0, z2 = 0 on core expect 0\n"
+                   "check type s at z1 = 0.9, z2 = 0 expect 2\n")
+    assert main(["run", str(scn)]) == 0

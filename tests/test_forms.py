@@ -29,6 +29,7 @@ from gcx import (
     GeneralizedSection,
     MixedForm,
     Region,
+    clifford,
     courant_bracket,
     d,
     everywhere,
@@ -291,6 +292,16 @@ def test_zero_coefficients_dropped_structurally():
     assert form.terms == {(0, 1): x2}
     assert MixedForm.scalar(ch, sympy.Float(0.0)).is_zero()
     assert GeneralizedSection.make(ch, {"x1": sympy.Float(0.0)}).is_zero()
+
+
+def test_section_accepts_ring_element_coefficients():
+    ch = Chart("C", [("z1", "complex"), ("z2", "complex")])
+    rho = MixedForm.scalar(ch, ch.symbol("z2")) + MixedForm.basis(ch, "z1")
+    from_ring = GeneralizedSection.make(ch, {"z1": ch.ring.gens[0]})
+    from_symbol = GeneralizedSection.make(ch, {"z1": ch.symbol("z1")})
+    assert from_ring.vector == from_symbol.vector
+    assert form_equal(clifford(from_ring, rho), clifford(from_symbol, rho))
+    assert from_ring.scale(ch.ring.gens[2]).vector == from_symbol.scale(ch.symbol("z2")).vector
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,37 @@ def test_type_at_rejects_vanishing_spinor():
         type_at(rho, {"z1": 0, "z2": 1})
 
 
+def _plateau_case():
+    """A chart, a bump xi(|z1|) with thresholds 0.25 and 0.5, and the region
+    core that pins xi to 0."""
+    ch = Chart("C", [("z1", "complex")])
+    xi = bump_function("xi", 0.25, 0.5)
+    r = sympy.sqrt(ch.symbol("z1") * ch.symbol("z1b"))
+    core = Region.make(ch, "core", bounds={"z1": (0.02, 0.25)}, bump_values={"xi": 0})
+    return ch, xi(r), core
+
+
+def test_type_at_point_off_the_pinned_plateau_fails():
+    ch, bump, core = _plateau_case()
+    dz1, dz1b = MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z1b")
+    rho = MixedForm.scalar(ch, 1 - bump) + wedge(dz1, dz1b).scale(bump)
+    assert type_at(rho, {"z1": 0.9}) == 2
+    # the bounds of core are not the test: z1 = 0 lies on its plateau
+    assert type_at(rho, {"z1": 0}, region=core) == 0
+    with pytest.raises(SpinorError, match="bump 'xi'.*region 'core' pins it to 0"):
+        type_at(rho, {"z1": 0.9}, region=core)
+
+
+def test_nondegenerate_point_off_the_pinned_plateau_fails():
+    ch, bump, core = _plateau_case()
+    omega = wedge(MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z1b")).scale(bump * sympy.I / 2)
+    hints = DecompositionHints(MixedForm.zero(ch), omega, MixedForm.one(ch), core)
+    s = SpinorStructure.make(exp_form(omega.scale(sympy.I)), hints=hints)
+    assert not check_nondegenerate(s, {"z1": 0.1})
+    with pytest.raises(SpinorError, match="bump 'xi'.*region 'core'"):
+        check_nondegenerate(s, {"z1": 0.9})
+
+
 def test_local_model_integrable_and_stable():
     ch = _c2()
     rho, _, _ = _local_model(ch)
@@ -382,5 +413,13 @@ def test_assembly_uses_its_radial_profile():
         assembly_check((0, 1, 1, 0), profile="cubic", samples=8)
 
 
-def test_assembly_detects_perturbed_b_field():
-    assert not assembly_check((0, 1, 1, 0), samples=8, perturb=sympy.Rational(11, 10))
+def test_assembly_detects_perturbed_b_field(monkeypatch):
+    collar = gcx.spinor._collar
+
+    def perturbed(params, profile):
+        # scale the real part B0 of the collar exponent by 11/10
+        rho, exponent, *rest = collar(params, profile)
+        return (rho, exponent + exponent.real_part().scale(sympy.Rational(1, 10)), *rest)
+
+    monkeypatch.setattr(gcx.spinor, "_collar", perturbed)
+    assert not assembly_check((0, 1, 1, 0), samples=8)
