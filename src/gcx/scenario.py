@@ -912,8 +912,11 @@ def _stmt_check(sc, ts, line, text):
         payload["rank"] = int(_read_number(ts, line))
         ts.expect("torsion")
         payload["torsion"] = _int_list(ts, line)
-    elif what == "classify5" and getattr(ts.peek(), "kind", None) != "string":
-        raise ParseError("classify5 expects a quoted string", line)
+    elif what == "classify5":
+        tok = ts.next()
+        if tok.kind != "string":
+            raise ParseError("classify5 expects a quoted string", line)
+        payload["expect"] = tok.text.strip('"')
     else:
         payload["expect"] = _expect_value(ts, line)
     _assert_consumed(ts, line)
