@@ -51,8 +51,6 @@ class Leg:
 
     name: str
     symbol: sympy.Symbol
-    kind: str  # real | radial | angle | holo | anti
-    coord: str  # the declaring coordinate's name
     conj: int  # index of the conjugate leg (self for real kinds)
 
 
@@ -84,11 +82,11 @@ class Chart:
                     raise ChartError(f"conjugate name {bname!r} collides")
                 seen.add(bname)
                 i = len(legs)
-                legs.append(Leg(c.name, _symbol_for(c.name, c.kind), "holo", c.name, i + 1))
-                legs.append(Leg(bname, _symbol_for(bname, c.kind), "anti", c.name, i))
+                legs.append(Leg(c.name, _symbol_for(c.name, c.kind), i + 1))
+                legs.append(Leg(bname, _symbol_for(bname, c.kind), i))
             else:
                 i = len(legs)
-                legs.append(Leg(c.name, _symbol_for(c.name, c.kind), c.kind, c.name, i))
+                legs.append(Leg(c.name, _symbol_for(c.name, c.kind), i))
         self.legs: tuple[Leg, ...] = tuple(legs)
         self._index = {leg.name: i for i, leg in enumerate(self.legs)}
 

@@ -256,11 +256,6 @@ class MixedForm:
         scalar = _as_expr(scalar)
         return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()})
 
-    def __mul__(self, scalar):
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "MixedForm":
         chart = self.chart
         conj = chart.conj_poly if self.ring_terms is not None else chart.conj_expr
@@ -442,24 +437,12 @@ class GeneralizedSection:
             raise FormError("covector part must be a 1-form")
         return GeneralizedSection(chart, vec, cov)
 
-    @staticmethod
-    def zero(chart: Chart) -> "GeneralizedSection":
-        return GeneralizedSection.make(chart)
-
     @property
     def vector_map(self) -> dict[str, sympy.Expr]:
         return dict(self.vector)
 
     def is_zero(self) -> bool:
         return all(is_structural_zero(v) for _, v in self.vector) and self.covector.is_zero()
-
-    def __add__(self, other: "GeneralizedSection") -> "GeneralizedSection":
-        if other.chart != self.chart:
-            raise FormError("chart mismatch")
-        vec = self.vector_map
-        for name, v in other.vector:
-            vec[name] = vec.get(name, sympy.Integer(0)) + v
-        return GeneralizedSection.make(self.chart, vec, self.covector + other.covector)
 
     def scale(self, c) -> "GeneralizedSection":
         c = _as_expr(c)

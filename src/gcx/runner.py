@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .forms import form_equal
 from .groups import abelianization
-from .scenario import Command, Scenario, parse_scenario, read_title
+from .scenario import VERDICTS, Command, Scenario, parse_scenario, read_title
 from .spinor import (
     assembly_check,
     check_integrable,
@@ -139,92 +139,85 @@ class _Runner:
         except KeyError:
             raise RunError(f"unknown manifold {name!r}") from None
 
-    def done(self, cmd: Command, passed: bool, detail: str = ""):
-        self.report.check(f"#{self.index} {cmd.text}", passed, detail)
-        self.report.record(f"check_{self.index}", "pass" if passed else "fail")
-
     # -- check commands ----------------------------------------------------
 
     def cmd_check(self, cmd: Command):
+        """Run the check's ``chk_*``, which returns (result, detail); a yes/no
+        result reads as its :data:`VERDICTS` word, and a None detail as
+        ``got <word>``."""
         p = cmd.payload
-        handler = getattr(self, "chk_" + p["what"].replace("-", "_"))
-        handler(cmd, p)
+        got, detail = getattr(self, "chk_" + p["what"].replace("-", "_"))(p)
+        if p["what"] in VERDICTS:
+            got = VERDICTS[p["what"]][0 if got else 1]
+        passed = got == p["expect"]
+        self.report.check(f"#{self.index} {cmd.text}", passed,
+                          f"got {got}" if detail is None else detail)
+        self.report.record(f"check_{self.index}", "pass" if passed else "fail")
 
-    def chk_params(self, cmd, p):
+    def chk_params(self, p):
         try:
             validate_surgery_params(*p["params"])
-            verdict = "ok"
+            return True, None
         except TopologyError as exc:
-            verdict = "reject"
             self.report.note(f"  params rejected: {exc}")
-        self.done(cmd, verdict == p["expect"], f"got {verdict}")
+            return False, None
 
-    def chk_type(self, cmd, p):
+    def chk_type(self, p):
         got = type_at(p["spinor"].rho, p["point"],
                       region=p.get("region"), tol=self.tol)
         self.report.record(f"type_{self.index}", got)
-        self.done(cmd, got == p["expect"], f"type {got}")
+        return got, f"type {got}"
 
-    def chk_stable(self, cmd, p):
+    def chk_stable(self, p):
         res = check_stable(p["spinor"], seed=self.seed)
-        got = "true" if res.stable else "false"
-        self.done(cmd, got == p["expect"], res.message)
+        return res.stable, res.message
 
-    def chk_integrable(self, cmd, p):
+    def chk_integrable(self, p):
         res = check_integrable(p["spinor"], samples=self.samples,
                                seed=self.seed, tol=self.tol)
-        got = "true" if res.ok else "false"
-        self.done(cmd, got == p["expect"], res.message)
+        return res.ok, res.message
 
-    def chk_nondegenerate(self, cmd, p):
-        got = check_nondegenerate(p["spinor"], p["point"], tol=self.tol)
-        self.done(cmd, ("true" if got else "false") == p["expect"], f"got {got}")
+    def chk_nondegenerate(self, p):
+        return check_nondegenerate(p["spinor"], p["point"], tol=self.tol), None
 
-    def chk_equal(self, cmd, p):
+    def chk_equal(self, p):
         right = p["right"]
         if "scale" in p:
             right = right.scale(p["scale"])
-        eq = form_equal(p["left"], right, region=p.get("region"),
-                        samples=self.samples, seed=self.seed, tol=self.tol)
-        got = "equal" if eq else "different"
-        self.done(cmd, got == p["expect"], f"got {got}")
+        return form_equal(p["left"], right, region=p.get("region"),
+                          samples=self.samples, seed=self.seed, tol=self.tol), None
 
-    def chk_lemma(self, cmd, p):
-        got = lemma_extension_check(p["params"], profile=p["profile"],
-                                    samples=self.samples, seed=self.seed,
-                                    tol=self.tol)
-        verdict = "ok" if got else "fail"
-        self.done(cmd, verdict == p["expect"], f"got {verdict}")
+    def chk_lemma(self, p):
+        return lemma_extension_check(p["params"], profile=p["profile"],
+                                     samples=self.samples, seed=self.seed,
+                                     tol=self.tol), None
 
-    def chk_assembly(self, cmd, p):
+    def chk_assembly(self, p):
         got = assembly_check(p["params"], profile=p["profile"],
                              samples=min(self.samples, 16), seed=self.seed,
                              tol=self.tol)
         if not got:
             self.report.note(f"  assembly: the pieces differ at coefficient {got.name}")
-        verdict = "ok" if got else "fail"
-        self.done(cmd, verdict == p["expect"], f"got {verdict}")
+        return got, None
 
-    def chk_chi(self, cmd, p):
+    def chk_chi(self, p):
         got = self.manifold(p["manifold"]).euler
         self.report.record(f"chi_{self.index}", got)
-        self.done(cmd, got == p["expect"], f"chi {got}")
+        return got, f"chi {got}"
 
-    def chk_sigma(self, cmd, p):
+    def chk_sigma(self, p):
         got = self.manifold(p["manifold"]).signature
-        self.done(cmd, got == p["expect"], f"sigma {got}")
+        return got, f"sigma {got}"
 
-    def chk_components(self, cmd, p):
+    def chk_components(self, p):
         got = len(self.manifold(p["manifold"]).components)
         self.report.record(f"components_{self.index}", got)
-        self.done(cmd, got == p["expect"], f"{got} component(s)")
+        return got, f"{got} component(s)"
 
-    def chk_hetero(self, cmd, p):
-        rep = components_report(self.manifold(p["manifold"]))
-        got = "true" if rep.heterogeneous else "false"
-        self.done(cmd, got == p["expect"], f"got {got}")
+    def chk_hetero(self, p):
+        return components_report(self.manifold(p["manifold"])).heterogeneous, None
 
-    def chk_abelianization(self, cmd, p):
+    def chk_abelianization(self, p):
         target = p["target"]
         if target in self.sc.groups:
             group = self.sc.groups[target]
@@ -233,25 +226,22 @@ class _Runner:
             if group is None:
                 raise RunError(f"manifold {target!r} has unknown pi1")
         inv = abelianization(group)
-        got = f"rank {inv.rank} torsion {list(inv.torsion)}"
-        want = f"rank {p['rank']} torsion {p['torsion']}"
         self.report.record(f"abelianization_{self.index}", inv.describe())
-        self.done(cmd, got == want, f"{inv.describe()}")
+        return f"rank {inv.rank} torsion {list(inv.torsion)}", inv.describe()
 
-    def chk_classify5(self, cmd, p):
+    def chk_classify5(self, p):
         got = classify_simply_connected_5(p["k"], p["spin"])
         self.report.record(f"classify5_{self.index}", got)
-        self.done(cmd, got == p["expect"], got)
+        return got, got
 
-    def chk_riemann_hurwitz(self, cmd, p):
+    def chk_riemann_hurwitz(self, p):
         try:
             riemann_hurwitz_check(p["gcover"], p["gbase"], p["degree"],
                                   p["indices"])
-            verdict = "ok"
+            return True, None
         except TopologyError as exc:
-            verdict = "reject"
             self.report.note(f"  riemann-hurwitz: {exc}")
-        self.done(cmd, verdict == p["expect"], f"got {verdict}")
+            return False, None
 
     # -- state commands ----------------------------------------------------
 
@@ -281,6 +271,5 @@ class _Runner:
         rep = components_report(self.manifold(cmd.payload["manifold"]))
         for line in rep.lines:
             self.report.note(line)
-        self.report.record(
-            f"heterogeneous_{self.index}", "true" if rep.heterogeneous else "false"
-        )
+        self.report.record(f"heterogeneous_{self.index}",
+                           VERDICTS["hetero"][0 if rep.heterogeneous else 1])

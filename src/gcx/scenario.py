@@ -16,6 +16,7 @@ powers and division by a nonzero constant keep.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -119,13 +120,6 @@ class TokenStream:
     def at_end(self) -> bool:
         return self.peek() is None
 
-    def rest(self) -> list[Token]:
-        """Consume and return the remaining tokens."""
-        out = []
-        while not self.at_end():
-            out.append(self.next())
-        return out
-
     def raw_until(self, char: str) -> str:
         """Consume the raw text up to the next ``char``, and the char."""
         end = self.text.find(char, self.pos)
@@ -206,7 +200,7 @@ class ExprParser:
             self.ts.next()
             if tok.text == "**":
                 n = self.ts.next()
-                if n.kind != "number":
+                if not n.text.isdigit():
                     raise ParseError("** needs an integer exponent", tok.line)
                 left = self.power(left, int(n.text), tok.line)
                 continue
@@ -428,8 +422,7 @@ def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
         raise
     except ValueError as exc:  # gcx's errors, and sympy's on a bad constant
         raise ParseError(str(exc), line) from exc
-    # a handler may stop early; the rest of the statement must still scan
-    ts.rest()
+    _assert_consumed(ts, line)
 
 
 def _stmt_title(sc, ts, line, text):
@@ -439,27 +432,38 @@ def _stmt_title(sc, ts, line, text):
     sc.title = tok.text.strip('"')
 
 
+def _items(ts: TokenStream, sep: str):
+    """Yield once for each item of a ``sep``-separated list of at least one."""
+    yield
+    while ts.accept(sep):
+        yield
+
+
 def _stmt_chart(sc, ts, line, text):
     name = ts.next().text
     ts.expect("=")
     coords = []
-    while not ts.at_end():
+    for _ in _items(ts, ","):
         kind = ts.next().text
-        cname = ts.next().text
-        coords.append((cname, kind))
-        if not ts.accept(","):
-            break
+        coords.append((ts.next().text, kind))
     sc.charts[name] = Chart(name, coords)
 
 
 def _read_number(ts, line) -> float:
-    sign = 1.0
-    if ts.accept("-"):
-        sign = -1.0
+    sign = -1.0 if ts.accept("-") else 1.0
     tok = ts.next()
     if tok.kind != "number":
         raise ParseError(f"expected a number, got {tok.text!r}", line)
     return sign * float(sympy.Rational(tok.text))
+
+
+def _read_int(ts, line) -> int:
+    """An integer with an optional sign; ``2.5`` and ``2.0`` are not integers."""
+    sign = -1 if ts.accept("-") else 1
+    tok = ts.next()
+    if not tok.text.isdigit():
+        raise ParseError(f"expected an integer, got {tok.text!r}", line)
+    return sign * int(tok.text)
 
 
 def _stmt_region(sc, ts, line, text):
@@ -470,7 +474,7 @@ def _stmt_region(sc, ts, line, text):
     bounds: dict[str, tuple] = {}
     nonzero: list[str] = []
     bump_values: dict[str, int] = {}
-    while not ts.at_end():
+    for _ in _items(ts, ","):
         if ts.accept("nonzero"):
             nonzero.append(ts.next().text)
         elif ts.accept("|"):
@@ -484,12 +488,10 @@ def _stmt_region(sc, ts, line, text):
                 bounds[cname] = _interval(ts, line)
             else:
                 ts.expect("=")
-                val = int(_read_number(ts, line))
+                val = _read_int(ts, line)
                 if val not in (0, 1):
                     raise ParseError("bump pinning must be 0 or 1", line)
                 bump_values[cname] = val
-        if not ts.accept(","):
-            break
     sc.regions[name] = Region.make(chart, name, bounds, nonzero, bump_values)
 
 
@@ -498,7 +500,7 @@ def _int_list(ts, line) -> list[int]:
     ts.expect("[")
     out = []
     while not ts.accept("]"):
-        out.append(int(_read_number(ts, line)))
+        out.append(_read_int(ts, line))
         ts.accept(",")
     return out
 
@@ -554,7 +556,6 @@ def _stmt_form(sc, ts, line, text):
     chart = _opt_chart(sc, ts, line)
     ts.expect("=")
     sc.forms[name] = parse_expr(sc, chart, ts)
-    _assert_consumed(ts, line)
 
 
 def _stmt_map(sc, ts, line, text):
@@ -565,15 +566,13 @@ def _stmt_map(sc, ts, line, text):
     target = _chart_ref(sc, ts, line)
     ts.expect("=")
     table = {}
-    while not ts.at_end():
+    for _ in _items(ts, ","):
         leg = ts.next().text
         ts.expect("->")
         expr_form = parse_expr(sc, source, ts)
         if not expr_form.is_homogeneous(0):
             raise ParseError("map assignments must be scalar expressions", line)
         table[leg] = expr_form.coefficient(())
-        if not ts.accept(","):
-            break
     sc.maps[name] = CoordinateMap.make(source, target, table, name=name)
 
 
@@ -594,7 +593,6 @@ def _stmt_spinor(sc, ts, line, text):
     if first is None or first.text not in _SPINOR_CLAUSES:
         # shorthand: the whole right-hand side is the spinor expression
         rho = parse_expr(sc, sc.only_chart(line), ts)
-        _assert_consumed(ts, line)
         sc.spinors[name] = SpinorStructure.make(rho)
         return
     chart: Optional[Chart] = None
@@ -603,7 +601,7 @@ def _stmt_spinor(sc, ts, line, text):
     vector: dict[str, sympy.Expr] = {}
     covector = None
     hints: dict[str, object] = {}
-    while not ts.at_end():
+    for _ in _items(ts, ";"):
         key = ts.next().text
         if key == "on":
             chart = _chart_ref(sc, ts, line)
@@ -617,13 +615,10 @@ def _stmt_spinor(sc, ts, line, text):
             region = _named(sc.regions, "region", ts.next().text, line)
         elif key == "vector":
             chart = chart or sc.only_chart(line)
-            while True:
+            for _ in _items(ts, ","):
                 leg = ts.next().text
                 ts.expect("=")
-                val = parse_expr(sc, chart, ts)
-                vector[leg] = val.coefficient(())
-                if not ts.accept(","):
-                    break
+                vector[leg] = parse_expr(sc, chart, ts).coefficient(())
         elif key == "covector":
             chart = chart or sc.only_chart(line)
             covector = parse_expr(sc, chart, ts)
@@ -634,8 +629,6 @@ def _stmt_spinor(sc, ts, line, text):
             hints["region"] = _named(sc.regions, "region", ts.next().text, line)
         else:
             raise ParseError(f"unknown spinor clause {key!r}", line)
-        if not ts.accept(";"):
-            break
     if rho is None:
         raise ParseError("spinor needs a 'rho' clause", line)
     chart = chart or sc.only_chart(line)
@@ -657,13 +650,11 @@ def _stmt_spinor(sc, ts, line, text):
 
 def _params(ts, line) -> tuple[int, int, int, int]:
     ts.expect("(")
-    vals = []
-    for k in range(4):
-        vals.append(int(_read_number(ts, line)))
-        if k < 3:
-            ts.expect(",")
+    vals = tuple(_read_int(ts, line) for _ in _items(ts, ","))
     ts.expect(")")
-    return tuple(vals)
+    if len(vals) != 4:
+        raise ParseError("params needs four integers (p, q, a, b)", line)
+    return vals
 
 
 def _stmt_build(sc, ts, line, text):
@@ -723,14 +714,14 @@ def _stmt_manifold(sc, ts, line, text):
         "spin": "unknown", "pi1": None, "b2": None,
     }
     components: list[TypeChangeComponent] = []
-    while not ts.at_end():
+    for _ in _items(ts, ";"):
         key = ts.next().text
         if key == "dim":
-            fields["dimension"] = int(_read_number(ts, line))
+            fields["dimension"] = _read_int(ts, line)
         elif key == "chi":
-            fields["euler"] = int(_read_number(ts, line))
+            fields["euler"] = _read_int(ts, line)
         elif key == "sigma":
-            fields["signature"] = int(_read_number(ts, line))
+            fields["signature"] = _read_int(ts, line)
         elif key == "spin":
             fields["spin"] = _spin_flag(ts)
         elif key == "pi1":
@@ -742,13 +733,11 @@ def _stmt_manifold(sc, ts, line, text):
                 if gname != "unknown":
                     fields["pi1"] = _named(sc.groups, "group", gname, line)
         elif key == "b2":
-            fields["b2"] = int(_read_number(ts, line))
+            fields["b2"] = _read_int(ts, line)
         elif key == "component":
             components.append(TypeChangeComponent.make(ts.next().text))
         else:
             raise ParseError(f"unknown manifold clause {key!r}", line)
-        if not ts.accept(";"):
-            break
     if fields["dimension"] is None or fields["euler"] is None:
         raise ParseError("manifold needs 'dim' and 'chi'", line)
     sc.manifolds[name] = ManifoldDescriptor(
@@ -779,9 +768,9 @@ def _stmt_locus(sc, ts, line, text):
     ts.expect("=")
     kind = None
     fields = {"complement": None, "meridian": None, "circle1": None,
-              "circle2": None, "sigma_label": "Sigma_1", "r_b1": 0, "euler": 0}
+              "circle2": None, "sigma_label": "Sigma_1", "r_b1": 0}
     flags = {"neighborhood_trivial": True, "j_symplectic": True}
-    while not ts.at_end():
+    for _ in _items(ts, ";"):
         key = ts.next().text
         if key == "kind":
             kind = ts.next().text
@@ -796,81 +785,71 @@ def _stmt_locus(sc, ts, line, text):
         elif key == "sigma_label":
             fields["sigma_label"] = ts.next().text
         elif key == "r_b1":
-            fields["r_b1"] = int(_read_number(ts, line))
-        elif key == "chi":
-            fields["euler"] = int(_read_number(ts, line))
+            fields["r_b1"] = _read_int(ts, line)
         elif key == "nontrivial_neighborhood":
             flags["neighborhood_trivial"] = False
         elif key == "not_j_symplectic":
             flags["j_symplectic"] = False
         else:
             raise ParseError(f"unknown locus clause {key!r}", line)
-        if not ts.accept(";"):
-            break
     if kind is None:
         raise ParseError("locus needs a 'kind' clause", line)
     locus = SurgeryLocus(name=name, kind=kind, **flags, **fields)
     sc.manifolds[mname] = replace(m, loci=m.loci + (locus,))
 
 
-def _point(ts, line) -> dict[str, complex]:
-    """name = scalar-constant pairs (i allowed), up to a keyword."""
+def _point(sc, chart, ts, line) -> dict[str, complex]:
+    """``leg = value`` pairs, each value a constant expression on the chart."""
     out = {}
-    while True:
+    for _ in _items(ts, ","):
         leg = ts.next().text
         ts.expect("=")
-        toks = []
-        depth = 0
-        while not ts.at_end():
-            tok = ts.peek()
-            if tok.text == "(":
-                depth += 1
-            elif tok.text == ")":
-                depth -= 1
-            if depth == 0 and tok.kind == "name" and tok.text in ("expect", "on") :
-                break
-            if depth == 0 and tok.text == ",":
-                break
-            tok = ts.next()
-            # only the name i is the imaginary unit: pi and sin keep their i
-            toks.append("I" if tok.kind == "name" and tok.text == "i" else tok.text)
-        value = sympy.sympify("".join(toks))
-        if not value.is_number:
+        value = parse_expr(sc, chart, ts)
+        number = value.coefficient(())
+        if not value.is_homogeneous(0) or not number.is_number:
             raise ParseError(f"coordinate {leg!r} needs a constant value", line)
-        out[leg] = complex(value)
-        if not ts.accept(","):
-            break
+        out[leg] = complex(number)
+        if not cmath.isfinite(out[leg]):
+            raise ParseError(f"coordinate {leg!r} has no finite value", line)
     return out
+
+
+# The two expectation words of each yes/no check, the holding one first.
+# Every other check expects an integer, except abelianization (rank and
+# torsion) and classify5 (a quoted string).
+VERDICTS = {
+    "params": ("ok", "reject"), "riemann-hurwitz": ("ok", "reject"),
+    "lemma": ("ok", "fail"), "assembly": ("ok", "fail"),
+    "stable": ("true", "false"), "integrable": ("true", "false"),
+    "nondegenerate": ("true", "false"), "hetero": ("true", "false"),
+    "equal": ("equal", "different"),
+}
 
 
 def _stmt_check(sc, ts, line, text):
     what = ts.next().text
     payload: dict = {"what": what}
+    chart = None  # the chart a region clause must lie on
     if what == "params":
         payload["params"] = _params(ts, line)
-    elif what == "type":
-        payload["spinor"] = ts.next().text
+    elif what in ("type", "nondegenerate"):
+        spinor = payload["spinor"] = _named(sc.spinors, "spinor", ts.next().text, line)
+        chart = spinor.chart
         ts.expect("at")
-        payload["point"] = _point(ts, line)
-        if ts.accept("on"):
+        payload["point"] = _point(sc, chart, ts, line)
+        if what == "type" and ts.accept("on"):
             payload["region"] = _named(sc.regions, "region", ts.next().text, line)
     elif what in ("stable", "integrable"):
-        payload["spinor"] = ts.next().text
-    elif what == "nondegenerate":
-        payload["spinor"] = ts.next().text
-        ts.expect("at")
-        payload["point"] = _point(ts, line)
+        payload["spinor"] = _named(sc.spinors, "spinor", ts.next().text, line)
     elif what == "equal":
-        payload["chart"] = _opt_chart(sc, ts, line).name
-        chart = sc.charts[payload["chart"]]
+        chart = _opt_chart(sc, ts, line)
         payload["left"] = parse_expr(sc, chart, ts)
         ts.expect(",")
         payload["right"] = parse_expr(sc, chart, ts)
         if ts.accept("on"):
             payload["region"] = _named(sc.regions, "region", ts.next().text, line)
         if ts.accept("scale"):
-            scale = parse_expr(sc, chart, ts)
-            payload["scale"] = scale.coefficient(())
+            payload["scale"] = parse_expr(sc, chart, ts).coefficient(())
     elif what in ("lemma", "assembly"):
         ts.expect("params")
         payload["params"] = _params(ts, line)
@@ -883,65 +862,53 @@ def _stmt_check(sc, ts, line, text):
         payload["target"] = ts.next().text
     elif what == "classify5":
         if ts.accept("k"):
-            payload["k"] = int(_read_number(ts, line))
+            payload["k"] = _read_int(ts, line)
         else:
             ts.expect("b2")
-            b2 = int(_read_number(ts, line))
+            b2 = _read_int(ts, line)
             ts.expect("genus")
-            genus = int(_read_number(ts, line))
+            genus = _read_int(ts, line)
             payload["k"] = b2 + 2 * genus - 1
         ts.expect("spin")
         payload["spin"] = _spin_flag(ts)
     elif what == "riemann":
         ts.expect("-")
         ts.expect("hurwitz")
+        what = payload["what"] = "riemann-hurwitz"
         ts.expect("gcover")
-        payload["gcover"] = int(_read_number(ts, line))
+        payload["gcover"] = _read_int(ts, line)
         ts.expect("gbase")
-        payload["gbase"] = int(_read_number(ts, line))
+        payload["gbase"] = _read_int(ts, line)
         ts.expect("degree")
-        payload["degree"] = int(_read_number(ts, line))
+        payload["degree"] = _read_int(ts, line)
         ts.expect("indices")
         payload["indices"] = _int_list(ts, line)
-        payload["what"] = "riemann-hurwitz"
     else:
         raise ParseError(f"unknown check {what!r}", line)
     ts.expect("expect")
     if what == "abelianization":
         ts.expect("rank")
-        payload["rank"] = int(_read_number(ts, line))
+        rank = _read_int(ts, line)
         ts.expect("torsion")
-        payload["torsion"] = _int_list(ts, line)
+        payload["expect"] = f"rank {rank} torsion {_int_list(ts, line)}"
     elif what == "classify5":
         tok = ts.next()
         if tok.kind != "string":
             raise ParseError("classify5 expects a quoted string", line)
         payload["expect"] = tok.text.strip('"')
+    elif what in VERDICTS:
+        word = ts.next().text
+        if word not in VERDICTS[what]:
+            raise ParseError(f"check {what} expects {' or '.join(VERDICTS[what])}, "
+                             f"got {word!r}", line)
+        payload["expect"] = word
     else:
-        payload["expect"] = _expect_value(ts, line)
-    _assert_consumed(ts, line)
-    if "spinor" in payload:
-        payload["spinor"] = _named(sc.spinors, "spinor", payload["spinor"], line)
+        payload["expect"] = _read_int(ts, line)
     region = payload.get("region")
-    if region is not None:
-        # check type samples on the spinor's chart, check equal on its own
-        chart = payload["spinor"].chart if what == "type" else sc.charts[payload["chart"]]
-        if region.chart != chart:
-            raise ParseError(f"region {region.name!r} lies on chart {region.chart.name!r}, "
-                             f"not on {chart.name!r}", line)
+    if region is not None and region.chart != chart:
+        raise ParseError(f"region {region.name!r} lies on chart {region.chart.name!r}, "
+                         f"not on {chart.name!r}", line)
     sc.commands.append(Command("check", payload, line, text))
-
-
-def _expect_value(ts, line):
-    tok = ts.next()
-    if tok.kind == "string":
-        return tok.text.strip('"')
-    if tok.kind == "number":
-        return int(float(sympy.Rational(tok.text)))
-    if tok.text == "-":
-        n = ts.next()
-        return -int(float(sympy.Rational(n.text)))
-    return tok.text  # ok / reject / true / false / found / infeasible / equal...
 
 
 def _stmt_surgery(sc, ts, line, text):
@@ -955,7 +922,6 @@ def _stmt_surgery(sc, ts, line, text):
     lname = ts.next().text
     ts.expect("params")
     params = _params(ts, line)
-    _assert_consumed(ts, line)
     sc.commands.append(Command("surgery", {
         "new": new, "which": which, "manifold": mname, "locus": lname,
         "params": params,
@@ -967,8 +933,7 @@ def _stmt_cover(sc, ts, line, text):
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")
-    d = int(_read_number(ts, line))
-    _assert_consumed(ts, line)
+    d = _read_int(ts, line)
     sc.commands.append(Command("cover", {"new": new, "manifold": mname, "degree": d},
                                line, text))
 
@@ -978,20 +943,19 @@ def _stmt_branched_cover(sc, ts, line, text):
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")
-    deg = int(_read_number(ts, line))
+    deg = _read_int(ts, line)
     branches = []
     while ts.accept(";"):
         ts.expect("branch")
         label = ts.next().text
         ts.expect("chi")
-        chi = int(_read_number(ts, line))
+        chi = _read_int(ts, line)
         ts.expect("indices")
         idx = []
         while not ts.at_end() and ts.peek().kind == "number":
-            idx.append(int(_read_number(ts, line)))
+            idx.append(_read_int(ts, line))
             ts.accept(",")
         branches.append(BranchComponent(label, chi, tuple(idx)))
-    _assert_consumed(ts, line)
     sc.commands.append(Command("branched-cover", {
         "new": new, "manifold": mname,
         "branching": BranchingData(deg, tuple(branches)),
@@ -1001,11 +965,12 @@ def _stmt_branched_cover(sc, ts, line, text):
 def _stmt_report(sc, ts, line, text):
     ts.expect("components")
     mname = ts.next().text
-    _assert_consumed(ts, line)
     sc.commands.append(Command("report", {"manifold": mname}, line, text))
 
 
 def _assert_consumed(ts: TokenStream, line: int):
-    rest = " ".join(t.text for t in ts.rest())
+    rest = []
+    while not ts.at_end():
+        rest.append(ts.next().text)
     if rest:
-        raise ParseError(f"trailing tokens: {rest!r}", line)
+        raise ParseError(f"trailing tokens: {' '.join(rest)!r}", line)

@@ -108,7 +108,6 @@ class SurgeryLocus:
     meridian: Optional[Word] = None
     circle1: Optional[Word] = None
     circle2: Optional[Word] = None
-    euler: int = 0  # Euler characteristic of the locus (branch loci)
 
     def __post_init__(self):
         if self.kind not in LOCUS_KINDS:
@@ -273,22 +272,22 @@ def apply_cover(m: ManifoldDescriptor, d: int) -> ManifoldDescriptor:
         raise TopologyError("covering degree must be >= 1")
     if d == 1:
         return m
+    # signature is multiplicative under finite unbranched covers
+    return _covered(m, f"{m.name}~cover{d}", d, d * m.euler,
+                    None if m.signature is None else d * m.signature)
+
+
+def _covered(m: ManifoldDescriptor, name: str, d: int, euler: int,
+             signature: Optional[int]) -> ManifoldDescriptor:
+    """A d-fold cover of m: each component comes in d copies; pi1, b2 and
+    the spin flag become unknown."""
     comps = tuple(
         replace(c, origin=f"cover-preimage-{i+1}")
         for c in m.components
         for i in range(d)
     )
-    # signature is multiplicative under finite unbranched covers
-    return replace(
-        m,
-        name=f"{m.name}~cover{d}",
-        euler=d * m.euler,
-        signature=None if m.signature is None else d * m.signature,
-        pi1=None,
-        spin="unknown",
-        b2=None,
-        components=comps,
-    )
+    return replace(m, name=name, euler=euler, signature=signature, pi1=None,
+                   spin="unknown", b2=None, components=comps)
 
 
 @dataclass(frozen=True)
@@ -334,22 +333,8 @@ def apply_branched_cover(m: ManifoldDescriptor,
     d = branching.degree
     if not branching.components:
         return apply_cover(m, d)
-    euler = d * m.euler - branching.defect()
-    comps = tuple(
-        replace(c, origin=f"cover-preimage-{i+1}")
-        for c in m.components
-        for i in range(d)
-    )
-    return replace(
-        m,
-        name=f"{m.name}~branched{d}",
-        euler=euler,
-        signature=None,  # not determined by this bookkeeping
-        pi1=None,
-        spin="unknown",
-        b2=None,
-        components=comps,
-    )
+    # the signature is not determined by this bookkeeping
+    return _covered(m, f"{m.name}~branched{d}", d, d * m.euler - branching.defect(), None)
 
 
 # ---------------------------------------------------------------------------

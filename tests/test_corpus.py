@@ -103,8 +103,6 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("group G = < x, y | [x, y]^ >", "integer exponent"),
     ("group G = < x, y | x * y", "expected '>'"),
     ("bump xi = 0 upto 0.5, 1 from 0.25", "zero_upto < one_from"),
-    ("check type s at z1 = 0.3 + 01*i expect 2", "could not parse"),
-    ("check type s at z1 = x expect 2", "needs a constant value"),
     ("check lemma params (0, 1, 1, 0) profile cubic expect ok", "unknown radial profile 'cubic'"),
     ("check assembly params (0, 1, 1, 0) profile cubic expect ok", "unknown radial profile"),
     ("region bad on C = z1 in (0.5, 0.2)", "empty interval (0.5, 0.2)"),
@@ -117,6 +115,22 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("check abelianization M expect rank 0 torsion [2] x", "trailing tokens: 'x'"),
     ('check classify5 k 1 spin spin expect "S2xS3" x', "trailing tokens: 'x'"),
     ("check classify5 k 1 spin spin expect S2xS3", "classify5 expects a quoted string"),
+    ('title "a" junk', "trailing tokens: 'junk'"),
+    ("chart D = complex w1 junk", "trailing tokens: 'junk'"),
+    ("bump b = 0 upto 0.25, 1 from 0.5 junk", "trailing tokens: 'junk'"),
+    ("region R on C = z1 in (0.3, 0.4) junk", "trailing tokens: 'junk'"),
+    ("group G = < x | x > junk", "trailing tokens: 'junk'"),
+    ("manifold M = dim 4; chi 2 junk", "trailing tokens: 'junk'"),
+    ("map f : C -> C = z1 -> z1, z1b -> z1b junk", "trailing tokens: 'junk'"),
+    ("spinor s = on C; rho z1 junk", "trailing tokens: 'junk'"),
+    ("build luttinger s = params (0, 1, 1, 0) junk", "trailing tokens: 'junk'"),
+    ("check params (0.5, 1, 1, 0) expect ok", "expected an integer, got '0.5'"),
+    ("check params (0, 1, 1) expect ok", "params needs four integers"),
+    ("region R on C = z1 in (0.3, 0.4), xi = 0.5", "expected an integer, got '0.5'"),
+    ("manifold M = dim 4.7; chi 2.9", "expected an integer, got '4.7'"),
+    ("check chi M expect 2.5", "expected an integer, got '2.5'"),
+    ("check equal on C z1, z1 expect same", "check equal expects equal or different, got 'same'"),
+    ("form w on C = z1**2.5", "** needs an integer exponent"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -125,6 +139,24 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and message in err, err
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("check type s at z1 = 0.3 + *i expect 2", "unexpected token '*'"),
+    ("check type s at z1 = z1b expect 2", "needs a constant value"),
+    ("check type s at z1 = 1/0 expect 2", "'z1' has no finite value"),
+    ("check nondegenerate s at z1 = dz1 expect true", "needs a constant value"),
+    ("check stable s expect ture", "check stable expects true or false, got 'ture'"),
+    ("locus L on M = kind branch junk", "trailing tokens: 'junk'"),
+    ("locus L on M = kind branch; chi 5", "unknown locus clause 'chi'"),
+])
+def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, message):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = complex z1\nspinor s = z1\nmanifold M = dim 4; chi 2\n{statement}\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and message in err, err
 
 
 @pytest.mark.parametrize("check", [
@@ -193,6 +225,22 @@ def test_cli_assembly_check_uses_its_profile(tmp_path, capsys):
         scn.write_text(f"check assembly params (0, 1, 1, 0) profile paper expect {expect}\n")
         assert main(["run", str(scn)]) == code
         assert "dr^dt0^dt1^dt2" in capsys.readouterr().out
+
+
+def test_cli_nondegenerate_check_reads_the_hints(tmp_path, capsys):
+    scn = tmp_path / "nondegenerate.gcx"
+    scn.write_text(
+        "chart C = real x1, real x2\n"
+        "spinor s = on C; rho exp(i*dx1^dx2); hint_b 0; hint_omega dx1^dx2; hint_Omega 1\n"
+        # omega vanishes on x1 = 0, so there rho is degenerate
+        "spinor t = on C; rho exp(i*x1*dx1^dx2); hint_b 0; hint_omega x1*dx1^dx2; "
+        "hint_Omega 1\n"
+        "check nondegenerate s at x1 = 0, x2 = 0.5 expect true\n"
+        "check nondegenerate t at x1 = 0, x2 = 0.5 expect false\n"
+    )
+    assert main(["run", str(scn)]) == 0
+    out = capsys.readouterr().out
+    assert "expect true  (got true)" in out and "expect false  (got false)" in out
 
 
 def _statement_lines(path) -> list[int]:

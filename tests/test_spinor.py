@@ -352,6 +352,16 @@ def test_surgery_regions_pin_the_bump_they_sample(build, squared, bump):
             assert bump.spec.value(arg_at(regions[name].sample(rng))[0].real) == pin
 
 
+@pytest.mark.parametrize("build", [build_luttinger_spinor, build_gluck_spinor],
+                         ids=["luttinger", "gluck"])
+def test_surgery_certificate_when_a_is_2q(build):
+    # a == 2q leaves no z2 direction to cancel dz1/z1, so X lies along z2b
+    s = build((1, 1, 2, 1))
+    assert s.certificate.vector_map == {"z2b": 1}
+    res = check_integrable(s, samples=10)
+    assert res.ok and res.message == "stored certificate verified"
+
+
 def test_default_luttinger_regions_are_unchanged():
     regions = surgery_regions(_c2())
     assert regions["core"].bound_for("z1") == gcx.Interval(0.02, 0.25)
