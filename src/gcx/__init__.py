@@ -70,7 +70,6 @@ from .topology import (
     classify_simply_connected_5,
     components_report,
     riemann_hurwitz_check,
-    riemann_hurwitz_realization,
     validate_surgery_params,
 )
 

@@ -281,7 +281,8 @@ class MixedForm:
 
         The coefficients are pinned, cancelled and compiled once per set of
         region pins and kept on the form; each call then evaluates them at
-        the point in float64.  Coefficients that cancel to zero are left out.
+        the point in complex arithmetic.  Coefficients that cancel to zero
+        are left out.
         """
         pins = region.bump_values if region is not None else ()
         compiled = self._compiled.get(pins)
@@ -296,7 +297,7 @@ class MixedForm:
                     exprs.append(c)
             compiled = self._compiled[pins] = (keys, compile_exprs(exprs, self.chart))
         keys, values_at = compiled
-        return dict(zip(keys, values_at(point).tolist()))
+        return dict(zip(keys, values_at(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +444,6 @@ class GeneralizedSection:
 
     def is_zero(self) -> bool:
         return all(is_structural_zero(v) for _, v in self.vector) and self.covector.is_zero()
-
-    def scale(self, c) -> "GeneralizedSection":
-        c = _as_expr(c)
-        return GeneralizedSection.make(
-            self.chart,
-            {name: c * v for name, v in self.vector},
-            self.covector.scale(c),
-        )
 
 
 def clifford(section: GeneralizedSection, rho: MixedForm) -> MixedForm:

@@ -11,7 +11,7 @@ from sympy.polys.rings import PolyElement, PolyRing
 
 from .chart import Chart
 from .forms import FormError, MixedForm, d_scalar, wedge_list
-from .scalars import compile_exprs, is_structural_zero
+from .scalars import is_structural_zero
 
 
 class MapError(ValueError):
@@ -60,12 +60,6 @@ class CoordinateMap:
             source, target, tuple(sorted(table.items(), key=lambda kv: kv[0])), name,
         )
 
-    @staticmethod
-    def identity(chart: Chart, name: str = "id") -> "CoordinateMap":
-        return CoordinateMap.make(
-            chart, chart, {leg.name: leg.symbol for leg in chart.legs}, name=name
-        )
-
     @property
     def table(self) -> dict[str, sympy.Expr]:
         return dict(self.assignments)
@@ -94,12 +88,6 @@ class CoordinateMap:
         order."""
         table = self.table
         return tuple(d_scalar(self.source, table[leg.name]) for leg in self.target.legs)
-
-    def apply_point(self, point: Mapping[str, complex]) -> dict[str, complex]:
-        """Push a source point forward to the target chart."""
-        keys = [k for k, _ in self.assignments]
-        values = compile_exprs([v for _, v in self.assignments], self.source)(point)
-        return self.target.point(dict(zip(keys, values)))
 
     def compose(self, outer: "CoordinateMap", name: str | None = None) -> "CoordinateMap":
         """The composite ``outer after self`` (self: A->B, outer: B->C)."""

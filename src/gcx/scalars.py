@@ -17,8 +17,9 @@ opaque terms force a sampled, Schwartz-Zippel-style verdict at tolerance
 never queries sympy's assumptions on a compound expression.
 
 Numeric evaluation has one path, :func:`compile_exprs`: expressions are
-compiled once with ``sympy.lambdify`` over the chart's legs and then
-evaluated at each sample point in float64 complex arithmetic.  Forms pin
+compiled once with ``sympy.lambdify`` over the chart's legs into plain
+Python, whose elementary functions come from ``cmath``, and then
+evaluated at each sample point on Python ``complex`` values.  Forms pin
 their bumps and cancel their coefficients before compiling, once per set
 of region pins.
 
@@ -35,15 +36,15 @@ cannot change each other's verdicts.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-import numpy
 import sympy
-from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.pycode import PythonCodePrinter
 
 from .chart import Chart, Region
 
@@ -207,15 +208,15 @@ def _require_finite(expr: sympy.Expr, chart: Chart) -> None:
         raise EvaluationError(f"infinite or undefined value in {expr} on chart {chart.name!r}")
 
 
-def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], numpy.ndarray]:
-    """Compile expressions over the chart's legs: point -> complex array.
+def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], list[complex]]:
+    """Compile expressions over the chart's legs: point -> list of complex.
 
     The callable canonicalises its point with ``Chart.point`` and raises
     :class:`EvaluationError` on a singular or non-finite value, on a
     symbol that is not a leg of the chart, and on an opaque function with
     no bump spec.  An infinite or undefined constant (``zoo``,
     ``nan``, ``oo``, ``-oo``) raises :class:`EvaluationError` at once,
-    since the NumPy printer has no name for it.
+    naming the expression, rather than at every point.
     """
     exprs = [sympy.sympify(e) for e in exprs]
     for e in exprs:
@@ -226,26 +227,30 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
             raise EvaluationError(f"unbound symbols {unbound} on chart {chart.name!r}")
 
         return unbound_error
-    # The printed code calls numpy.<name>, resolved through a namespace
-    # holding only the numpy module: modules="numpy" would run
-    # `from numpy import *`, which loads numpy.f2py, unittest, email and
-    # more (about 18 MB of resident memory) that gcx never uses.
-    printer = NumPyPrinter({
+    # The printed code calls math.<name>; the namespace binds that name to
+    # cmath, since every leg value is complex.  It is built per call: a
+    # module-level dict holding a module could not be deep-copied.
+    printer = PythonCodePrinter({
         "fully_qualified_modules": True, "inline": True,
         "allow_unknown_functions": True, "user_functions": {},
     })
-    fn = sympy.lambdify(chart.symbols, exprs, modules=[_bump_namespace(exprs), {"numpy": numpy}],
+    complex_ops = {
+        "math": cmath,
+        "re": lambda v: complex(v).real,
+        "im": lambda v: complex(v).imag,
+        "conjugate": lambda v: complex(v).conjugate(),
+    }
+    fn = sympy.lambdify(chart.symbols, exprs, modules=[_bump_namespace(exprs), complex_ops],
                         printer=printer, docstring_limit=0)
     names = [leg.name for leg in chart.legs]
 
-    def evaluate(point: Mapping[str, complex]) -> numpy.ndarray:
+    def evaluate(point: Mapping[str, complex]) -> list[complex]:
         pt = chart.point(point)
         try:
-            with numpy.errstate(all="ignore"):
-                values = numpy.array(fn(*[pt[n] for n in names]), dtype=complex)
-        except (ZeroDivisionError, OverflowError, NameError, TypeError) as exc:
+            values = [complex(v) for v in fn(*[pt[n] for n in names])]
+        except (ZeroDivisionError, OverflowError, ValueError, NameError, TypeError) as exc:
             raise EvaluationError(f"cannot evaluate at {dict(point)!r}: {exc}") from exc
-        if not numpy.isfinite(values).all():
+        if not all(map(cmath.isfinite, values)):
             raise EvaluationError(f"non-finite value at {dict(point)!r}")
         return values
 
@@ -254,7 +259,7 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
 
 def evaluate_expr(expr: sympy.Expr, chart: Chart, point: Mapping[str, complex]) -> complex:
     """One expression at one point, through :func:`compile_exprs`."""
-    return complex(compile_exprs([expr], chart)(point)[0])
+    return compile_exprs([expr], chart)(point)[0]
 
 
 def is_structural_zero(expr) -> bool:

@@ -28,7 +28,7 @@ from .chart import Chart, Region
 from .forms import GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
 from .maps import CoordinateMap, pullback
 from .scalars import bump_function
-from .groups import GroupPresentation, checked_words, parse_relators, parse_word
+from .groups import GroupPresentation, Word, checked_words, parse_relators, parse_word
 from .spinor import (
     RADIAL_PROFILES,
     XI,
@@ -385,17 +385,21 @@ def read_title(text: str) -> str:
 
 
 def _resolve_manifolds(sc: Scenario):
-    """Every manifold a command names is declared, or made by an earlier command."""
-    known = set(sc.manifolds)
+    """Every manifold a command names is declared or made by an earlier
+    command, and ``check sigma`` names one whose signature is known."""
+    signature_known = {name: m.signature is not None for name, m in sc.manifolds.items()}
     for cmd in sc.commands:
         p = cmd.payload
         name = p.get("manifold")
         if p.get("what") == "abelianization" and p["target"] not in sc.groups:
             name = p["target"]
-        if name is not None and name not in known:
+        if name is not None and name not in signature_known:
             raise ParseError(f"unknown manifold {name!r}", cmd.line)
-        if "new" in p:
-            known.add(p["new"])
+        if p.get("what") == "sigma" and not signature_known[name]:
+            raise ParseError(f"the signature of manifold {name!r} is unknown", cmd.line)
+        if "new" in p:  # only a branched cover with branch components loses it
+            branched = cmd.kind == "branched-cover" and p["branching"].components
+            signature_known[p["new"]] = signature_known[name] and not branched
 
 
 def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
@@ -747,17 +751,19 @@ def _stmt_manifold(sc, ts, line, text):
     )
 
 
-def _word_tokens(ts, line) -> str:
-    """Consume tokens of a free-group word up to ';' or end."""
-    out = []
-    while not ts.at_end():
-        tok = ts.peek()
-        if tok.text == ";":
-            break
-        out.append(ts.next().text)
-    if not out:
+def _word(ts, line) -> Word:
+    """One free-group word, up to ';' or the end of the statement, whose
+    factors are joined by ``*``: ``1 junk`` and ``l1 x`` are parse errors."""
+    text, ends_factor = "", False
+    while (tok := ts.peek()) is not None and tok.text != ";":
+        atom = tok.kind != "op"
+        if ends_factor and (atom or tok.text == "["):
+            raise ParseError(f"expected '*' or ';' before {tok.text!r} in a group word", line)
+        ends_factor = atom or tok.text == "]"
+        text += ts.next().text
+    if not text:
         raise ParseError("expected a group word", line)
-    return "".join(out)
+    return parse_word(text)
 
 
 def _stmt_locus(sc, ts, line, text):
@@ -781,7 +787,7 @@ def _stmt_locus(sc, ts, line, text):
             else:
                 fields["complement"] = _named(sc.groups, "group", ts.next().text, line)
         elif key in ("meridian", "circle1", "circle2"):
-            fields[key] = parse_word(_word_tokens(ts, line))
+            fields[key] = _word(ts, line)
         elif key == "sigma_label":
             fields["sigma_label"] = ts.next().text
         elif key == "r_b1":

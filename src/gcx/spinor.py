@@ -12,7 +12,8 @@ the 2n unknowns:
   ``QQ_I`` solves the system exactly: it finds a Gaussian-rational
   certificate, with free unknowns set to 0, or proves that none exists;
 * any other spinor (bumps, ``sqrt``, ``1/z1``) is solved by least squares
-  at sampled points, rounded and re-verified symbolically.
+  at sampled points (an SVD pseudo-inverse in ``mpmath``), rounded and
+  re-verified symbolically.
 
 :class:`IntegrabilityResult` names the path taken (``"stored"``,
 ``"exact"`` or ``"sampled"``) and the rank of an exact solve.
@@ -22,11 +23,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-import numpy
+import mpmath
 import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.matrices import DomainMatrix
@@ -124,7 +127,7 @@ def _require_plateau(form: MixedForm, point: Mapping[str, complex],
         if node.func.__name__.removesuffix("_prime") in pins
         and getattr(node.func, "spec", None) is not None))
     args = compile_exprs([node.args[0] for node in nodes], form.chart)(point)
-    for node, t in zip(nodes, args.real.tolist()):
+    for node, t in zip(nodes, (a.real for a in args)):
         name, spec = node.func.__name__.removesuffix("_prime"), node.func.spec
         if t > spec.zero_upto if pins[name] == 0 else t < spec.one_from:
             raise SpinorError(f"point is off the plateau of bump {name!r}: region "
@@ -176,7 +179,7 @@ class IntegrabilityResult:
     ok: bool
     certificate: Optional[GeneralizedSection]
     message: str
-    path: str  # "stored", "exact" (rref over QQ_I) or "sampled" (lstsq)
+    path: str  # "stored", "exact" (rref over QQ_I) or "sampled" (least squares)
     rank: Optional[int] = None  # rank of the exact solve's system
 
     def __bool__(self):
@@ -293,18 +296,30 @@ def _sampled_certificate(s: SpinorStructure, target: MixedForm,
             rhs.append(tv.get(key, 0.0))
     if points == 0:
         raise SpinorError("cannot sample the region for the integrability solve")
-    mat = numpy.array(rows, dtype=complex)
-    vec = numpy.array(rhs, dtype=complex)
-    sol, *_ = numpy.linalg.lstsq(mat, vec, rcond=None)
-    residual = numpy.linalg.norm(mat @ sol - vec)
-    scale = max(1.0, numpy.linalg.norm(vec))
-    if residual > 1e-7 * scale:
+    sol, residual = _least_squares(rows, rhs)
+    if residual > 1e-7 * max(1.0, math.hypot(*map(abs, rhs))):
         return None
     cert = _certificate(chart, [_rationalize(c) for c in sol])
     if form_equal(target, clifford(cert, s.rho), region=s.region,
                   samples=samples, seed=seed + 1, tol=tol):
         return cert
     return None
+
+
+def _least_squares(rows: Sequence[Sequence[complex]],
+                   rhs: Sequence[complex]) -> tuple[list[complex], float]:
+    """The minimum-norm least-squares solution of rows . x = rhs and its
+    residual norm, by an SVD pseudo-inverse in ``mpmath`` at 15 digits.
+    Singular values up to eps * max(m, n) * sigma_max count as zero, as in
+    LAPACK's least-squares drivers, so a rank-deficient system is solved."""
+    with mpmath.workdps(15):
+        u, sigma, v = mpmath.svd_c(mpmath.matrix(rows))
+        cutoff = sys.float_info.epsilon * max(u.rows, v.cols) * max(sigma)
+        pinv = v.H * mpmath.diag([1 / s if s > cutoff else 0 for s in sigma]) * u.H
+        x = [complex(c) for c in pinv * mpmath.matrix(rhs)]
+    residual = math.hypot(*(abs(sum(a * b for a, b in zip(row, x)) - c)
+                            for row, c in zip(rows, rhs)))
+    return x, residual
 
 
 def _rationalize(c: complex) -> sympy.Expr:
@@ -415,23 +430,40 @@ def _affine_zeros(chart: Chart, s0, zname: str, region: Region, rng,
         tries += 1
         base = region.sample(rng)
         try:
-            av, bv, gv = coefficients_at(base).tolist()
+            zval = _affine_root(*coefficients_at(base))
         except EvaluationError:
             continue
-        # alpha z + beta conj(z) + gamma = 0 as a real 2x2 system in (x, y)
-        mat = numpy.array(
-            [[(av + bv).real, (1j * (av - bv)).real],
-             [(av + bv).imag, (1j * (av - bv)).imag]]
-        )
-        if abs(numpy.linalg.det(mat)) < 1e-12:
-            continue
-        xy = numpy.linalg.solve(mat, numpy.array([-gv.real, -gv.imag]))
-        zval = complex(xy[0], xy[1])
-        pt = dict(base)
-        pt[zname] = zval
-        pt[zname + "b"] = zval.conjugate()
-        pts.append(chart.point(pt))
+        if zval is not None:
+            pts.append(chart.point({**base, zname: zval, zname + "b": zval.conjugate()}))
     return pts if pts else None
+
+
+def _affine_root(alpha: complex, beta: complex, gamma: complex) -> Optional[complex]:
+    """The z = x + iy with alpha z + beta conj(z) + gamma = 0, by Cramer's
+    rule on that real 2x2 system in (x, y); None when |det| < 1e-12."""
+    p, q = alpha + beta, 1j * (alpha - beta)  # the columns of x and y
+    det = p.real * q.imag - q.real * p.imag
+    if abs(det) < 1e-12:
+        return None
+    return complex(q.real * gamma.imag - gamma.real * q.imag,
+                   gamma.real * p.imag - p.real * gamma.imag) / det
+
+
+def _rank_2xn(u: Sequence[float], v: Sequence[float], tol: float) -> int:
+    """Rank at ``tol`` of the real matrix with rows u and v: how many of its
+    two singular values exceed ``tol``.
+
+    sigma1 comes from the Gram matrix.  sigma2 is |u ^ v| / sigma1 by the
+    Lagrange identity; the smaller Gram eigenvalue would lose half its
+    digits near a small ``tol``.
+    """
+    a, b, c = (math.fsum(x * y for x, y in zip(p, q)) for p, q in ((u, u), (u, v), (v, v)))
+    sigma1 = math.sqrt((a + c) / 2 + math.hypot((a - c) / 2, b))
+    if sigma1 <= tol:
+        return 0
+    area = math.sqrt(math.fsum((u[i] * v[j] - u[j] * v[i]) ** 2
+                               for i, j in combinations(range(len(u)), 2)))
+    return 2 if area / sigma1 > tol else 1
 
 
 def _real_differential_rank(chart: Chart, s0: sympy.Expr, tol: float):
@@ -450,7 +482,7 @@ def _real_differential_rank(chart: Chart, s0: sympy.Expr, tol: float):
 
     def rank_at(point: Mapping[str, complex]) -> int:
         vals = cols_at(point)
-        return int(numpy.linalg.matrix_rank(numpy.array([vals.real, vals.imag]), tol=tol))
+        return _rank_2xn([c.real for c in vals], [c.imag for c in vals], tol)
 
     return rank_at
 

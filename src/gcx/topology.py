@@ -115,7 +115,13 @@ class SurgeryLocus:
         for attr in ("meridian", "circle1", "circle2"):
             w = getattr(self, attr)
             if isinstance(w, str):
-                object.__setattr__(self, attr, parse_word(w))
+                w = parse_word(w)
+                object.__setattr__(self, attr, w)
+            if w and self.complement is not None:
+                for gen, _ in w:
+                    if gen not in self.complement.generators:
+                        raise TopologyError(f"{attr} uses {gen!r}, which is not a "
+                                            "generator of the complement")
 
     @property
     def has_pi1_data(self) -> bool:
@@ -360,39 +366,6 @@ def riemann_hurwitz_check(g_cover: int, g_base: int, d: int,
         raise TopologyError(
             f"Riemann-Hurwitz fails: 2-2g~ = {lhs} but d(2-2g) - sum(t-1) = {rhs}"
         )
-
-
-def riemann_hurwitz_realization(g_cover: int, g_base: int) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Small branching data realizing a cover of genus g~ over genus g.
-
-    Enumerates degrees d <= 6 and indices <= 6; returns (d, indices) or
-    None when nothing that small fits (only possible for g~ < g).
-    """
-    if g_cover < g_base:
-        return None
-    for d in range(1, 7):
-        defect = d * (2 - 2 * g_base) - (2 - 2 * g_cover)
-        if defect < 0 or defect % 1:
-            continue
-        indices = _defect_partition(defect, min(6, d))
-        if indices is not None:
-            return d, indices
-    return None
-
-
-def _defect_partition(defect: int, max_index: int) -> Optional[tuple[int, ...]]:
-    if defect == 0:
-        return ()
-    if max_index < 2:
-        return None
-    out = []
-    step = max_index - 1
-    while defect >= step:
-        out.append(max_index)
-        defect -= step
-    if defect:
-        out.append(defect + 1)
-    return tuple(sorted(out, reverse=True))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,47 @@ def test_cli_manifold_names_resolve_at_parse_time(tmp_path, capsys):
     assert "no locus 'K'" in out and "unknown manifold 'N'" in out
 
 
+@pytest.mark.parametrize("clause, message", [
+    ("meridian 1 junk", "expected '*' or ';' before 'junk' in a group word"),
+    ("circle1 l1 x", "expected '*' or ';' before 'x' in a group word"),
+    ("circle1 [l1, l2][l1, l2]", "expected '*' or ';' before '[' in a group word"),
+    ("meridian junk", "meridian uses 'junk', which is not a generator of the complement"),
+    ("circle2 l2*x^-1", "circle2 uses 'x', which is not a generator of the complement"),
+])
+def test_cli_locus_words_are_checked_at_parse_time(tmp_path, capsys, clause, message):
+    scn = tmp_path / "locus.gcx"
+    key = clause.split()[0]
+    locus = re.sub(rf"{key} [^;\n]*", clause, _SURGERY)
+    scn.write_text(locus + "surgery N = luttinger M at L params (1, 5, 1, 4)\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and message in err, err
+    # factors joined by '*' make one word
+    scn.write_text(_SURGERY.replace("circle1 l1", "circle1 [l1, l2]*l1^-1*l2")
+                   + "surgery N = luttinger M at L params (1, 5, 1, 4)\n")
+    assert main(["run", str(scn)]) == 0
+
+
+def test_cli_check_sigma_needs_a_known_signature(tmp_path, capsys):
+    scn = tmp_path / "sigma.gcx"
+    base = ("manifold M = dim 4; chi 2; sigma 3\n"
+            "branched-cover B = M degree 2; branch F chi 2 indices 2\n"
+            "cover C = B degree 3\ncover D = M degree 2\n")
+    scn.write_text(base + "check sigma D expect 6\n")
+    assert main(["run", str(scn)]) == 0
+    # a branched cover, and a cover of one, leave the signature unknown
+    for name in ("B", "C"):
+        scn.write_text(base + f"check sigma {name} expect 0\n")
+        for command in ("verify", "run"):
+            assert main([command, str(scn)]) == 2
+            err = capsys.readouterr().err
+            assert f"line 5: the signature of manifold {name!r} is unknown" in err, err
+    scn.write_text("manifold M = dim 4; chi 2\ncheck sigma M expect 0\n")
+    assert main(["verify", str(scn)]) == 2
+    assert "line 2: the signature of manifold 'M' is unknown" in capsys.readouterr().err
+
+
 def test_cli_infinite_value_fails_the_check(tmp_path, capsys):
     scn = tmp_path / "zoo.gcx"
     # an undefined value is not equal to itself either

@@ -301,7 +301,9 @@ def test_section_accepts_ring_element_coefficients():
     from_symbol = GeneralizedSection.make(ch, {"z1": ch.symbol("z1")})
     assert from_ring.vector == from_symbol.vector
     assert form_equal(clifford(from_ring, rho), clifford(from_symbol, rho))
-    assert from_ring.scale(ch.ring.gens[2]).vector == from_symbol.scale(ch.symbol("z2")).vector
+    z1z2 = ch.symbol("z1") * ch.symbol("z2")
+    from_product = GeneralizedSection.make(ch, {"z1": ch.ring.gens[0] * ch.ring.gens[2]})
+    assert from_product.vector == GeneralizedSection.make(ch, {"z1": z1z2}).vector
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +378,9 @@ def test_evaluation_loads_no_numpy_star_import():
         "import random\n"
         "assert s.rho.evaluate_at(core.sample(random.Random(0)), core)\n"
         "assert 'numpy.f2py' not in sys.modules, 'numpy.f2py was imported'\n"
+        "from gcx.runner import corpus_dir, load_scenario, run\n"
+        "assert all(run(load_scenario(p)).ok for p in sorted(corpus_dir().glob('*.gcx')))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     src = str(Path(gcx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

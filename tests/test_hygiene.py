@@ -1,13 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and neither the package nor its declared dependencies bring in numpy."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import gcx
 
-_SOURCES = sorted(p for p in Path(gcx.__file__).parent.glob("*.py") if p.name != "__init__.py")
+_PACKAGE = Path(gcx.__file__).parent
+_SOURCES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,3 +60,32 @@ def test_unused_import_is_reported():
     ]
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
     assert unused_imports("from x import T\ndef f() -> 'T': pass\n") == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules an import statement names; relative
+    imports are left out."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_numpy(path):
+    assert "numpy" not in imported_modules(path.read_text()), path.name
+
+
+def test_imported_modules_reads_every_import_form():
+    source = "import numpy.linalg as la\nfrom sympy.printing import pycode\nfrom .chart import Chart\n"
+    assert imported_modules(source) == {"numpy", "sympy"}
+
+
+def test_numpy_is_not_a_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert "numpy" not in {re.match(r"[\w.-]+", req).group(0).lower() for req in requirements}

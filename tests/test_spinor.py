@@ -1,19 +1,19 @@
 """Spinor structures: type, stability, integrability, transforms, gluing."""
 
+import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import gcx
 
-from conftest import GAUSSIAN_RATIONALS, gaussian_polys
+from conftest import GAUSSIAN_RATIONALS, gaussian_polys, real_chart
 
 from gcx import (
     Chart,
@@ -40,9 +40,16 @@ from gcx import (
     wedge,
 )
 from gcx.scalars import bump_function, compile_exprs
+from gcx.chart import everywhere
 from gcx.spinor import (
     XI,
+    _STABLE_TOL,
+    _affine_root,
+    _affine_zeros,
     _exact_certificate,
+    _least_squares,
+    _rank_2xn,
+    _real_differential_rank,
     surgery_certificate,
     surgery_exponent,
     surgery_regions,
@@ -139,7 +146,7 @@ def _forbid_sampling(monkeypatch):
         if hasattr(module, "compile_exprs"):
             monkeypatch.setattr(module, "compile_exprs", forbidden)
     monkeypatch.setattr(Region, "sample", forbidden)
-    monkeypatch.setattr(numpy.linalg, "lstsq", forbidden)
+    monkeypatch.setattr(gcx.spinor, "_least_squares", forbidden)
 
 
 def test_certificate_1009_is_exact(monkeypatch):
@@ -174,6 +181,55 @@ def test_non_polynomial_spinor_takes_the_sampled_path():
     res = check_integrable(SpinorStructure.make(MixedForm.scalar(ch, 1 / z1)))
     assert not res and res.path == "sampled"
     assert res.message == "not integrable (at sampled genericity): no constant certificate"
+
+
+def test_least_squares_takes_the_minimum_norm_solution():
+    # rank 1: every x with x1 + x2 = 2 solves it; the shortest is (1, 1)
+    x, residual = _least_squares([[1, 1], [1, 1]], [2, 2])
+    assert x == pytest.approx([1, 1], abs=1e-12) and residual == pytest.approx(0, abs=1e-12)
+    # inconsistent: the best x = 1 leaves (-1, 1)
+    x, residual = _least_squares([[1], [1]], [0, 2])
+    assert x == pytest.approx([1]) and residual == pytest.approx(math.sqrt(2))
+    x, residual = _least_squares([[1j, 0], [0, 2], [0, 0]], [1, 4, 0])
+    assert x == pytest.approx([-1j, 2]) and residual == pytest.approx(0, abs=1e-12)
+
+
+def test_affine_root_by_cramer():
+    # 2 z + i conj(z) = 3 + i: with z = x + iy, 2x + y = 3 and x + 2y = 1,
+    # whose determinant is 3: x = 5/3, y = -1/3
+    assert _affine_root(2, 1j, -3 - 1j) == pytest.approx(complex(5, -1) / 3)
+    # z + conj(z) = 1 fixes only x; a determinant below 1e-12 counts as 0
+    assert _affine_root(1, 1, -1) is None
+    assert _affine_root(1, 1 - 1e-13, -1) is None
+    ch = Chart("c1", [("z1", "complex")])
+    s0 = 2 * ch.symbol("z1") + sympy.I * ch.symbol("z1b") - 3 - sympy.I
+    points = _affine_zeros(ch, s0, "z1", everywhere(ch), random.Random(0), 4)
+    assert points and all(p["z1"] == pytest.approx(complex(5, -1) / 3) for p in points)
+
+
+def test_rank_2xn_counts_singular_values_above_tol():
+    assert _rank_2xn([1, 0, 0], [0, 2, 0], 1e-7) == 2
+    assert _rank_2xn([1, 2, 3], [-2, -4, -6], 1e-7) == 1  # parallel rows
+    assert _rank_2xn([3, 4, 0], [0, 0, 0], 1e-7) == 1
+    assert _rank_2xn([0, 0, 0], [0, 0, 0], 1e-7) == 0
+    assert _rank_2xn([1e-8, 0], [0, 1e-8], 1e-7) == 0
+    # u = (1, 0), v = (1, delta): sigma1 ~ sqrt(2), sigma2 ~ delta / sqrt(2);
+    # from the Gram eigenvalues, sigma2^2 ~ 5e-15 would cancel against 2
+    for factor, rank in ((1.01, 2), (0.99, 1)):
+        assert _rank_2xn([1, 0], [1, factor * 1e-7 * math.sqrt(2)], 1e-7) == rank
+
+
+def test_real_differential_rank_of_s0():
+    ch = real_chart(2)
+    x1, x2 = ch.symbols
+    point = {"x1": 0.3, "x2": -0.2}
+    assert _real_differential_rank(ch, x1 + sympy.I * x2, _STABLE_TOL)(point) == 2
+    assert _real_differential_rank(ch, (1 + sympy.I) * x1, _STABLE_TOL)(point) == 1
+    assert _real_differential_rank(ch, sympy.Integer(1), _STABLE_TOL)(point) == 0
+    for factor, rank in ((1.01, 2), (0.99, 1)):
+        delta = sympy.Float(factor * _STABLE_TOL * math.sqrt(2))
+        s0 = x1 + sympy.I * (x1 + delta * x2)
+        assert _real_differential_rank(ch, s0, _STABLE_TOL)(point) == rank
 
 
 _C2 = _c2()

@@ -21,7 +21,6 @@ from gcx import (
     classify_simply_connected_5,
     components_report,
     riemann_hurwitz_check,
-    riemann_hurwitz_realization,
     validate_surgery_params,
 )
 
@@ -231,29 +230,9 @@ def test_riemann_hurwitz_check():
 def test_riemann_hurwitz_rejects_genus_drop():
     for g_base in range(5):
         for g_cover in range(g_base):
-            assert riemann_hurwitz_realization(g_cover, g_base) is None
             for d in range(1, 6):
                 with pytest.raises(TopologyError):
                     riemann_hurwitz_check(g_cover, g_base, d, ())
-
-
-def test_riemann_hurwitz_realization_verified():
-    assert riemann_hurwitz_realization(3, 1) == (2, (2, 2, 2, 2))
-    # identity covers and known small branched covers exist
-    for g in range(5):
-        assert riemann_hurwitz_realization(g, g) == (1, ())
-    for pair in ((1, 0), (2, 0), (2, 1), (5, 1), (3, 2)):
-        found = riemann_hurwitz_realization(*pair)
-        assert found is not None, pair
-    # any returned data must satisfy the formula with indices <= degree
-    for g_cover in range(5):
-        for g_base in range(g_cover + 1):
-            found = riemann_hurwitz_realization(g_cover, g_base)
-            if found is None:
-                continue
-            d, indices = found
-            riemann_hurwitz_check(g_cover, g_base, d, indices)
-            assert all(t <= d for t in indices)
 
 
 def test_classify_simply_connected_5():
