@@ -71,7 +71,7 @@ def _add_to(data: dict, key, value) -> None:
     data[key] = data[key] + value if key in data else value
 
 
-def _as_expr(c) -> sympy.Expr:
+def as_expr(c) -> sympy.Expr:
     """A coefficient as an expression: a ring element is converted."""
     return c.as_expr() if isinstance(c, PolyElement) else sympy.sympify(c)
 
@@ -253,7 +253,7 @@ class MixedForm:
             factor = self.chart.to_ring(scalar)
             if factor is not None:
                 return MixedForm(self.chart, {k: factor * c for k, c in self.ring_terms.items()})
-        scalar = _as_expr(scalar)
+        scalar = as_expr(scalar)
         return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()})
 
     def conjugate(self) -> "MixedForm":
@@ -380,7 +380,7 @@ def interior(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
     if ring_idx is not None and all(c is not None for c in ring_idx.values()):
         idx, coefficients = ring_idx, a.ring_terms
     else:
-        idx = {j: _as_expr(c) for j, c in idx.items()}
+        idx = {j: as_expr(c) for j, c in idx.items()}
         coefficients = a.terms
     data: dict[tuple[int, ...], object] = {}
     for key, c in coefficients.items():
@@ -427,7 +427,7 @@ class GeneralizedSection:
     def make(chart: Chart, vector: Mapping[str, object] | None = None,
              covector: MixedForm | None = None) -> "GeneralizedSection":
         vec = tuple(
-            sorted((name, _as_expr(v)) for name, v in (vector or {}).items())
+            sorted((name, as_expr(v)) for name, v in (vector or {}).items())
         )
         for name, _ in vec:
             chart.leg_index(name)

@@ -10,7 +10,7 @@ import sympy
 from sympy.polys.rings import PolyElement, PolyRing
 
 from .chart import Chart
-from .forms import FormError, MixedForm, d_scalar, wedge_list
+from .forms import FormError, MixedForm, as_expr, d_scalar, wedge_list
 from .scalars import is_structural_zero
 
 
@@ -20,38 +20,44 @@ class MapError(ValueError):
 
 @dataclass(frozen=True)
 class CoordinateMap:
-    """A map source -> target given by one scalar per target leg.
-
-    For complex target coordinates the anti-holomorphic leg may be
-    omitted, in which case it is filled in by formal conjugation of the
-    holomorphic one.
+    """A map source -> target given by one scalar per target leg: an
+    expression, or an element of the source chart's ring that stays one
+    until :attr:`table` reads it.  For complex target coordinates the
+    anti-holomorphic leg may be omitted, in which case it is filled in by
+    formal conjugation of the holomorphic one.
     """
 
     source: Chart
     target: Chart
-    assignments: tuple[tuple[str, sympy.Expr], ...]
+    assignments: tuple[tuple[str, object], ...]
     name: str = "map"
 
     @staticmethod
     def make(source: Chart, target: Chart, assignments: Mapping[str, object],
              name: str = "map") -> "CoordinateMap":
-        table: dict[str, sympy.Expr] = {}
-        for key, expr in assignments.items():
+        table: dict[str, object] = {}
+        for key, value in assignments.items():
             target.leg_index(key)
-            table[key] = sympy.sympify(expr)
+            ring = isinstance(value, PolyElement) and value.ring == source.ring
+            table[key] = value if ring else as_expr(value)
+
+        def conj(value):
+            poly = isinstance(value, PolyElement)
+            return source.conj_poly(value) if poly else source.conj_expr(value)
+
         for coord in target.coords:
             if coord.kind == "complex":
                 bname = coord.name + "b"
                 if coord.name in table and bname not in table:
-                    table[bname] = source.conj_expr(table[coord.name])
+                    table[bname] = conj(table[coord.name])
                 elif bname in table and coord.name not in table:
-                    table[coord.name] = source.conj_expr(table[bname])
+                    table[coord.name] = conj(table[bname])
         missing = [leg.name for leg in target.legs if leg.name not in table]
         if missing:
             raise MapError(f"map {name!r} misses target legs {missing}")
         src_syms = set(source.symbols)
-        for key, expr in table.items():
-            extra = expr.free_symbols - src_syms
+        for key, value in table.items():
+            extra = set() if isinstance(value, PolyElement) else value.free_symbols - src_syms
             if extra:
                 raise MapError(
                     f"assignment {key!r} of map {name!r} uses non-source symbols {extra}"
@@ -60,19 +66,19 @@ class CoordinateMap:
             source, target, tuple(sorted(table.items(), key=lambda kv: kv[0])), name,
         )
 
-    @property
+    @cached_property
     def table(self) -> dict[str, sympy.Expr]:
-        return dict(self.assignments)
+        return {k: as_expr(v) for k, v in self.assignments}
 
     def scalar_subs(self) -> dict[sympy.Symbol, sympy.Expr]:
-        return {self.target.symbol(k): v for k, v in self.assignments}
+        return {self.target.symbol(k): v for k, v in self.table.items()}
 
     @cached_property
     def ring_images(self) -> Optional[tuple[PolyElement, ...]]:
         """The assignment of each target leg, in leg order, as an element of
         the source chart's ring; None when one is not a polynomial."""
-        table = self.table
-        images = tuple(self.source.to_ring(table[leg.name]) for leg in self.target.legs)
+        values = dict(self.assignments)
+        images = tuple(self.source.to_ring(values[leg.name]) for leg in self.target.legs)
         return None if any(g is None for g in images) else images
 
     @cached_property
@@ -95,10 +101,7 @@ class CoordinateMap:
             raise MapError("charts do not chain for composition")
         subs = self.scalar_subs()
         # simultaneous: source and target may share symbol names
-        table = {
-            k: sympy.sympify(v).subs(subs, simultaneous=True)
-            for k, v in outer.assignments
-        }
+        table = {k: v.subs(subs, simultaneous=True) for k, v in outer.table.items()}
         return CoordinateMap.make(
             self.source, outer.target, table, name or f"{outer.name}*{self.name}",
         )

@@ -9,9 +9,10 @@ Form expressions use ``^`` for the wedge product, ``**`` for scalar
 powers, ``d(...)`` for the exterior derivative, ``i`` for the imaginary
 unit, and ``exp/re/im/conj/pullback`` plus the usual scalar functions.
 A wedge with a repeated differential (``dx1^dx1``) parses to the zero
-form with a warning.  Numbers, ``i``, legs and differentials are read
-as polynomial ring forms (see :mod:`gcx.forms`), which sums, products,
-powers and division by a nonzero constant keep.
+form with a warning.  Scalars stay bare, in the chart's polynomial ring
+while polynomial (numbers, ``i``, legs; sums, products, powers, division
+by a nonzero constant) and else as sympy expressions; a form (see
+:mod:`gcx.forms`) is made only when a differential joins.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from fractions import Fraction
+from typing import Callable, NamedTuple, Optional, Union
 
 import sympy
+from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region
-from .forms import GeneralizedSection, MixedForm, d as ext_d, exp_form, wedge
+from .forms import GeneralizedSection, MixedForm, as_expr, d as ext_d, exp_form, wedge
 from .maps import CoordinateMap, pullback
-from .scalars import bump_function
+from .scalars import bump_function, is_structural_zero
 from .groups import GroupPresentation, Word, checked_words, parse_relators, parse_word
 from .spinor import (
     RADIAL_PROFILES,
@@ -172,23 +175,28 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Expression parser (forms and scalars, uniformly as mixed forms)
+# Expression parser (scalars in the chart's ring until a form joins)
 # ---------------------------------------------------------------------------
 
 _SCALAR_FUNCS = {
     "sqrt": sympy.sqrt, "log": sympy.log, "sin": sympy.sin, "cos": sympy.cos,
 }
 
+Value = Union[PolyElement, sympy.Expr, MixedForm]  # a scalar, or a form
+
 
 class ExprParser:
-    """Pratt parser producing MixedForm values on a fixed chart."""
+    """Pratt parser over a fixed chart.  A scalar stays bare: in ``chart.ring``
+    while it is a polynomial, else a sympy expression that is not a structural
+    zero.  A MixedForm is made only when a differential, a named form or a form
+    function joins, with the value that reading scalars as 0-forms gives."""
 
     def __init__(self, scenario: Scenario, chart: Chart, ts: TokenStream):
         self.sc = scenario
         self.chart = chart
         self.ts = ts
 
-    def parse(self, min_prec: int = 0) -> MixedForm:
+    def parse(self, min_prec: int = 0) -> Value:
         left = self.atom()
         while True:
             tok = self.ts.peek()
@@ -202,20 +210,22 @@ class ExprParser:
                 n = self.ts.next()
                 if not n.text.isdigit():
                     raise ParseError("** needs an integer exponent", tok.line)
-                left = self.power(left, int(n.text), tok.line)
+                left = self.scalar(left, tok.line) ** int(n.text)
                 continue
             right = self.parse(prec + 1)
             left = self.combine(tok.text, left, right, tok.line)
         return left
 
-    def constant(self, value: sympy.Expr) -> MixedForm:
-        """A Gaussian-rational constant as a ring form."""
-        return MixedForm.scalar(self.chart, self.chart.ring.ground_new(value))
+    def form(self, value: Value) -> MixedForm:
+        return value if isinstance(value, MixedForm) else MixedForm.scalar(self.chart, value)
 
-    def atom(self) -> MixedForm:
+    def expr(self, value: sympy.Expr) -> Value:
+        return self.chart.ring.zero if is_structural_zero(value) else value
+
+    def atom(self) -> Value:
         tok = self.ts.next()
         if tok.kind == "number":
-            return self.constant(sympy.Rational(tok.text))
+            return self.chart.ring.ground_new(QQ_I(QQ(Fraction(tok.text)), QQ.zero))
         if tok.text == "(":
             inner = self.parse()
             self.ts.expect(")")
@@ -228,19 +238,19 @@ class ExprParser:
             return self.name_atom(tok)
         raise ParseError(f"unexpected token {tok.text!r} in expression", tok.line)
 
-    def name_atom(self, tok: Token) -> MixedForm:
+    def name_atom(self, tok: Token) -> Value:
         name = tok.text
         if name == "i":
-            return self.constant(sympy.I)
+            return self.chart.ring.ground_new(QQ_I(0, 1))
         if name == "pi":
-            return MixedForm.scalar(self.chart, sympy.pi)
+            return sympy.pi
         if self.ts.peek() is not None and self.ts.peek().text == "(":
             return self.call(name, tok.line)
         # differential of a leg
         if name.startswith("d") and name[1:] in {l.name for l in self.chart.legs}:
             return MixedForm.basis(self.chart, name[1:])
         if name in {l.name for l in self.chart.legs}:
-            return MixedForm.scalar(self.chart, self.chart.ring.gens[self.chart.leg_index(name)])
+            return self.chart.ring.gens[self.chart.leg_index(name)]
         if name in self.sc.forms:
             f = self.sc.forms[name]
             if f.chart != self.chart:
@@ -250,14 +260,13 @@ class ExprParser:
             return f
         raise ParseError(f"unknown name {name!r}", tok.line)
 
-    def call(self, name: str, line: int) -> MixedForm:
+    def call(self, name: str, line: int) -> Value:
         self.ts.expect("(")
         if name == "pullback":
             mname = self.ts.next().text
             cmap = _named(self.sc.maps, "map", mname, line)
             self.ts.expect(",")
-            inner_parser = ExprParser(self.sc, cmap.target, self.ts)
-            arg = inner_parser.parse()
+            arg = parse_expr(self.sc, cmap.target, self.ts)
             self.ts.expect(")")
             if cmap.source != self.chart:
                 raise ParseError(
@@ -267,20 +276,19 @@ class ExprParser:
         arg = self.parse()
         self.ts.expect(")")
         if name == "d":
-            return ext_d(arg)
+            return ext_d(self.form(arg))
         if name == "exp":
-            return self.exp(arg, line)
+            return self.exp(self.form(arg), line)
         if name == "re":
-            return arg.real_part()
+            return self.form(arg).real_part()
         if name == "im":
-            return arg.imag_part()
+            return self.form(arg).imag_part()
         if name == "conj":
-            return arg.conjugate()
-        if name in _SCALAR_FUNCS:
-            return MixedForm.scalar(self.chart, _SCALAR_FUNCS[name](self.as_scalar(arg, line)))
-        if name in self.sc.bumps:
-            return MixedForm.scalar(self.chart, self.sc.bumps[name](self.as_scalar(arg, line)))
-        raise ParseError(f"unknown function {name!r}", line)
+            return self.form(arg).conjugate()
+        func = _SCALAR_FUNCS.get(name) or self.sc.bumps.get(name)
+        if func is None:
+            raise ParseError(f"unknown function {name!r}", line)
+        return self.expr(func(as_expr(self.scalar(arg, line))))
 
     def exp(self, arg: MixedForm, line: int) -> MixedForm:
         scalar = arg.degree_block(0)
@@ -290,56 +298,60 @@ class ExprParser:
             out = out.scale(sympy.exp(scalar.coefficient(())))
         return out
 
-    def as_scalar(self, f: MixedForm, line: int) -> sympy.Expr:
-        if not f.is_homogeneous(0):
-            raise ParseError("expected a scalar expression", line)
-        return f.coefficient(())
+    def scalar(self, value: Value, line: int, message: str = "expected a scalar expression"):
+        """The scalar of a degree-0 value: a ring element on a ring form."""
+        if not isinstance(value, MixedForm):
+            return value
+        if not value.is_homogeneous(0):
+            raise ParseError(message, line)
+        if value.ring_terms is None:
+            return value.coefficient(())
+        return value.ring_terms.get((), self.chart.ring.zero)
 
-    def ring_scalar(self, f: MixedForm, line: int):
-        """The scalar of a degree-0 form: a ring element on a ring form."""
-        if f.ring_terms is None:
-            return self.as_scalar(f, line)
-        if not f.is_homogeneous(0):
-            raise ParseError("expected a scalar expression", line)
-        return f.ring_terms.get((), self.chart.ring.zero)
+    def scale(self, value: Value, factor) -> Value:
+        """``value`` times a scalar, kept in the ring as MixedForm.scale keeps it."""
+        if isinstance(value, MixedForm):
+            return value.scale(factor)
+        if isinstance(value, PolyElement):
+            ring_factor = self.chart.to_ring(factor) if value else value
+            if ring_factor is not None:
+                return ring_factor * value
+        return self.expr(as_expr(factor) * as_expr(value))
 
-    def power(self, base: MixedForm, n: int, line: int) -> MixedForm:
-        s = self.ring_scalar(base, line)
-        return MixedForm.scalar(self.chart, s ** n)
-
-    def combine(self, op: str, a: MixedForm, b: MixedForm, line: int) -> MixedForm:
-        if op == "+":
-            return a + b
+    def combine(self, op: str, a: Value, b: Value, line: int) -> Value:
         if op == "-":
-            return a - b
+            op, b = "+", -b
+        if op == "+":
+            if isinstance(a, MixedForm) or isinstance(b, MixedForm):
+                return self.form(a) + self.form(b)
+            if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+                return a + b
+            return self.expr(as_expr(a) + as_expr(b))
         if op == "^":
-            keys = set(a.terms) | set(b.terms)
+            a, b = self.form(a), self.form(b)
             out = wedge(a, b)
-            if out.is_zero() and not a.is_zero() and not b.is_zero() and keys:
-                shared = any(set(k1) & set(k2) for k1 in a.terms for k2 in b.terms)
-                if shared:
-                    self.sc.warnings.append(
-                        f"line {line}: wedge with repeated differential is zero"
-                    )
+            # a shared key means that both factors have terms
+            if out.is_zero() and any(set(k1) & set(k2) for k1 in a.terms for k2 in b.terms):
+                self.sc.warnings.append(f"line {line}: wedge with repeated differential is zero")
             return out
         if op == "*":
-            if a.is_homogeneous(0):
-                return b.scale(self.ring_scalar(a, line))
-            if b.is_homogeneous(0):
-                return a.scale(self.ring_scalar(b, line))
-            raise ParseError("'*' needs a scalar factor; use '^' to wedge forms", line)
+            if isinstance(a, MixedForm) and not a.is_homogeneous(0):
+                a, b = b, a  # the scalar factor first
+            message = "'*' needs a scalar factor; use '^' to wedge forms"
+            return self.scale(b, self.scalar(a, line, message))
         if op == "/":
-            divisor = self.ring_scalar(b, line)
+            divisor = self.scalar(b, line)
             if isinstance(divisor, PolyElement) and divisor.is_ground and divisor:
-                return a.scale(divisor.ring.one / divisor)
+                return self.scale(a, divisor.ring.ground_new(QQ_I.revert(divisor.LC)))
             # a zero or non-constant divisor goes to the expression path, so
             # 1/(z1 - z1) is zoo and fails its check
-            return a.scale(1 / self.as_scalar(b, line))
+            return self.scale(a, 1 / as_expr(divisor))
         raise ParseError(f"unknown operator {op!r}", line)
 
 
 def parse_expr(sc: Scenario, chart: Chart, ts: TokenStream) -> MixedForm:
-    return ExprParser(sc, chart, ts).parse()
+    parser = ExprParser(sc, chart, ts)
+    return parser.form(parser.parse())
 
 
 # ---------------------------------------------------------------------------
@@ -573,10 +585,9 @@ def _stmt_map(sc, ts, line, text):
     for _ in _items(ts, ","):
         leg = ts.next().text
         ts.expect("->")
-        expr_form = parse_expr(sc, source, ts)
-        if not expr_form.is_homogeneous(0):
-            raise ParseError("map assignments must be scalar expressions", line)
-        table[leg] = expr_form.coefficient(())
+        parser = ExprParser(sc, source, ts)
+        table[leg] = parser.scalar(parser.parse(), line,
+                                   "map assignments must be scalar expressions")
     sc.maps[name] = CoordinateMap.make(source, target, table, name=name)
 
 

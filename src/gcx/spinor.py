@@ -12,8 +12,8 @@ the 2n unknowns:
   ``QQ_I`` solves the system exactly: it finds a Gaussian-rational
   certificate, with free unknowns set to 0, or proves that none exists;
 * any other spinor (bumps, ``sqrt``, ``1/z1``) is solved by least squares
-  at sampled points (an SVD pseudo-inverse in ``mpmath``), rounded and
-  re-verified symbolically.
+  at sampled points (a Householder QR, then an SVD pseudo-inverse of its
+  triangle in ``mpmath``), rounded and re-verified symbolically.
 
 :class:`IntegrabilityResult` names the path taken (``"stored"``,
 ``"exact"`` or ``"sampled"``) and the rank of an exact solve.
@@ -309,14 +309,36 @@ def _sampled_certificate(s: SpinorStructure, target: MixedForm,
 def _least_squares(rows: Sequence[Sequence[complex]],
                    rhs: Sequence[complex]) -> tuple[list[complex], float]:
     """The minimum-norm least-squares solution of rows . x = rhs and its
-    residual norm, by an SVD pseudo-inverse in ``mpmath`` at 15 digits.
+    residual norm.
+
+    A Householder QR in complex floats reduces the m x n system to its
+    min(m, n) x n triangle R and Q^H rhs; since (QR)^+ = R^+ Q^H, an SVD
+    pseudo-inverse of R in ``mpmath`` at 15 digits then solves it.
     Singular values up to eps * max(m, n) * sigma_max count as zero, as in
-    LAPACK's least-squares drivers, so a rank-deficient system is solved."""
+    LAPACK's least-squares routines, so a rank-deficient system is solved.
+    """
+    m, n = len(rows), len(rows[0])
+    # rhs rides along as column n, so the reflections make Q^H rhs
+    aug = [[complex(c) for c in row] + [complex(c)] for row, c in zip(rows, rhs)]
+    k = min(m, n)
+    for j in range(k):
+        norm = math.hypot(*(abs(aug[i][j]) for i in range(j, m)))
+        if norm == 0:
+            continue
+        head = aug[j][j]
+        v = [aug[i][j] for i in range(j, m)]
+        v[0] += norm * (head / abs(head) if head else 1)  # no cancellation
+        vv = sum(abs(c) ** 2 for c in v)
+        for col in range(j, n + 1):  # aug = (I - 2 v v^H / v^H v) aug
+            dot = 2 * sum(c.conjugate() * aug[j + t][col] for t, c in enumerate(v)) / vv
+            for t, c in enumerate(v):
+                aug[j + t][col] -= dot * c
+    triangle = [[0] * i + row[i:n] for i, row in enumerate(aug[:k])]
     with mpmath.workdps(15):
-        u, sigma, v = mpmath.svd_c(mpmath.matrix(rows))
-        cutoff = sys.float_info.epsilon * max(u.rows, v.cols) * max(sigma)
+        u, sigma, v = mpmath.svd_c(mpmath.matrix(triangle))
+        cutoff = sys.float_info.epsilon * max(m, n) * max(sigma)
         pinv = v.H * mpmath.diag([1 / s if s > cutoff else 0 for s in sigma]) * u.H
-        x = [complex(c) for c in pinv * mpmath.matrix(rhs)]
+        x = [complex(c) for c in pinv * mpmath.matrix([row[n] for row in aug[:k]])]
     residual = math.hypot(*(abs(sum(a * b for a, b in zip(row, x)) - c)
                             for row, c in zip(rows, rhs)))
     return x, residual

@@ -2,10 +2,13 @@
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyElement
 
 from conftest import real_chart
-from gcx import Chart, CoordinateMap, MixedForm, pullback
+from gcx import (Chart, CoordinateMap, MixedForm, build_luttinger_spinor, parse_scenario,
+                 pullback)
 from gcx.maps import MapError
+from gcx.spinor import collar_charts, disk_to_complex_map, luttinger_gluing_map
 import gcx.maps as maps_module
 
 
@@ -74,3 +77,49 @@ def test_pullback_differentiates_each_image_once(monkeypatch, polynomial):
     pullback(f, a)
     pullback(f, MixedForm(B, {(1,): scalar}).as_ring())
     assert len(calls) == B.dim
+
+
+MAP_SCENARIO = """\
+chart C = complex z1, complex z2, real x1
+chart D = complex w1, real u1
+map f : C -> D = w1 -> (1/3 + 2*i)*z1*z2b + x1**2/(2 - i), u1 -> x1 - z1*z1b
+map g : C -> D = w1 -> sqrt(z1), u1 -> x1
+map h : C -> D = w1 -> z1, u1 -> sin(x1)
+"""
+
+
+def test_parsed_polynomial_map_keeps_ring_images():
+    sc = parse_scenario(MAP_SCENARIO)
+    f, C = sc.maps["f"], sc.charts["C"]
+    values = dict(f.assignments)
+    # the parser's ring elements, with the conjugate leg filled in the ring
+    assert all(isinstance(values[leg.name], PolyElement) for leg in f.target.legs)
+    assert values["w1b"] == C.conj_poly(values["w1"])
+    images = f.ring_images
+    assert [C.to_ring(f.table[leg.name]) for leg in f.target.legs] == list(images)
+
+
+@pytest.mark.parametrize("name", ["g", "h"])
+def test_non_polynomial_map_takes_the_expression_path(name):
+    sc = parse_scenario(MAP_SCENARIO)
+    cmap, D = sc.maps[name], sc.charts["D"]
+    assert cmap.ring_images is None
+    form = MixedForm.basis(D, "w1")
+    assert form.ring_terms is not None
+    assert pullback(cmap, form).ring_terms is None
+
+
+def test_collar_maps_are_expression_maps():
+    # the gluing phi and the chart change psi that the collar checks pull along
+    params = (1, 3, 1, 2)
+    phi, _ = luttinger_gluing_map(params)
+    polar, _ = collar_charts()
+    psi = disk_to_complex_map(polar, build_luttinger_spinor(params).chart)
+    r, t0, t1, t2 = polar.symbols
+    assert phi.table == {"rt": sympy.sqrt(sympy.log(r * sympy.E)), "s0": t0 + t2,
+                         "s1": t1, "s2": 3 * t0 + 2 * t2}
+    assert psi.table == {"z1": r * sympy.exp(sympy.I * t0), "z1b": r * sympy.exp(-sympy.I * t0),
+                         "z2": t1 + sympy.I * t2, "z2b": t1 - sympy.I * t2}
+    for cmap in (phi, psi):
+        assert all(isinstance(v, sympy.Expr) for _, v in cmap.assignments)
+        assert cmap.ring_images is None

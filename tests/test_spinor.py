@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,22 @@ def test_least_squares_takes_the_minimum_norm_solution():
     assert x == pytest.approx([1]) and residual == pytest.approx(math.sqrt(2))
     x, residual = _least_squares([[1j, 0], [0, 2], [0, 0]], [1, 4, 0])
     assert x == pytest.approx([-1j, 2]) and residual == pytest.approx(0, abs=1e-12)
+
+
+def test_least_squares_matches_the_svd_of_the_whole_system():
+    # the QR-reduced solve agrees with the pseudo-inverse of the tall A itself
+    rng = random.Random(40)
+    rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(8)] for _ in range(40)]
+    rhs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(40)]
+    with mpmath.workdps(15):
+        u, sigma, v = mpmath.svd_c(mpmath.matrix(rows))
+        pinv = v.H * mpmath.diag([1 / s for s in sigma]) * u.H
+        expected = [complex(c) for c in pinv * mpmath.matrix(rhs)]
+    x, residual = _least_squares(rows, rhs)
+    assert max(abs(a - b) for a, b in zip(x, expected)) < 1e-9
+    assert residual == pytest.approx(
+        math.hypot(*(abs(sum(a * b for a, b in zip(row, expected)) - c)
+                     for row, c in zip(rows, rhs))))
 
 
 def test_affine_root_by_cramer():
