@@ -4,11 +4,10 @@ bounded Tietze simplification, and abelianization via Smith normal form."""
 from __future__ import annotations
 
 import re
-import string
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[tuple[str, int], ...]
 
@@ -17,98 +16,101 @@ class GroupError(ValueError):
     """Malformed word or presentation."""
 
 
-# one scanner for words and relator lists; any other non-space character
-# becomes a one-character token that the parser rejects
-_TOKEN = re.compile(r"\s*(\[|\]|,|\*|\^|-?\d+|[A-Za-z_][A-Za-z_0-9]*|\S)")
-_NAME_START = frozenset(string.ascii_letters + "_")
-_COMMA = frozenset({","})
-_CLOSE = frozenset({"]"})
+# One match per letter, past any ``*``: a name or a commutator's ``]`` with
+# an optional ``^`` and integer exponent (a ``^`` without one is kept for the
+# parser to reject), or an integer or other character, which the parser
+# skips (``1``), follows (``[``, ``,``) or rejects.
+_TOKEN = re.compile(r"[\s*]*(?:([A-Za-z_][A-Za-z_0-9]*|\])(?:\s*(\^)\s*(-?\d+)?)?|(-?\d+|[^\s*]))")
 
 
 def parse_word(text: str) -> Word:
-    """Parse a free-group word: ``x*y^-2``, ``[x,y]`` (commutator), ``1``."""
-    out, _ = _parse_word_seq(_TOKEN.findall(text), 0)
-    return free_reduce(out)
+    """Parse a free-group word: ``x*y^-2``, ``[x,y]`` (commutator), ``1``,
+    freely reducing it as it is read."""
+    out, _ = _parse_word_seq(iter(_TOKEN.findall(text)))
+    return tuple(out)
 
 
 def parse_relators(text: str) -> tuple[Word, ...]:
-    """Parse a comma-separated relator list, one word per top-level segment.
-
-    Commas inside a commutator ``[..]`` do not split; an empty segment
-    gives the empty word.
-    """
-    tokens = _TOKEN.findall(text)
+    """Parse a comma-separated relator list, one word per top-level segment,
+    each freely reduced as it is read.  Commas inside a commutator ``[..]``
+    do not split; an empty segment gives the empty word."""
+    tokens = iter(_TOKEN.findall(text))
     words = []
-    i = 0
     while True:
-        out, i = _parse_word_seq(tokens, i, _COMMA)
-        words.append(free_reduce(out))
-        if i >= len(tokens):
+        out, end = _parse_word_seq(tokens, ",")
+        words.append(tuple(out))
+        if end is None:
             return tuple(words)
-        i += 1  # the comma
 
 
-def _exponent(tokens: list[str], i: int) -> int:
-    """The integer after the ``^`` at ``i``."""
-    try:
-        return int(tokens[i + 1])
-    except (IndexError, ValueError):
-        raise GroupError("'^' needs an integer exponent") from None
+def _exponent(caret: str, digits: str) -> int:
+    """The exponent of a letter or commutator: 1 without ``^``."""
+    if digits:
+        return int(digits)
+    if caret:
+        raise GroupError("'^' needs an integer exponent")
+    return 1
 
 
-def _parse_word_seq(tokens: list[str], i: int, stop: frozenset = frozenset()) -> tuple[list, int]:
+def _parse_word_seq(tokens: Iterator[tuple[str, str, str, str]], stop: str | None = None):
+    """Read letters up to ``stop`` onto a stack that is freely reduced after
+    every letter.  Return the stack and the stop's match, or None at the end."""
     out: list[tuple[str, int]] = []
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok in stop:
-            break
-        if tok == "*" or tok == "1":
-            i += 1
+    for match in tokens:
+        name, caret, digits, other = match
+        if name and name != "]":
+            e = int(digits) if digits else _exponent(caret, digits)
+            if out and out[-1][0] == name:
+                e += out.pop()[1]
+            if e:
+                out.append((name, e))
+        elif (tok := name or other) == stop:
+            return out, match
         elif tok == "[":
-            a, i = _parse_word_seq(tokens, i + 1, _COMMA)
-            if i >= n or tokens[i] != ",":
+            a, end = _parse_word_seq(tokens, ",")
+            if end is None:
                 raise GroupError("expected ',' in commutator")
-            b, i = _parse_word_seq(tokens, i + 1, _CLOSE)
-            if i >= n:
+            b, end = _parse_word_seq(tokens, "]")
+            if end is None:
                 raise GroupError("expected ']' in commutator")
-            a, b = tuple(a), tuple(b)
-            comm = a + b + invert_word(a) + invert_word(b)
-            i += 1
-            if i < n and tokens[i] == "^":
-                comm = _pow_word(comm, _exponent(tokens, i))
-                i += 2
-            out.extend(comm)
-        elif tok[0] in _NAME_START:
-            i += 1
-            if i < n and tokens[i] == "^":
-                out.append((tok, _exponent(tokens, i)))
-                i += 2
-            else:
-                out.append((tok, 1))
-        else:
+            e = _exponent(end[1], end[2])
+            # [a,b]^-1 = [b,a]; each piece is reduced, so joins suffice
+            a_inv, b_inv = invert_word(a), invert_word(b)
+            pieces = (a, b, a_inv, b_inv) if e > 0 else (b, a, b_inv, a_inv)
+            for _ in range(abs(e)):
+                for piece in pieces:
+                    _join(out, piece)
+        elif tok != "1":
             raise GroupError(f"unexpected token {tok!r} in word")
-    return out, i
+    return out, None
 
 
-def _pow_word(word: Sequence[tuple[str, int]], exp: int) -> list[tuple[str, int]]:
-    if exp == 0:
-        return []
-    base = list(word) if exp > 0 else list(invert_word(tuple(word)))
-    return base * abs(exp)
+def _pow_word(word: Word, exp: int) -> list[tuple[str, int]]:
+    return list(word if exp > 0 else invert_word(word)) * abs(exp)
+
+
+def _join(out: list, piece: Sequence[tuple[str, int]]) -> None:
+    """Append the freely reduced ``piece`` to the freely reduced ``out``,
+    cancelling only where the two meet."""
+    k, n = 0, len(piece)
+    while k < n and out and out[-1][0] == piece[k][0]:
+        e = out.pop()[1] + piece[k][1]
+        k += 1
+        if e:
+            # the merged letter's neighbours on both sides differ from it
+            out.append((piece[k - 1][0], e))
+            break
+    out.extend(piece[k:])
 
 
 def free_reduce(word: Iterable[tuple[str, int]]) -> Word:
     """Freely reduce in one stack pass; neighbours of the result differ."""
     out: list[tuple[str, int]] = []
     for gen, exp in word:
-        if not exp:
-            continue
         if out and out[-1][0] == gen:
             exp += out.pop()[1]
-            if not exp:
-                continue
-        out.append((gen, exp))
+        if exp:
+            out.append((gen, exp))
     return tuple(out)
 
 
@@ -121,9 +123,9 @@ def checked_words(generators: Sequence[str], words: Iterable[Word]) -> tuple[Wor
         raise GroupError("duplicate generator names")
     out = []
     for word in words:
-        for g, _ in word:
-            if g not in declared:
-                raise GroupError(f"relator uses undeclared generator {g!r}")
+        if not declared.issuperset(map(itemgetter(0), word)):
+            g = next(g for g, _ in word if g not in declared)
+            raise GroupError(f"relator uses undeclared generator {g!r}")
         if word:
             out.append(word)
     return tuple(out)
@@ -157,25 +159,29 @@ def _trim_cycle(word: Word) -> Word:
 
 
 def word_str(word: Word) -> str:
-    if not word:
-        return "1"
-    bits = []
-    for g, e in word:
-        bits.append(g if e == 1 else f"{g}^{e}")
-    return "*".join(bits)
+    return "*".join([g if e == 1 else f"{g}^{e}" for g, e in word]) or "1"
 
 
-def substitute(word: Word, gen: str, repl: Word) -> Word:
-    inverse = invert_word(repl)
+def substitute(word: Word, gen: str, repl: Word, inverse: Word | None = None) -> Word:
+    """Replace each ``gen^e`` of the freely reduced ``word`` by ``repl^e``
+    (``inverse`` is ``invert_word(repl)`` when the caller has it).  The
+    stretches between occurrences and the copies of ``repl`` are copied
+    whole and cancel only where two meet: free reduction is confluent."""
+    if inverse is None:
+        inverse = invert_word(repl)
+    names = list(map(itemgetter(0), word))
     out: list[tuple[str, int]] = []
-    for g, e in word:
-        if g != gen:
-            out.append((g, e))
-        elif e > 0:
-            out.extend(repl * e)
-        else:
-            out.extend(inverse * -e)
-    return free_reduce(out)
+    start = 0
+    for _ in range(names.count(gen)):
+        k = names.index(gen, start)
+        _join(out, word[start:k])
+        e = word[k][1]
+        piece = repl if e > 0 else inverse
+        for _ in range(abs(e)):
+            _join(out, piece)
+        start = k + 1
+    _join(out, word[start:])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -232,54 +238,53 @@ def tietze_simplify(g: GroupPresentation) -> GroupPresentation:
 
     Removes trivial relators, eliminates generators that some relator
     defines in terms of the others, and deduplicates, for at most 30 passes.
+
+    Relators are freely reduced already, so each is only trimmed cyclically.
+    Each carries its generator counts, made again only when a substitution
+    rewrites it; the search for a defining relator skips one where no
+    generator occurs once.  A relator is compared only with kept ones of
+    its length and end letters, and inverted only when one has its inverse's.
     """
     gens = list(g.generators)
-    rels = [cyclic_reduce(r) for r in g.relators]
+    rels = [(r, Counter(map(itemgetter(0), r))) for r in map(_trim_cycle, g.relators)]
     for _ in range(30):
         changed = False
-        rels = [r for r in rels if r]
         # dedupe (up to inversion)
-        seen: set[Word] = set()
-        lengths: set[int] = set()
+        kept: dict[tuple, list[Word]] = {}
         unique = []
-        for r in rels:
-            if r in seen or (len(r) in lengths and invert_word(r) in seen):
+        for r, counts in rels:
+            if not r:
+                continue
+            key = (len(r), r[0], r[-1])
+            twins = kept.get((len(r), (r[-1][0], -r[-1][1]), (r[0][0], -r[0][1])))
+            if r in kept.get(key, ()) or (twins and invert_word(r) in twins):
                 changed = True
                 continue
-            seen.add(r)
-            lengths.add(len(r))
-            unique.append(r)
+            kept.setdefault(key, []).append(r)
+            unique.append((r, counts))
         rels = unique
-        # generator elimination: find a relator with a unique +-1 occurrence
-        elim = None
-        for ri, rel in enumerate(rels):
-            occurrences = Counter(map(itemgetter(0), rel))
-            for pos, (gen, e) in enumerate(rel):
-                if (e == 1 or e == -1) and occurrences[gen] == 1:
-                    elim = (ri, pos, gen, e)
-                    break
-            if elim:
-                break
+        # generator elimination: the first relator with a unique +-1
+        # occurrence, at its first such position
+        elim = next(((ri, pos, gen, e)
+                     for ri, (rel, counts) in enumerate(rels) if 1 in counts.values()
+                     for pos, (gen, e) in enumerate(rel)
+                     if (e == 1 or e == -1) and counts[gen] == 1), None)
         if elim:
             ri, pos, gen, e = elim
-            rel = rels[ri]
-            # rel = prefix * gen^e * suffix = 1  =>  gen^e = prefix^-1 suffix^-1
-            prefix, suffix = rel[:pos], rel[pos + 1:]
-            repl = free_reduce(invert_word(prefix) + invert_word(suffix))
-            if e == -1:
-                repl = invert_word(repl)
-            # a relator without gen is cyclically reduced already
-            rels = [
-                _trim_cycle(substitute(r, gen, repl))
-                if gen in map(itemgetter(0), r) else r
-                for i, r in enumerate(rels)
-                if i != ri
-            ]
+            rel, _ = rels.pop(ri)
+            # rel = prefix * gen^e * suffix = 1  =>  gen^e = (suffix * prefix)^-1;
+            # rel is cyclically reduced, so suffix * prefix is reduced
+            rest = rel[pos + 1:] + rel[:pos]
+            repl, inverse = (invert_word(rest), rest) if e == 1 else (rest, invert_word(rest))
+            for i, (r, counts) in enumerate(rels):
+                if gen in counts:
+                    r = _trim_cycle(substitute(r, gen, repl, inverse))
+                    rels[i] = (r, Counter(map(itemgetter(0), r)))
             gens.remove(gen)
             changed = True
         if not changed:
             break
-    rels = sorted({r for r in rels if r})
+    rels = sorted({r for r, _ in rels if r})
     return GroupPresentation(tuple(gens), tuple(rels))
 
 
@@ -362,14 +367,6 @@ class AbelianInvariants:
 
 
 def abelianization(g: GroupPresentation) -> AbelianInvariants:
-    n = len(g.generators)
-    if n == 0:
-        return AbelianInvariants(0, ())
-    matrix = exponent_matrix(g)
-    if not matrix:
-        return AbelianInvariants(n, ())
-    diag = smith_normal_form(matrix)
-    nonzero = [x for x in diag if x != 0]
-    rank = n - len(nonzero)
-    torsion = tuple(x for x in sorted(nonzero) if x > 1)
-    return AbelianInvariants(rank, torsion)
+    matrix = exponent_matrix(g) if g.generators else []
+    diag = smith_normal_form(matrix) if matrix else []  # its entries are nonzero
+    return AbelianInvariants(len(g.generators) - len(diag), tuple(x for x in sorted(diag) if x > 1))

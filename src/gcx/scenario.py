@@ -591,6 +591,14 @@ def _stmt_map(sc, ts, line, text):
     sc.maps[name] = CoordinateMap.make(source, target, table, name=name)
 
 
+def _scalar_clause(sc, chart, ts, line, clause: str):
+    """A clause value that must be a scalar, as its degree-0 coefficient."""
+    value = parse_expr(sc, chart, ts)
+    if not value.is_homogeneous(0):
+        raise ParseError(f"{clause} needs a scalar expression", line)
+    return value.coefficient(())
+
+
 def _named(table: dict, kind: str, name: str, line: int):
     if name not in table:
         raise ParseError(f"unknown {kind} {name!r}", line)
@@ -633,7 +641,7 @@ def _stmt_spinor(sc, ts, line, text):
             for _ in _items(ts, ","):
                 leg = ts.next().text
                 ts.expect("=")
-                vector[leg] = parse_expr(sc, chart, ts).coefficient(())
+                vector[leg] = _scalar_clause(sc, chart, ts, line, f"vector {leg!r}")
         elif key == "covector":
             chart = chart or sc.only_chart(line)
             covector = parse_expr(sc, chart, ts)
@@ -699,16 +707,17 @@ def _stmt_build(sc, ts, line, text):
 
 
 def _presentation(ts, line) -> GroupPresentation:
-    """``< gens | relators >``; the relator body runs to the first ``>``."""
+    """``< gens | relators >``: the generators are a comma-separated list of
+    names, maybe empty; the relator body runs to the first ``>``."""
     ts.expect("<")
     gens = []
-    while True:
-        tok = ts.next()
-        if tok.text == "|":
-            break
-        if tok.text == ",":
-            continue
-        gens.append(tok.text)
+    if not ts.accept("|"):
+        for _ in _items(ts, ","):
+            tok = ts.next()
+            if tok.kind != "name":
+                raise ParseError(f"expected a generator name, got {tok.text!r}", line)
+            gens.append(tok.text)
+        ts.expect("|")
     # spaces are deleted, so `x y` is the one generator `xy`
     body = ts.raw_until(">").replace(" ", "")
     gens = tuple(gens)
@@ -866,7 +875,7 @@ def _stmt_check(sc, ts, line, text):
         if ts.accept("on"):
             payload["region"] = _named(sc.regions, "region", ts.next().text, line)
         if ts.accept("scale"):
-            payload["scale"] = parse_expr(sc, chart, ts).coefficient(())
+            payload["scale"] = _scalar_clause(sc, chart, ts, line, "scale")
     elif what in ("lemma", "assembly"):
         ts.expect("params")
         payload["params"] = _params(ts, line)

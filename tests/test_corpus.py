@@ -159,6 +159,43 @@ def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, messa
         assert "line 4" in err and message in err, err
 
 
+@pytest.mark.parametrize("statement, message", [
+    ("spinor s = rho z1 + dz1^dz2; vector z2 = dz1 + 3", "vector 'z2' needs a scalar expression"),
+    ("check equal on C z1, z1 scale dz1 + 2 expect equal", "scale needs a scalar expression"),
+])
+def test_cli_scalar_clauses_reject_forms(tmp_path, capsys, statement, message):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = complex z1, complex z2\n{statement}\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and message in err, err
+    # the scalar part alone is accepted
+    scn.write_text(scn.read_text().replace("dz1 + ", ""))
+    assert main(["verify", str(scn)]) == 0
+
+
+@pytest.mark.parametrize("group, message", [
+    ("< a, 1 | a^2 >", "expected a generator name, got '1'"),
+    ("< a b | a^2 >", "expected '|', got 'b'"),
+    ("< a, | a^2 >", "expected a generator name, got '|'"),
+])
+def test_cli_generator_lists_hold_names(tmp_path, capsys, group, message):
+    scn = tmp_path / "g.gcx"
+    scn.write_text(f"group G = {group}\ncheck abelianization G expect rank 0 torsion [2]\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and message in err, err
+
+
+@pytest.mark.parametrize("group, rank", [("< | >", 0), ("< x | >", 1), ("<x,y_2|[x,y_2]>", 2)])
+def test_cli_generator_lists_may_be_empty(tmp_path, group, rank):
+    scn = tmp_path / "g.gcx"
+    scn.write_text(f"group G = {group}\ncheck abelianization G expect rank {rank} torsion []\n")
+    assert main(["run", str(scn)]) == 0
+
+
 @pytest.mark.parametrize("check", [
     "check equal on C z1, z1 on R expect equal",
     "check type s at z1 = 0.3 on R expect 0",

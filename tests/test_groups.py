@@ -1,5 +1,6 @@
 """Presentations, Tietze moves, Smith normal form, abelianization."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from gcx.groups import (
     free_reduce,
     invert_word,
     parse_relators,
+    substitute,
     word_str,
 )
 
@@ -298,6 +300,21 @@ def test_free_and_cyclic_reduce_match_naive_reference(word):
     assert cyclic_reduce(word) == _naive_cyclic_reduce(word)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_letters, st.sampled_from(["a", "b", "c"]), _letters)
+def test_substitute_matches_naive_expansion(word, gen, repl):
+    word, repl = free_reduce(word), free_reduce(repl)
+    expanded = []
+    for g, e in word:
+        if g != gen:
+            expanded.append((g, e))
+        else:  # gen^e becomes repl^e, letter by letter
+            expanded.extend((list(repl) if e > 0 else [(h, -f) for h, f in reversed(repl)]) * abs(e))
+    want = _naive_free_reduce(expanded)
+    assert substitute(word, gen, repl) == want
+    assert substitute(word, gen, repl, invert_word(repl)) == want
+
+
 def _split_top_level(body: str) -> list[str]:
     """Comma-separated segments outside every [..]."""
     parts, depth, start = [], 0, 0
@@ -348,6 +365,66 @@ def test_parse_word_errors_are_group_errors():
     assert parse_relators("[x,y],x^2,,1") == (
         (("x", 1), ("y", 1), ("x", -1), ("y", -1)), (("x", 2),), (), ()
     )
+
+
+# Each message as the parser worded it before words were reduced while read.
+PARSE_ERRORS = {
+    "x^": "'^' needs an integer exponent",
+    "x^y": "'^' needs an integer exponent",
+    "x ^ y": "'^' needs an integer exponent",
+    "[x,y]^": "'^' needs an integer exponent",
+    "a*^2": "unexpected token '^' in word",
+    "x@y": "unexpected token '@' in word",
+    "2": "unexpected token '2' in word",
+    "[x,y": "expected ']' in commutator",
+    "[x]": "unexpected token ']' in word",
+    "x-y": "unexpected token '-' in word",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PARSE_ERRORS))
+def test_parse_word_error_messages(text):
+    with pytest.raises(GroupError) as err:
+        parse_word(text)
+    assert str(err.value) == PARSE_ERRORS[text]
+
+
+def test_spaced_exponents_parse():
+    assert parse_word("x ^ -1") == (("x", -1),)
+    # [x,y]^-1 = y*x*y^-1*x^-1, whose first y joins y^3
+    assert parse_word("x ^-2 * y^ 3*[x, y] ^ -1") == (
+        ("x", -2), ("y", 4), ("x", 1), ("y", -1), ("x", -1))
+
+
+def _lcg_word(seed: int, gens, size: int) -> str:
+    """A freely reduced word of ``size`` letters, each +-1, drawn by a
+    linear congruential generator so that it never changes."""
+    letters, x = [], seed
+    while len(letters) < size:
+        x = (1103515245 * x + 12345) % 2**31
+        g = gens[(x >> 8) % len(gens)]
+        if not letters or letters[-1][0] != g:
+            letters.append((g, 1 if (x >> 16) & 1 else -1))
+    return "*".join(f"{g}^{e}" for g, e in letters)
+
+
+def test_tietze_pinned_on_long_defining_words():
+    # d1, d2, d3 are each defined by an 800-letter word and occur several
+    # times in the last relators, so every elimination makes them longer
+    g = GroupPresentation.make(
+        ["a", "b", "c", "d1", "d2", "d3"],
+        ["d1^-1*" + _lcg_word(1, "abc", 800),
+         "d2^-1*" + _lcg_word(2, "abc", 800),
+         "d3^-1*" + _lcg_word(3, "abc", 800),
+         "[d1,d2]*[d2,d3]^2", "d3^2*c^-3*d1^2*d2^-2", "[d1,c]*[a,b]"],
+    )
+    simple = tietze_simplify(g)
+    assert simple.generators == ("a", "b", "c")
+    assert sum(map(len, g.relators)) == 2425
+    assert sum(map(len, simple.relators)) == 14387
+    # the sha256 of the simplification written before this layer was rewritten
+    assert hashlib.sha256(simple.describe().encode()).hexdigest() == (
+        "f6bafba7d7aac38608eedc8d7b2284743c6c131ad6af16a273d76f045da09d41")
 
 
 def test_tietze_pinned_on_luttinger_shaped_presentation():
