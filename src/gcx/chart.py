@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import sympy
 from sympy.polys.domains import QQ_I
@@ -89,6 +89,7 @@ class Chart:
                 legs.append(Leg(c.name, _symbol_for(c.name, c.kind), i))
         self.legs: tuple[Leg, ...] = tuple(legs)
         self._index = {leg.name: i for i, leg in enumerate(self.legs)}
+        self._rings: dict[int, PolyRing] = {}  # extended_ring by k
 
     # -- basic queries -------------------------------------------------
 
@@ -115,23 +116,69 @@ class Chart:
     @cached_property
     def ring(self) -> PolyRing:
         """The polynomials over the Gaussian rationals in the chart's legs."""
-        return ring(self.symbols, QQ_I)[0]
+        return self.extended_ring(0)
+
+    def extended_ring(self, k: int) -> PolyRing:
+        """:attr:`ring` with ``k`` extra generators after the legs, built
+        once per chart and ``k``.  The extra generators' names are not
+        identifiers, so no leg shares one."""
+        extended = self._rings.get(k)
+        if extended is None:
+            extra = tuple(sympy.Symbol(f"extra {j}") for j in range(k))
+            extended = self._rings[k] = ring(self.symbols + extra, QQ_I)[0]
+        return extended
 
     def to_ring(self, value) -> Optional[PolyElement]:
         """``value`` as an element of :attr:`ring`, or None when it is not a
         polynomial over ``QQ_I`` in the legs.
 
-        A float is refused rather than read as the rational it rounds to.
+        This is the reader of :meth:`fractions` with no extra generator:
+        it stops at the first float, foreign symbol, function, ``pi`` or
+        non-integer power, and a denominator that is not a nonzero constant
+        gives None too.  A float is refused rather than read as the
+        rational it rounds to.
         """
         if isinstance(value, PolyElement):
             return value if value.ring == self.ring else None
-        value = sympy.sympify(value)
-        if value.has(sympy.Float):
+        read = _read_fraction(sympy.sympify(value), self.ring, self._leg_gens)
+        if read is None or read[1]:
             return None
-        try:
-            return self.ring.from_expr(value)
-        except ValueError:  # a denominator, a function, pi, a foreign symbol
-            return None
+        return read[0]
+
+    @cached_property
+    def _leg_gens(self) -> dict:
+        return dict(zip(self.symbols, self.ring.gens))
+
+    def fractions(self, exprs: Sequence) -> Optional[tuple[list, tuple]]:
+        """The expressions as fractions over one ring, with no gcd taken.
+
+        Sums, products, integer powers (negative ones only of a base that
+        is not zero in the ring), legs, Gaussian rationals and ``I`` are
+        read in :meth:`extended_ring`; every other subexpression (``pi``,
+        ``E``, a bump application, any other function, a non-integer
+        power) becomes one extra generator, shared by equal
+        subexpressions.  Returns ``(pairs, extras)``: a
+        ``(numerator, denominator)`` pair per expression, where the
+        denominator maps each of its distinct non-constant factors to its
+        multiplicity (``{}`` is 1), and the subexpressions read as the
+        extra generators, in order.  None when an expression holds a float
+        or a negative power of a zero base.
+        """
+        exprs = [sympy.sympify(e) for e in exprs]
+        legs = set(self.symbols)
+        found: dict = {}
+        for e in exprs:
+            if not _opaque_nodes(e, legs, found):
+                return None
+        extended = self.extended_ring(len(found))
+        gens = dict(zip(self.symbols + tuple(found), extended.gens))
+        pairs = []
+        for e in exprs:
+            read = _read_fraction(e, extended, gens)
+            if read is None:
+                return None
+            pairs.append(read)
+        return pairs, tuple(found)
 
     def __repr__(self):
         return f"Chart({self.name!r}, dim={self.dim})"
@@ -202,6 +249,88 @@ def _conj_walk(e: sympy.Expr, swap: dict) -> sympy.Expr:
     if not e.args:
         return e
     return e.func(*(_conj_walk(a, swap) for a in e.args))
+
+
+def _opaque_nodes(e: sympy.Expr, legs: set, found: dict) -> bool:
+    """Add to ``found`` each subexpression of ``e`` that :func:`_read_fraction`
+    does not read as a field operation on legs and Gaussian rationals;
+    False on a float."""
+    if e.is_Add or e.is_Mul:
+        return all(_opaque_nodes(a, legs, found) for a in e.args)
+    if e.is_Pow and e.exp.is_Integer:
+        return _opaque_nodes(e.base, legs, found)
+    if e.is_Float:
+        return False
+    if not (e.is_Rational or e is sympy.I or e in legs):
+        found[e] = None
+    return True
+
+
+def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> Optional[tuple[PolyElement, dict]]:
+    """``e`` as (numerator, denominator) over ``R``, whose generators
+    ``gens`` maps from sympy.  The denominator maps each distinct monic
+    non-constant factor to its multiplicity, so a repeated factor is never
+    multiplied in twice; constants go to the numerator.  None at the first
+    subexpression that ``gens`` lacks and that is not a sum, product,
+    integer power, Gaussian rational or ``I``, and at a negative power of
+    a base that is zero in ``R``."""
+    gen = gens.get(e)
+    if gen is not None:
+        return gen, {}
+    if e.is_Add or e.is_Mul:
+        parts = []
+        for a in e.args:
+            part = _read_fraction(a, R, gens)
+            if part is None:
+                return None
+            parts.append(part)
+        return _sum(parts, R) if e.is_Add else _product(parts, R)
+    if e.is_Pow and e.exp.is_Integer:
+        base = _read_fraction(e.base, R, gens)
+        if base is None:
+            return None
+        num, den = base
+        n = int(e.exp)
+        if n >= 0:
+            return num ** n, {f: m * n for f, m in den.items()}
+        if not num:
+            return None
+        n = -n
+        lc = num.LC
+        inverse = R.ground_new(R.domain.revert(lc) ** n)
+        for f, m in den.items():
+            inverse *= f ** (m * n)
+        factor = num.quo_ground(lc)
+        return inverse, ({} if factor.is_ground else {factor: n})
+    if e.is_Rational or e is sympy.I:
+        return R.ground_new(R.domain.from_sympy(e)), {}
+    return None
+
+
+def _product(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
+    num, den = R.one, {}
+    for n, d in parts:
+        num *= n
+        for f, m in d.items():
+            den[f] = den.get(f, 0) + m
+    return (num, den) if num else (R.zero, {})
+
+
+def _sum(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
+    """The sum over the least common denominator: each factor at its
+    largest multiplicity."""
+    common: dict = {}
+    for _, d in parts:
+        for f, m in d.items():
+            if common.get(f, 0) < m:
+                common[f] = m
+    total = R.zero
+    for n, d in parts:
+        for f, m in common.items():
+            if m != d.get(f, 0):
+                n = n * f ** (m - d.get(f, 0))
+        total += n
+    return (total, common) if total else (R.zero, {})
 
 
 @dataclass(frozen=True)

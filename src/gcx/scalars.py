@@ -6,15 +6,19 @@ exp, sqrt, trig) and opaque bump functions are kept symbolic, with
 derivative rules built in, and are only ever evaluated numerically
 during sampling.
 
-Equality is decided exactly wherever it can be.  When both sides are
-algebraic after pinning their bumps, :func:`expr_equal` compares them
-as elements of the chart's polynomial ring over the Gaussian rationals
-``QQ_I``; when a side has a denominator it tests the numerator of
-``together(a - b)`` in that ring, and with a constant such as ``pi`` it
-checks that ``cancel(together(a - b))`` is zero.  Only transcendental or
-opaque terms force a sampled, Schwartz-Zippel-style verdict at tolerance
-``tol``.  A zero test is structural (:func:`is_structural_zero`) and
-never queries sympy's assumptions on a compound expression.
+Equality is decided exactly wherever it can be.  After pinning their
+bumps, :func:`expr_equal` reads both sides as fractions over the chart's
+polynomial ring over the Gaussian rationals ``QQ_I``
+(:meth:`~gcx.chart.Chart.fractions`), where every subexpression that is
+not a field operation on legs and constants (``pi``, a bump, ``sin``)
+is one extra generator, and no gcd is taken.  The sides are equal when
+the cross-multiplied numerators agree, ``num_a * den_b == num_b *
+den_a``.  That formal zero is final whatever the extra generators are;
+a nonzero difference is final only when they are at most ``pi`` and
+``E``.  Otherwise ``expand`` and ``cancel(together(a - b))`` get a last
+look, and then a sampled, Schwartz-Zippel-style verdict at tolerance
+``tol`` decides.  A zero test is structural (:func:`is_structural_zero`)
+and never queries sympy's assumptions on a compound expression.
 
 Numeric evaluation has one path, :func:`compile_exprs`: expressions are
 compiled once with ``sympy.lambdify`` over the chart's legs into plain
@@ -273,40 +277,34 @@ def is_structural_zero(expr) -> bool:
     return expr == 0 or (isinstance(expr, sympy.Number) and expr.is_zero)
 
 
-# atoms that a polynomial ring over QQ_I, or ``cancel`` with pi and E as
-# transcendental generators, handles exactly
-_ALGEBRAIC_ATOMS = (sympy.Rational, sympy.Symbol, type(sympy.I), type(sympy.pi), type(sympy.E))
+# the extra generators whose nonzero difference ``cancel`` also calls final
+_FINAL_EXTRAS = frozenset({sympy.pi, sympy.E})
 
 
-def is_algebraic_expr(expr: sympy.Expr) -> bool:
-    """True when the expression uses only exact field operations."""
-    for node in sympy.preorder_traversal(sympy.sympify(expr)):
-        if node.is_Atom:
-            if not isinstance(node, _ALGEBRAIC_ATOMS):
-                return False
-        elif isinstance(node, sympy.Function) or (node.is_Pow and not node.exp.is_Integer):
-            return False
-    return True
+def _exact_verdict(a: sympy.Expr, b: sympy.Expr, chart: Chart) -> Optional[bool]:
+    """Exact equality of two expressions read as fractions over the chart's
+    ring (:meth:`~gcx.chart.Chart.fractions`), or None when it is not final.
 
-
-def _algebraic_equal(a: sympy.Expr, b: sympy.Expr, chart: Chart) -> bool:
-    """Exact equality of two algebraic expressions, with no sampling.
-
-    Two polynomials compare in the chart's ring.  Otherwise ``a - b`` is
-    brought over one denominator; when the numerator and a nonzero
-    denominator are polynomials, ``a = b`` exactly when the numerator is
-    zero in the ring.  With a constant such as ``pi``, or a denominator
-    that is zero in the ring, ``cancel`` decides.
+    ``a = b`` holds exactly when the cross-multiplied numerators agree,
+    ``num_a * den_b == num_b * den_a``, with the denominator factors the
+    two share left out of both products; every denominator is nonzero in
+    the ring.  That formal zero is a verdict whatever the extra generators
+    are.  A nonzero difference is final only when the extra generators are
+    at most ``pi`` and ``E``.
     """
-    pa = chart.to_ring(a)
-    pb = chart.to_ring(b) if pa is not None else None
-    if pb is not None:
-        return pa == pb
-    difference = sympy.together(a - b)
-    numerator, denominator = (chart.to_ring(e) for e in sympy.fraction(difference))
-    if numerator is not None and denominator is not None and denominator:
-        return not numerator
-    return sympy.cancel(difference) == 0
+    read = chart.fractions((a, b))
+    if read is None:
+        return None
+    ((num_a, den_a), (num_b, den_b)), extras = read
+    for factor in den_a.keys() | den_b.keys():
+        k = den_b.get(factor, 0) - den_a.get(factor, 0)
+        if k > 0:
+            num_a *= factor ** k
+        elif k < 0:
+            num_b *= factor ** -k
+    if num_a == num_b:
+        return True
+    return False if _FINAL_EXTRAS.issuperset(extras) else None
 
 
 def expr_equal(
@@ -323,17 +321,20 @@ def expr_equal(
     Both sides have their region-pinned bumps substituted first.  A
     pinned side holding an infinite or undefined value (``zoo``, ``nan``,
     ``oo``) raises :class:`EvaluationError`.  Equal pinned sides are
-    decided structurally.  When both are algebraic the verdict is exact:
-    equality in the chart's polynomial ring over ``QQ_I``, a zero
-    numerator of ``together(a - b)`` in that ring when a side has a
-    denominator, or a zero ``cancel(together(a - b))`` with a constant
-    such as ``pi``.  A nonzero rational function cannot vanish on
-    an open region, and the Wirtinger legs (z, zb) are an invertible linear
-    change of the real coordinates, so no sampling is needed there.  Only
-    transcendental or opaque terms fall through to sampling at up to
-    ``samples`` points of the region, drawn with ``rng`` (by default
-    ``random.Random(0)``), where ``|a - b|`` must stay within ``tol`` times
-    ``max(1, |a|)``.
+    decided structurally.  Otherwise both are read as fractions over the
+    chart's ring over ``QQ_I`` with one extra generator per other
+    subexpression (:meth:`~gcx.chart.Chart.fractions`), and the verdict
+    is exact when the cross-multiplied numerators agree, ``num_a * den_b
+    == num_b * den_a`` (equal, whatever the extra generators), or when
+    they differ and the extra generators are at most ``pi`` and ``E``
+    (different).  A nonzero rational function cannot vanish on an open
+    region, and the Wirtinger legs (z, zb) are an invertible linear
+    change of the real coordinates, so no sampling is needed there.  Any
+    other difference, one with a float, or a side with a negative power
+    of a zero base goes to ``expand`` and ``cancel(together(a - b))``,
+    and then to sampling at up to ``samples`` points of the region, drawn
+    with ``rng`` (by default ``random.Random(0)``), where ``|a - b|`` must
+    stay within ``tol`` times ``max(1, |a|)``.
     """
     a, b = sympy.sympify(a), sympy.sympify(b)
     pins = region.bump_map if region is not None else {}
@@ -342,8 +343,9 @@ def expr_equal(
     _require_finite(pinned_b, chart)
     if pinned_a == pinned_b:
         return True
-    if is_algebraic_expr(pinned_a) and is_algebraic_expr(pinned_b):
-        return _algebraic_equal(pinned_a, pinned_b, chart)
+    verdict = _exact_verdict(pinned_a, pinned_b, chart)
+    if verdict is not None:
+        return verdict
     diff = sympy.expand(pinned_a - pinned_b)
     if is_structural_zero(diff):
         return True

@@ -161,6 +161,18 @@ class Scenario:
     commands: list[Command] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     statements: list[str] = field(default_factory=list)
+    # (table, scope, name) -> the line that declared it
+    declared: dict[tuple[str, str, str], int] = field(default_factory=dict)
+
+    def declare(self, table: str, name: str, line: int, scope: str = "") -> str:
+        """Record ``name`` as declared in ``table`` on ``line``; a second
+        declaration into the same table is a parse error naming the first."""
+        key = (table, scope, name)
+        if key in self.declared:
+            raise ParseError(f"{table} {name!r}{scope} is already declared "
+                             f"on line {self.declared[key]}", line)
+        self.declared[key] = line
+        return name
 
     def pretty(self) -> str:
         """Canonical text whose re-parse is structurally identical."""
@@ -372,7 +384,7 @@ def _strip_comment(raw: str) -> str:
 def _statements(text: str):
     """(line number, statement) for every line that is not blank or a comment."""
     for raw_no, raw in enumerate(text.splitlines(), start=1):
-        line = re.sub(r"\s+", " ", _strip_comment(raw).strip())
+        line = " ".join(_strip_comment(raw).split())
         if line:
             yield raw_no, line
 
@@ -456,7 +468,7 @@ def _items(ts: TokenStream, sep: str):
 
 
 def _stmt_chart(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("chart", ts.next().text, line)
     ts.expect("=")
     coords = []
     for _ in _items(ts, ","):
@@ -483,7 +495,7 @@ def _read_int(ts, line) -> int:
 
 
 def _stmt_region(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("region", ts.next().text, line)
     ts.expect("on")
     chart = _chart_ref(sc, ts, line)
     ts.expect("=")
@@ -541,7 +553,7 @@ def _interval(ts, line) -> tuple[float, float]:
 
 
 def _stmt_bump(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("bump", ts.next().text, line)
     ts.expect("=")
     ts.expect("0")
     ts.expect("upto")
@@ -568,14 +580,14 @@ def _opt_chart(sc, ts, line) -> Chart:
 
 
 def _stmt_form(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("form", ts.next().text, line)
     chart = _opt_chart(sc, ts, line)
     ts.expect("=")
     sc.forms[name] = parse_expr(sc, chart, ts)
 
 
 def _stmt_map(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("map", ts.next().text, line)
     ts.expect(":")
     source = _chart_ref(sc, ts, line)
     ts.expect("->")
@@ -610,7 +622,7 @@ _SPINOR_CLAUSES = ("on", "rho", "h", "region", "vector", "covector",
 
 
 def _stmt_spinor(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("spinor", ts.next().text, line)
     ts.expect("=")
     first = ts.peek()
     if first is None or first.text not in _SPINOR_CLAUSES:
@@ -684,7 +696,7 @@ def _stmt_build(sc, ts, line, text):
     which = ts.next().text
     if which not in ("luttinger", "gluck"):
         raise ParseError("build needs 'luttinger' or 'gluck'", line)
-    name = ts.next().text
+    name = sc.declare("spinor", ts.next().text, line)
     ts.expect("=")
     ts.expect("params")
     params = _params(ts, line)
@@ -725,13 +737,13 @@ def _presentation(ts, line) -> GroupPresentation:
 
 
 def _stmt_group(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("group", ts.next().text, line)
     ts.expect("=")
     sc.groups[name] = _presentation(ts, line)
 
 
 def _stmt_manifold(sc, ts, line, text):
-    name = ts.next().text
+    name = sc.declare("manifold", ts.next().text, line)
     ts.expect("=")
     fields = {
         "name": name, "dimension": None, "euler": None, "signature": None,
@@ -791,6 +803,7 @@ def _stmt_locus(sc, ts, line, text):
     ts.expect("on")
     mname = ts.next().text
     m = _named(sc.manifolds, "manifold", mname, line)
+    sc.declare("locus", name, line, scope=f" on manifold {mname!r}")
     ts.expect("=")
     kind = None
     fields = {"complement": None, "meridian": None, "circle1": None,
@@ -825,15 +838,30 @@ def _stmt_locus(sc, ts, line, text):
 
 
 def _point(sc, chart, ts, line) -> dict[str, complex]:
-    """``leg = value`` pairs, each value a constant expression on the chart."""
-    out = {}
+    """``leg = value`` pairs, each value a constant expression on the chart.
+
+    Each leg of the chart is given at most once, a real-valued leg gets a
+    real value, and a conjugate leg given beside its partner gets exactly
+    the partner's conjugate; the parsed values are compared, not floats.
+    """
+    out, exact = {}, {}
     for _ in _items(ts, ","):
         leg = ts.next().text
+        index = chart.leg_index(leg)
+        if leg in exact:
+            raise ParseError(f"coordinate {leg!r} is given twice", line)
         ts.expect("=")
         value = parse_expr(sc, chart, ts)
         number = value.coefficient(())
         if not value.is_homogeneous(0) or not number.is_number:
             raise ParseError(f"coordinate {leg!r} needs a constant value", line)
+        partner = chart.legs[chart.conj_index(index)].name
+        if partner == leg and sympy.im(number).is_zero is False:
+            raise ParseError(f"coordinate {leg!r} is real, but its value is {number}", line)
+        if partner in exact and not is_structural_zero(
+                sympy.expand(sympy.conjugate(exact[partner]) - number)):
+            raise ParseError(f"coordinate {leg!r} is not the conjugate of {partner!r}", line)
+        exact[leg] = number
         out[leg] = complex(number)
         if not cmath.isfinite(out[leg]):
             raise ParseError(f"coordinate {leg!r} has no finite value", line)

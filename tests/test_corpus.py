@@ -432,3 +432,54 @@ def test_cli_type_point_off_the_regions_plateau_fails(tmp_path, capsys):
     scn.write_text(_PLATEAU + "check type s at z1 = 0, z2 = 0 on core expect 0\n"
                    "check type s at z1 = 0.9, z2 = 0 expect 2\n")
     assert main(["run", str(scn)]) == 0
+
+
+@pytest.mark.parametrize("point, message", [
+    ("z1 = 0, w = 1, x1 = 0", "chart 'C' has no leg 'w'"),
+    ("z1 = 0, z1 = 1, x1 = 0", "coordinate 'z1' is given twice"),
+    ("z1 = 0, x1 = i", "coordinate 'x1' is real, but its value is I"),
+    ("z1 = 0, z1b = 1, x1 = 0", "coordinate 'z1b' is not the conjugate of 'z1'"),
+])
+def test_cli_points_are_checked_at_parse_time(tmp_path, capsys, point, message):
+    scn = tmp_path / "p.gcx"
+    scn.write_text(f"chart C = complex z1, real x1\nspinor s = z1\n"
+                   f"check type s at {point} expect 0\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and message in err, err
+    # exact conjugates and real values are accepted, in either order
+    scn.write_text("chart C = complex z1, real x1\nspinor s = z1\n"
+                   "check type s at z1b = 0.3 + 0.8*i, z1 = 0.3 - 0.8*i, x1 = sin(1) expect 0\n")
+    assert main(["run", str(scn)]) == 0
+
+
+_DECLARED = "chart C = complex z1\nmanifold M = dim 4; chi 0\n"
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("chart D = real x1", "chart D = real y1", "chart 'D'"),
+    ("region R on C = z1 in (0.1, 0.2)", "region R on C = z1 in (0.3, 0.4)", "region 'R'"),
+    ("bump b = 0 upto 0.25, 1 from 0.5", "bump b = 0 upto 0.3, 1 from 0.6", "bump 'b'"),
+    ("form A on C = z1", "scalar A on C = z1b", "form 'A'"),
+    ("map f : C -> C = z1 -> z1", "map f : C -> C = z1 -> z1b", "map 'f'"),
+    ("spinor s = z1", "build luttinger s = params (0, 1, 1, 0)", "spinor 's'"),
+    ("group G = < x | x^2 >", "group G = < y | y^3 >", "group 'G'"),
+    ("manifold N = dim 4; chi 2", "manifold N = dim 4; chi 3", "manifold 'N'"),
+    ("locus L on M = kind branch", "locus L on M = kind branch", "locus 'L' on manifold 'M'"),
+])
+def test_cli_second_declaration_is_a_parse_error(tmp_path, capsys, first, second, message):
+    scn = tmp_path / "d.gcx"
+    scn.write_text(f"{_DECLARED}{first}\n{second}\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 4: {message} is already declared on line 3" in err, err
+
+
+def test_cli_names_repeat_across_tables(tmp_path):
+    scn = tmp_path / "d.gcx"
+    scn.write_text(f"{_DECLARED}manifold N = dim 4; chi 2\nlocus L on M = kind branch\n"
+                   "locus L on N = kind branch\nform s on C = z1\nspinor s = z1\n"
+                   "group s = < x | x^2 >\n")
+    assert main(["verify", str(scn)]) == 0

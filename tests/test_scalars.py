@@ -8,9 +8,11 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import gcx.forms as forms
 import gcx.scalars as scalars
-from conftest import gaussian_polys, real_chart
-from gcx import Chart, bump_function, opaque_function
+import gcx.spinor as spinor
+from conftest import GAUSSIAN_RATIONALS, gaussian_polys, real_chart
+from gcx import Chart, bump_function, build_gluck_spinor, check_integrable, opaque_function
 from gcx.scalars import (
     EvaluationError,
     compile_exprs,
@@ -69,7 +71,8 @@ def _no_sampling(monkeypatch):
     def refuse(exprs, chart):
         raise AssertionError(f"sampled {exprs}")
 
-    monkeypatch.setattr(scalars, "compile_exprs", refuse)
+    for module in (scalars, forms, spinor):
+        monkeypatch.setattr(module, "compile_exprs", refuse)
 
 
 def test_expr_equal_algebraic_decided_without_sampling(monkeypatch):
@@ -83,6 +86,28 @@ def test_expr_equal_algebraic_decided_without_sampling(monkeypatch):
     assert expr_equal(sympy.pi * p * q, sympy.pi * sympy.expand(p * q), ch)
     assert not expr_equal((p + q) ** 2, p ** 2 + q ** 2, ch)
     assert not expr_equal(p / q, q / p, ch)
+    assert not expr_equal(sympy.pi * p, sympy.E * p, ch)
+    # a formal zero is exact whatever the extra generators: here a bump and sin
+    xi = bump_function("xi_e", 0.25, 0.5)(z1 * z1b)
+    assert expr_equal(xi * (p + q) / (1 + z1 * z1b), xi * p / (1 + z1 * z1b)
+                      + xi * q / (1 + z1 * z1b), ch)
+    assert expr_equal(sympy.sin(x1) * (x1 + 1), sympy.sin(x1) * x1 + sympy.sin(x1), ch)
+
+
+def test_expr_equal_zero_denominator_is_undefined():
+    ch = real_chart(1)
+    (x1,) = ch.symbols
+    # the base is zero in the ring but not to sympy's Add
+    singular = 1 / (x1 * (x1 + 1) - x1 ** 2 - x1)
+    with pytest.raises(EvaluationError, match="infinite or undefined"):
+        expr_equal(singular, 1, ch)
+
+
+def test_gluck_stored_certificate_compiles_nothing(monkeypatch):
+    s = build_gluck_spinor((1, 3, 1, 2))
+    _no_sampling(monkeypatch)
+    result = check_integrable(s)
+    assert result.ok and result.path == "stored"
 
 
 def test_expr_equal_transcendental_still_samples(monkeypatch):
@@ -94,21 +119,32 @@ def test_expr_equal_transcendental_still_samples(monkeypatch):
 
 
 _PROPERTY_CHART = Chart("pc", [("z1", "complex"), ("x1", "real")])
+_PROPERTY_BUMP = bump_function("xi_h", 0.25, 0.5)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(gaussian_polys(_PROPERTY_CHART), gaussian_polys(_PROPERTY_CHART),
-       gaussian_polys(_PROPERTY_CHART), st.integers(0, 2))
+       gaussian_polys(_PROPERTY_CHART), st.integers(0, 5))
 def test_expr_equal_agrees_with_cancel(p, q, r, shape):
     ch = _PROPERTY_CHART
+    z1, z1b, _ = ch.symbols
+    bump = _PROPERTY_BUMP(z1 * z1b)
     if shape == 0:  # polynomials: equal when p == q or r == 0
         a, b = p * r, q * r
     elif shape == 1:  # one quotient in two spellings: always equal
         assume(not is_structural_zero(sympy.expand(q)))
         a, b = p * r / q, sympy.expand(p * r) / q
-    else:  # (p^2 - q^2)/(p - q) = p + q + r: equal when r == 0
+    elif shape == 2:  # (p^2 - q^2)/(p - q) = p + q + r: equal when r == 0
         assume(not is_structural_zero(sympy.expand(p - q)))
         a, b = (p ** 2 - q ** 2) / (p - q), p + q + r
+    elif shape == 3:  # a bump and pi times one quotient in two spellings
+        assume(not is_structural_zero(sympy.expand(q)))
+        a, b = sympy.pi * bump * p * r / q, bump * sympy.pi * sympy.expand(p * r) / q
+    elif shape == 4:  # pi (p^2 - q^2)/(p - q) = pi (p + q) + r: exact, equal when r == 0
+        assume(not is_structural_zero(sympy.expand(p - q)))
+        a, b = sympy.pi * (p ** 2 - q ** 2) / (p - q), sympy.pi * (p + q) + r
+    else:  # a bump factor: equal when r == 0, else sampled where the bump is 1
+        a, b = bump * (p * q + r), bump * sympy.expand(p * q)
     # the reference is cancel(together(a - b)) == 0, except that cancel has
     # no generator on a symbol-free difference and leaves constants such as
     # (1 + I/2)**2 - 3/4 - I unexpanded; the expanded numerator of
@@ -116,6 +152,43 @@ def test_expr_equal_agrees_with_cancel(p, q, r, shape):
     diff = sympy.together(a - b)
     expected = sympy.cancel(diff) == 0 or sympy.expand(diff.as_numer_denom()[0]) == 0
     assert expr_equal(a, b, ch) == expected
+
+
+_LEGS = st.sampled_from(_PROPERTY_CHART.symbols + (sympy.I,))
+# a float, and atoms that are not legs: the name of a leg with other assumptions
+_OTHER_LEAVES = st.sampled_from((sympy.Float(0.5), sympy.pi, sympy.Symbol("w"), sympy.Symbol("x1"),
+                                 sympy.sin(sympy.Symbol("x1", real=True)),
+                                 sympy.sqrt(sympy.Symbol("z1"))))
+
+
+def _candidates(children):
+    return st.one_of(
+        st.builds(lambda a, b: a + b, children, children),
+        st.builds(lambda a, b: a * b, children, children),
+        st.builds(lambda a, n: a ** n, children, st.integers(0, 3)),
+        st.builds(lambda a, n: a / n, children, st.integers(1, 4)),
+        # an expanded non-constant polynomial divisor.  An unexpanded one
+        # may be a constant, such as z1*(1 - I) + z1*(-1 + I) + I, which
+        # to_ring reads as the Gaussian rational it is and from_expr refuses
+        st.builds(lambda a, d: a / d, children,
+                  gaussian_polys(_PROPERTY_CHART).map(sympy.expand)
+                  .filter(lambda d: d.free_symbols)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.recursive(st.one_of(_LEGS, _LEGS, GAUSSIAN_RATIONALS, _OTHER_LEAVES),
+                    _candidates, max_leaves=8))
+def test_to_ring_agrees_with_from_expr(expr):
+    ch = _PROPERTY_CHART
+    if expr.has(sympy.Float):
+        assert ch.to_ring(expr) is None
+        return
+    try:
+        expected = ch.ring.from_expr(expr)
+    except ValueError:  # a denominator, a function, pi, a foreign symbol
+        expected = None
+    assert ch.to_ring(expr) == expected
 
 
 def test_expr_equal_transcendental_sampled():

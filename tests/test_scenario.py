@@ -72,6 +72,13 @@ def test_comments_and_strings():
         'title "has # hash"  # trailing comment\n# full-line comment\n'
     )
     assert sc.title == "has # hash"
+    # a run of whitespace, Unicode's included, reads as one space; like
+    # "\n", "\x0b" ends a line (str.splitlines), so the form is on line 2
+    sc = parse_scenario("chart\tC =\u00a0complex z1,\u3000real \t x1 \x0b"
+                        "\u3000form w\ton C = z1 *\u00a0\u3000dx1\t\n")
+    assert sc.statements == ["chart C = complex z1, real x1", "form w on C = z1 * dx1"]
+    with pytest.raises(ParseError, match="line 2"):
+        parse_scenario("chart\tC = complex z1\x0bform\u3000w on C = dz9\n")
 
 
 def test_mutated_expectation_fails_exactly_one_check():
