@@ -140,7 +140,10 @@ class Chart:
         """
         if isinstance(value, PolyElement):
             return value if value.ring == self.ring else None
-        read = _read_fraction(sympy.sympify(value), self.ring, self._leg_gens)
+        try:
+            read = _read_fraction(sympy.sympify(value), self.ring, self._leg_gens)
+        except ZeroDivisionError:
+            return None
         if read is None or read[1]:
             return None
         return read[0]
@@ -149,36 +152,28 @@ class Chart:
     def _leg_gens(self) -> dict:
         return dict(zip(self.symbols, self.ring.gens))
 
-    def fractions(self, exprs: Sequence) -> Optional[tuple[list, tuple]]:
+    def fractions(self, exprs: Sequence) -> tuple[list, tuple]:
         """The expressions as fractions over one ring, with no gcd taken.
 
-        Sums, products, integer powers (negative ones only of a base that
-        is not zero in the ring), legs, Gaussian rationals and ``I`` are
-        read in :meth:`extended_ring`; every other subexpression (``pi``,
-        ``E``, a bump application, any other function, a non-integer
-        power) becomes one extra generator, shared by equal
-        subexpressions.  Returns ``(pairs, extras)``: a
-        ``(numerator, denominator)`` pair per expression, where the
-        denominator maps each of its distinct non-constant factors to its
-        multiplicity (``{}`` is 1), and the subexpressions read as the
-        extra generators, in order.  None when an expression holds a float
-        or a negative power of a zero base.
+        Sums, products, integer powers, legs, Gaussian rationals and ``I``
+        are read in :meth:`extended_ring`; every other subexpression
+        (``pi``, ``E``, a float, a bump application, any other function, a
+        non-integer power) becomes one extra generator, shared by equal
+        subexpressions.  Returns ``(pairs, extras)``: a ``(numerator,
+        denominator)`` pair per expression, where the denominator maps each
+        of its distinct non-constant factors to its multiplicity (``{}`` is
+        1), and the subexpressions read as the extra generators, in order.
+        A negative power of a base that is zero in the ring raises
+        ``ZeroDivisionError``.
         """
         exprs = [sympy.sympify(e) for e in exprs]
         legs = set(self.symbols)
         found: dict = {}
         for e in exprs:
-            if not _opaque_nodes(e, legs, found):
-                return None
+            _opaque_nodes(e, legs, found)
         extended = self.extended_ring(len(found))
         gens = dict(zip(self.symbols + tuple(found), extended.gens))
-        pairs = []
-        for e in exprs:
-            read = _read_fraction(e, extended, gens)
-            if read is None:
-                return None
-            pairs.append(read)
-        return pairs, tuple(found)
+        return [_read_fraction(e, extended, gens) for e in exprs], tuple(found)
 
     def __repr__(self):
         return f"Chart({self.name!r}, dim={self.dim})"
@@ -251,19 +246,16 @@ def _conj_walk(e: sympy.Expr, swap: dict) -> sympy.Expr:
     return e.func(*(_conj_walk(a, swap) for a in e.args))
 
 
-def _opaque_nodes(e: sympy.Expr, legs: set, found: dict) -> bool:
+def _opaque_nodes(e: sympy.Expr, legs: set, found: dict) -> None:
     """Add to ``found`` each subexpression of ``e`` that :func:`_read_fraction`
-    does not read as a field operation on legs and Gaussian rationals;
-    False on a float."""
+    does not read as a field operation on legs and Gaussian rationals."""
     if e.is_Add or e.is_Mul:
-        return all(_opaque_nodes(a, legs, found) for a in e.args)
-    if e.is_Pow and e.exp.is_Integer:
-        return _opaque_nodes(e.base, legs, found)
-    if e.is_Float:
-        return False
-    if not (e.is_Rational or e is sympy.I or e in legs):
+        for a in e.args:
+            _opaque_nodes(a, legs, found)
+    elif e.is_Pow and e.exp.is_Integer:
+        _opaque_nodes(e.base, legs, found)
+    elif not (e.is_Rational or e is sympy.I or e in legs):
         found[e] = None
-    return True
 
 
 def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> Optional[tuple[PolyElement, dict]]:
@@ -272,8 +264,8 @@ def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> Optional[tuple[Pol
     non-constant factor to its multiplicity, so a repeated factor is never
     multiplied in twice; constants go to the numerator.  None at the first
     subexpression that ``gens`` lacks and that is not a sum, product,
-    integer power, Gaussian rational or ``I``, and at a negative power of
-    a base that is zero in ``R``."""
+    integer power, Gaussian rational or ``I``; ``ZeroDivisionError`` at a
+    negative power of a base that is zero in ``R``."""
     gen = gens.get(e)
     if gen is not None:
         return gen, {}
@@ -294,7 +286,7 @@ def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> Optional[tuple[Pol
         if n >= 0:
             return num ** n, {f: m * n for f, m in den.items()}
         if not num:
-            return None
+            raise ZeroDivisionError(f"{e.base} is zero")
         n = -n
         lc = num.LC
         inverse = R.ground_new(R.domain.revert(lc) ** n)
@@ -349,7 +341,6 @@ _DEFAULT_WINDOW = {
     "real": (-2.0, 2.0),
     "radial": (0.25, 2.0),
     "angle": (0.0, _TWO_PI),
-    "complex": (-2.0, 2.0),  # box for Re and Im; modulus bounds may refine
 }
 
 

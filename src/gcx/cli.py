@@ -81,14 +81,15 @@ def cmd_corpus_run_all(args) -> int:
     start = time.monotonic()
     chunks = []
     failures = 0
-    for path in corpus_files():
+    paths = corpus_files()
+    for path in paths:
         report = run(path, seed=args.seed, samples=args.samples,
                      tolerance=args.tolerance)
         chunks.append(report.render())
         if not report.ok:
             failures += 1
     chunks.append(
-        f"corpus: {len(corpus_files())} scenario(s), {failures} failing, "
+        f"corpus: {len(paths)} scenario(s), {failures} failing, "
         f"{time.monotonic() - start:.1f}s\n"
     )
     _emit("\n".join(chunks), args.report)

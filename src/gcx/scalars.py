@@ -10,22 +10,24 @@ Equality is decided exactly wherever it can be.  After pinning their
 bumps, :func:`expr_equal` reads both sides as fractions over the chart's
 polynomial ring over the Gaussian rationals ``QQ_I``
 (:meth:`~gcx.chart.Chart.fractions`), where every subexpression that is
-not a field operation on legs and constants (``pi``, a bump, ``sin``)
-is one extra generator, and no gcd is taken.  The sides are equal when
-the cross-multiplied numerators agree, ``num_a * den_b == num_b *
-den_a``.  That formal zero is final whatever the extra generators are;
-a nonzero difference is final only when they are at most ``pi`` and
-``E``.  Otherwise ``expand`` and ``cancel(together(a - b))`` get a last
-look, and then a sampled, Schwartz-Zippel-style verdict at tolerance
-``tol`` decides.  A zero test is structural (:func:`is_structural_zero`)
-and never queries sympy's assumptions on a compound expression.
+not a field operation on legs and constants (``pi``, a float, a bump,
+``sin``) is one extra generator, and no gcd is taken.  The sides are
+equal when the cross-multiplied numerators agree, ``num_a * den_b ==
+num_b * den_a``.  That formal zero is final whatever the extra
+generators are; a nonzero difference is final only when they are at
+most ``pi`` and ``E``.  Any other difference is sampled: a
+Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero test is
+structural (:func:`is_structural_zero`) and never queries sympy's
+assumptions on a compound expression.
 
 Numeric evaluation has one path, :func:`compile_exprs`: expressions are
 compiled once with ``sympy.lambdify`` over the chart's legs into plain
 Python, whose elementary functions come from ``cmath``, and then
 evaluated at each sample point on Python ``complex`` values.  Forms pin
 their bumps and cancel their coefficients before compiling, once per set
-of region pins.
+of region pins, so that a removable singularity, such as that of the
+surgery spinor at z1 = 0, is gone; equality compiles its two sides as
+they are.
 
 An opaque smooth symbol like the radial bump ``xi`` is a sympy Function
 class made by :func:`opaque_function`.  A bump's class carries its own
@@ -50,7 +52,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import sympy
 from sympy.printing.pycode import PythonCodePrinter
 
-from .chart import Chart, Region
+from .chart import Chart, Region, everywhere
 
 
 class EvaluationError(ValueError):
@@ -277,7 +279,9 @@ def is_structural_zero(expr) -> bool:
     return expr == 0 or (isinstance(expr, sympy.Number) and expr.is_zero)
 
 
-# the extra generators whose nonzero difference ``cancel`` also calls final
+# pi and E are treated as algebraically independent transcendentals, as
+# sympy's cancel treats them: a nonzero polynomial in them and the legs
+# counts as a nonzero function
 _FINAL_EXTRAS = frozenset({sympy.pi, sympy.E})
 
 
@@ -290,12 +294,14 @@ def _exact_verdict(a: sympy.Expr, b: sympy.Expr, chart: Chart) -> Optional[bool]
     two share left out of both products; every denominator is nonzero in
     the ring.  That formal zero is a verdict whatever the extra generators
     are.  A nonzero difference is final only when the extra generators are
-    at most ``pi`` and ``E``.
+    at most ``pi`` and ``E``.  A negative power of a base that is zero in
+    the ring raises :class:`EvaluationError`.
     """
-    read = chart.fractions((a, b))
-    if read is None:
-        return None
-    ((num_a, den_a), (num_b, den_b)), extras = read
+    try:
+        ((num_a, den_a), (num_b, den_b)), extras = chart.fractions((a, b))
+    except ZeroDivisionError:
+        raise EvaluationError(f"infinite or undefined value in {a} or {b} "
+                              f"on chart {chart.name!r}") from None
     for factor in den_a.keys() | den_b.keys():
         k = den_b.get(factor, 0) - den_a.get(factor, 0)
         if k > 0:
@@ -320,21 +326,22 @@ def expr_equal(
 
     Both sides have their region-pinned bumps substituted first.  A
     pinned side holding an infinite or undefined value (``zoo``, ``nan``,
-    ``oo``) raises :class:`EvaluationError`.  Equal pinned sides are
-    decided structurally.  Otherwise both are read as fractions over the
-    chart's ring over ``QQ_I`` with one extra generator per other
-    subexpression (:meth:`~gcx.chart.Chart.fractions`), and the verdict
-    is exact when the cross-multiplied numerators agree, ``num_a * den_b
-    == num_b * den_a`` (equal, whatever the extra generators), or when
-    they differ and the extra generators are at most ``pi`` and ``E``
-    (different).  A nonzero rational function cannot vanish on an open
-    region, and the Wirtinger legs (z, zb) are an invertible linear
-    change of the real coordinates, so no sampling is needed there.  Any
-    other difference, one with a float, or a side with a negative power
-    of a zero base goes to ``expand`` and ``cancel(together(a - b))``,
-    and then to sampling at up to ``samples`` points of the region, drawn
-    with ``rng`` (by default ``random.Random(0)``), where ``|a - b|`` must
-    stay within ``tol`` times ``max(1, |a|)``.
+    ``oo``, or a negative power of a base that is zero in the ring)
+    raises :class:`EvaluationError`.  Equal pinned sides are decided
+    structurally.  Otherwise both are read as fractions over the chart's
+    ring over ``QQ_I`` with one extra generator per other subexpression
+    (:meth:`~gcx.chart.Chart.fractions`), and the verdict is exact when
+    the cross-multiplied numerators agree, ``num_a * den_b == num_b *
+    den_a`` (equal, whatever the extra generators), or when they differ
+    and the extra generators are at most ``pi`` and ``E`` (different).
+    A nonzero rational function cannot vanish on an open region, and the
+    Wirtinger legs (z, zb) are an invertible linear change of the real
+    coordinates, so no sampling is needed there.  Any other difference,
+    one with a float among them, is sampled: both pinned sides are
+    compiled once and evaluated at up to ``samples`` points of the
+    region, drawn with ``rng`` (by default ``random.Random(0)``), where
+    ``|a - b|`` must stay within ``tol`` times ``max(1, |a|)``.  A point
+    where either side is singular is skipped.
     """
     a, b = sympy.sympify(a), sympy.sympify(b)
     pins = region.bump_map if region is not None else {}
@@ -346,18 +353,11 @@ def expr_equal(
     verdict = _exact_verdict(pinned_a, pinned_b, chart)
     if verdict is not None:
         return verdict
-    diff = sympy.expand(pinned_a - pinned_b)
-    if is_structural_zero(diff):
-        return True
-    diff = sympy.cancel(sympy.together(diff))
-    if is_structural_zero(diff):
-        return True
     if region is None:
-        region = Region(chart, "everywhere")
+        region = everywhere(chart)
     if rng is None:
         rng = random.Random(0)
-    diff_at = compile_exprs([diff], chart)
-    a_at = compile_exprs([a], chart)
+    sides_at = compile_exprs([pinned_a, pinned_b], chart)
     failures = 0
     tried = 0
     for _ in range(samples * 4):
@@ -365,19 +365,14 @@ def expr_equal(
             break
         point = region.sample(rng)
         try:
-            va = diff_at(point)[0]
+            va, vb = sides_at(point)
         except EvaluationError:
             failures += 1
             if failures > samples * 3:
                 raise EvaluationError("sampling cannot avoid singular loci")
             continue
         tried += 1
-        scale = 1.0
-        try:
-            scale = max(1.0, abs(a_at(point)[0]))
-        except EvaluationError:
-            pass
-        if abs(va) > tol * scale:
+        if abs(va - vb) > tol * max(1.0, abs(va)):
             return False
     if tried == 0:
         raise EvaluationError("sampling cannot avoid singular loci")

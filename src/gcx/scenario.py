@@ -838,11 +838,14 @@ def _stmt_locus(sc, ts, line, text):
 
 
 def _point(sc, chart, ts, line) -> dict[str, complex]:
-    """``leg = value`` pairs, each value a constant expression on the chart.
+    """``leg = value`` pairs, each value a constant expression on the chart,
+    as the chart's canonical point.
 
     Each leg of the chart is given at most once, a real-valued leg gets a
-    real value, and a conjugate leg given beside its partner gets exactly
-    the partner's conjugate; the parsed values are compared, not floats.
+    real value, a radial leg a positive one, and a conjugate leg given
+    beside its partner gets exactly the partner's conjugate; the parsed
+    values are compared, not floats.  Every leg must have a value once
+    conjugates are filled in.
     """
     out, exact = {}, {}
     for _ in _items(ts, ","):
@@ -865,7 +868,9 @@ def _point(sc, chart, ts, line) -> dict[str, complex]:
         out[leg] = complex(number)
         if not cmath.isfinite(out[leg]):
             raise ParseError(f"coordinate {leg!r} has no finite value", line)
-    return out
+        if chart.legs[index].symbol.is_positive and not out[leg].real > 0:
+            raise ParseError(f"coordinate {leg!r} is radial, but its value is {number}", line)
+    return chart.point(out)
 
 
 # The two expectation words of each yes/no check, the holding one first.
@@ -966,7 +971,7 @@ def _stmt_check(sc, ts, line, text):
 
 
 def _stmt_surgery(sc, ts, line, text):
-    new = ts.next().text
+    new = sc.declare("manifold", ts.next().text, line)
     ts.expect("=")
     which = ts.next().text
     if which not in ("luttinger", "gluck"):
@@ -983,7 +988,7 @@ def _stmt_surgery(sc, ts, line, text):
 
 
 def _stmt_cover(sc, ts, line, text):
-    new = ts.next().text
+    new = sc.declare("manifold", ts.next().text, line)
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")
@@ -993,7 +998,7 @@ def _stmt_cover(sc, ts, line, text):
 
 
 def _stmt_branched_cover(sc, ts, line, text):
-    new = ts.next().text
+    new = sc.declare("manifold", ts.next().text, line)
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")

@@ -662,7 +662,6 @@ def _surgery_spinor(params, extra: Optional[MixedForm], chart: Optional[Chart],
         exponent = exponent + extra.scale(sympy.I)
     z1 = chart.symbol("z1")
     rho = wedge(MixedForm.scalar(chart, z1), exp_form(exponent))
-    rho = rho.map_coefficients(lambda c: sympy.cancel(sympy.together(c)))
     cert = surgery_certificate(chart, params, exponent)
     full = surgery_regions(chart, bump, squared=gluck)["disk"]
     return SpinorStructure(chart, rho, MixedForm.zero(chart), full, cert, None)
@@ -735,9 +734,7 @@ def _collar(params, profile: str):
     polar, _ = collar_charts()
     psi = disk_to_complex_map(polar, s.chart)
     rho = pullback(psi, s.rho)
-    exponent = pullback(psi, surgery_exponent(s.chart, params)).map_coefficients(
-        lambda c: sympy.cancel(sympy.together(c))
-    )
+    exponent = pullback(psi, surgery_exponent(s.chart, params))
     annulus = Region.make(polar, "annulus", bounds={"r": (0.6, 0.95)},
                           bump_values={XI.__name__: 1})
     z1 = polar.symbol("r") * sympy.exp(sympy.I * polar.symbol("t0"))

@@ -454,6 +454,25 @@ def test_cli_points_are_checked_at_parse_time(tmp_path, capsys, point, message):
     assert main(["run", str(scn)]) == 0
 
 
+@pytest.mark.parametrize("point, message", [
+    ("z1 = 1, r = 1", "point misses legs ['x1'] on chart 'C'"),
+    ("x1 = 0, r = 1", "point misses legs ['z1', 'z1b'] on chart 'C'"),
+    ("z1 = 1, x1 = 0, r = -1", "coordinate 'r' is radial, but its value is -1"),
+    ("z1 = 1, x1 = 0, r = 0", "coordinate 'r' is radial, but its value is 0"),
+])
+def test_cli_points_name_every_leg(tmp_path, capsys, point, message):
+    scn = tmp_path / "p.gcx"
+    chart = "chart C = complex z1, real x1, radial r\nspinor s = z1\n"
+    scn.write_text(f"{chart}check type s at {point} expect 0\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and message in err, err
+    # a conjugate leg stands in for its partner
+    scn.write_text(f"{chart}check type s at z1b = 1, x1 = 0, r = 1/2 expect 0\n")
+    assert main(["run", str(scn)]) == 0
+
+
 _DECLARED = "chart C = complex z1\nmanifold M = dim 4; chi 0\n"
 
 
@@ -475,6 +494,21 @@ def test_cli_second_declaration_is_a_parse_error(tmp_path, capsys, first, second
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
         assert f"line 4: {message} is already declared on line 3" in err, err
+
+
+@pytest.mark.parametrize("first, product", [
+    ("manifold N = dim 4; chi 0; sigma 0", "surgery N = luttinger M at L params (1, 5, 1, 4)"),
+    ("manifold N = dim 4; chi 0; sigma 0", "cover N = M degree 2"),
+    ("manifold N = dim 4; chi 0; sigma 0", "branched-cover N = M degree 2"),
+    ("cover N = M degree 2", "cover N = M degree 3"),
+])
+def test_cli_products_are_declared(tmp_path, capsys, first, product):
+    scn = tmp_path / "d.gcx"
+    scn.write_text(f"{_SURGERY}{first}\n{product}\ncheck chi N expect 0\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 5: manifold 'N' is already declared on line 4" in err, err
 
 
 def test_cli_names_repeat_across_tables(tmp_path):

@@ -1,5 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and neither the package nor its declared dependencies bring in numpy."""
+neither the package nor its declared dependencies bring in numpy, and
+sympy's gcd and expansion run only where their result is compiled or is
+itself the check."""
 
 import ast
 import re
@@ -89,3 +91,54 @@ def test_numpy_is_not_a_dependency():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert "numpy" not in {re.match(r"[\w.-]+", req).group(0).lower() for req in requirements}
+
+
+_SIMPLIFIERS = ("cancel", "together", "expand")
+# the functions that may call each: cancel (after together) removes
+# removable singularities before compiling, or is the desingularisation
+# check itself; equality reads fractions and takes no gcd
+_CANCEL_SITES = {"forms.MixedForm.evaluate_at", "spinor._real_differential_rank",
+                 "spinor.surgery_certificate"}
+_SIMPLIFIER_SITES = {
+    "cancel": _CANCEL_SITES,
+    "together": _CANCEL_SITES,
+    "expand": {"scenario._point", "spinor._affine_zeros"},
+}
+
+
+def simplifier_calls(source: str, module: str) -> set[tuple[str, str]]:
+    """(name, function) for each call of ``cancel``, ``together`` or
+    ``expand``, as a function or a method, with the dotted name of the
+    function or class it sits in (a lambda counts as its enclosing
+    function)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in _SIMPLIFIERS:
+                    found.add((name, scope))
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_gcd_and_expansion_only_where_kept(path):
+    calls = simplifier_calls(path.read_text(), path.stem)
+    assert sorted((name, scope) for name, scope in calls
+                  if scope not in _SIMPLIFIER_SITES[name]) == []
+
+
+def test_simplifier_calls_reads_functions_methods_and_lambdas():
+    source = ("import sympy\nfrom sympy import together\n"
+              "class A:\n    def f(self, c):\n        return sympy.cancel(together(c))\n"
+              "def g(c):\n    return map(lambda e: e.expand(), c)\n")
+    assert simplifier_calls(source, "m") == {
+        ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g")}

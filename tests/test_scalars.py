@@ -92,15 +92,20 @@ def test_expr_equal_algebraic_decided_without_sampling(monkeypatch):
     assert expr_equal(xi * (p + q) / (1 + z1 * z1b), xi * p / (1 + z1 * z1b)
                       + xi * q / (1 + z1 * z1b), ch)
     assert expr_equal(sympy.sin(x1) * (x1 + 1), sympy.sin(x1) * x1 + sympy.sin(x1), ch)
+    # a quotient beside a transcendental factor, with no gcd taken
+    assert expr_equal(sympy.sin(x1) * (x1 ** 2 - 1) / (x1 - 1), sympy.sin(x1) * (x1 + 1), ch)
 
 
-def test_expr_equal_zero_denominator_is_undefined():
-    ch = real_chart(1)
-    (x1,) = ch.symbols
+def test_expr_equal_zero_denominator_is_undefined(monkeypatch):
+    _no_sampling(monkeypatch)
+    ch = Chart("cz", [("z1", "complex"), ("x1", "real")])
+    z1, z1b, x1 = ch.symbols
     # the base is zero in the ring but not to sympy's Add
     singular = 1 / (x1 * (x1 + 1) - x1 ** 2 - x1)
-    with pytest.raises(EvaluationError, match="infinite or undefined"):
-        expr_equal(singular, 1, ch)
+    xi = bump_function("xi_z", 0.25, 0.5)(z1 * z1b)
+    for other in (sympy.Integer(1), xi, sympy.Float(0.5) * x1):
+        with pytest.raises(EvaluationError, match="infinite or undefined"):
+            expr_equal(singular * other, other, ch)
 
 
 def test_gluck_stored_certificate_compiles_nothing(monkeypatch):
@@ -116,6 +121,11 @@ def test_expr_equal_transcendental_still_samples(monkeypatch):
     (x1,) = ch.symbols
     with pytest.raises(AssertionError, match="sampled"):
         expr_equal(sympy.sin(x1) ** 2 + sympy.cos(x1) ** 2, 1, ch)
+    # exp(x1 (x1 + 1)) and exp(x1) exp(x1**2) are two extra generators apart
+    with pytest.raises(AssertionError, match="sampled"):
+        expr_equal(sympy.exp(x1 * (x1 + 1)), sympy.exp(x1) * sympy.exp(x1 ** 2), ch)
+    monkeypatch.undo()
+    assert expr_equal(sympy.exp(x1 * (x1 + 1)), sympy.exp(x1) * sympy.exp(x1 ** 2), ch)
 
 
 _PROPERTY_CHART = Chart("pc", [("z1", "complex"), ("x1", "real")])
@@ -124,7 +134,7 @@ _PROPERTY_BUMP = bump_function("xi_h", 0.25, 0.5)
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(gaussian_polys(_PROPERTY_CHART), gaussian_polys(_PROPERTY_CHART),
-       gaussian_polys(_PROPERTY_CHART), st.integers(0, 5))
+       gaussian_polys(_PROPERTY_CHART), st.integers(0, 6))
 def test_expr_equal_agrees_with_cancel(p, q, r, shape):
     ch = _PROPERTY_CHART
     z1, z1b, _ = ch.symbols
@@ -143,8 +153,11 @@ def test_expr_equal_agrees_with_cancel(p, q, r, shape):
     elif shape == 4:  # pi (p^2 - q^2)/(p - q) = pi (p + q) + r: exact, equal when r == 0
         assume(not is_structural_zero(sympy.expand(p - q)))
         a, b = sympy.pi * (p ** 2 - q ** 2) / (p - q), sympy.pi * (p + q) + r
-    else:  # a bump factor: equal when r == 0, else sampled where the bump is 1
+    elif shape == 5:  # a bump factor: equal when r == 0, else sampled where the bump is 1
         a, b = bump * (p * q + r), bump * sympy.expand(p * q)
+    else:  # a float coefficient over a denominator: equal when r == 0, else sampled
+        half = sympy.Float(0.5) / (1 + z1 * z1b)
+        a, b = half * (p * q + r), half * sympy.expand(p * q)
     # the reference is cancel(together(a - b)) == 0, except that cancel has
     # no generator on a symbol-free difference and leaves constants such as
     # (1 + I/2)**2 - 3/4 - I unexpanded; the expanded numerator of
