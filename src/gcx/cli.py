@@ -11,7 +11,7 @@ import sys
 import time
 from pathlib import Path
 
-from .runner import RunError, corpus_files, list_corpus, run
+from .runner import RunError, check_settings, corpus_files, list_corpus, run
 from .scenario import ParseError, parse_scenario
 
 
@@ -22,9 +22,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
     parser.add_argument("--samples", type=int, default=32,
-                        help="sample count for numeric identity checks")
+                        help="sample count for numeric identity checks (at least 1)")
     parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="numeric comparison tolerance")
+                        help="numeric comparison tolerance (finite, > 0)")
     parser.add_argument("--report", type=Path, default=None,
                         help="also write the report to this file")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -100,6 +100,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_settings(args.samples, args.tolerance)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "run":

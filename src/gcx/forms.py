@@ -279,25 +279,26 @@ class MixedForm:
     def evaluate_at(self, point, region: Optional[Region] = None) -> dict[tuple[int, ...], complex]:
         """Numeric coefficients at a point, after region bump pinnings.
 
-        The coefficients are pinned, cancelled and compiled once per set of
-        region pins and kept on the form; each call then evaluates them at
-        the point in complex arithmetic.  Coefficients that cancel to zero
-        are left out.
+        The coefficients are pinned and compiled by :func:`compile_exprs`,
+        which puts them in lowest terms in the chart's ring, once per set
+        of region pins, and kept on the form; each call then evaluates them
+        at the point in complex arithmetic.  A ring form hands over its ring
+        elements as they are.  Coefficients that are zero in the ring are
+        left out.
         """
         pins = region.bump_values if region is not None else ()
         compiled = self._compiled.get(pins)
         if compiled is None:
-            keys, exprs = [], []
-            for key, c in self.terms.items():
-                if pins:
-                    c = pin_bumps(c, dict(pins))
-                c = sympy.cancel(sympy.together(c)) if c.free_symbols else c
-                if not is_structural_zero(c):
-                    keys.append(key)
-                    exprs.append(c)
-            compiled = self._compiled[pins] = (keys, compile_exprs(exprs, self.chart))
+            if self.ring_terms is not None:
+                coefficients = list(self.ring_terms.values())
+            else:
+                coefficients = [pin_bumps(c, dict(pins)) for c in self.terms.values()]
+            values_at = compile_exprs(coefficients, self.chart)
+            keys = [(i, key) for i, key in enumerate(self.terms) if i not in values_at.zeros]
+            compiled = self._compiled[pins] = (keys, values_at)
         keys, values_at = compiled
-        return dict(zip(keys, values_at(point)))
+        values = values_at(point)
+        return {key: values[i] for i, key in keys}
 
 
 # ---------------------------------------------------------------------------

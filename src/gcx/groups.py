@@ -140,11 +140,6 @@ def invert_word(word: Word) -> Word:
     return tuple([(g, -e) for g, e in reversed(word)])
 
 
-def cyclic_reduce(word: Word) -> Word:
-    """Freely reduce, then trim letters that cancel around the cycle."""
-    return _trim_cycle(free_reduce(word))
-
-
 def _trim_cycle(word: Word) -> Word:
     """Cyclically reduce a freely reduced word from both ends."""
     i, j = 0, len(word) - 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -95,8 +96,19 @@ def list_corpus() -> list[tuple[str, str]]:
     return [(path.stem, read_title(path.read_text())) for path in corpus_files()]
 
 
+def check_settings(samples, tolerance) -> None:
+    """Raise :class:`RunError` unless ``samples`` is an integer of at least
+    1 and ``tolerance`` is finite and positive: a NaN tolerance would pass
+    every sampled comparison, and a negative one would fail every one."""
+    if not (isinstance(samples, int) and samples >= 1):
+        raise RunError(f"samples must be an integer >= 1, not {samples!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise RunError(f"tolerance must be finite and > 0, not {tolerance!r}")
+
+
 def run(scenario: Scenario | str | Path, seed: int = 0, samples: int = 32,
         tolerance: float = 1e-9) -> Report:
+    check_settings(samples, tolerance)
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     runner = _Runner(scenario, seed, samples, tolerance)

@@ -20,14 +20,15 @@ Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero test is
 structural (:func:`is_structural_zero`) and never queries sympy's
 assumptions on a compound expression.
 
-Numeric evaluation has one path, :func:`compile_exprs`: expressions are
-compiled once with ``sympy.lambdify`` over the chart's legs into plain
-Python, whose elementary functions come from ``cmath``, and then
-evaluated at each sample point on Python ``complex`` values.  Forms pin
-their bumps and cancel their coefficients before compiling, once per set
-of region pins, so that a removable singularity, such as that of the
-surgery spinor at z1 = 0, is gone; equality compiles its two sides as
-they are.
+Numeric evaluation has one path, :func:`compile_exprs`.  It reads the
+expressions with the same fraction reader, puts each fraction in lowest
+terms in the ring, so that a removable singularity, such as that of the
+surgery spinor at z1 = 0, is gone, and prints the numerators and
+denominators from their terms as plain Python, compiled once.  Only the
+extra generators go through ``sympy.lambdify``, with elementary functions
+from ``cmath``.  The compiled code is then evaluated at each sample point
+on Python ``complex`` values.  Forms pin their bumps and compile once per
+set of region pins; equality compiles its two pinned sides.
 
 An opaque smooth symbol like the radial bump ``xi`` is a sympy Function
 class made by :func:`opaque_function`.  A bump's class carries its own
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import sympy
+from sympy.polys.rings import PolyElement
 from sympy.printing.pycode import PythonCodePrinter
 
 from .chart import Chart, Region, everywhere
@@ -217,22 +219,68 @@ def _require_finite(expr: sympy.Expr, chart: Chart) -> None:
 def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], list[complex]]:
     """Compile expressions over the chart's legs: point -> list of complex.
 
+    One :meth:`~gcx.chart.Chart.fractions` call reads every expression as
+    a numerator and denominator over the chart's ring; an element of
+    ``chart.ring`` is taken as it is.  Each fraction is put in lowest
+    terms in the ring (:func:`_lowest_terms`), so a removable singularity,
+    such as that of the surgery spinor at z1 = 0, is gone.  The numerator
+    and denominator are printed from their terms as plain Python, one
+    complex literal per coefficient, and compiled once.  Only the extra
+    generators (a bump application, ``exp``, ``sqrt``, ``pi``, a float)
+    go through ``sympy.lambdify``, whose elementary functions come from
+    ``cmath``; their values are arguments of the compiled fractions.
+
     The callable canonicalises its point with ``Chart.point`` and raises
     :class:`EvaluationError` on a singular or non-finite value, on a
     symbol that is not a leg of the chart, and on an opaque function with
-    no bump spec.  An infinite or undefined constant (``zoo``,
-    ``nan``, ``oo``, ``-oo``) raises :class:`EvaluationError` at once,
-    naming the expression, rather than at every point.
+    no bump spec.  An infinite or undefined constant (``zoo``, ``nan``,
+    ``oo``, ``-oo``), or a negative power of a base that is zero in the
+    ring, raises :class:`EvaluationError` at once rather than at every
+    point.  The callable's ``zeros`` holds the indices of the expressions
+    that are zero in the ring.
     """
-    exprs = [sympy.sympify(e) for e in exprs]
-    for e in exprs:
+    exprs = [e if isinstance(e, PolyElement) else sympy.sympify(e) for e in exprs]
+    read = [e for e in exprs if not isinstance(e, PolyElement)]
+    for e in read:
         _require_finite(e, chart)
-    unbound = set().union(*(e.free_symbols for e in exprs)) - set(chart.symbols)
-    if unbound:
-        def unbound_error(point):
-            raise EvaluationError(f"unbound symbols {unbound} on chart {chart.name!r}")
+    unbound = set().union(*(e.free_symbols for e in read)) - set(chart.symbols)
+    try:
+        pairs, extras = chart.fractions(read)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"infinite or undefined value on chart {chart.name!r}: "
+                              f"{exc}") from None
+    pairs = iter(pairs)
+    fractions = [_lowest_terms(*((e, {}) if isinstance(e, PolyElement) else next(pairs)))
+                 for e in exprs]
+    args = [f"x{i}" for i in range(chart.dim)] + [f"e{j}" for j in range(len(extras))]
+    code = ", ".join(_fraction_code(num, factors, args) for num, factors in fractions)
+    namespace = {}
+    exec(f"def fractions_at({', '.join(args)}):\n    return [{code}]\n", namespace)
+    fractions_at = namespace["fractions_at"]
+    extras_at = _compile_extras(extras, chart) if extras and not unbound else None
+    names = [leg.name for leg in chart.legs]
 
-        return unbound_error
+    def evaluate(point: Mapping[str, complex]) -> list[complex]:
+        if unbound:
+            raise EvaluationError(f"unbound symbols {unbound} on chart {chart.name!r}")
+        pt = chart.point(point)
+        values = [pt[n] for n in names]
+        try:
+            if extras_at is not None:
+                values += extras_at(*values)
+            values = fractions_at(*values)
+        except (ZeroDivisionError, OverflowError, ValueError, NameError, TypeError) as exc:
+            raise EvaluationError(f"cannot evaluate at {dict(point)!r}: {exc}") from exc
+        if not all(map(cmath.isfinite, values)):
+            raise EvaluationError(f"non-finite value at {dict(point)!r}")
+        return values
+
+    evaluate.zeros = frozenset(i for i, (num, _) in enumerate(fractions) if not num)
+    return evaluate
+
+
+def _compile_extras(extras: Sequence[sympy.Expr], chart: Chart) -> Callable:
+    """The extra generators compiled with ``sympy.lambdify`` over the legs."""
     # The printed code calls math.<name>; the namespace binds that name to
     # cmath, since every leg value is complex.  It is built per call: a
     # module-level dict holding a module could not be deep-copied.
@@ -246,21 +294,67 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
         "im": lambda v: complex(v).imag,
         "conjugate": lambda v: complex(v).conjugate(),
     }
-    fn = sympy.lambdify(chart.symbols, exprs, modules=[_bump_namespace(exprs), complex_ops],
-                        printer=printer, docstring_limit=0)
-    names = [leg.name for leg in chart.legs]
+    return sympy.lambdify(chart.symbols, list(extras),
+                          modules=[_bump_namespace(extras), complex_ops],
+                          printer=printer, docstring_limit=0)
 
-    def evaluate(point: Mapping[str, complex]) -> list[complex]:
-        pt = chart.point(point)
-        try:
-            values = [complex(v) for v in fn(*[pt[n] for n in names])]
-        except (ZeroDivisionError, OverflowError, ValueError, NameError, TypeError) as exc:
-            raise EvaluationError(f"cannot evaluate at {dict(point)!r}: {exc}") from exc
-        if not all(map(cmath.isfinite, values)):
-            raise EvaluationError(f"non-finite value at {dict(point)!r}")
-        return values
 
-    return evaluate
+def _fraction_code(num: PolyElement, factors: list, names: Sequence[str]) -> str:
+    """Python source for ``num / prod(f**m)`` over the generator names."""
+    code = _poly_code(num, names)
+    if not num or not factors:
+        return code
+    den = "*".join(f"({_poly_code(f, names)})" + (f"**{m}" if m > 1 else "") for f, m in factors)
+    return f"({code})/({den})"
+
+
+def _poly_code(p: PolyElement, names: Sequence[str]) -> str:
+    """Python source for ``p``: one complex literal per coefficient."""
+    terms = []
+    for monom, c in p.iterterms():
+        powers = "".join(f"*{x}" if k == 1 else f"*{x}**{k}" for x, k in zip(names, monom) if k)
+        terms.append(repr(complex(float(c.x), float(c.y))) + powers)
+    return " + ".join(terms) or "0j"
+
+
+def _irreducible(f: PolyElement) -> bool:
+    """A cheap sufficient test that ``f`` is irreducible: it has degree 1
+    in some generator x, as ``f = a*x + r``, and ``a`` or ``r`` is a nonzero
+    constant.  A factorisation would then have a factor free of x that
+    divides both ``a`` and ``r``, so a constant."""
+    n = f.ring.ngens
+    for i in range(n):
+        if f.degree(i) != 1:
+            continue
+        linear = [m for m in f.itermonoms() if m[i]]
+        rest = [m for m in f.itermonoms() if not m[i]]
+        if sum(linear[0]) == 1 == len(linear) or rest == [(0,) * n]:
+            return True
+    return False
+
+
+def _lowest_terms(num: PolyElement, den: Mapping) -> tuple[PolyElement, list]:
+    """``num / den`` in lowest terms, as ``(numerator, [(factor, power)])``.
+
+    Each denominator factor is divided out of the numerator as often as it
+    divides exactly.  A factor that is left over and not provably
+    irreducible (:func:`_irreducible`) has its gcd with the numerator
+    divided out, so every removable singularity is gone.
+    """
+    factors = []
+    for f, m in den.items():
+        while m:
+            quotient, remainder = num.div(f)
+            if remainder:
+                break
+            num, m = quotient, m - 1
+        if m and not _irreducible(f):
+            f, m = f ** m, 1
+            g = num.gcd(f)
+            num, f = num.exquo(g), f.exquo(g)
+        if m:
+            factors.append((f, m))
+    return num, factors
 
 
 def evaluate_expr(expr: sympy.Expr, chart: Chart, point: Mapping[str, complex]) -> complex:

@@ -499,7 +499,6 @@ def _real_differential_rank(chart: Chart, s0: sympy.Expr, tol: float):
             cols.append(sympy.I * (fz - fzb))    # d/dy
         else:
             cols.append(sympy.diff(s0, chart.symbol(coord.name)))
-    cols = [sympy.cancel(sympy.together(c)) if c.free_symbols else c for c in cols]
     cols_at = compile_exprs(cols, chart)
 
     def rank_at(point: Mapping[str, complex]) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gcx.cli import main
-from gcx.runner import corpus_dir, corpus_files, list_corpus, run
+from gcx.runner import RunError, corpus_dir, corpus_files, list_corpus, run
 from gcx.scenario import parse_scenario
 
 EXPECTED_STEMS = {
@@ -517,3 +517,47 @@ def test_cli_names_repeat_across_tables(tmp_path):
                    "locus L on N = kind branch\nform s on C = z1\nspinor s = z1\n"
                    "group s = < x | x^2 >\n")
     assert main(["verify", str(scn)]) == 0
+
+
+_SAMPLED = "chart C = real x1\ncheck equal on C sin(x1)**2, 1 expect equal\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--tolerance", "nan"], "tolerance must be finite and > 0, not nan"),
+    (["--tolerance", "inf"], "tolerance must be finite and > 0, not inf"),
+    (["--tolerance", "-1"], "tolerance must be finite and > 0, not -1.0"),
+    (["--tolerance", "0"], "tolerance must be finite and > 0, not 0.0"),
+    (["--samples", "0"], "samples must be an integer >= 1, not 0"),
+    (["--samples", "-3"], "samples must be an integer >= 1, not -3"),
+])
+def test_cli_rejects_invalid_settings(tmp_path, capsys, flags, message):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(_SAMPLED)
+    for command in (["run", str(scn)], ["verify", str(scn)], ["corpus", "run-all"]):
+        assert main(flags + command) == 2, command
+        err = capsys.readouterr().err
+        assert message in err, err
+
+
+def test_run_rejects_invalid_settings():
+    sc = parse_scenario(_SAMPLED)
+    for settings_ in ({"tolerance": float("nan")}, {"tolerance": -1.0}, {"samples": 0}):
+        with pytest.raises(RunError, match="must be"):
+            run(sc, **settings_)
+    # the settings still decide a sampled check
+    assert not run(sc).ok
+    assert not run(sc, samples=1, tolerance=1e-3).ok
+
+
+def test_cli_removable_singularities(tmp_path, capsys):
+    scn = tmp_path / "r.gcx"
+    scn.write_text(
+        "chart C = complex z1, complex z2\n"
+        "spinor a = (z1**2 - 1)/(z1 - 1) + dz1^dz2\n"
+        "spinor b = (z1 - 1)/(z1**2 - 1) + dz1^dz2\n"
+        "spinor c = (z1*z2 - z2)/(z1**2 - 1) + dz1^dz2\n"
+        "check type a at z1 = 1, z2 = 0.5 expect 0\n"
+        "check type b at z1 = 1, z2 = 0.5 expect 0\n"
+        "check type c at z1 = 1, z2 = 0.5 expect 0\n"
+        "check type a at z1 = -1, z2 = 0.5 expect 2\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr().out

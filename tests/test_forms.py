@@ -38,13 +38,14 @@ from gcx import (
     interior,
     load_scenario,
     pairing,
+    parse_scenario,
     pullback,
     wedge,
 )
 from gcx.forms import lie_derivative, vector_bracket, wedge_power
 from gcx.runner import corpus_dir
 from gcx.scalars import compile_exprs, pin_bumps
-from gcx.spinor import build_luttinger_spinor, surgery_regions
+from gcx.spinor import build_gluck_spinor, build_luttinger_spinor, surgery_regions
 
 
 def is_structurally_zero(a: MixedForm) -> bool:
@@ -346,6 +347,43 @@ def test_evaluate_at_matches_reference_luttinger(name):
     region = surgery_regions(s.chart)[name]
     _assert_matches_reference(s.rho, region, seed=1)
     _assert_matches_reference(d(s.rho), region, seed=2, points=1)
+
+
+@pytest.mark.parametrize("name", ["core", "annulus", None])
+def test_evaluate_at_matches_reference_gluck(name):
+    s = build_gluck_spinor((1, 3, 1, 2))
+    region = surgery_regions(s.chart, squared=True)[name] if name else None
+    _assert_matches_reference(s.rho, region, seed=3)
+
+
+_REMOVABLE = (
+    "chart C = complex z1, complex z2\n"
+    "spinor a = (z1**2 - 1)/(z1 - 1) + dz1^dz2\n"
+    "spinor b = (z1 - 1)/(z1**2 - 1) + dz1^dz2\n"
+    "spinor c = (z1*z2 - z2)/(z1**2 - 1) + dz1^dz2\n"
+)
+
+
+def test_evaluate_at_needs_no_lambdify_or_cancel(monkeypatch):
+    rho = load_scenario(corpus_dir() / "cor_2_8.gcx").spinors["s"].rho
+    probes = parse_scenario(_REMOVABLE).spinors
+    legs = {"z2": 0.4, "x1": 0.1, "y1": 0.2, "x2": 0.3, "y2": 0.4}
+    cases = [(rho, {**legs, "z1": z1}) for z1 in (0, 0.7)]
+    cases += [(probes[name].rho, {"z1": 1, "z2": 0.5}) for name in "abc"]
+    want = [_reference_values(form, pt, None) for form, pt in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sympy printed or cancelled a coefficient")
+
+    for name in ("lambdify", "cancel", "together"):
+        monkeypatch.setattr(sympy, name, forbidden)
+    for (form, pt), values in zip(cases, want):
+        got = form.evaluate_at(pt)
+        assert got.keys() == values.keys()
+        for key, value in values.items():
+            assert abs(got[key] - value) <= 1e-12 * abs(value), (key, got[key], value)
+    # the removable singularities at z1 = 1 are gone
+    assert [want[k][()] for k in (2, 3, 4)] == [2, 0.5, 0.25]
 
 
 def test_form_compiles_once_per_pin_set(monkeypatch):

@@ -20,7 +20,7 @@ from gcx import (
     tietze_simplify,
 )
 from gcx.groups import (
-    cyclic_reduce,
+    _trim_cycle,
     exponent_matrix,
     free_reduce,
     invert_word,
@@ -42,7 +42,7 @@ def test_free_reduce_and_inverse():
     w = parse_word("x*y*y^-1*x*z")
     assert w == (("x", 2), ("z", 1))
     assert free_reduce(w + invert_word(w)) == ()
-    assert cyclic_reduce(parse_word("x*y*x^-1")) == (("y", 1),)
+    assert _trim_cycle(parse_word("x*y*x^-1")) == (("y", 1),)
     assert word_str(w) == "x^2*z"
 
 
@@ -297,7 +297,7 @@ _letters = st.lists(
 @given(_letters)
 def test_free_and_cyclic_reduce_match_naive_reference(word):
     assert free_reduce(word) == _naive_free_reduce(word)
-    assert cyclic_reduce(word) == _naive_cyclic_reduce(word)
+    assert _trim_cycle(free_reduce(word)) == _naive_cyclic_reduce(word)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 neither the package nor its declared dependencies bring in numpy, and
-sympy's gcd and expansion run only where their result is compiled or is
-itself the check."""
+gcds, sympy's cancellation and its expansion run only in the functions
+listed for each."""
 
 import ast
 import re
@@ -93,24 +93,26 @@ def test_numpy_is_not_a_dependency():
     assert "numpy" not in {re.match(r"[\w.-]+", req).group(0).lower() for req in requirements}
 
 
-_SIMPLIFIERS = ("cancel", "together", "expand")
-# the functions that may call each: cancel (after together) removes
-# removable singularities before compiling, or is the desingularisation
-# check itself; equality reads fractions and takes no gcd
-_CANCEL_SITES = {"forms.MixedForm.evaluate_at", "spinor._real_differential_rank",
-                 "spinor.surgery_certificate"}
+_SIMPLIFIERS = ("cancel", "together", "expand", "gcd")
+# the functions that may call each: cancel (after together) is the
+# desingularisation check of the surgery certificate itself; equality
+# reads fractions and takes no gcd, and compiling puts each coefficient in
+# lowest terms in the chart's ring, where a gcd runs only for a leftover
+# denominator factor that is not provably irreducible
+_CANCEL_SITES = {"spinor.surgery_certificate"}
 _SIMPLIFIER_SITES = {
     "cancel": _CANCEL_SITES,
     "together": _CANCEL_SITES,
     "expand": {"scenario._point", "spinor._affine_zeros"},
+    "gcd": {"scalars._lowest_terms"},
 }
 
 
 def simplifier_calls(source: str, module: str) -> set[tuple[str, str]]:
-    """(name, function) for each call of ``cancel``, ``together`` or
-    ``expand``, as a function or a method, with the dotted name of the
-    function or class it sits in (a lambda counts as its enclosing
-    function)."""
+    """(name, function) for each call of ``cancel``, ``together``,
+    ``expand`` or ``gcd``, as a function or a method, with the dotted
+    name of the function or class it sits in (a lambda counts as its
+    enclosing function)."""
     found = set()
 
     def visit(node, scope):
@@ -139,6 +141,7 @@ def test_gcd_and_expansion_only_where_kept(path):
 def test_simplifier_calls_reads_functions_methods_and_lambdas():
     source = ("import sympy\nfrom sympy import together\n"
               "class A:\n    def f(self, c):\n        return sympy.cancel(together(c))\n"
-              "def g(c):\n    return map(lambda e: e.expand(), c)\n")
+              "def g(c):\n    return map(lambda e: e.expand(), c)\n"
+              "def h(p, q):\n    return p.gcd(q)\n")
     assert simplifier_calls(source, "m") == {
-        ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g")}
+        ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g"), ("gcd", "m.h")}

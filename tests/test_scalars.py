@@ -12,7 +12,8 @@ import gcx.forms as forms
 import gcx.scalars as scalars
 import gcx.spinor as spinor
 from conftest import GAUSSIAN_RATIONALS, gaussian_polys, real_chart
-from gcx import Chart, bump_function, build_gluck_spinor, check_integrable, opaque_function
+from gcx import (Chart, MixedForm, bump_function, build_gluck_spinor, check_integrable,
+                 opaque_function)
 from gcx.scalars import (
     EvaluationError,
     compile_exprs,
@@ -228,6 +229,19 @@ def test_compiled_division_by_zero_raises():
     with pytest.raises(EvaluationError):
         evaluate_expr(1 / z1, ch, {"z1": 0, "r": 1.0})
     assert evaluate_expr(1 / z1, ch, {"z1": 2j, "r": 1.0}) == pytest.approx(-0.5j)
+
+
+def test_compiled_zero_denominators_raise():
+    ch = _complex_chart()
+    z1, z1b, _ = ch.symbols
+    xi = bump_function("xi_sing", 0.25, 0.5)(z1 * z1b)
+    zero_base = z1 * (z1 + 1) - z1 ** 2 - z1  # zero in the ring, not to sympy's Add
+    point = {"z1": 0.5, "r": 1.0}
+    for c in (1 / (z1 - z1), xi / zero_base, xi * zero_base ** -2 + z1):
+        with pytest.raises(EvaluationError):
+            compile_exprs([z1, c], ch)(point)
+        with pytest.raises(EvaluationError):
+            MixedForm(ch, {(): c, (0,): 1}).evaluate_at(point)
 
 
 def test_compiled_symbol_off_chart_raises():

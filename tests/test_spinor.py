@@ -42,6 +42,7 @@ from gcx import (
 )
 from gcx.scalars import bump_function, compile_exprs
 from gcx.chart import everywhere
+from gcx.runner import corpus_dir, load_scenario
 from gcx.spinor import (
     XI,
     _STABLE_TOL,
@@ -51,6 +52,7 @@ from gcx.spinor import (
     _least_squares,
     _rank_2xn,
     _real_differential_rank,
+    _sample_zero_set,
     surgery_certificate,
     surgery_exponent,
     surgery_regions,
@@ -247,6 +249,32 @@ def test_real_differential_rank_of_s0():
         delta = sympy.Float(factor * _STABLE_TOL * math.sqrt(2))
         s0 = x1 + sympy.I * (x1 + delta * x2)
         assert _real_differential_rank(ch, s0, _STABLE_TOL)(point) == rank
+
+
+@pytest.mark.parametrize("stem, name", [("cor_2_8", "s"), ("ex_2_9", "s"),
+                                        ("prop_3_8", "L"), ("sec_4_gluck", "g")])
+def test_real_differential_rank_at_corpus_zeros(stem, name):
+    # the ranks of a subs + N reference on the cancelled columns, at the
+    # zeros that check stable samples
+    s = load_scenario(corpus_dir() / f"{stem}.gcx").spinors[name]
+    chart = s.chart
+    s0 = sympy.sympify(s.rho.coefficient(()))
+    zeros = _sample_zero_set(chart, s0, s.region or everywhere(chart), random.Random(0), 12)
+    rank_at = _real_differential_rank(chart, s0, _STABLE_TOL)
+    cols = []
+    for c in chart.coords:
+        if c.kind == "complex":
+            fz, fzb = (sympy.diff(s0, chart.symbol(n)) for n in (c.name, c.name + "b"))
+            cols += [fz + fzb, sympy.I * (fz - fzb)]
+        else:
+            cols.append(sympy.diff(s0, chart.symbol(c.name)))
+    cols = [sympy.cancel(sympy.together(c)) for c in cols]
+    assert zeros
+    for pt in zeros:
+        subs = {chart.symbol(n): v for n, v in pt.items()}
+        vals = [complex(sympy.N(c.subs(subs))) for c in cols]
+        want = _rank_2xn([v.real for v in vals], [v.imag for v in vals], _STABLE_TOL)
+        assert rank_at(pt) == want == 2
 
 
 _C2 = _c2()
