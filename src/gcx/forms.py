@@ -5,23 +5,20 @@ empty tuple is degree 0) to coefficients.  Keys are canonically sorted
 on construction with the antisymmetry sign applied, and zero
 coefficients are dropped.
 
-Coefficients have one of two representations, chosen by the input:
+Each coefficient is decided on its own.  It is an element of the chart's
+polynomial ring while it is a polynomial over the Gaussian rationals in
+the legs, and a sympy expression otherwise: two ring elements add and
+multiply in the ring (:func:`plus`, :func:`times`), and any other pair
+works on expressions.  So ``d``, conjugation, pullback along a polynomial
+map and :func:`form_equal` keep a polynomial coefficient exact beside a
+transcendental one.  A ring zero is an exact zero; an expression is zero
+when it is structurally zero (:func:`~gcx.scalars.is_structural_zero`):
+``0`` or a numeric zero such as ``Float(0.0)``.  No assumption query
+runs, so a coefficient that only simplifies to zero is kept until an
+identity check decides it.
 
-* a form whose coefficients are all polynomials over the Gaussian
-  rationals in the chart's legs keeps them as elements of the chart's
-  polynomial ring (``ring_terms``).  Sums, scaling by a polynomial,
-  wedge, ``d``, conjugation, pullback along a polynomial map and
-  :func:`form_equal` stay in the ring, where a zero is an exact zero
-  and equality is decided without sampling;
-* any other form keeps sympy expressions.  Zero there means
-  structurally zero (:func:`~gcx.scalars.is_structural_zero`): the
-  coefficient is ``0`` or a numeric zero such as ``Float(0.0)``.  No
-  assumption query runs, so a coefficient that only simplifies to zero
-  is kept until an identity check decides it.
-
-An operation with one form of each kind works on expressions.  ``terms``
-and :meth:`MixedForm.coefficient` are expression-valued for both kinds;
-on a ring form each coefficient is converted once, when first read.
+``terms`` and :meth:`MixedForm.coefficient` are expression-valued; a ring
+coefficient is converted once, when first read.
 """
 
 from __future__ import annotations
@@ -67,13 +64,39 @@ def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
     return (-1) ** inv
 
 
-def _add_to(data: dict, key, value) -> None:
-    data[key] = data[key] + value if key in data else value
-
-
 def as_expr(c) -> sympy.Expr:
     """A coefficient as an expression: a ring element is converted."""
     return c.as_expr() if isinstance(c, PolyElement) else sympy.sympify(c)
+
+
+def scalar_of(chart: Chart, value):
+    """``value`` as an element of ``chart.ring`` when it is a polynomial
+    over ``QQ_I`` in the legs, else as an expression."""
+    ring = chart.to_ring(value)
+    return ring if ring is not None else as_expr(value)
+
+
+def plus(a, b):
+    """``a + b``: in the ring when both are ring elements, else as expressions."""
+    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+        return a + b
+    return as_expr(a) + as_expr(b)
+
+
+def times(a, b):
+    """``a * b``: in the ring when both are ring elements, else as expressions."""
+    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+        return a * b
+    return as_expr(a) * as_expr(b)
+
+
+def conjugate_of(chart: Chart, c):
+    """The formal conjugate of a coefficient, in the ring for a ring element."""
+    return chart.conj_poly(c) if isinstance(c, PolyElement) else chart.conj_expr(c)
+
+
+def _add_to(data: dict, key, value) -> None:
+    data[key] = plus(data[key], value) if key in data else value
 
 
 def _signed(sign: int, c):
@@ -85,69 +108,57 @@ def _signed(sign: int, c):
 
 
 class _ExprView(MappingABC):
-    """The expression-valued ``terms`` of a ring form: each coefficient is
+    """The expression-valued ``terms`` of a form: each ring coefficient is
     converted when first read and kept."""
 
-    __slots__ = ("_ring_terms", "_exprs")
+    __slots__ = ("_coefficients", "_exprs")
 
-    def __init__(self, ring_terms: dict):
-        self._ring_terms = ring_terms
+    def __init__(self, coefficients: dict):
+        self._coefficients = coefficients
         self._exprs: dict[tuple[int, ...], sympy.Expr] = {}
 
     def __getitem__(self, key) -> sympy.Expr:
         expr = self._exprs.get(key)
         if expr is None:
-            expr = self._exprs[key] = self._ring_terms[key].as_expr()
+            expr = self._exprs[key] = as_expr(self._coefficients[key])
         return expr
 
     def __contains__(self, key) -> bool:
-        return key in self._ring_terms
+        return key in self._coefficients
 
     def __iter__(self):
-        return iter(self._ring_terms)
+        return iter(self._coefficients)
 
     def __len__(self) -> int:
-        return len(self._ring_terms)
+        return len(self._coefficients)
 
 
 class MixedForm:
     """Immutable mixed-degree complex differential form on a chart.
 
-    Coefficients given as elements of ``chart.ring`` make a ring form,
-    kept in ``ring_terms``; any other coefficient makes every coefficient
-    an expression, and ``ring_terms`` is None.  A form with no terms is
-    a ring form.
+    ``coefficients`` holds each coefficient as it is stored: an element
+    of ``chart.ring`` as given, any other value as a sympy expression.
     """
 
     # _compiled: region bump pins -> (keys, compiled coefficients), filled
     # by evaluate_at
-    __slots__ = ("chart", "terms", "ring_terms", "_compiled")
+    __slots__ = ("chart", "coefficients", "terms", "_compiled")
 
     def __init__(self, chart: Chart, terms: Mapping | None = None):
         self.chart = chart
         self._compiled = {}
-        terms = terms or {}
-        polynomial = all(isinstance(c, PolyElement) for c in terms.values())
         data: dict[tuple[int, ...], object] = {}
-        for key, coeff in terms.items():
+        for key, coeff in (terms or {}).items():
             if isinstance(coeff, PolyElement):
                 if coeff.ring != chart.ring:
                     raise FormError("coefficient chart mismatch")
-                if not polynomial:
-                    coeff = coeff.as_expr()
             else:
                 coeff = sympy.sympify(coeff)
             skey, sign = _sort_key(key)
-            if sign == 0:
-                continue
-            _add_to(data, skey, _signed(sign, coeff))
-        data = {k: v for k, v in data.items() if not is_structural_zero(v)}
-        if polynomial:
-            self.ring_terms = data
-            self.terms = _ExprView(data)
-        else:
-            self.ring_terms = None if data else {}
-            self.terms = data
+            if sign:
+                _add_to(data, skey, _signed(sign, coeff))
+        self.coefficients = {k: v for k, v in data.items() if not is_structural_zero(v)}
+        self.terms = _ExprView(self.coefficients)
 
     # -- constructors ----------------------------------------------------
 
@@ -175,27 +186,30 @@ class MixedForm:
             return sympy.Integer(0)
         return sign * self.terms.get(skey, sympy.Integer(0))
 
+    @property
+    def ring_terms(self) -> Optional[dict]:
+        """The coefficients when every one is an element of ``chart.ring``,
+        else None."""
+        if all(isinstance(c, PolyElement) for c in self.coefficients.values()):
+            return self.coefficients
+        return None
+
     def as_ring(self) -> "MixedForm":
         """This form with its coefficients in ``chart.ring`` when every one
         converts with :meth:`~gcx.chart.Chart.to_ring`; otherwise itself."""
-        if self.ring_terms is not None:
+        if all(isinstance(c, PolyElement) for c in self.coefficients.values()):
             return self
         data = {}
-        for key, c in self.terms.items():
+        for key, c in self.coefficients.items():
             data[key] = self.chart.to_ring(c)
             if data[key] is None:
                 return self
         return MixedForm(self.chart, data)
 
-    @property
-    def _coefficients(self) -> Mapping:
-        """The stored coefficients: ring elements on a ring form."""
-        return self.ring_terms if self.ring_terms is not None else self.terms
-
     def degree_block(self, k: int) -> "MixedForm":
         return MixedForm(
             self.chart,
-            {key: c for key, c in self._coefficients.items() if len(key) == k},
+            {key: c for key, c in self.coefficients.items() if len(key) == k},
         )
 
     @property
@@ -232,9 +246,8 @@ class MixedForm:
 
     def __add__(self, other: "MixedForm") -> "MixedForm":
         self._check(other)
-        mine, theirs = _operands(self, other)
-        data = dict(mine)
-        for key, c in theirs.items():
+        data = dict(self.coefficients)
+        for key, c in other.coefficients.items():
             _add_to(data, key, c)
         return MixedForm(self.chart, data)
 
@@ -242,31 +255,21 @@ class MixedForm:
         return self + (-other)
 
     def __neg__(self) -> "MixedForm":
-        return MixedForm(self.chart, {k: -c for k, c in self._coefficients.items()})
+        return MixedForm(self.chart, {k: -c for k, c in self.coefficients.items()})
 
     def scale(self, scalar) -> "MixedForm":
-        """Multiply by a scalar: an expression or a ring element.
-
-        A ring form scaled by a polynomial stays a ring form.
-        """
-        if self.ring_terms is not None:
-            factor = self.chart.to_ring(scalar)
-            if factor is not None:
-                return MixedForm(self.chart, {k: factor * c for k, c in self.ring_terms.items()})
-        scalar = as_expr(scalar)
-        return MixedForm(self.chart, {k: scalar * c for k, c in self.terms.items()})
+        """Multiply by a scalar: an expression or a ring element.  A ring
+        coefficient scaled by a polynomial stays in the ring."""
+        factor = scalar_of(self.chart, scalar)
+        return MixedForm(self.chart, {k: times(factor, c) for k, c in self.coefficients.items()})
 
     def conjugate(self) -> "MixedForm":
         chart = self.chart
-        conj = chart.conj_poly if self.ring_terms is not None else chart.conj_expr
         data = {}
-        for key, c in self._coefficients.items():
+        for key, c in self.coefficients.items():
             skey, sign = _sort_key(chart.conj_index(i) for i in key)
-            _add_to(data, skey, _signed(sign, conj(c)))
+            _add_to(data, skey, _signed(sign, conjugate_of(chart, c)))
         return MixedForm(chart, data)
-
-    def map_coefficients(self, fn) -> "MixedForm":
-        return MixedForm(self.chart, {k: fn(c) for k, c in self.terms.items()})
 
     def real_part(self) -> "MixedForm":
         return (self + self.conjugate()).scale(sympy.Rational(1, 2))
@@ -282,17 +285,15 @@ class MixedForm:
         The coefficients are pinned and compiled by :func:`compile_exprs`,
         which puts them in lowest terms in the chart's ring, once per set
         of region pins, and kept on the form; each call then evaluates them
-        at the point in complex arithmetic.  A ring form hands over its ring
-        elements as they are.  Coefficients that are zero in the ring are
-        left out.
+        at the point in complex arithmetic.  Ring coefficients are handed
+        over as they are.  Coefficients that are zero in the ring are left
+        out.
         """
         pins = region.bump_values if region is not None else ()
         compiled = self._compiled.get(pins)
         if compiled is None:
-            if self.ring_terms is not None:
-                coefficients = list(self.ring_terms.values())
-            else:
-                coefficients = [pin_bumps(c, dict(pins)) for c in self.terms.values()]
+            coefficients = [c if isinstance(c, PolyElement) else pin_bumps(c, dict(pins))
+                            for c in self.coefficients.values()]
             values_at = compile_exprs(coefficients, self.chart)
             keys = [(i, key) for i, key in enumerate(self.terms) if i not in values_at.zeros]
             compiled = self._compiled[pins] = (keys, values_at)
@@ -306,24 +307,15 @@ class MixedForm:
 # ---------------------------------------------------------------------------
 
 
-def _operands(a: MixedForm, b: MixedForm) -> tuple[Mapping, Mapping]:
-    """Both forms' coefficients: ring elements when both are ring forms,
-    else expressions."""
-    if a.ring_terms is not None and b.ring_terms is not None:
-        return a.ring_terms, b.ring_terms
-    return a.terms, b.terms
-
-
 def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
     """Graded-commutative exterior product."""
     a._check(b)
-    ca, cb = _operands(a, b)
     data: dict[tuple[int, ...], object] = {}
-    for k1, c1 in ca.items():
-        for k2, c2 in cb.items():
+    for k1, c1 in a.coefficients.items():
+        for k2, c2 in b.coefficients.items():
             if set(k1) & set(k2):
                 continue
-            _add_to(data, tuple(sorted(k1 + k2)), _signed(_merge_sign(k1, k2), c1) * c2)
+            _add_to(data, tuple(sorted(k1 + k2)), times(_signed(_merge_sign(k1, k2), c1), c2))
     return MixedForm(a.chart, data)
 
 
@@ -349,14 +341,12 @@ def wedge_power(a: MixedForm, n: int) -> MixedForm:
 def d(a: MixedForm) -> MixedForm:
     """Exterior derivative; opaque symbols use their formal derivatives."""
     chart = a.chart
-    polynomial = a.ring_terms is not None
-    variables = chart.ring.gens if polynomial else chart.symbols
     data: dict[tuple[int, ...], object] = {}
-    for key, c in a._coefficients.items():
-        for j, v in enumerate(variables):
+    for key, c in a.coefficients.items():
+        for j, v in enumerate(chart.ring.gens if isinstance(c, PolyElement) else chart.symbols):
             if j in key:
                 continue
-            dc = c.diff(v) if polynomial else sympy.diff(c, v)
+            dc = c.diff(v)
             if is_structural_zero(dc):
                 continue
             pos = sum(1 for i in key if i < j)
@@ -371,24 +361,17 @@ def d_scalar(chart: Chart, expr) -> MixedForm:
 def interior(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
     """Interior product with a vector field given as leg-name -> coefficient.
 
-    A ring form stays in the ring when every coefficient of X converts
-    with :meth:`~gcx.chart.Chart.to_ring`.
+    A ring coefficient stays in the ring where the field's coefficient is
+    a polynomial.
     """
     chart = a.chart
-    idx = {chart.leg_index(name): c for name, c in X.items()}
-    ring_idx = ({j: chart.to_ring(c) for j, c in idx.items()}
-                if a.ring_terms is not None else None)
-    if ring_idx is not None and all(c is not None for c in ring_idx.values()):
-        idx, coefficients = ring_idx, a.ring_terms
-    else:
-        idx = {j: as_expr(c) for j, c in idx.items()}
-        coefficients = a.terms
+    idx = {chart.leg_index(name): scalar_of(chart, c) for name, c in X.items()}
     data: dict[tuple[int, ...], object] = {}
-    for key, c in coefficients.items():
+    for key, c in a.coefficients.items():
         for t, j in enumerate(key):
             xc = idx.get(j)
             if xc is not None:
-                _add_to(data, key[:t] + key[t + 1:], _signed((-1) ** t, xc) * c)
+                _add_to(data, key[:t] + key[t + 1:], times(_signed((-1) ** t, xc), c))
     return MixedForm(chart, data)
 
 
@@ -519,26 +502,24 @@ class EqualityResult:
 
 def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
                samples: int = 32, seed: int = 0, tol: float = 1e-9) -> EqualityResult:
-    """Coefficient-wise expr_equal over the union of the two key sets.
+    """Coefficient-wise equality over the union of the two key sets.
 
     Keys are compared in sorted order; the result names the first key
-    whose coefficients differ.  Two ring forms are compared element by
-    element, exactly and with no sampling; otherwise every key goes
-    through :func:`expr_equal` with one shared sampling rng.
+    whose coefficients differ.  A key whose two coefficients are ring
+    elements (a missing one is the ring's zero) is compared in the ring,
+    exactly and with no sampling; any other key goes through
+    :func:`expr_equal`, all of them with one shared sampling rng.
     """
     a._check(b)
-    if a.ring_terms is not None and b.ring_terms is not None:
-        zero = a.chart.ring.zero
-
-        def same(key):
-            return a.ring_terms.get(key, zero) == b.ring_terms.get(key, zero)
-    else:
-        rng = random.Random(seed)
-
-        def same(key):
-            return expr_equal(a.coefficient(key), b.coefficient(key), a.chart,
-                              region=region, samples=samples, tol=tol, rng=rng)
-    for key in sorted(set(a.terms) | set(b.terms)):
-        if not same(key):
+    zero = a.chart.ring.zero
+    rng = random.Random(seed)
+    for key in sorted(set(a.coefficients) | set(b.coefficients)):
+        ca, cb = a.coefficients.get(key, zero), b.coefficients.get(key, zero)
+        if isinstance(ca, PolyElement) and isinstance(cb, PolyElement):
+            same = ca == cb
+        else:
+            same = expr_equal(as_expr(ca), as_expr(cb), a.chart, region=region,
+                              samples=samples, tol=tol, rng=rng)
+        if not same:
             return EqualityResult(key, a.key_name(key))
     return EqualityResult(None)

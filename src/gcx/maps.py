@@ -10,7 +10,7 @@ import sympy
 from sympy.polys.rings import PolyElement, PolyRing
 
 from .chart import Chart
-from .forms import FormError, MixedForm, as_expr, d_scalar, wedge_list
+from .forms import FormError, MixedForm, as_expr, conjugate_of, d_scalar, wedge_list
 from .scalars import is_structural_zero
 
 
@@ -40,18 +40,13 @@ class CoordinateMap:
             target.leg_index(key)
             ring = isinstance(value, PolyElement) and value.ring == source.ring
             table[key] = value if ring else as_expr(value)
-
-        def conj(value):
-            poly = isinstance(value, PolyElement)
-            return source.conj_poly(value) if poly else source.conj_expr(value)
-
         for coord in target.coords:
             if coord.kind == "complex":
                 bname = coord.name + "b"
                 if coord.name in table and bname not in table:
-                    table[bname] = conj(table[coord.name])
+                    table[bname] = conjugate_of(source, table[coord.name])
                 elif bname in table and coord.name not in table:
-                    table[coord.name] = conj(table[bname])
+                    table[coord.name] = conjugate_of(source, table[bname])
         missing = [leg.name for leg in target.legs if leg.name not in table]
         if missing:
             raise MapError(f"map {name!r} misses target legs {missing}")
@@ -82,18 +77,12 @@ class CoordinateMap:
         return None if any(g is None for g in images) else images
 
     @cached_property
-    def ring_differentials(self) -> Optional[tuple[MixedForm, ...]]:
-        """The source differential of each of :attr:`ring_images`, as ring
-        forms; None when the map is not polynomial."""
-        images = self.ring_images
-        return None if images is None else tuple(d_scalar(self.source, g) for g in images)
-
-    @cached_property
     def differentials(self) -> tuple[MixedForm, ...]:
         """The source differential of each target leg's assignment, in leg
-        order."""
-        table = self.table
-        return tuple(d_scalar(self.source, table[leg.name]) for leg in self.target.legs)
+        order: of :attr:`ring_images` when the map is polynomial, else of
+        :attr:`table`."""
+        images = self.ring_images or [self.table[leg.name] for leg in self.target.legs]
+        return tuple(d_scalar(self.source, g) for g in images)
 
     def compose(self, outer: "CoordinateMap", name: str | None = None) -> "CoordinateMap":
         """The composite ``outer after self`` (self: A->B, outer: B->C)."""
@@ -130,28 +119,22 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
 
     Scalars are substituted simultaneously; each target differential is
     replaced by the source exterior derivative of its defining scalar, so
-    the pullback commutes with wedge and d by construction.  A ring form
-    pulled back along a polynomial map stays in the source chart's ring.
+    the pullback commutes with wedge and d by construction.  A ring
+    coefficient pulled back along a polynomial map stays in the source
+    chart's ring; any other coefficient is substituted as an expression.
     """
     if a.chart != f.target:
         raise FormError(
             f"form lives on {a.chart.name!r}, expected target {f.target.name!r}"
         )
-    images = f.ring_images if a.ring_terms is not None else None
-    if images is not None:
-        coefficients, dlegs = a.ring_terms, f.ring_differentials
-
-        def pull(c):
-            return _substitute(c, images, f.source.ring)
-    else:
-        subs = f.scalar_subs()
-        coefficients, dlegs = a.terms, f.differentials
-
-        def pull(c):
-            return sympy.sympify(c).subs(subs, simultaneous=True)
+    images, dlegs, subs = f.ring_images, f.differentials, None
     out = MixedForm.zero(f.source)
-    for key, c in coefficients.items():
-        pc = pull(c)
+    for key, c in a.coefficients.items():
+        if isinstance(c, PolyElement) and images is not None:
+            pc = _substitute(c, images, f.source.ring)
+        else:
+            subs = subs if subs is not None else f.scalar_subs()
+            pc = as_expr(c).subs(subs, simultaneous=True)
         if is_structural_zero(pc):
             continue
         factor = MixedForm.scalar(f.source, pc)

@@ -28,7 +28,9 @@ from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region
-from .forms import GeneralizedSection, MixedForm, as_expr, d as ext_d, exp_form, wedge
+from .forms import (
+    GeneralizedSection, MixedForm, as_expr, d as ext_d, exp_form, plus, scalar_of, times, wedge,
+)
 from .maps import CoordinateMap, pullback
 from .scalars import bump_function, is_structural_zero
 from .groups import GroupPresentation, Word, checked_words, parse_relators, parse_word
@@ -311,24 +313,18 @@ class ExprParser:
         return out
 
     def scalar(self, value: Value, line: int, message: str = "expected a scalar expression"):
-        """The scalar of a degree-0 value: a ring element on a ring form."""
+        """The stored coefficient of a degree-0 value."""
         if not isinstance(value, MixedForm):
             return value
         if not value.is_homogeneous(0):
             raise ParseError(message, line)
-        if value.ring_terms is None:
-            return value.coefficient(())
-        return value.ring_terms.get((), self.chart.ring.zero)
+        return value.coefficients.get((), self.chart.ring.zero)
 
     def scale(self, value: Value, factor) -> Value:
         """``value`` times a scalar, kept in the ring as MixedForm.scale keeps it."""
         if isinstance(value, MixedForm):
             return value.scale(factor)
-        if isinstance(value, PolyElement):
-            ring_factor = self.chart.to_ring(factor) if value else value
-            if ring_factor is not None:
-                return ring_factor * value
-        return self.expr(as_expr(factor) * as_expr(value))
+        return self.expr(times(scalar_of(self.chart, factor), value))
 
     def combine(self, op: str, a: Value, b: Value, line: int) -> Value:
         if op == "-":
@@ -336,9 +332,7 @@ class ExprParser:
         if op == "+":
             if isinstance(a, MixedForm) or isinstance(b, MixedForm):
                 return self.form(a) + self.form(b)
-            if isinstance(a, PolyElement) and isinstance(b, PolyElement):
-                return a + b
-            return self.expr(as_expr(a) + as_expr(b))
+            return self.expr(plus(a, b))
         if op == "^":
             a, b = self.form(a), self.form(b)
             out = wedge(a, b)
@@ -352,12 +346,9 @@ class ExprParser:
             message = "'*' needs a scalar factor; use '^' to wedge forms"
             return self.scale(b, self.scalar(a, line, message))
         if op == "/":
-            divisor = self.scalar(b, line)
-            if isinstance(divisor, PolyElement) and divisor.is_ground and divisor:
-                return self.scale(a, divisor.ring.ground_new(QQ_I.revert(divisor.LC)))
-            # a zero or non-constant divisor goes to the expression path, so
-            # 1/(z1 - z1) is zoo and fails its check
-            return self.scale(a, 1 / as_expr(divisor))
+            # the reciprocal of a nonzero constant is read back into the
+            # ring; that of a zero divisor is zoo, so 1/(z1 - z1) fails its check
+            return self.scale(a, 1 / as_expr(self.scalar(b, line)))
         raise ParseError(f"unknown operator {op!r}", line)
 
 

@@ -592,7 +592,7 @@ def surgery_certificate(chart: Chart, params: SurgeryParams,
     z1 = chart.symbol("z1")
     sing = MixedForm.basis(chart, "z1").scale(1 / z1)
     cov = sing - interior(vector, exponent)
-    cov = cov.map_coefficients(lambda c: sympy.cancel(sympy.together(c)))
+    cov = MixedForm(chart, {k: sympy.cancel(sympy.together(c)) for k, c in cov.terms.items()})
     if any(c.has(z1) and sympy.denom(c).has(z1) for c in cov.terms.values()):
         raise SpinorError("certificate covector failed to desingularize")
     return GeneralizedSection.make(chart, vector, cov)

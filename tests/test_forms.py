@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyElement
 from hypothesis import given, settings, strategies as st
 
 import gcx
@@ -561,9 +562,16 @@ def test_ring_interior_matches_expression_path(a, vector):
     _assert_terms_equal(ring, _ref_interior(vector, a))
     for key in set(ring.terms) | set(expression.terms):
         assert sympy.expand(ring.coefficient(key) - expression.coefficient(key)) == 0, key
-    # a field that is not polynomial leaves the ring
-    mixed = interior({**X, "z1": sympy.sqrt(2)}, _ring_form(a))
-    assert mixed.ring_terms is None or not mixed.terms
+    # the sqrt(2) component of z1 makes an expression of each coefficient
+    # it reaches, and leaves every other coefficient in the ring
+    others = {name: c for name, c in X.items() if name != "z1"}
+    form = _ring_form(a)
+    mixed = interior({**others, "z1": sympy.sqrt(2)}, form)
+    reached = {tuple(i for i in key if i != 0) for key in form.coefficients if 0 in key}
+    assert reached <= set(mixed.coefficients)
+    for key, c in mixed.coefficients.items():
+        assert isinstance(c, PolyElement) == (key not in reached), key
+    assert form_equal(mixed, interior(others, form) + interior({"z1": sympy.sqrt(2)}, form))
     # a ring-element field acts on an expression form too
     ring_X = {name: _RING_CHART.to_ring(c) for name, c in X.items()}
     assert form_equal(interior(ring_X, MixedForm(_RING_CHART, a)), ring)
@@ -593,3 +601,42 @@ def test_ring_d_of_d_has_no_terms():
                     (2, 5): (1 + sympy.I) * z2 * y1 ** 2})
     ddm = d(d(m))
     assert ddm.ring_terms == {} and not ddm.terms
+
+
+def test_form_equal_decides_ring_keys_of_a_mixed_form_in_the_ring(monkeypatch):
+    sc = parse_scenario("chart C = complex z1, complex z2\n"
+                        "form F on C = z1**2*dz1 + pi*dz2\n"
+                        "form G on C = z1*z1*dz1 + pi*dz2\n")
+    F, G = sc.forms["F"], sc.forms["G"]
+    assert isinstance(F.coefficients[(0,)], PolyElement)
+    assert isinstance(G.coefficients[(0,)], PolyElement)
+    calls = []
+    real_expr_equal = forms_module.expr_equal
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return real_expr_equal(*args, **kwargs)
+
+    monkeypatch.setattr(forms_module, "expr_equal", counting)
+    assert form_equal(F, G)
+    assert calls == [(sympy.pi, sympy.pi)]
+
+
+def test_polynomial_coefficients_stay_in_the_ring_beside_an_expression():
+    sc = parse_scenario("chart C = complex z1, complex z2\n"
+                        "map f : C -> C = z1 -> z1*z2 + z2**2, z2 -> z2\n"
+                        "form F on C = z1*dz1 + pi*dz2\n"
+                        "form G on C = z1*z2b*dz1 + pi*z1*dz1b\n")
+    C, F, G, f = sc.charts["C"], sc.forms["F"], sc.forms["G"], sc.maps["f"]
+    z1, z1b, z2, z2b = C.ring.gens
+    assert F.coefficients == {(0,): z1, (2,): sympy.pi}
+    assert F.ring_terms is None and G.ring_terms is None
+    # d(z1*z2b*dz1) = -z1*dz1^dz2b stays in the ring; d(pi*z1*dz1b) is an
+    # expression
+    dG = d(G)
+    assert dG.coefficients[(0, 3)] == -z1
+    assert not isinstance(dG.coefficients[(0, 1)], PolyElement)
+    # f*F = (z1*z2 + z2**2)*(z2*dz1 + (z1 + 2*z2)*dz2) + pi*dz2
+    pulled = pullback(f, F)
+    assert pulled.coefficients[(0,)] == (z1 * z2 + z2 ** 2) * z2
+    assert not isinstance(pulled.coefficients[(2,)], PolyElement)

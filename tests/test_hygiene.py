@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 neither the package nor its declared dependencies bring in numpy, and
 gcds, sympy's cancellation and its expansion run only in the functions
-listed for each."""
+listed for each, and only the integrability solve asks whether a whole
+form is polynomial."""
 
 import ast
 import re
@@ -108,26 +109,32 @@ _SIMPLIFIER_SITES = {
 }
 
 
-def simplifier_calls(source: str, module: str) -> set[tuple[str, str]]:
-    """(name, function) for each call of ``cancel``, ``together``,
-    ``expand`` or ``gcd``, as a function or a method, with the dotted
-    name of the function or class it sits in (a lambda counts as its
-    enclosing function)."""
-    found = set()
+def _scoped(source: str, module: str):
+    """(node, dotted name of the function or class it sits in) for every
+    node of the source; a lambda counts as its enclosing function."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            inner = scope
+            yield child, scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in _SIMPLIFIERS:
-                    found.add((name, scope))
-            visit(child, inner)
+                yield from visit(child, f"{scope}.{child.name}")
+            else:
+                yield from visit(child, scope)
 
-    visit(ast.parse(source), module)
+    return visit(ast.parse(source), module)
+
+
+def simplifier_calls(source: str, module: str) -> set[tuple[str, str]]:
+    """(name, function) for each call of ``cancel``, ``together``,
+    ``expand`` or ``gcd``, as a function or a method, with the dotted
+    name of the function or class it sits in."""
+    found = set()
+    for node, scope in _scoped(source, module):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _SIMPLIFIERS:
+                found.add((name, scope))
     return found
 
 
@@ -145,3 +152,29 @@ def test_simplifier_calls_reads_functions_methods_and_lambdas():
               "def h(p, q):\n    return p.gcd(q)\n")
     assert simplifier_calls(source, "m") == {
         ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g"), ("gcd", "m.h")}
+
+
+# each coefficient is a ring element or an expression on its own; only
+# the integrability solve asks whether every coefficient of a form is one
+_RING_TERMS_READERS = {"spinor.check_integrable", "spinor._exact_certificate"}
+
+
+def attribute_reads(source: str, module: str, attr: str) -> set[str]:
+    """The dotted names of the functions and classes that read ``.attr``;
+    a definition or an assignment of that name is not a read."""
+    return {scope for node, scope in _scoped(source, module)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_ring_terms_read_only_by_the_integrability_solve(path):
+    assert attribute_reads(path.read_text(), path.stem, "ring_terms") <= _RING_TERMS_READERS
+
+
+def test_attribute_reads_names_the_enclosing_function():
+    source = ("class A:\n    @property\n    def ring_terms(self):\n        return self.c\n"
+              "    def f(self):\n        return self.ring_terms is None\n"
+              "def g(a):\n    return (lambda: a.ring_terms)()\n"
+              "def h(a):\n    a.ring_terms = {}\n")
+    assert attribute_reads(source, "m", "ring_terms") == {"m.A.f", "m.g"}
