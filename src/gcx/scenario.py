@@ -608,69 +608,75 @@ def _named(table: dict, kind: str, name: str, line: int):
     return table[name]
 
 
-_SPINOR_CLAUSES = ("on", "rho", "h", "region", "vector", "covector",
-                   "hint_b", "hint_omega", "hint_Omega", "hint_region")
+def _clauses(ts, line, statement: str, readers: dict[str, Callable],
+             got: Optional[dict] = None) -> dict:
+    """The ``;``-separated clauses of a statement, keyword -> value.
+
+    Each clause is a keyword and what its reader reads after it.  An
+    unknown keyword is a parse error, and so is one given twice, except
+    ``component``, whose values are collected in a tuple.  ``got`` is
+    filled as the clauses are read, so a reader may look at the earlier
+    ones.
+    """
+    got = {} if got is None else got
+    for _ in _items(ts, ";"):
+        key = ts.next().text
+        if key not in readers:
+            raise ParseError(f"unknown {statement} clause {key!r}", line)
+        if key == "component":
+            got[key] = got.get(key, ()) + (readers[key](),)
+        elif key in got:
+            raise ParseError(f"{statement} clause {key!r} is given twice", line)
+        else:
+            got[key] = readers[key]()
+    return got
 
 
 def _stmt_spinor(sc, ts, line, text):
     name = sc.declare("spinor", ts.next().text, line)
     ts.expect("=")
+    got: dict = {}
+
+    def chart():
+        return got.get("on") or sc.only_chart(line)
+
+    def form():
+        return parse_expr(sc, chart(), ts)
+
+    def region():
+        return _named(sc.regions, "region", ts.next().text, line)
+
+    def vector():
+        out = {}
+        for _ in _items(ts, ","):
+            leg = ts.next().text
+            ts.expect("=")
+            out[leg] = _scalar_clause(sc, chart(), ts, line, f"vector {leg!r}")
+        return out
+
+    readers = {"on": lambda: _chart_ref(sc, ts, line), "rho": form, "h": form,
+               "region": region, "vector": vector, "covector": form, "hint_b": form,
+               "hint_omega": form, "hint_Omega": form, "hint_region": region}
     first = ts.peek()
-    if first is None or first.text not in _SPINOR_CLAUSES:
+    if first is None or first.text not in readers:
         # shorthand: the whole right-hand side is the spinor expression
-        rho = parse_expr(sc, sc.only_chart(line), ts)
-        sc.spinors[name] = SpinorStructure.make(rho)
+        sc.spinors[name] = SpinorStructure.make(form())
         return
-    chart: Optional[Chart] = None
-    rho = h = None
-    region = None
-    vector: dict[str, sympy.Expr] = {}
-    covector = None
-    hints: dict[str, object] = {}
-    for _ in _items(ts, ";"):
-        key = ts.next().text
-        if key == "on":
-            chart = _chart_ref(sc, ts, line)
-        elif key == "rho":
-            chart = chart or sc.only_chart(line)
-            rho = parse_expr(sc, chart, ts)
-        elif key == "h":
-            chart = chart or sc.only_chart(line)
-            h = parse_expr(sc, chart, ts)
-        elif key == "region":
-            region = _named(sc.regions, "region", ts.next().text, line)
-        elif key == "vector":
-            chart = chart or sc.only_chart(line)
-            for _ in _items(ts, ","):
-                leg = ts.next().text
-                ts.expect("=")
-                vector[leg] = _scalar_clause(sc, chart, ts, line, f"vector {leg!r}")
-        elif key == "covector":
-            chart = chart or sc.only_chart(line)
-            covector = parse_expr(sc, chart, ts)
-        elif key in ("hint_b", "hint_omega", "hint_Omega"):
-            chart = chart or sc.only_chart(line)
-            hints[key[5:]] = parse_expr(sc, chart, ts)
-        elif key == "hint_region":
-            hints["region"] = _named(sc.regions, "region", ts.next().text, line)
-        else:
-            raise ParseError(f"unknown spinor clause {key!r}", line)
-    if rho is None:
+    _clauses(ts, line, "spinor", readers, got)
+    if "rho" not in got:
         raise ParseError("spinor needs a 'rho' clause", line)
-    chart = chart or sc.only_chart(line)
     certificate = None
-    if vector or covector is not None:
-        certificate = GeneralizedSection.make(chart, vector, covector)
-    hint_obj = None
-    if hints:
+    if "vector" in got or "covector" in got:
+        certificate = GeneralizedSection.make(chart(), got.get("vector"), got.get("covector"))
+    hints = None
+    if any(key.startswith("hint_") for key in got):
         for k in ("b", "omega", "Omega"):
-            if k not in hints:
+            if f"hint_{k}" not in got:
                 raise ParseError(f"hints need hint_{k}", line)
-        hint_obj = DecompositionHints(
-            hints["b"], hints["omega"], hints["Omega"], hints.get("region")
-        )
+        hints = DecompositionHints(got["hint_b"], got["hint_omega"], got["hint_Omega"],
+                                   got.get("hint_region"))
     sc.spinors[name] = SpinorStructure.make(
-        rho, h, region=region, certificate=certificate, hints=hint_obj
+        got["rho"], got.get("h"), region=got.get("region"), certificate=certificate, hints=hints
     )
 
 
@@ -691,17 +697,13 @@ def _stmt_build(sc, ts, line, text):
     ts.expect("=")
     ts.expect("params")
     params = _params(ts, line)
-    chart = None
-    extra = None
-    while ts.accept(";"):
-        key = ts.next().text
-        if key == "on":
-            chart = _chart_ref(sc, ts, line)
-        elif key == "sigma":
-            chart = chart or sc.only_chart(line)
-            extra = parse_expr(sc, chart, ts)
-        else:
-            raise ParseError(f"unknown build clause {key!r}", line)
+    got: dict = {}
+    if ts.accept(";"):
+        _clauses(ts, line, "build", {
+            "on": lambda: _chart_ref(sc, ts, line),
+            "sigma": lambda: parse_expr(sc, got.get("on") or sc.only_chart(line), ts),
+        }, got)
+    chart, extra = got.get("on"), got.get("sigma")
     xi = sc.bumps.setdefault("xi", XI)
     if which == "luttinger":
         sc.spinors[name] = build_luttinger_spinor(params, sigma_form=extra, chart=chart, bump=xi)
@@ -733,45 +735,33 @@ def _stmt_group(sc, ts, line, text):
     sc.groups[name] = _presentation(ts, line)
 
 
+def _group_ref(sc, ts, line) -> Optional[GroupPresentation]:
+    """A presentation, a declared group's name, or ``unknown`` (None)."""
+    tok = ts.peek()
+    if tok is not None and tok.text == "<":
+        return _presentation(ts, line)
+    gname = ts.next().text
+    return None if gname == "unknown" else _named(sc.groups, "group", gname, line)
+
+
+# clause keyword -> ManifoldDescriptor field, where the two differ
+_MANIFOLD_FIELDS = {"dim": "dimension", "chi": "euler", "sigma": "signature",
+                    "component": "components"}
+
+
 def _stmt_manifold(sc, ts, line, text):
     name = sc.declare("manifold", ts.next().text, line)
     ts.expect("=")
-    fields = {
-        "name": name, "dimension": None, "euler": None, "signature": None,
-        "spin": "unknown", "pi1": None, "b2": None,
-    }
-    components: list[TypeChangeComponent] = []
-    for _ in _items(ts, ";"):
-        key = ts.next().text
-        if key == "dim":
-            fields["dimension"] = _read_int(ts, line)
-        elif key == "chi":
-            fields["euler"] = _read_int(ts, line)
-        elif key == "sigma":
-            fields["signature"] = _read_int(ts, line)
-        elif key == "spin":
-            fields["spin"] = _spin_flag(ts)
-        elif key == "pi1":
-            tok = ts.peek()
-            if tok is not None and tok.text == "<":
-                fields["pi1"] = _presentation(ts, line)
-            else:
-                gname = ts.next().text
-                if gname != "unknown":
-                    fields["pi1"] = _named(sc.groups, "group", gname, line)
-        elif key == "b2":
-            fields["b2"] = _read_int(ts, line)
-        elif key == "component":
-            components.append(TypeChangeComponent.make(ts.next().text))
-        else:
-            raise ParseError(f"unknown manifold clause {key!r}", line)
-    if fields["dimension"] is None or fields["euler"] is None:
+    got = _clauses(ts, line, "manifold", {
+        "dim": lambda: _read_int(ts, line), "chi": lambda: _read_int(ts, line),
+        "sigma": lambda: _read_int(ts, line), "b2": lambda: _read_int(ts, line),
+        "spin": lambda: _spin_flag(ts), "pi1": lambda: _group_ref(sc, ts, line),
+        "component": lambda: TypeChangeComponent.make(ts.next().text),
+    })
+    if "dim" not in got or "chi" not in got:
         raise ParseError("manifold needs 'dim' and 'chi'", line)
     sc.manifolds[name] = ManifoldDescriptor(
-        name=name, dimension=fields["dimension"], euler=fields["euler"],
-        signature=fields["signature"], spin=fields["spin"], pi1=fields["pi1"],
-        b2=fields["b2"], components=tuple(components),
-    )
+        name=name, **{_MANIFOLD_FIELDS.get(key, key): value for key, value in got.items()})
 
 
 def _word(ts, line) -> Word:
@@ -789,6 +779,11 @@ def _word(ts, line) -> Word:
     return parse_word(text)
 
 
+# clause keyword -> SurgeryLocus field, where the two differ
+_LOCUS_FIELDS = {"nontrivial_neighborhood": "neighborhood_trivial",
+                 "not_j_symplectic": "j_symplectic"}
+
+
 def _stmt_locus(sc, ts, line, text):
     name = ts.next().text
     ts.expect("on")
@@ -796,35 +791,17 @@ def _stmt_locus(sc, ts, line, text):
     m = _named(sc.manifolds, "manifold", mname, line)
     sc.declare("locus", name, line, scope=f" on manifold {mname!r}")
     ts.expect("=")
-    kind = None
-    fields = {"complement": None, "meridian": None, "circle1": None,
-              "circle2": None, "sigma_label": "Sigma_1", "r_b1": 0}
-    flags = {"neighborhood_trivial": True, "j_symplectic": True}
-    for _ in _items(ts, ";"):
-        key = ts.next().text
-        if key == "kind":
-            kind = ts.next().text
-        elif key == "complement":
-            tok = ts.peek()
-            if tok is not None and tok.text == "<":
-                fields["complement"] = _presentation(ts, line)
-            else:
-                fields["complement"] = _named(sc.groups, "group", ts.next().text, line)
-        elif key in ("meridian", "circle1", "circle2"):
-            fields[key] = _word(ts, line)
-        elif key == "sigma_label":
-            fields["sigma_label"] = ts.next().text
-        elif key == "r_b1":
-            fields["r_b1"] = _read_int(ts, line)
-        elif key == "nontrivial_neighborhood":
-            flags["neighborhood_trivial"] = False
-        elif key == "not_j_symplectic":
-            flags["j_symplectic"] = False
-        else:
-            raise ParseError(f"unknown locus clause {key!r}", line)
-    if kind is None:
+    got = _clauses(ts, line, "locus", {
+        "kind": lambda: ts.next().text, "complement": lambda: _group_ref(sc, ts, line),
+        "meridian": lambda: _word(ts, line), "circle1": lambda: _word(ts, line),
+        "circle2": lambda: _word(ts, line),
+        "sigma_label": lambda: ts.next().text, "r_b1": lambda: _read_int(ts, line),
+        "nontrivial_neighborhood": lambda: False, "not_j_symplectic": lambda: False,
+    })
+    if "kind" not in got:
         raise ParseError("locus needs a 'kind' clause", line)
-    locus = SurgeryLocus(name=name, kind=kind, **flags, **fields)
+    locus = SurgeryLocus(name=name, **{_LOCUS_FIELDS.get(key, key): value
+                                       for key, value in got.items()})
     sc.manifolds[mname] = replace(m, loci=m.loci + (locus,))
 
 

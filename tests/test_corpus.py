@@ -131,6 +131,9 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("check chi M expect 2.5", "expected an integer, got '2.5'"),
     ("check equal on C z1, z1 expect same", "check equal expects equal or different, got 'same'"),
     ("form w on C = z1**2.5", "** needs an integer exponent"),
+    ("manifold M = dim 4; chi 2; chi 3", "manifold clause 'chi' is given twice"),
+    ("spinor s = on C; rho z1 + dz1; rho 1", "spinor clause 'rho' is given twice"),
+    ("build luttinger s = params (0, 1, 1, 0); on C; on C", "build clause 'on' is given twice"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -149,6 +152,7 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     ("check stable s expect ture", "check stable expects true or false, got 'ture'"),
     ("locus L on M = kind branch junk", "trailing tokens: 'junk'"),
     ("locus L on M = kind branch; chi 5", "unknown locus clause 'chi'"),
+    ("locus L on M = kind luttinger; kind gluck", "locus clause 'kind' is given twice"),
 ])
 def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -157,6 +161,13 @@ def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, messa
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and message in err, err
+
+
+def test_cli_component_clause_repeats(tmp_path, capsys):
+    scn = tmp_path / "s.gcx"
+    scn.write_text("manifold M = dim 4; chi 2; component T2; component S2\n"
+                   "check components M expect 2\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr()
 
 
 @pytest.mark.parametrize("statement, message", [
