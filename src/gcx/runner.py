@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .forms import form_equal
@@ -263,20 +263,21 @@ class _Runner:
         locus = m.locus(p["locus"])
         params = validate_surgery_params(*p["params"])
         apply_fn = apply_luttinger if p["which"] == "luttinger" else apply_gluck
-        out = apply_fn(m, locus, params)
-        self.manifolds[p["new"]] = out
-        self.report.note(f"[do] {out.describe()}")
+        self.store_product(p["new"], apply_fn(m, locus, params))
 
     def cmd_cover(self, cmd: Command):
         p = cmd.payload
-        out = apply_cover(self.manifold(p["manifold"]), p["degree"])
-        self.manifolds[p["new"]] = out
-        self.report.note(f"[do] {out.describe()}")
+        self.store_product(p["new"], apply_cover(self.manifold(p["manifold"]), p["degree"]))
 
     def cmd_branched_cover(self, cmd: Command):
         p = cmd.payload
         out = apply_branched_cover(self.manifold(p["manifold"]), p["branching"])
-        self.manifolds[p["new"]] = out
+        self.store_product(p["new"], out)
+
+    def store_product(self, name: str, out: ManifoldDescriptor):
+        """Store a surgery's or a cover's product under its declared name."""
+        out = replace(out, name=name)
+        self.manifolds[name] = out
         self.report.note(f"[do] {out.describe()}")
 
     def cmd_report(self, cmd: Command):

@@ -279,20 +279,19 @@ def apply_cover(m: ManifoldDescriptor, d: int) -> ManifoldDescriptor:
     if d == 1:
         return m
     # signature is multiplicative under finite unbranched covers
-    return _covered(m, f"{m.name}~cover{d}", d, d * m.euler,
-                    None if m.signature is None else d * m.signature)
+    return _covered(m, d, d * m.euler, None if m.signature is None else d * m.signature)
 
 
-def _covered(m: ManifoldDescriptor, name: str, d: int, euler: int,
+def _covered(m: ManifoldDescriptor, d: int, euler: int,
              signature: Optional[int]) -> ManifoldDescriptor:
-    """A d-fold cover of m: each component comes in d copies; pi1, b2 and
-    the spin flag become unknown."""
+    """A d-fold cover of m, under m's name: each component comes in d
+    copies; pi1, b2 and the spin flag become unknown."""
     comps = tuple(
         replace(c, origin=f"cover-preimage-{i+1}")
         for c in m.components
         for i in range(d)
     )
-    return replace(m, name=name, euler=euler, signature=signature, pi1=None,
+    return replace(m, euler=euler, signature=signature, pi1=None,
                    spin="unknown", b2=None, components=comps)
 
 
@@ -340,7 +339,7 @@ def apply_branched_cover(m: ManifoldDescriptor,
     if not branching.components:
         return apply_cover(m, d)
     # the signature is not determined by this bookkeeping
-    return _covered(m, f"{m.name}~branched{d}", d, d * m.euler - branching.defect(), None)
+    return _covered(m, d, d * m.euler - branching.defect(), None)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,18 @@ _SURGERY = (
 )
 
 
+def test_cli_products_carry_their_declared_names(tmp_path, capsys):
+    scn = tmp_path / "p.gcx"
+    scn.write_text(_SURGERY + "surgery N = luttinger M at L params (1, 3, 1, 2)\n"
+                   "cover C3 = N degree 3\nbranched-cover B = C3 degree 2\n"
+                   "report components C3\n")
+    assert main(["run", str(scn)]) == 0
+    out = capsys.readouterr().out
+    for line in ("[do] N: ", "[do] C3: ", "[do] B: ", "type change locus of C3: 3 component(s)"):
+        assert line in out, out
+    assert "~" not in out and "[do] M" not in out
+
+
 def test_cli_manifold_names_resolve_at_parse_time(tmp_path, capsys):
     scn = tmp_path / "m.gcx"
     # a manifold may be declared after the check that names it
