@@ -735,13 +735,12 @@ def _stmt_group(sc, ts, line, text):
     sc.groups[name] = _presentation(ts, line)
 
 
-def _group_ref(sc, ts, line) -> Optional[GroupPresentation]:
-    """A presentation, a declared group's name, or ``unknown`` (None)."""
+def _group_ref(sc, ts, line) -> GroupPresentation:
+    """A presentation, or the name of a declared group."""
     tok = ts.peek()
     if tok is not None and tok.text == "<":
         return _presentation(ts, line)
-    gname = ts.next().text
-    return None if gname == "unknown" else _named(sc.groups, "group", gname, line)
+    return _named(sc.groups, "group", ts.next().text, line)
 
 
 # clause keyword -> ManifoldDescriptor field, where the two differ
@@ -755,7 +754,8 @@ def _stmt_manifold(sc, ts, line, text):
     got = _clauses(ts, line, "manifold", {
         "dim": lambda: _read_int(ts, line), "chi": lambda: _read_int(ts, line),
         "sigma": lambda: _read_int(ts, line), "b2": lambda: _read_int(ts, line),
-        "spin": lambda: _spin_flag(ts), "pi1": lambda: _group_ref(sc, ts, line),
+        "spin": lambda: _spin_flag(ts),
+        "pi1": lambda: None if ts.accept("unknown") else _group_ref(sc, ts, line),
         "component": lambda: TypeChangeComponent.make(ts.next().text),
     })
     if "dim" not in got or "chi" not in got:
