@@ -518,8 +518,8 @@ def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
         if isinstance(ca, PolyElement) and isinstance(cb, PolyElement):
             same = ca == cb
         else:
-            same = expr_equal(as_expr(ca), as_expr(cb), a.chart, region=region,
-                              samples=samples, tol=tol, rng=rng)
+            same = expr_equal(a.coefficient(key), b.coefficient(key), a.chart,
+                              region=region, samples=samples, tol=tol, rng=rng)
         if not same:
             return EqualityResult(key, a.key_name(key))
     return EqualityResult(None)
