@@ -127,13 +127,12 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
         raise FormError(
             f"form lives on {a.chart.name!r}, expected target {f.target.name!r}"
         )
-    images, dlegs, subs = f.ring_images, f.differentials, None
+    images, dlegs, subs = f.ring_images, f.differentials, f.scalar_subs()
     out = MixedForm.zero(f.source)
     for key, c in a.coefficients.items():
         if isinstance(c, PolyElement) and images is not None:
             pc = _substitute(c, images, f.source.ring)
         else:
-            subs = subs if subs is not None else f.scalar_subs()
             pc = as_expr(c).subs(subs, simultaneous=True)
         if is_structural_zero(pc):
             continue

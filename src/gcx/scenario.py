@@ -346,9 +346,12 @@ class ExprParser:
             message = "'*' needs a scalar factor; use '^' to wedge forms"
             return self.scale(b, self.scalar(a, line, message))
         if op == "/":
-            # the reciprocal of a nonzero constant is read back into the
-            # ring; that of a zero divisor is zoo, so 1/(z1 - z1) fails its check
-            return self.scale(a, 1 / as_expr(self.scalar(b, line)))
+            divisor = self.scalar(b, line)
+            if isinstance(divisor, PolyElement) and divisor.is_ground and divisor:
+                return self.scale(a, divisor.ring.ground_new(QQ_I.revert(divisor.LC)))
+            # a zero or non-constant divisor goes to the expression path, so
+            # 1/(z1 - z1) is zoo and fails its check
+            return self.scale(a, 1 / as_expr(divisor))
         raise ParseError(f"unknown operator {op!r}", line)
 
 
