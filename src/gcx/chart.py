@@ -372,7 +372,13 @@ class Region:
             (k, v if isinstance(v, Interval) else Interval(*v))
             for k, v in (bounds or {}).items()
         )
-        return Region(chart, name, bnds, tuple(nonzero), tuple(sorted((bump_values or {}).items())))
+        nonzero = tuple(nonzero)
+        coords = {c.name for c in chart.coords}
+        for cname in [k for k, _ in bnds] + list(nonzero):
+            if cname not in coords:
+                raise ChartError(f"region {name!r}: {cname!r} is not a coordinate "
+                                 f"of chart {chart.name!r}")
+        return Region(chart, name, bnds, nonzero, tuple(sorted((bump_values or {}).items())))
 
     def bound_for(self, coord: str) -> Interval:
         iv = Interval()
@@ -413,7 +419,7 @@ class Region:
                     mhi = iv.hi if iv.hi is not None else 2.0
                     if c.name in self.nonzero:
                         mlo = max(mlo, 0.25)
-                    radius = rng.uniform(mlo, mhi)
+                    radius = rng.uniform(*self._window(c.name, mlo, mhi))
                     angle = rng.uniform(0.0, _TWO_PI)
                     values[c.name] = radius * complex(math.cos(angle), math.sin(angle))
                 else:
@@ -421,9 +427,19 @@ class Region:
                     im = rng.uniform(-2.0, 2.0)
                     values[c.name] = complex(re, im)
             else:
-                lo, hi = _window(iv, c.kind)
+                dlo, dhi = _DEFAULT_WINDOW[c.kind]
+                lo, hi = self._window(c.name, dlo if iv.lo is None else iv.lo,
+                                      dhi if iv.hi is None else iv.hi)
                 values[c.name] = complex(rng.uniform(lo, hi))
         return self.chart.point(values)
+
+    def _window(self, coord: str, lo: float, hi: float) -> tuple[float, float]:
+        """The sampling window (lo, hi) of a coordinate, or its modulus;
+        :class:`RegionError` when it is empty."""
+        if hi <= lo:
+            raise RegionError(f"region {self.name!r} leaves no room to sample {coord!r}: "
+                              f"its window ({lo:g}, {hi:g}) is empty")
+        return lo, hi
 
 
 def merge_regions(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
@@ -433,15 +449,6 @@ def merge_regions(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
     if b is None or b is a:
         return a
     return a.intersect(b)
-
-
-def _window(iv: Interval, kind: str) -> tuple[float, float]:
-    dlo, dhi = _DEFAULT_WINDOW[kind]
-    lo = iv.lo if iv.lo is not None else dlo
-    hi = iv.hi if iv.hi is not None else dhi
-    if hi <= lo:
-        hi = lo + 1e-6
-    return lo, hi
 
 
 def everywhere(chart: Chart) -> Region:

@@ -181,7 +181,7 @@ class _Runner:
         return got, f"type {got}"
 
     def chk_stable(self, p):
-        res = check_stable(p["spinor"], seed=self.seed)
+        res = check_stable(p["spinor"])
         return res.stable, res.message
 
     def chk_integrable(self, p):

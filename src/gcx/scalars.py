@@ -110,8 +110,9 @@ def opaque_function(name: str, spec: Optional[BumpSpec] = None, order: int = 0) 
     carries its thresholds as ``cls.spec``: numeric arguments fold to the
     spec's value (its derivative for ``order`` 1), and
     :func:`compile_exprs` evaluates it through the spec.  Differentiation
-    produces ``<name>_prime``, which carries the spec only as a first
-    derivative.
+    produces ``<name>_prime``, ``<name>_prime_prime`` and so on, which
+    carry the same spec, and only a first derivative has a numeric value.
+    Each class names the symbol it is or derives from as ``cls.bump``.
     """
     # one cache key per meaning, however the arguments were passed
     return _opaque_class(name, spec, order)
@@ -120,7 +121,7 @@ def opaque_function(name: str, spec: Optional[BumpSpec] = None, order: int = 0) 
 @functools.cache
 def _opaque_class(name: str, spec: Optional[BumpSpec], order: int) -> type:
     def eval_(cls_, arg):
-        if spec is None or not (arg.is_Number and arg.is_real):
+        if spec is None or order > 1 or not (arg.is_Number and arg.is_real):
             return None
         t = float(arg)
         if order:
@@ -132,11 +133,10 @@ def _opaque_class(name: str, spec: Optional[BumpSpec], order: int) -> type:
         return sympy.Float(spec.value(t))
 
     def fdiff(self, argindex=1):
-        return opaque_function(name + "_prime", spec if order == 0 else None,
-                               order + 1)(self.args[0])
+        return _opaque_class(name, spec, order + 1)(self.args[0])
 
     return type(
-        name,
+        name + "_prime" * order,
         (sympy.Function,),
         {
             "eval": classmethod(eval_),
@@ -144,6 +144,7 @@ def _opaque_class(name: str, spec: Optional[BumpSpec], order: int) -> type:
             "is_real": True,
             "spec": spec,
             "order": order,
+            "bump": name,
             "_gcx_opaque": True,
         },
     )
@@ -155,23 +156,18 @@ def bump_function(name: str, zero_upto: float, one_from: float) -> type:
 
 
 def pin_bumps(expr: sympy.Expr, bump_values: Mapping[str, int]) -> sympy.Expr:
-    """Substitute region-pinned bump values (0 or 1) and kill derivatives."""
+    """Substitute region-pinned bump values (0 or 1), and 0 for their
+    derivatives of every order."""
     if not bump_values:
         return expr
-    expr = sympy.sympify(expr)
 
     def repl(node):
-        if getattr(node.func, "_gcx_opaque", False):
-            base = node.func.__name__
-            if base.endswith("_prime"):
-                root = base[: -len("_prime")]
-                if root in bump_values:
-                    return sympy.Integer(0)
-            elif base in bump_values:
-                return sympy.Integer(bump_values[base])
-        return node
+        value = bump_values.get(node.func.bump)
+        if value is None:
+            return node
+        return sympy.Integer(0 if node.func.order else value)
 
-    return expr.replace(
+    return sympy.sympify(expr).replace(
         lambda n: getattr(n.func, "_gcx_opaque", False), repl
     )
 
@@ -183,12 +179,13 @@ def pin_bumps(expr: sympy.Expr, bump_values: Mapping[str, int]) -> sympy.Expr:
 
 def _bump_namespace(exprs: Sequence[sympy.Expr]) -> dict[str, Callable]:
     """Numeric values of the bumps in the expressions, read from each
-    class's own spec: the derivative for a ``_prime``, else the value."""
+    class's own spec: the derivative for a ``_prime``, else the value.
+    A higher derivative has none, and evaluating it fails."""
     bumps = {}
     for e in exprs:
         for node in e.atoms(sympy.Function):
             fn = node.func
-            if getattr(fn, "spec", None) is None:
+            if getattr(fn, "spec", None) is None or fn.order > 1:
                 continue
             if bumps.setdefault(fn.__name__, fn) is not fn:
                 raise EvaluationError(f"two bumps named {fn.__name__!r} with different thresholds")

@@ -496,24 +496,29 @@ def _stmt_region(sc, ts, line, text):
     bounds: dict[str, tuple] = {}
     nonzero: list[str] = []
     bump_values: dict[str, int] = {}
+
+    def once(seen, cname: str, what: str) -> str:
+        if cname in seen:
+            raise ParseError(f"region {name!r} {what} {cname!r} twice", line)
+        return cname
+
     for _ in _items(ts, ","):
         if ts.accept("nonzero"):
-            nonzero.append(ts.next().text)
-        elif ts.accept("|"):
-            cname = ts.next().text
+            nonzero.append(once(nonzero, ts.next().text, "names nonzero"))
+            continue
+        bar = ts.accept("|")
+        cname = ts.next().text
+        if bar:
             ts.expect("|")
             ts.expect("in")
-            bounds[cname] = _interval(ts, line)
+        if bar or ts.accept("in"):
+            bounds[once(bounds, cname, "bounds")] = _interval(ts, line)
         else:
-            cname = ts.next().text
-            if ts.accept("in"):
-                bounds[cname] = _interval(ts, line)
-            else:
-                ts.expect("=")
-                val = _read_int(ts, line)
-                if val not in (0, 1):
-                    raise ParseError("bump pinning must be 0 or 1", line)
-                bump_values[cname] = val
+            ts.expect("=")
+            val = _read_int(ts, line)
+            if val not in (0, 1):
+                raise ParseError("bump pinning must be 0 or 1", line)
+            bump_values[once(bump_values, cname, "pins bump")] = val
     sc.regions[name] = Region.make(chart, name, bounds, nonzero, bump_values)
 
 

@@ -17,6 +17,14 @@ the 2n unknowns:
 
 :class:`IntegrabilityResult` names the path taken (``"stored"``,
 ``"exact"`` or ``"sampled"``) and the rank of an exact solve.
+
+Stability is decided exactly, in the chart's ring.  With p the degree-0
+part s0 and q its conjugate, ds0 ^ ds0bar is the sum of the 2x2 minors of
+the Jacobian of (p, q) in the legs times the legs' 2-forms.  A reduced
+Groebner basis {1} of p, q and the minors certifies that no complex point,
+so no real one, has p and every minor zero (the weak Nullstellensatz): s0
+vanishes transversally.  A Gaussian-rational real point where p and every
+minor vanish is the witness that it does not.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ from typing import Mapping, Optional, Sequence
 import mpmath
 import sympy
 from sympy.polys.domains import QQ_I
+from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.rings import PolyElement, ring
 
 from .chart import Chart, Region, everywhere, merge_regions
 from .forms import (
@@ -62,7 +72,7 @@ class SpinorError(ValueError):
 
 
 _BUILD_SAMPLES = 8  # for the identity checks made while a spinor is built
-_STABLE_SAMPLES, _STABLE_TOL = 12, 1e-7  # check_stable's zero set and rank
+_T_RING = ring("t", QQ_I)[0]  # check_stable's polynomials on an axis
 
 
 @dataclass(frozen=True)
@@ -124,11 +134,10 @@ def _require_plateau(form: MixedForm, point: Mapping[str, complex],
     pins = region.bump_map
     nodes = list(dict.fromkeys(
         node for c in form.terms.values() for node in c.atoms(sympy.Function)
-        if node.func.__name__.removesuffix("_prime") in pins
-        and getattr(node.func, "spec", None) is not None))
+        if getattr(node.func, "spec", None) is not None and node.func.bump in pins))
     args = compile_exprs([node.args[0] for node in nodes], form.chart)(point)
     for node, t in zip(nodes, (a.real for a in args)):
-        name, spec = node.func.__name__.removesuffix("_prime"), node.func.spec
+        name, spec = node.func.bump, node.func.spec
         if t > spec.zero_upto if pins[name] == 0 else t < spec.one_from:
             raise SpinorError(f"point is off the plateau of bump {name!r}: region "
                               f"{region.name!r} pins it to {pins[name]}, but its argument is {t:.6g}")
@@ -372,140 +381,75 @@ class StabilityResult:
         return self.stable
 
 
-def check_stable(s: SpinorStructure, seed: int = 0) -> StabilityResult:
-    """Transversality of the degree-0 part along its zero set.
+def check_stable(s: SpinorStructure) -> StabilityResult:
+    """Whether the degree-0 part s0 of rho vanishes transversally on the
+    whole chart, whatever the spinor's region (see the module docstring).
 
-    Zero-set points are found by solving when s0 is affine in one
-    complex coordinate (or polynomial in a single one); other zero sets
-    are not sampled.
+    A Groebner basis {1} of p and q alone means s0 never vanishes.  With
+    neither a certificate nor a witness (:func:`_witness`), and for an s0
+    that is not a polynomial over ``QQ_I``, :class:`SpinorError` is raised.
     """
     chart = s.chart
-    s0 = sympy.sympify(s.rho.coefficient(()))
+    s0 = s.rho.coefficient(())
     if is_structural_zero(s0):
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
-    region = s.region if s.region is not None else everywhere(chart)
-    rng = random.Random(seed)
-    zeros = _sample_zero_set(chart, s0, region, rng, _STABLE_SAMPLES)
-    if zeros is None:
-        raise SpinorError("cannot sample the zero set of the degree-0 part")
-    if not zeros:
+    p = chart.to_ring(s0)
+    if p is None:
+        raise SpinorError(f"degree-0 part {s0} is not a polynomial over QQ_I "
+                          f"in the legs of chart {chart.name!r}")
+    q, one = chart.conj_poly(p), [chart.ring.one]
+    if groebner([p, q], chart.ring) == one:
         return StabilityResult(True, None, "degree-0 part has empty zero set")
-    rank_at = _real_differential_rank(chart, s0, _STABLE_TOL)
-    if any(rank_at(pt) != 2 for pt in zeros):
+    minors = [m for a, b in combinations(chart.ring.gens, 2)
+              if (m := p.diff(a) * q.diff(b) - p.diff(b) * q.diff(a))]
+    if groebner([p, q, *minors], chart.ring) == one:
         return StabilityResult(
-            False, s0, "real differential drops rank on the zero set"
-        )
-    return StabilityResult(
-        True, s0, f"transverse at {len(zeros)} sampled zero(s); type change locus {{{s0} = 0}}"
-    )
+            True, s0, f"transverse: Groebner basis {{1}}; type change locus {{{s0} = 0}}")
+    witness = _witness(chart, [p, *minors])
+    if witness is None:
+        raise SpinorError(
+            "stability undecided: no Groebner certificate and no rational real witness")
+    at = ", ".join(f"{name} = {value}" for name, value in witness.items())
+    return StabilityResult(False, s0, f"real differential drops rank at {at}")
 
 
-def _sample_zero_set(chart: Chart, s0: sympy.Expr, region: Region, rng,
-                     samples: int):
-    """Points with s0 = 0, or [] when s0 never vanishes, or None if stuck."""
-    free = s0.free_symbols
-    if not free:
-        return [] if s0 != 0 else None
-    for coord in chart.coords:
-        if coord.kind != "complex":
-            continue
-        z = chart.symbol(coord.name)
-        zb = chart.symbol(coord.name + "b")
-        if z not in free and zb not in free:
-            continue
-        fz, fzb = sympy.diff(s0, z), sympy.diff(s0, zb)
-        affine = all(
-            is_structural_zero(sympy.diff(g, v)) for g in (fz, fzb) for v in (z, zb)
-        )
-        if affine:
-            pts = _affine_zeros(chart, s0, coord.name, region, rng, samples)
-            if pts is not None:
-                return pts
-        if free <= {z, zb} and zb not in free:
-            roots = sympy.solve(s0, z)
-            pts = []
-            for root in roots:
-                if root.free_symbols:
-                    continue
-                try:
-                    base = region.sample(rng)
-                except Exception:
-                    return None
-                base = dict(base)
-                base[coord.name] = complex(sympy.N(root))
-                base[coord.name + "b"] = complex(sympy.N(root)).conjugate()
-                pts.append(chart.point(base))
-            return pts if pts else None
+def _witness(chart: Chart, polys: Sequence[PolyElement]) -> Optional[dict[str, sympy.Expr]]:
+    """A real point of the chart, with Gaussian-rational coordinates and
+    its radial ones positive, where every polynomial vanishes; None when
+    no candidate is one.
+
+    The candidates are the origin and, on each real axis through it (x or
+    i y of a complex coordinate, or a real coordinate), the rational roots
+    of the first polynomial not identically zero there.  Each is verified
+    exactly, so the search only proposes points.
+    """
+    one, i = QQ_I.one, QQ_I(0, 1)
+    axes = []  # a unit step along each axis: leg index -> value
+    for c in chart.coords:
+        j = chart.leg_index(c.name)
+        steps = ((one, one), (i, -i)) if c.kind == "complex" else ((one,),)
+        axes += [dict(zip((j, j + 1), step)) for step in steps]
+    for axis in axes:
+        lines = [_on_axis(f, axis) for f in polys]
+        first = next((line for line in lines if line), _T_RING.zero)
+        roots = [-f.get((0,), QQ_I.zero) / f.LC for f, _ in first.factor_list()[1]
+                 if f.degree() == 1]
+        for t in [QQ_I.zero, *roots]:
+            at = {c: t * axis.get(chart.leg_index(c.name), QQ_I.zero) for c in chart.coords}
+            if (not t.y and all(at[c].x > 0 for c in at if c.kind == "radial")
+                    and not any(line(t) for line in lines)):
+                return {c.name: QQ_I.to_sympy(v) for c, v in at.items()}
     return None
 
 
-def _affine_zeros(chart: Chart, s0, zname: str, region: Region, rng,
-                  samples: int):
-    z = chart.symbol(zname)
-    zb = chart.symbol(zname + "b")
-    alpha, beta = sympy.diff(s0, z), sympy.diff(s0, zb)
-    gamma = sympy.expand(s0 - alpha * z - beta * zb)
-    coefficients_at = compile_exprs([alpha, beta, gamma], chart)
-    pts = []
-    tries = 0
-    while len(pts) < max(4, samples // 2) and tries < samples * 6:
-        tries += 1
-        base = region.sample(rng)
-        try:
-            zval = _affine_root(*coefficients_at(base))
-        except EvaluationError:
-            continue
-        if zval is not None:
-            pts.append(chart.point({**base, zname: zval, zname + "b": zval.conjugate()}))
-    return pts if pts else None
-
-
-def _affine_root(alpha: complex, beta: complex, gamma: complex) -> Optional[complex]:
-    """The z = x + iy with alpha z + beta conj(z) + gamma = 0, by Cramer's
-    rule on that real 2x2 system in (x, y); None when |det| < 1e-12."""
-    p, q = alpha + beta, 1j * (alpha - beta)  # the columns of x and y
-    det = p.real * q.imag - q.real * p.imag
-    if abs(det) < 1e-12:
-        return None
-    return complex(q.real * gamma.imag - gamma.real * q.imag,
-                   gamma.real * p.imag - p.real * gamma.imag) / det
-
-
-def _rank_2xn(u: Sequence[float], v: Sequence[float], tol: float) -> int:
-    """Rank at ``tol`` of the real matrix with rows u and v: how many of its
-    two singular values exceed ``tol``.
-
-    sigma1 comes from the Gram matrix.  sigma2 is |u ^ v| / sigma1 by the
-    Lagrange identity; the smaller Gram eigenvalue would lose half its
-    digits near a small ``tol``.
-    """
-    a, b, c = (math.fsum(x * y for x, y in zip(p, q)) for p, q in ((u, u), (u, v), (v, v)))
-    sigma1 = math.sqrt((a + c) / 2 + math.hypot((a - c) / 2, b))
-    if sigma1 <= tol:
-        return 0
-    area = math.sqrt(math.fsum((u[i] * v[j] - u[j] * v[i]) ** 2
-                               for i, j in combinations(range(len(u)), 2)))
-    return 2 if area / sigma1 > tol else 1
-
-
-def _real_differential_rank(chart: Chart, s0: sympy.Expr, tol: float):
-    """point -> rank of the real differential of s0, compiled once."""
-    cols = []
-    for coord in chart.coords:
-        if coord.kind == "complex":
-            fz = sympy.diff(s0, chart.symbol(coord.name))
-            fzb = sympy.diff(s0, chart.symbol(coord.name + "b"))
-            cols.append(fz + fzb)                # d/dx
-            cols.append(sympy.I * (fz - fzb))    # d/dy
-        else:
-            cols.append(sympy.diff(s0, chart.symbol(coord.name)))
-    cols_at = compile_exprs(cols, chart)
-
-    def rank_at(point: Mapping[str, complex]) -> int:
-        vals = cols_at(point)
-        return _rank_2xn([c.real for c in vals], [c.imag for c in vals], tol)
-
-    return rank_at
+def _on_axis(f: PolyElement, axis: Mapping[int, object]) -> PolyElement:
+    """f at t times the axis step, every other leg 0, as a polynomial in t."""
+    line = _T_RING.zero
+    for monom, c in f.iterterms():
+        for j, m in enumerate(monom):
+            c *= axis.get(j, QQ_I.zero) ** m
+        line += _T_RING({(sum(monom),): c})
+    return line
 
 
 # ---------------------------------------------------------------------------

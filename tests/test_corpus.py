@@ -134,6 +134,13 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("manifold M = dim 4; chi 2; chi 3", "manifold clause 'chi' is given twice"),
     ("spinor s = on C; rho z1 + dz1; rho 1", "spinor clause 'rho' is given twice"),
     ("build luttinger s = params (0, 1, 1, 0); on C; on C", "build clause 'on' is given twice"),
+    ("region A on C = w in (0.1, 0.2)", "region 'A': 'w' is not a coordinate of chart 'C'"),
+    ("region A on C = nonzero q", "region 'A': 'q' is not a coordinate of chart 'C'"),
+    ("region A on C = z1b in (0.1, 0.2)", "region 'A': 'z1b' is not a coordinate of chart 'C'"),
+    ("region B on C = xi = 0, xi = 1", "region 'B' pins bump 'xi' twice"),
+    ("region B on C = |z1| in (0.1, 0.2), |z1| in (0.6, 0.9)", "region 'B' bounds 'z1' twice"),
+    ("region B on C = z1 in (0.1, 0.2), |z1| in (0.6, 0.9)", "region 'B' bounds 'z1' twice"),
+    ("region B on C = nonzero z1, nonzero z1", "region 'B' names nonzero 'z1' twice"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -161,6 +168,14 @@ def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, messa
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and message in err, err
+
+
+@pytest.mark.parametrize("s0, verdict", [("z1*z2", "false"), ("z1**2 + z2**2 - 1", "true")])
+def test_cli_check_stable_decides_exactly(tmp_path, capsys, s0, verdict):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = complex z1, complex z2\nspinor s = on C; rho {s0} + dz1^dz2\n"
+                   f"check stable s expect {verdict}\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr()
 
 
 def test_cli_component_clause_repeats(tmp_path, capsys):

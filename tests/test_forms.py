@@ -30,6 +30,8 @@ from gcx import (
     GeneralizedSection,
     MixedForm,
     Region,
+    RegionError,
+    bump_function,
     clifford,
     courant_bracket,
     d,
@@ -406,6 +408,32 @@ def test_form_compiles_once_per_pin_set(monkeypatch):
     same_pins = Region.make(s.chart, "inner", bounds={"z1": (0.05, 0.2)}, bump_values={"xi": 0})
     s.rho.evaluate_at(same_pins.sample(rng), same_pins)
     assert len(compiled) == 2
+
+
+def test_pinned_bump_zeroes_second_derivatives_in_form_equal():
+    ch = Chart("C", [("z1", "complex"), ("z2", "complex")])
+    xi = bump_function("xi", 0.25, 0.5)
+    z1, z1b = ch.symbol("z1"), ch.symbol("z1b")
+    f = MixedForm.basis(ch, "z2").scale(sympy.diff(xi(z1 * z1b), z1) / z1)
+    plateau = Region.make(ch, "A", bounds={"z1": (0.8, 0.9)}, bump_values={"xi": 1})
+    assert form_equal(d(f), MixedForm.zero(ch), region=plateau)
+
+
+def test_region_with_an_empty_window_cannot_sample():
+    ch = Chart("C", [("z1", "complex"), ("x", "real")])
+    rng = random.Random(0)
+    # nonzero keeps |z1| from 0.25 up, above the bound's 0.2
+    core = Region.make(ch, "core", bounds={"z1": (0.02, 0.2)}, nonzero=["z1"])
+    with pytest.raises(RegionError, match="region 'core' leaves no room to sample 'z1'"):
+        core.sample(rng)
+    inner = Region.make(ch, "inner", bounds={"z1": (0.1, 0.2), "x": (0, 1)})
+    outer = Region.make(ch, "outer", bounds={"z1": (0.5, 0.9), "x": (2, 3)})
+    with pytest.raises(RegionError, match="region 'inner&outer' leaves no room to sample 'z1'"):
+        inner.intersect(outer).sample(rng)
+    just_x = Region.make(ch, "x only", bounds={"x": (0, 1)}).intersect(
+        Region.make(ch, "x too", bounds={"x": (2, 3)}))
+    with pytest.raises(RegionError, match="'x': its window \\(2, 1\\) is empty"):
+        just_x.sample(rng)
 
 
 def test_evaluation_loads_no_numpy_star_import():

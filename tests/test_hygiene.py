@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 neither the package nor its declared dependencies bring in numpy, and
 gcds, sympy's cancellation and its expansion run only in the functions
-listed for each, and only the integrability solve asks whether a whole
-form is polynomial."""
+listed for each, nothing calls sympy's ``solve``, and only the
+integrability solve asks whether a whole form is polynomial."""
 
 import ast
 import re
@@ -94,18 +94,20 @@ def test_numpy_is_not_a_dependency():
     assert "numpy" not in {re.match(r"[\w.-]+", req).group(0).lower() for req in requirements}
 
 
-_SIMPLIFIERS = ("cancel", "together", "expand", "gcd")
+_SIMPLIFIERS = ("cancel", "together", "expand", "gcd", "solve")
 # the functions that may call each: cancel (after together) is the
 # desingularisation check of the surgery certificate itself; equality
 # reads fractions and takes no gcd, and compiling puts each coefficient in
 # lowest terms in the chart's ring, where a gcd runs only for a leftover
-# denominator factor that is not provably irreducible
+# denominator factor that is not provably irreducible; stability is
+# decided by Groebner bases, so no function may call solve
 _CANCEL_SITES = {"spinor.surgery_certificate"}
 _SIMPLIFIER_SITES = {
     "cancel": _CANCEL_SITES,
     "together": _CANCEL_SITES,
-    "expand": {"scenario._point", "spinor._affine_zeros"},
+    "expand": {"scenario._point"},
     "gcd": {"scalars._lowest_terms"},
+    "solve": set(),
 }
 
 
@@ -126,8 +128,8 @@ def _scoped(source: str, module: str):
 
 def simplifier_calls(source: str, module: str) -> set[tuple[str, str]]:
     """(name, function) for each call of ``cancel``, ``together``,
-    ``expand`` or ``gcd``, as a function or a method, with the dotted
-    name of the function or class it sits in."""
+    ``expand``, ``gcd`` or ``solve``, as a function or a method, with the
+    dotted name of the function or class it sits in."""
     found = set()
     for node, scope in _scoped(source, module):
         if isinstance(node, ast.Call):
@@ -149,9 +151,11 @@ def test_simplifier_calls_reads_functions_methods_and_lambdas():
     source = ("import sympy\nfrom sympy import together\n"
               "class A:\n    def f(self, c):\n        return sympy.cancel(together(c))\n"
               "def g(c):\n    return map(lambda e: e.expand(), c)\n"
-              "def h(p, q):\n    return p.gcd(q)\n")
+              "def h(p, q):\n    return p.gcd(q)\n"
+              "def k(e, z):\n    return sympy.solve(e, z)\n")
     assert simplifier_calls(source, "m") == {
-        ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g"), ("gcd", "m.h")}
+        ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g"), ("gcd", "m.h"),
+        ("solve", "m.k")}
 
 
 # each coefficient is a ring element or an expression on its own; only

@@ -56,6 +56,11 @@ def test_pin_bumps_kills_derivatives():
     expr = xi(r) * r + sympy.diff(xi(r), r)
     assert pin_bumps(expr, {"xi_p": 0}) == 0
     assert pin_bumps(expr, {"xi_p": 1}) == r
+    # of every order: the second derivative of xi(r**2) holds xi_p_prime_prime
+    second = sympy.diff(xi(r ** 2), r, 2)
+    assert second.has(sympy.diff(xi(r), r, 2).func)
+    assert pin_bumps(second, {"xi_p": 1}) == 0
+    assert pin_bumps(sympy.diff(xi(r), r, 3) + xi(r), {"xi_p": 1}) == 1
 
 
 def test_expr_equal_algebraic_exact():

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import gcx
 
-from conftest import GAUSSIAN_RATIONALS, gaussian_polys, real_chart
+from conftest import GAUSSIAN_RATIONALS, gaussian_polys
 
 from gcx import (
     Chart,
@@ -41,18 +42,12 @@ from gcx import (
     wedge,
 )
 from gcx.scalars import bump_function, compile_exprs
-from gcx.chart import everywhere
 from gcx.runner import corpus_dir, load_scenario
+from gcx.scenario import parse_scenario
 from gcx.spinor import (
     XI,
-    _STABLE_TOL,
-    _affine_root,
-    _affine_zeros,
     _exact_certificate,
     _least_squares,
-    _rank_2xn,
-    _real_differential_rank,
-    _sample_zero_set,
     surgery_certificate,
     surgery_exponent,
     surgery_regions,
@@ -107,6 +102,11 @@ def test_type_at_point_off_the_pinned_plateau_fails():
     assert type_at(rho, {"z1": 0}, region=core) == 0
     with pytest.raises(SpinorError, match="bump 'xi'.*region 'core' pins it to 0"):
         type_at(rho, {"z1": 0.9}, region=core)
+    # a second derivative of the bump is held to the plateau too
+    t = sympy.Symbol("t")
+    second = sympy.diff(bump.func(t), t, 2).subs(t, bump.args[0])
+    with pytest.raises(SpinorError, match="bump 'xi'.*region 'core' pins it to 0"):
+        type_at(MixedForm.scalar(ch, 1 + second), {"z1": 0.9}, region=core)
 
 
 def test_nondegenerate_point_off_the_pinned_plateau_fails():
@@ -143,7 +143,7 @@ def test_expression_held_polynomial_spinor_is_solved_exactly():
 
 def _forbid_sampling(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the exact solve sampled")
+        raise AssertionError("an exact decision sampled")
 
     for module in (gcx.scalars, gcx.forms, gcx.spinor):
         if hasattr(module, "compile_exprs"):
@@ -213,68 +213,78 @@ def test_least_squares_matches_the_svd_of_the_whole_system():
                      for row, c in zip(rows, rhs))))
 
 
-def test_affine_root_by_cramer():
-    # 2 z + i conj(z) = 3 + i: with z = x + iy, 2x + y = 3 and x + 2y = 1,
-    # whose determinant is 3: x = 5/3, y = -1/3
-    assert _affine_root(2, 1j, -3 - 1j) == pytest.approx(complex(5, -1) / 3)
-    # z + conj(z) = 1 fixes only x; a determinant below 1e-12 counts as 0
-    assert _affine_root(1, 1, -1) is None
-    assert _affine_root(1, 1 - 1e-13, -1) is None
-    ch = Chart("c1", [("z1", "complex")])
-    s0 = 2 * ch.symbol("z1") + sympy.I * ch.symbol("z1b") - 3 - sympy.I
-    points = _affine_zeros(ch, s0, "z1", everywhere(ch), random.Random(0), 4)
-    assert points and all(p["z1"] == pytest.approx(complex(5, -1) / 3) for p in points)
+_C = "chart C = complex z1, complex z2"
+_X = "chart C = real x1, real x2"
+
+# s0, chart, (stable, message): check stable's verdict on rho = s0 + a
+# 2-form of the chart; the origin and the axes hold the witnesses
+_STABILITY = [
+    ("z1**2 + z2**2 - 1", _C, (True, "transverse: Groebner basis {1}; "
+                                     "type change locus {z1**2 + z2**2 - 1 = 0}")),
+    ("z1 + i*z2**2/3", _C, (True, "transverse: Groebner basis {1}; "
+                                  "type change locus {z1 + I*z2**2/3 = 0}")),
+    ("z1*z2 - 1", _C, (True, "transverse: Groebner basis {1}; type change locus {z1*z2 - 1 = 0}")),
+    ("z1**2 - 1/4", _C, (True, "transverse: Groebner basis {1}; "
+                               "type change locus {z1**2 - 1/4 = 0}")),
+    ("z1**3 - 1", _C, (True, "transverse: Groebner basis {1}; type change locus {z1**3 - 1 = 0}")),
+    ("x1 + i*x2", _X, (True, "transverse: Groebner basis {1}; type change locus {x1 + I*x2 = 0}")),
+    ("z1*z2", _C, (False, "real differential drops rank at z1 = 0, z2 = 0")),
+    ("z1**2", _C, (False, "real differential drops rank at z1 = 0, z2 = 0")),
+    ("z1**3 - z2**2", _C, (False, "real differential drops rank at z1 = 0, z2 = 0")),
+    ("z1 + z1b", _C, (False, "real differential drops rank at z1 = 0, z2 = 0")),
+    ("z1*z1b - 1/4", _C, (False, "real differential drops rank at z1 = 1/2, z2 = 0")),
+    ("(z1 - 1)**2", _C, (False, "real differential drops rank at z1 = 1, z2 = 0")),
+    ("(1 + i)*x1", _X, (False, "real differential drops rank at x1 = 0, x2 = 0")),
+    ("3", _C, (True, "degree-0 part has empty zero set")),
+]
+
+# s0, chart, the SpinorError's message
+_STABILITY_UNDECIDED = [
+    ("z1*z1b + 1/4", _C, "stability undecided: no Groebner certificate and no rational real witness"),
+    ("pi*z1", _C, "degree-0 part pi*z1 is not a polynomial over QQ_I"),
+]
 
 
-def test_rank_2xn_counts_singular_values_above_tol():
-    assert _rank_2xn([1, 0, 0], [0, 2, 0], 1e-7) == 2
-    assert _rank_2xn([1, 2, 3], [-2, -4, -6], 1e-7) == 1  # parallel rows
-    assert _rank_2xn([3, 4, 0], [0, 0, 0], 1e-7) == 1
-    assert _rank_2xn([0, 0, 0], [0, 0, 0], 1e-7) == 0
-    assert _rank_2xn([1e-8, 0], [0, 1e-8], 1e-7) == 0
-    # u = (1, 0), v = (1, delta): sigma1 ~ sqrt(2), sigma2 ~ delta / sqrt(2);
-    # from the Gram eigenvalues, sigma2^2 ~ 5e-15 would cancel against 2
-    for factor, rank in ((1.01, 2), (0.99, 1)):
-        assert _rank_2xn([1, 0], [1, factor * 1e-7 * math.sqrt(2)], 1e-7) == rank
+def _stability_spinor(s0: str, chart: str) -> SpinorStructure:
+    two_form = "dz1^dz2" if "complex" in chart else "dx1^dx2"
+    return parse_scenario(f"{chart}\nspinor s = on C; rho {s0} + {two_form}\n").spinors["s"]
 
 
-def test_real_differential_rank_of_s0():
-    ch = real_chart(2)
-    x1, x2 = ch.symbols
-    point = {"x1": 0.3, "x2": -0.2}
-    assert _real_differential_rank(ch, x1 + sympy.I * x2, _STABLE_TOL)(point) == 2
-    assert _real_differential_rank(ch, (1 + sympy.I) * x1, _STABLE_TOL)(point) == 1
-    assert _real_differential_rank(ch, sympy.Integer(1), _STABLE_TOL)(point) == 0
-    for factor, rank in ((1.01, 2), (0.99, 1)):
-        delta = sympy.Float(factor * _STABLE_TOL * math.sqrt(2))
-        s0 = x1 + sympy.I * (x1 + delta * x2)
-        assert _real_differential_rank(ch, s0, _STABLE_TOL)(point) == rank
+@pytest.mark.parametrize("s0, chart, verdict", _STABILITY, ids=[row[0] for row in _STABILITY])
+def test_stability_verdicts(s0, chart, verdict):
+    res = check_stable(_stability_spinor(s0, chart))
+    assert (res.stable, res.message) == verdict
+    assert (res.locus is None) == (s0 == "3")
+
+
+@pytest.mark.parametrize("s0, chart, message", _STABILITY_UNDECIDED,
+                         ids=[row[0] for row in _STABILITY_UNDECIDED])
+def test_stability_undecided_raises(s0, chart, message):
+    with pytest.raises(SpinorError, match=re.escape(message)):
+        check_stable(_stability_spinor(s0, chart))
+
+
+def test_stability_never_samples(monkeypatch):
+    spinors = [(_stability_spinor(s0, chart), verdict) for s0, chart, verdict in _STABILITY]
+    undecided = [(_stability_spinor(s0, chart), message)
+                 for s0, chart, message in _STABILITY_UNDECIDED]
+    _forbid_sampling(monkeypatch)
+    for s, verdict in spinors:
+        res = check_stable(s)
+        assert (res.stable, res.message) == verdict
+    for s, message in undecided:
+        with pytest.raises(SpinorError, match=re.escape(message)):
+            check_stable(s)
 
 
 @pytest.mark.parametrize("stem, name", [("cor_2_8", "s"), ("ex_2_9", "s"),
                                         ("prop_3_8", "L"), ("sec_4_gluck", "g")])
-def test_real_differential_rank_at_corpus_zeros(stem, name):
-    # the ranks of a subs + N reference on the cancelled columns, at the
-    # zeros that check stable samples
+def test_corpus_stability_is_certified_without_sampling(monkeypatch, stem, name):
     s = load_scenario(corpus_dir() / f"{stem}.gcx").spinors[name]
-    chart = s.chart
-    s0 = sympy.sympify(s.rho.coefficient(()))
-    zeros = _sample_zero_set(chart, s0, s.region or everywhere(chart), random.Random(0), 12)
-    rank_at = _real_differential_rank(chart, s0, _STABLE_TOL)
-    cols = []
-    for c in chart.coords:
-        if c.kind == "complex":
-            fz, fzb = (sympy.diff(s0, chart.symbol(n)) for n in (c.name, c.name + "b"))
-            cols += [fz + fzb, sympy.I * (fz - fzb)]
-        else:
-            cols.append(sympy.diff(s0, chart.symbol(c.name)))
-    cols = [sympy.cancel(sympy.together(c)) for c in cols]
-    assert zeros
-    for pt in zeros:
-        subs = {chart.symbol(n): v for n, v in pt.items()}
-        vals = [complex(sympy.N(c.subs(subs))) for c in cols]
-        want = _rank_2xn([v.real for v in vals], [v.imag for v in vals], _STABLE_TOL)
-        assert rank_at(pt) == want == 2
+    _forbid_sampling(monkeypatch)
+    res = check_stable(s)
+    assert res.stable and res.locus == s.chart.symbol("z1")
+    assert res.message == "transverse: Groebner basis {1}; type change locus {z1 = 0}"
 
 
 _C2 = _c2()
