@@ -159,21 +159,23 @@ class Chart:
         are read in :meth:`extended_ring`; every other subexpression
         (``pi``, ``E``, a float, a bump application, any other function, a
         non-integer power) becomes one extra generator, shared by equal
-        subexpressions.  Returns ``(pairs, extras)``: a ``(numerator,
-        denominator)`` pair per expression, where the denominator maps each
-        of its distinct non-constant factors to its multiplicity (``{}`` is
-        1), and the subexpressions read as the extra generators, in order.
-        A negative power of a base that is zero in the ring raises
-        ``ZeroDivisionError``.
+        subexpressions; an element of :attr:`ring` is taken as it is.
+        Returns ``(pairs, extras)``: a ``(numerator, denominator)`` pair per
+        expression, where the denominator maps each of its distinct
+        non-constant factors to its multiplicity (``{}`` is 1), and the
+        subexpressions read as the extra generators, in order.  A negative
+        power of a base that is zero in the ring raises ``ZeroDivisionError``.
         """
-        exprs = [sympy.sympify(e) for e in exprs]
+        exprs = [e if isinstance(e, PolyElement) else sympy.sympify(e) for e in exprs]
         legs = set(self.symbols)
         found: dict = {}
         for e in exprs:
-            _opaque_nodes(e, legs, found)
+            if not isinstance(e, PolyElement):
+                _opaque_nodes(e, legs, found)
         extended = self.extended_ring(len(found))
         gens = dict(zip(self.symbols + tuple(found), extended.gens))
-        return [_read_fraction(e, extended, gens) for e in exprs], tuple(found)
+        return [(e.set_ring(extended), {}) if isinstance(e, PolyElement)
+                else _read_fraction(e, extended, gens) for e in exprs], tuple(found)
 
     def __repr__(self):
         return f"Chart({self.name!r}, dim={self.dim})"
@@ -336,11 +338,13 @@ class Interval:
         return Interval(lo, hi)
 
 
-# Default sampling windows per coordinate kind.
+# Default sampling windows per coordinate kind, and of a bounded or
+# nonzero complex coordinate's modulus.
 _DEFAULT_WINDOW = {
     "real": (-2.0, 2.0),
     "radial": (0.25, 2.0),
     "angle": (0.0, _TWO_PI),
+    "modulus": (0.0, 2.0),
 }
 
 
@@ -413,29 +417,45 @@ class Region:
         values: dict[str, complex] = {}
         for c in self.chart.coords:
             iv = self.bound_for(c.name)
-            if c.kind == "complex":
-                if iv.lo is not None or iv.hi is not None or c.name in self.nonzero:
-                    mlo = iv.lo if iv.lo is not None else 0.0
-                    mhi = iv.hi if iv.hi is not None else 2.0
-                    if c.name in self.nonzero:
-                        mlo = max(mlo, 0.25)
-                    radius = rng.uniform(*self._window(c.name, mlo, mhi))
-                    angle = rng.uniform(0.0, _TWO_PI)
-                    values[c.name] = radius * complex(math.cos(angle), math.sin(angle))
-                else:
-                    re = rng.uniform(-2.0, 2.0)
-                    im = rng.uniform(-2.0, 2.0)
-                    values[c.name] = complex(re, im)
+            if c.kind != "complex":
+                values[c.name] = complex(rng.uniform(*self._window(c.name, iv, c.kind)))
+            elif iv.lo is not None or iv.hi is not None or c.name in self.nonzero:
+                radius = rng.uniform(*self._window(c.name, iv, "modulus"))
+                angle = rng.uniform(0.0, _TWO_PI)
+                values[c.name] = radius * complex(math.cos(angle), math.sin(angle))
             else:
-                dlo, dhi = _DEFAULT_WINDOW[c.kind]
-                lo, hi = self._window(c.name, dlo if iv.lo is None else iv.lo,
-                                      dhi if iv.hi is None else iv.hi)
-                values[c.name] = complex(rng.uniform(lo, hi))
+                re = rng.uniform(-2.0, 2.0)
+                im = rng.uniform(-2.0, 2.0)
+                values[c.name] = complex(re, im)
         return self.chart.point(values)
 
-    def _window(self, coord: str, lo: float, hi: float) -> tuple[float, float]:
-        """The sampling window (lo, hi) of a coordinate, or its modulus;
-        :class:`RegionError` when it is empty."""
+    def _window(self, coord: str, iv: Interval, kind: str) -> tuple[float, float]:
+        """The sampling window (lo, hi) of a coordinate of the kind, or of a
+        complex coordinate's ``modulus``; :class:`RegionError` when it is
+        empty.
+
+        The bounds' ends are taken, and the kind's default window fills in
+        a missing one; a ``nonzero`` modulus starts at 0.25 at the least.
+        Where that window is empty, the given ends are kept instead: a
+        positive lower bound already excludes 0, a missing upper end lies
+        one default width above the given lower one, and a missing lower
+        end lies as far below the given upper one, or at half of it for a
+        radial coordinate or a nonzero modulus.
+        """
+        dlo, dhi = _DEFAULT_WINDOW[kind]
+        lo = dlo if iv.lo is None else iv.lo
+        hi = dhi if iv.hi is None else iv.hi
+        nonzero = kind == "modulus" and coord in self.nonzero
+        if nonzero:
+            lo = max(lo, 0.25)
+        if hi <= lo:  # a default end crosses a given one
+            positive = kind == "radial" or nonzero
+            if iv.hi is None:
+                hi = lo + dhi - dlo
+            elif iv.lo is None or (positive and iv.lo <= 0):
+                lo = hi / 2 if positive else hi - (dhi - dlo)
+            else:
+                lo = iv.lo
         if hi <= lo:
             raise RegionError(f"region {self.name!r} leaves no room to sample {coord!r}: "
                               f"its window ({lo:g}, {hi:g}) is empty")

@@ -194,18 +194,6 @@ class MixedForm:
             return self.coefficients
         return None
 
-    def as_ring(self) -> "MixedForm":
-        """This form with its coefficients in ``chart.ring`` when every one
-        converts with :meth:`~gcx.chart.Chart.to_ring`; otherwise itself."""
-        if all(isinstance(c, PolyElement) for c in self.coefficients.values()):
-            return self
-        data = {}
-        for key, c in self.coefficients.items():
-            data[key] = self.chart.to_ring(c)
-            if data[key] is None:
-                return self
-        return MixedForm(self.chart, data)
-
     def degree_block(self, k: int) -> "MixedForm":
         return MixedForm(
             self.chart,

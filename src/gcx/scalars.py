@@ -236,19 +236,16 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
     point.  The callable's ``zeros`` holds the indices of the expressions
     that are zero in the ring.
     """
-    exprs = [e if isinstance(e, PolyElement) else sympy.sympify(e) for e in exprs]
-    read = [e for e in exprs if not isinstance(e, PolyElement)]
+    read = [sympy.sympify(e) for e in exprs if not isinstance(e, PolyElement)]
     for e in read:
         _require_finite(e, chart)
     unbound = set().union(*(e.free_symbols for e in read)) - set(chart.symbols)
     try:
-        pairs, extras = chart.fractions(read)
+        pairs, extras = chart.fractions(exprs)
     except ZeroDivisionError as exc:
         raise EvaluationError(f"infinite or undefined value on chart {chart.name!r}: "
                               f"{exc}") from None
-    pairs = iter(pairs)
-    fractions = [_lowest_terms(*((e, {}) if isinstance(e, PolyElement) else next(pairs)))
-                 for e in exprs]
+    fractions = [_lowest_terms(*pair) for pair in pairs]
     args = [f"x{i}" for i in range(chart.dim)] + [f"e{j}" for j in range(len(extras))]
     code = ", ".join(_fraction_code(num, factors, args) for num, factors in fractions)
     namespace = {}

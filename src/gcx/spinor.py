@@ -5,18 +5,20 @@ A spinor structure is a mixed form rho together with a closed twisting
 3-form H.  Integrability means d_H rho = (X + xi) . rho for some
 generalized section; a certificate is either supplied and verified, or
 searched for among constant ones, which makes the condition linear in
-the 2n unknowns:
+the 2n unknowns.  The search is exact for every spinor: the fraction
+reader (:meth:`~gcx.chart.Chart.fractions`) reads the coefficients over
+the chart's ring over ``QQ_I``, each opaque subexpression (a bump,
+``exp``, ``sqrt``, a float) one extra generator, and each pair (form key,
+monomial) is one equation.  ``pi`` and ``E`` are constants of the solve,
+as :func:`~gcx.scalars.expr_equal` treats them, so ``rref`` runs over
+``QQ_I`` or ``QQ_I(pi, E)``.  A solution is the certificate, with free
+unknowns set to 0; an inconsistent system proves that none exists when
+the extra generators are at most ``pi`` and ``E``, and leaves the check
+undecided otherwise, since an opaque generator may obey relations
+(sqrt(u)**2 = u, sin**2 + cos**2 = 1) that the solve does not see.
 
-* when rho and H are polynomial over ``QQ_I`` (however they are held),
-  each pair (form key, monomial) is one equation, and ``rref`` over
-  ``QQ_I`` solves the system exactly: it finds a Gaussian-rational
-  certificate, with free unknowns set to 0, or proves that none exists;
-* any other spinor (bumps, ``sqrt``, ``1/z1``) is solved by least squares
-  at sampled points (a Householder QR, then an SVD pseudo-inverse of its
-  triangle in ``mpmath``), rounded and re-verified symbolically.
-
-:class:`IntegrabilityResult` names the path taken (``"stored"``,
-``"exact"`` or ``"sampled"``) and the rank of an exact solve.
+:class:`IntegrabilityResult` names the path taken (``"stored"`` or
+``"exact"``) and the rank of an exact solve.
 
 Stability is decided exactly, in the chart's ring.  With p the degree-0
 part s0 and q its conjugate, ds0 ^ ds0bar is the sum of the 2x2 minors of
@@ -30,21 +32,17 @@ minor vanish is the witness that it does not.
 from __future__ import annotations
 
 import math
-import random
-import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-import mpmath
 import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement, ring
 
-from .chart import Chart, Region, everywhere, merge_regions
+from .chart import Chart, Region, merge_regions
 from .forms import (
     EqualityResult,
     GeneralizedSection,
@@ -54,15 +52,17 @@ from .forms import (
     exp_form,
     form_equal,
     interior,
+    scalar_of,
     wedge,
     wedge_power,
 )
 from .maps import CoordinateMap, pullback
 from .scalars import (
-    EvaluationError,
+    _FINAL_EXTRAS,
     bump_function,
     compile_exprs,
     is_structural_zero,
+    pin_bumps,
 )
 from .topology import SurgeryParams, validate_surgery_params
 
@@ -188,7 +188,7 @@ class IntegrabilityResult:
     ok: bool
     certificate: Optional[GeneralizedSection]
     message: str
-    path: str  # "stored", "exact" (rref over QQ_I) or "sampled" (least squares)
+    path: str  # "stored" (a supplied certificate verified) or "exact" (rref)
     rank: Optional[int] = None  # rank of the exact solve's system
 
     def __bool__(self):
@@ -197,173 +197,94 @@ class IntegrabilityResult:
 
 def check_integrable(s: SpinorStructure, samples: int = 32, seed: int = 0,
                      tol: float = 1e-9) -> IntegrabilityResult:
-    """Verify a stored certificate, or solve for a constant one.
+    """Verify a stored certificate, or solve exactly for a constant one
+    (:func:`_exact_certificate`); ``samples``, ``seed`` and ``tol`` are
+    those of the stored certificate's comparison.
 
-    A spinor whose rho and H are polynomial over ``QQ_I`` is solved
-    exactly (:func:`_exact_certificate`); any other spinor by sampling.
+    :class:`SpinorError` is raised when no constant certificate exists
+    with the extra generators of the solve read as independent, and one
+    of them is not ``pi`` or ``E``: it may obey a relation the solve
+    cannot see.
     """
-    rho, h = s.rho.as_ring(), s.h.as_ring()
-    target = d(rho) + wedge(h, rho)
+    rho = s.rho
+    target = d(rho) + wedge(s.h, rho)
     if s.certificate is not None:
-        ok = form_equal(target, clifford(s.certificate, rho), region=s.region,
-                        samples=samples, seed=seed, tol=tol)
-        if ok:
+        if form_equal(target, clifford(s.certificate, rho), region=s.region,
+                      samples=samples, seed=seed, tol=tol):
             return IntegrabilityResult(True, s.certificate, "stored certificate verified",
                                        "stored")
         return IntegrabilityResult(False, None, "stored certificate fails to reproduce d_H rho",
                                    "stored")
-    if target.ring_terms is not None and rho.ring_terms is not None:
-        cert, rank = _exact_certificate(rho, target)
-        if cert is None:
-            return IntegrabilityResult(False, None, "not integrable: no constant certificate",
-                                       "exact", rank)
-        # an independent check of the solve; exact and cheap on ring forms
-        if not form_equal(target, clifford(cert, rho)):
-            raise SpinorError("the exact certificate fails to reproduce d_H rho")
-        return IntegrabilityResult(True, cert, "certificate found by linear solve",
-                                   "exact", rank)
-    cert = _sampled_certificate(s, target, samples=samples, seed=seed, tol=tol)
+    cert, rank, extras = _exact_certificate(rho, target, s.region)
     if cert is None:
-        return IntegrabilityResult(
-            False, None, "not integrable (at sampled genericity): no constant certificate",
-            "sampled",
-        )
-    return IntegrabilityResult(True, cert, "certificate found by linear solve", "sampled")
+        opaque = [e for e in extras if e not in _FINAL_EXTRAS]
+        if opaque:
+            raise SpinorError(
+                f"integrability undecided: no constant certificate, but "
+                f"{', '.join(map(str, opaque))} may obey relations the linear solve cannot see")
+        return IntegrabilityResult(False, None, "not integrable: no constant certificate",
+                                   "exact", rank)
+    # an independent check of the solve, a formal zero
+    if not form_equal(target, clifford(cert, rho), region=s.region):
+        raise SpinorError("the exact certificate fails to reproduce d_H rho")
+    return IntegrabilityResult(True, cert, "certificate found by linear solve", "exact", rank)
 
 
-def _actions(rho: MixedForm) -> list[MixedForm]:
-    """The Clifford action on rho of each unit unknown: the vector legs'
-    interior products, then the covector legs' wedges."""
-    chart = rho.chart
-    return ([interior({leg.name: 1}, rho) for leg in chart.legs]
-            + [wedge(MixedForm.basis(chart, leg.name), rho) for leg in chart.legs])
+def _exact_certificate(rho: MixedForm, target: MixedForm, region: Optional[Region] = None
+                       ) -> tuple[Optional[GeneralizedSection], int, tuple]:
+    """Solve target = (X + xi) . rho for constant X and xi.
 
-
-def _certificate(chart: Chart, coeffs: Sequence) -> GeneralizedSection:
-    """The section with the vector legs' coefficients first, then the
-    covector legs'; zero coefficients are left out, and a Gaussian-rational
-    covector is a ring form."""
-    n = chart.dim
-    vector = {leg.name: coeffs[i] for i, leg in enumerate(chart.legs)
-              if not is_structural_zero(coeffs[i])}
-    cov = MixedForm(chart, {(i,): coeffs[n + i] for i in range(n)
-                            if not is_structural_zero(coeffs[n + i])})
-    return GeneralizedSection.make(chart, vector, cov.as_ring())
-
-
-def _exact_certificate(rho: MixedForm,
-                       target: MixedForm) -> tuple[Optional[GeneralizedSection], int]:
-    """Solve target = (X + xi) . rho for constant X and xi over ``QQ_I``.
-
-    Both forms are ring forms.  Each pair (form key, monomial) is one
-    linear equation in the 2n unknowns; ``DomainMatrix.rref`` solves the
+    The unknowns' actions on rho (the vector legs' interior products,
+    then the covector legs' wedges) and the target, with the region's
+    bumps pinned, are read with one :meth:`~gcx.chart.Chart.fractions`
+    call, and each form key's equations are multiplied by the least
+    common denominator of that key's fractions.  Each pair (form key,
+    monomial in the legs and the extra generators other than ``pi`` and
+    ``E``) is one linear equation in the 2n unknowns, over ``QQ_I``, or
+    ``QQ_I(pi, E)`` when those occur.  ``DomainMatrix.rref`` solves the
     augmented system.  Returns the certificate, with every free unknown
-    set to 0, or None when the system is inconsistent; and the rank.
+    set to 0, or None when the system is inconsistent; the rank; and the
+    extra generators.
     """
-    chart = rho.chart
-    columns = [a.ring_terms for a in _actions(rho)] + [target.ring_terms]
-    rows: dict[tuple, dict[int, object]] = {}
-    for col, terms in enumerate(columns):
-        for key, poly in terms.items():
-            for monom, coeff in poly.iterterms():
-                rows.setdefault((key, monom), {})[col] = coeff
-    last = len(columns) - 1
-    system = DomainMatrix(dict(enumerate(rows.values())), (len(rows), last + 1), QQ_I)
+    chart, n = rho.chart, rho.chart.dim
+    pins = region.bump_map if region is not None else {}
+    columns = ([interior({leg.name: 1}, rho) for leg in chart.legs]
+               + [wedge(MixedForm.basis(chart, leg.name), rho) for leg in chart.legs] + [target])
+    cells = [(key, col, c if isinstance(c, PolyElement) else pin_bumps(c, pins))
+             for col, form in enumerate(columns) for key, c in form.coefficients.items()]
+    pairs, extras = chart.fractions([c for _, _, c in cells])
+    common: dict[tuple, dict] = {}  # each key's least common denominator
+    for (key, _, _), (_, den) in zip(cells, pairs):
+        lcd = common.setdefault(key, {})
+        for f, m in den.items():
+            lcd[f] = max(lcd.get(f, 0), m)
+    constants = [n + j for j, e in enumerate(extras) if e in _FINAL_EXTRAS]
+    rows: dict[tuple, dict[int, dict]] = {}  # (key, monomial) -> column -> pi, E terms
+    for (key, col, _), (num, den) in zip(cells, pairs):
+        for f, m in common[key].items():
+            num *= f ** (m - den.get(f, 0))
+        for monom, coeff in num.iterterms():
+            split = tuple(0 if j in constants else m for j, m in enumerate(monom))
+            rows.setdefault((key, split), {}).setdefault(col, {})[
+                tuple(monom[j] for j in constants)] = coeff
+    domain = QQ_I.frac_field(*(extras[j - n] for j in constants)) if constants else QQ_I
+
+    def entry(terms: dict):
+        return domain.field(domain.field.ring(terms)) if constants else terms[()]
+
+    last = 2 * n
+    system = DomainMatrix({i: {col: entry(terms) for col, terms in row.items()}
+                           for i, row in enumerate(rows.values())}, (len(rows), last + 1), domain)
     reduced, pivots = system.rref()
     if last in pivots:
-        return None, len(pivots) - 1
+        return None, len(pivots) - 1, extras
     entries = reduced.to_dok()
-    coeffs = [sympy.Integer(0)] * last
+    solution = [sympy.Integer(0)] * last
     for row, col in enumerate(pivots):
-        coeffs[col] = QQ_I.to_sympy(entries.get((row, last), QQ_I.zero))
-    return _certificate(chart, coeffs), len(pivots)
-
-
-def _sampled_certificate(s: SpinorStructure, target: MixedForm,
-                         samples: int, seed: int, tol: float) -> Optional[GeneralizedSection]:
-    """Least squares at sampled points, rounded and re-verified; for
-    spinors with non-polynomial coefficients."""
-    chart = s.chart
-    region = s.region if s.region is not None else everywhere(chart)
-    actions = _actions(s.rho)
-    keys = sorted(set(target.terms) | {k for a in actions for k in a.terms})
-    rng = random.Random(seed)
-    rows, rhs = [], []
-    points = 0
-    attempts = 0
-    while points < max(6, min(10, samples)) and attempts < samples * 4:
-        attempts += 1
-        pt = region.sample(rng)
-        try:
-            tv = target.evaluate_at(pt, region)
-            avs = [a.evaluate_at(pt, region) for a in actions]
-        except EvaluationError:
-            continue
-        points += 1
-        for key in keys:
-            rows.append([av.get(key, 0.0) for av in avs])
-            rhs.append(tv.get(key, 0.0))
-    if points == 0:
-        raise SpinorError("cannot sample the region for the integrability solve")
-    sol, residual = _least_squares(rows, rhs)
-    if residual > 1e-7 * max(1.0, math.hypot(*map(abs, rhs))):
-        return None
-    cert = _certificate(chart, [_rationalize(c) for c in sol])
-    if form_equal(target, clifford(cert, s.rho), region=s.region,
-                  samples=samples, seed=seed + 1, tol=tol):
-        return cert
-    return None
-
-
-def _least_squares(rows: Sequence[Sequence[complex]],
-                   rhs: Sequence[complex]) -> tuple[list[complex], float]:
-    """The minimum-norm least-squares solution of rows . x = rhs and its
-    residual norm.
-
-    A Householder QR in complex floats reduces the m x n system to its
-    min(m, n) x n triangle R and Q^H rhs; since (QR)^+ = R^+ Q^H, an SVD
-    pseudo-inverse of R in ``mpmath`` at 15 digits then solves it.
-    Singular values up to eps * max(m, n) * sigma_max count as zero, as in
-    LAPACK's least-squares routines, so a rank-deficient system is solved.
-    """
-    m, n = len(rows), len(rows[0])
-    # rhs rides along as column n, so the reflections make Q^H rhs
-    aug = [[complex(c) for c in row] + [complex(c)] for row, c in zip(rows, rhs)]
-    k = min(m, n)
-    for j in range(k):
-        norm = math.hypot(*(abs(aug[i][j]) for i in range(j, m)))
-        if norm == 0:
-            continue
-        head = aug[j][j]
-        v = [aug[i][j] for i in range(j, m)]
-        v[0] += norm * (head / abs(head) if head else 1)  # no cancellation
-        vv = sum(abs(c) ** 2 for c in v)
-        for col in range(j, n + 1):  # aug = (I - 2 v v^H / v^H v) aug
-            dot = 2 * sum(c.conjugate() * aug[j + t][col] for t, c in enumerate(v)) / vv
-            for t, c in enumerate(v):
-                aug[j + t][col] -= dot * c
-    triangle = [[0] * i + row[i:n] for i, row in enumerate(aug[:k])]
-    with mpmath.workdps(15):
-        u, sigma, v = mpmath.svd_c(mpmath.matrix(triangle))
-        cutoff = sys.float_info.epsilon * max(m, n) * max(sigma)
-        pinv = v.H * mpmath.diag([1 / s if s > cutoff else 0 for s in sigma]) * u.H
-        x = [complex(c) for c in pinv * mpmath.matrix([row[n] for row in aug[:k]])]
-    residual = math.hypot(*(abs(sum(a * b for a, b in zip(row, x)) - c)
-                            for row, c in zip(rows, rhs)))
-    return x, residual
-
-
-def _rationalize(c: complex) -> sympy.Expr:
-    out = sympy.Integer(0)
-    for part, unit in ((c.real, sympy.Integer(1)), (c.imag, sympy.I)):
-        if abs(part) < 1e-10:
-            continue
-        frac = Fraction(part).limit_denominator(1000)
-        if abs(float(frac) - part) < 1e-9:
-            out += sympy.Rational(frac.numerator, frac.denominator) * unit
-        else:
-            out += sympy.Float(part) * unit
-    return out
+        solution[col] = domain.to_sympy(entries.get((row, last), domain.zero))
+    vector = {leg.name: c for leg, c in zip(chart.legs, solution) if not is_structural_zero(c)}
+    covector = MixedForm(chart, {(i,): scalar_of(chart, c) for i, c in enumerate(solution[n:])})
+    return GeneralizedSection.make(chart, vector, covector), len(pivots), extras
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +339,37 @@ def _witness(chart: Chart, polys: Sequence[PolyElement]) -> Optional[dict[str, s
     its radial ones positive, where every polynomial vanishes; None when
     no candidate is one.
 
-    The candidates are the origin and, on each real axis through it (x or
-    i y of a complex coordinate, or a real coordinate), the rational roots
-    of the first polynomial not identically zero there.  Each is verified
-    exactly, so the search only proposes points.
+    The candidates lie on the real axes (x or i y of a complex coordinate,
+    or a real or radial coordinate) through the base point, where every
+    radial coordinate is 1 and every other one 0: the base point itself
+    and, on each axis, the rational roots of the first polynomial not
+    identically zero there.  Each is verified exactly, so the search only
+    proposes points.
     """
-    one, i = QQ_I.one, QQ_I(0, 1)
-    axes = []  # a unit step along each axis: leg index -> value
+    t, one, i = _T_RING.gens[0], QQ_I.one, QQ_I(0, 1)
+    radial = {chart.leg_index(c.name) for c in chart.coords if c.kind == "radial"}
+    base = [_T_RING(int(j in radial)) for j in range(chart.dim)]  # the legs off the axis
     for c in chart.coords:
         j = chart.leg_index(c.name)
-        steps = ((one, one), (i, -i)) if c.kind == "complex" else ((one,),)
-        axes += [dict(zip((j, j + 1), step)) for step in steps]
-    for axis in axes:
-        lines = [_on_axis(f, axis) for f in polys]
-        first = next((line for line in lines if line), _T_RING.zero)
-        roots = [-f.get((0,), QQ_I.zero) / f.LC for f, _ in first.factor_list()[1]
-                 if f.degree() == 1]
-        for t in [QQ_I.zero, *roots]:
-            at = {c: t * axis.get(chart.leg_index(c.name), QQ_I.zero) for c in chart.coords}
-            if (not t.y and all(at[c].x > 0 for c in at if c.kind == "radial")
-                    and not any(line(t) for line in lines)):
-                return {c.name: QQ_I.to_sympy(v) for c, v in at.items()}
+        for step in ((one, one), (i, -i)) if c.kind == "complex" else ((one,),):
+            axis = list(base)  # each leg's value on the axis, a polynomial in t
+            axis[j:j + len(step)] = [t * s for s in step]
+            lines = [_on_line(f, axis) for f in polys]
+            first = next((line for line in lines if line), _T_RING.zero)
+            roots = [-f.get((0,), QQ_I.zero) / f.LC for f, _ in first.factor_list()[1]
+                     if f.degree() == 1]
+            for value in [QQ_I.zero, *roots]:
+                at = {c: axis[chart.leg_index(c.name)](value) for c in chart.coords}
+                if (not value.y and all(at[c].x > 0 for c in at if c.kind == "radial")
+                        and not any(line(value) for line in lines)):
+                    return {c.name: QQ_I.to_sympy(v) for c, v in at.items()}
     return None
 
 
-def _on_axis(f: PolyElement, axis: Mapping[int, object]) -> PolyElement:
-    """f at t times the axis step, every other leg 0, as a polynomial in t."""
-    line = _T_RING.zero
-    for monom, c in f.iterterms():
-        for j, m in enumerate(monom):
-            c *= axis.get(j, QQ_I.zero) ** m
-        line += _T_RING({(sum(monom),): c})
-    return line
+def _on_line(f: PolyElement, line: Sequence[PolyElement]) -> PolyElement:
+    """f with each leg j replaced by ``line[j]``, a polynomial in t."""
+    return sum((_T_RING.ground_new(c) * math.prod(v ** m for v, m in zip(line, monom) if m)
+                for monom, c in f.iterterms()), _T_RING.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,21 @@ def test_cli_check_stable_decides_exactly(tmp_path, capsys, s0, verdict):
     assert main(["run", str(scn)]) == 0, capsys.readouterr()
 
 
+@pytest.mark.parametrize("chart, rho", [("radial r, radial s", "(r - 1)**2 + dr^ds"),
+                                        ("complex z1, radial r", "z1*z1b - 1/4 + dz1^dr")])
+def test_cli_check_stable_finds_witnesses_off_radial_axes(tmp_path, capsys, chart, rho):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = {chart}\nspinor s = on C; rho {rho}\ncheck stable s expect false\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr()
+
+
+def test_cli_nonzero_region_inside_the_default_window_samples(tmp_path, capsys):
+    scn = tmp_path / "s.gcx"
+    scn.write_text("chart C = complex z1\nregion core on C = z1 in (0.02, 0.2), nonzero z1\n"
+                   "check equal on C sin(z1*z1b), z1*z1b on core expect different\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr()
+
+
 def test_cli_component_clause_repeats(tmp_path, capsys):
     scn = tmp_path / "s.gcx"
     scn.write_text("manifold M = dim 4; chi 2; component T2; component S2\n"

@@ -1,5 +1,6 @@
 """Exterior algebra kernel: exact identities on randomized instances."""
 
+import math
 import os
 import random
 import subprocess
@@ -28,6 +29,7 @@ from gcx import (
     CoordinateMap,
     FormError,
     GeneralizedSection,
+    Interval,
     MixedForm,
     Region,
     RegionError,
@@ -422,10 +424,6 @@ def test_pinned_bump_zeroes_second_derivatives_in_form_equal():
 def test_region_with_an_empty_window_cannot_sample():
     ch = Chart("C", [("z1", "complex"), ("x", "real")])
     rng = random.Random(0)
-    # nonzero keeps |z1| from 0.25 up, above the bound's 0.2
-    core = Region.make(ch, "core", bounds={"z1": (0.02, 0.2)}, nonzero=["z1"])
-    with pytest.raises(RegionError, match="region 'core' leaves no room to sample 'z1'"):
-        core.sample(rng)
     inner = Region.make(ch, "inner", bounds={"z1": (0.1, 0.2), "x": (0, 1)})
     outer = Region.make(ch, "outer", bounds={"z1": (0.5, 0.9), "x": (2, 3)})
     with pytest.raises(RegionError, match="region 'inner&outer' leaves no room to sample 'z1'"):
@@ -434,6 +432,35 @@ def test_region_with_an_empty_window_cannot_sample():
         Region.make(ch, "x too", bounds={"x": (2, 3)}))
     with pytest.raises(RegionError, match="'x': its window \\(2, 1\\) is empty"):
         just_x.sample(rng)
+
+
+@pytest.mark.parametrize("kind, bound, nonzero, window", [
+    # nonzero would start |z1| at 0.25, above the bound's 0.2; 0.02 > 0 excludes 0
+    ("complex", Interval(0.02, 0.2), True, (0.02, 0.2)),
+    # the default radial window starts at 0.25; below 0.1 it starts at half of it
+    ("radial", Interval(None, 0.1), False, (0.05, 0.1)),
+    # the default modulus window ends at 2; above 3 it is one width, 2, wide
+    ("complex", Interval(3.0, None), False, (3.0, 5.0)),
+], ids=["nonzero modulus", "radial upper bound", "modulus lower bound"])
+def test_region_keeps_the_given_end_where_the_default_window_is_empty(kind, bound, nonzero, window):
+    ch = Chart("C", [("u", kind)])
+    region = Region.make(ch, "R", bounds={"u": bound}, nonzero=["u"] if nonzero else [])
+    rng = random.Random(0)
+    for _ in range(200):
+        value = abs(region.sample(rng)["u"])
+        assert window[0] <= value <= window[1]
+
+
+def test_region_sampling_of_a_non_empty_window_is_unchanged():
+    ch = Chart("C", [("z1", "complex"), ("r", "radial"), ("x", "real")])
+    region = Region.make(ch, "R", bounds={"z1": (0.1, 1.0), "x": (None, 1.0)},
+                         nonzero=["z1"])
+    rng = random.Random(3)
+    radius, angle, r, x = (rng.uniform(0.25, 1.0), rng.uniform(0.0, 2 * math.pi),
+                           rng.uniform(0.25, 2.0), rng.uniform(-2.0, 1.0))
+    point = region.sample(random.Random(3))
+    assert point["z1"] == radius * complex(math.cos(angle), math.sin(angle))
+    assert (point["r"], point["x"]) == (r, x)
 
 
 def test_evaluation_loads_no_numpy_star_import():

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-neither the package nor its declared dependencies bring in numpy, and
-gcds, sympy's cancellation and its expansion run only in the functions
-listed for each, nothing calls sympy's ``solve``, and only the
-integrability solve asks whether a whole form is polynomial."""
+no module imports numpy or mpmath, numpy is no declared dependency, gcds,
+sympy's cancellation and its expansion run only in the functions listed
+for each, nothing calls sympy's ``solve``, and no function asks whether
+a whole form is polynomial."""
 
 import ast
 import re
@@ -79,7 +79,8 @@ def imported_modules(source: str) -> set[str]:
 
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_does_not_import_numpy(path):
-    assert "numpy" not in imported_modules(path.read_text()), path.name
+    # mpmath too: every solve is exact, and numeric evaluation uses cmath
+    assert not {"numpy", "mpmath"} & imported_modules(path.read_text()), path.name
 
 
 def test_imported_modules_reads_every_import_form():
@@ -158,9 +159,9 @@ def test_simplifier_calls_reads_functions_methods_and_lambdas():
         ("solve", "m.k")}
 
 
-# each coefficient is a ring element or an expression on its own; only
-# the integrability solve asks whether every coefficient of a form is one
-_RING_TERMS_READERS = {"spinor.check_integrable", "spinor._exact_certificate"}
+# each coefficient is a ring element or an expression on its own, and
+# no function asks whether every coefficient of a form is one
+_RING_TERMS_READERS: set[str] = set()
 
 
 def attribute_reads(source: str, module: str, attr: str) -> set[str]:

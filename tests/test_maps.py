@@ -7,6 +7,7 @@ from sympy.polys.rings import PolyElement
 from conftest import real_chart
 from gcx import (Chart, CoordinateMap, MixedForm, build_luttinger_spinor, parse_scenario,
                  pullback)
+from gcx.forms import scalar_of
 from gcx.maps import MapError
 from gcx.spinor import collar_charts, disk_to_complex_map, luttinger_gluing_map
 import gcx.maps as maps_module
@@ -71,11 +72,11 @@ def test_pullback_differentiates_each_image_once(monkeypatch, polynomial):
     monkeypatch.setattr(maps_module, "d_scalar", counting)
     y1, y2 = B.symbols
     scalar = y1 * y2 if polynomial else sympy.exp(y1)
-    a = MixedForm(B, {(0,): scalar, (0, 1): y2}).as_ring()
+    a = MixedForm(B, {(0,): scalar_of(B, scalar), (0, 1): scalar_of(B, y2)})
     first = pullback(f, a)
     assert (first.ring_terms is not None) == polynomial
     pullback(f, a)
-    pullback(f, MixedForm(B, {(1,): scalar}).as_ring())
+    pullback(f, MixedForm(B, {(1,): scalar_of(B, scalar)}))
     assert len(calls) == B.dim
 
 

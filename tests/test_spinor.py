@@ -1,6 +1,5 @@
 """Spinor structures: type, stability, integrability, transforms, gluing."""
 
-import math
 import os
 import random
 import re
@@ -8,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -47,7 +45,6 @@ from gcx.scenario import parse_scenario
 from gcx.spinor import (
     XI,
     _exact_certificate,
-    _least_squares,
     surgery_certificate,
     surgery_exponent,
     surgery_regions,
@@ -149,7 +146,6 @@ def _forbid_sampling(monkeypatch):
         if hasattr(module, "compile_exprs"):
             monkeypatch.setattr(module, "compile_exprs", forbidden)
     monkeypatch.setattr(Region, "sample", forbidden)
-    monkeypatch.setattr(gcx.spinor, "_least_squares", forbidden)
 
 
 def test_certificate_1009_is_exact(monkeypatch):
@@ -175,49 +171,91 @@ def test_inconsistent_ring_system_fails_exactly(monkeypatch):
     assert res.path == "exact" and res.rank is not None
 
 
-def test_non_polynomial_spinor_takes_the_sampled_path():
+def test_non_polynomial_spinor_is_solved_exactly(monkeypatch):
+    _forbid_sampling(monkeypatch)
     ch = _c2()
     z1, z2 = ch.symbol("z1"), ch.symbol("z2")
     res = check_integrable(SpinorStructure.make(MixedForm.scalar(ch, sympy.exp(z2))))
-    assert res.ok and res.path == "sampled" and res.rank is None
-    assert form_equal(res.certificate.covector, MixedForm.basis(ch, "z2"))
+    assert res.ok and res.path == "exact" and res.rank is not None
+    assert res.certificate.vector_map == {}
+    assert res.certificate.covector.terms == {(ch.leg_index("z2"),): 1}
     res = check_integrable(SpinorStructure.make(MixedForm.scalar(ch, 1 / z1)))
-    assert not res and res.path == "sampled"
-    assert res.message == "not integrable (at sampled genericity): no constant certificate"
+    assert not res and res.path == "exact" and res.certificate is None
+    assert res.message == "not integrable: no constant certificate"
 
 
-def test_least_squares_takes_the_minimum_norm_solution():
-    # rank 1: every x with x1 + x2 = 2 solves it; the shortest is (1, 1)
-    x, residual = _least_squares([[1, 1], [1, 1]], [2, 2])
-    assert x == pytest.approx([1, 1], abs=1e-12) and residual == pytest.approx(0, abs=1e-12)
-    # inconsistent: the best x = 1 leaves (-1, 1)
-    x, residual = _least_squares([[1], [1]], [0, 2])
-    assert x == pytest.approx([1]) and residual == pytest.approx(math.sqrt(2))
-    x, residual = _least_squares([[1j, 0], [0, 2], [0, 0]], [1, 4, 0])
-    assert x == pytest.approx([-1j, 2]) and residual == pytest.approx(0, abs=1e-12)
+# rho = s0 + c w on chart C with w = dz1^dz2, as (s0, c), and the exact
+# certificate (X, xi) as {leg: coefficient} maps
+_INTEGRABLE = [
+    (("exp(z2)", "1"), ({}, {"z2": 1})),
+    (("pi*z1", "1"), ({"z2": -sympy.pi}, {})),
+    (("E*z1", "1"), ({"z2": -sympy.E}, {})),
+    (("exp(z2)*z1", "1009*exp(z2)"), ({"z2": sympy.Rational(-1, 1009)}, {"z2": 1})),
+]
+
+# (s0, c) whose linear system is inconsistent with an opaque extra generator
+_INTEGRABILITY_UNDECIDED = [
+    ("z1*exp(2*z2)", "0"),
+    ("sqrt(z1*z1b)", "0"),
+    ("xi(sqrt(z1*z1b))*z1", "1"),
+    ("(sin(z2)**2 + cos(z2)**2)*z1", "1"),
+    ("0.5*z1", "1"),
+]
 
 
-def test_least_squares_matches_the_svd_of_the_whole_system():
-    # the QR-reduced solve agrees with the pseudo-inverse of the tall A itself
-    rng = random.Random(40)
-    rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(8)] for _ in range(40)]
-    rhs = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(40)]
-    with mpmath.workdps(15):
-        u, sigma, v = mpmath.svd_c(mpmath.matrix(rows))
-        pinv = v.H * mpmath.diag([1 / s for s in sigma]) * u.H
-        expected = [complex(c) for c in pinv * mpmath.matrix(rhs)]
-    x, residual = _least_squares(rows, rhs)
-    assert max(abs(a - b) for a, b in zip(x, expected)) < 1e-9
-    assert residual == pytest.approx(
-        math.hypot(*(abs(sum(a * b for a, b in zip(row, expected)) - c)
-                     for row, c in zip(rows, rhs))))
+def _rho_name(s0: str, c: str) -> str:
+    return {"0": s0, "1": f"{s0} + w"}.get(c, f"{s0} + {c}*w")
+
+
+def _integrability_spinor(s0: str, c: str) -> SpinorStructure:
+    ch = _c2()
+    names = {leg.name: leg.symbol for leg in ch.legs} | {"xi": XI}
+    w = wedge(MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z2"))
+    return SpinorStructure.make(MixedForm.scalar(ch, sympy.sympify(s0, locals=names))
+                                + w.scale(sympy.sympify(c, locals=names)))
+
+
+@pytest.mark.parametrize("spinor, certificate", _INTEGRABLE,
+                         ids=[_rho_name(*row[0]) for row in _INTEGRABLE])
+def test_integrability_certificates_are_exact(monkeypatch, spinor, certificate):
+    s = _integrability_spinor(*spinor)
+    _forbid_sampling(monkeypatch)
+    res = check_integrable(s)
+    assert res.ok and res.path == "exact"
+    vector, covector = certificate
+    ch = s.chart
+    assert res.certificate.vector_map == vector
+    assert res.certificate.covector.terms == {(ch.leg_index(k),): v for k, v in covector.items()}
+
+
+@pytest.mark.parametrize("spinor", _INTEGRABILITY_UNDECIDED,
+                         ids=[_rho_name(*row) for row in _INTEGRABILITY_UNDECIDED])
+def test_integrability_with_opaque_generators_is_undecided(monkeypatch, spinor):
+    s = _integrability_spinor(*spinor)
+    _forbid_sampling(monkeypatch)
+    with pytest.raises(SpinorError, match="^integrability undecided: no constant certificate"):
+        check_integrable(s)
+
+
+def test_integrability_solve_pins_the_regions_bumps(monkeypatch):
+    # xi(|z1|) z1 + w is undecided everywhere, but on the annulus xi is 1
+    ch = _c2()
+    s = _integrability_spinor("xi(sqrt(z1*z1b))*z1", "1")
+    annulus = surgery_regions(ch)["annulus"]
+    _forbid_sampling(monkeypatch)
+    res = check_integrable(SpinorStructure(ch, s.rho, s.h, annulus))
+    assert res.ok and res.path == "exact"
+    assert res.certificate.vector_map == {"z2": -1} and res.certificate.covector.is_zero()
 
 
 _C = "chart C = complex z1, complex z2"
 _X = "chart C = real x1, real x2"
+_R = "chart C = radial r, radial s"
+_CR = "chart C = complex z1, radial r"
+_TWO_FORMS = {_C: "dz1^dz2", _X: "dx1^dx2", _R: "dr^ds", _CR: "dz1^dr"}
 
 # s0, chart, (stable, message): check stable's verdict on rho = s0 + a
-# 2-form of the chart; the origin and the axes hold the witnesses
+# 2-form of the chart; the base point and the axes hold the witnesses
 _STABILITY = [
     ("z1**2 + z2**2 - 1", _C, (True, "transverse: Groebner basis {1}; "
                                      "type change locus {z1**2 + z2**2 - 1 = 0}")),
@@ -235,6 +273,9 @@ _STABILITY = [
     ("z1*z1b - 1/4", _C, (False, "real differential drops rank at z1 = 1/2, z2 = 0")),
     ("(z1 - 1)**2", _C, (False, "real differential drops rank at z1 = 1, z2 = 0")),
     ("(1 + i)*x1", _X, (False, "real differential drops rank at x1 = 0, x2 = 0")),
+    # off its axis a radial coordinate is 1, not 0
+    ("(r - 1)**2", _R, (False, "real differential drops rank at r = 1, s = 1")),
+    ("z1*z1b - 1/4", _CR, (False, "real differential drops rank at z1 = 1/2, r = 1")),
     ("3", _C, (True, "degree-0 part has empty zero set")),
 ]
 
@@ -246,11 +287,12 @@ _STABILITY_UNDECIDED = [
 
 
 def _stability_spinor(s0: str, chart: str) -> SpinorStructure:
-    two_form = "dz1^dz2" if "complex" in chart else "dx1^dx2"
-    return parse_scenario(f"{chart}\nspinor s = on C; rho {s0} + {two_form}\n").spinors["s"]
+    return parse_scenario(f"{chart}\nspinor s = on C; rho {s0} + {_TWO_FORMS[chart]}\n").spinors["s"]
 
 
-@pytest.mark.parametrize("s0, chart, verdict", _STABILITY, ids=[row[0] for row in _STABILITY])
+@pytest.mark.parametrize("s0, chart, verdict", _STABILITY,
+                         ids=[s0 if chart in (_C, _X) else f"{s0} on {chart.split(' = ')[1]}"
+                              for s0, chart, _ in _STABILITY])
 def test_stability_verdicts(s0, chart, verdict):
     res = check_stable(_stability_spinor(s0, chart))
     assert (res.stable, res.message) == verdict
@@ -304,7 +346,7 @@ def test_exact_solve_recovers_a_constant_certificate(terms, coeffs):
         MixedForm(ch, {(i,): ch.to_ring(coeffs[n + i]) for i in range(n)}))
     target = clifford(true, rho)
     assert target.ring_terms is not None
-    found, rank = _exact_certificate(rho, target)
+    found, rank, _ = _exact_certificate(rho, target)
     assert found is not None and rank <= 2 * n
     # with free unknowns the certificate need not be unique; its action is
     action = clifford(found, rho)
