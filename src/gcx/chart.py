@@ -132,21 +132,22 @@ class Chart:
         """``value`` as an element of :attr:`ring`, or None when it is not a
         polynomial over ``QQ_I`` in the legs.
 
-        This is the reader of :meth:`fractions` with no extra generator:
-        it stops at the first float, foreign symbol, function, ``pi`` or
-        non-integer power, and a denominator that is not a nonzero constant
-        gives None too.  A float is refused rather than read as the
-        rational it rounds to.
+        A value with a subexpression that :meth:`fractions` would read as
+        an extra generator (a float, a foreign symbol, a function, ``pi``, a
+        non-integer power) is None at once, and no extended ring is built;
+        so is one whose denominator is not a nonzero constant.  A float is
+        refused rather than read as the rational it rounds to.
         """
         if isinstance(value, PolyElement):
             return value if value.ring == self.ring else None
+        value = sympy.sympify(value)
+        if _opaque_nodes(value, self._leg_gens, {}):
+            return None
         try:
-            read = _read_fraction(sympy.sympify(value), self.ring, self._leg_gens)
+            num, den = _read_fraction(value, self.ring, self._leg_gens)
         except ZeroDivisionError:
             return None
-        if read is None or read[1]:
-            return None
-        return read[0]
+        return None if den else num
 
     @cached_property
     def _leg_gens(self) -> dict:
@@ -165,13 +166,13 @@ class Chart:
         non-constant factors to its multiplicity (``{}`` is 1), and the
         subexpressions read as the extra generators, in order.  A negative
         power of a base that is zero in the ring raises ``ZeroDivisionError``.
+        :func:`~gcx.scalars.read_fractions`, the one caller, guards it.
         """
         exprs = [e if isinstance(e, PolyElement) else sympy.sympify(e) for e in exprs]
-        legs = set(self.symbols)
         found: dict = {}
         for e in exprs:
             if not isinstance(e, PolyElement):
-                _opaque_nodes(e, legs, found)
+                _opaque_nodes(e, self._leg_gens, found)
         extended = self.extended_ring(len(found))
         gens = dict(zip(self.symbols + tuple(found), extended.gens))
         return [(e.set_ring(extended), {}) if isinstance(e, PolyElement)
@@ -248,9 +249,10 @@ def _conj_walk(e: sympy.Expr, swap: dict) -> sympy.Expr:
     return e.func(*(_conj_walk(a, swap) for a in e.args))
 
 
-def _opaque_nodes(e: sympy.Expr, legs: set, found: dict) -> None:
-    """Add to ``found`` each subexpression of ``e`` that :func:`_read_fraction`
-    does not read as a field operation on legs and Gaussian rationals."""
+def _opaque_nodes(e: sympy.Expr, legs: Mapping, found: dict) -> dict:
+    """Add to ``found``, and return it, each subexpression of ``e`` that
+    :func:`_read_fraction` does not read as a field operation on legs and
+    Gaussian rationals."""
     if e.is_Add or e.is_Mul:
         for a in e.args:
             _opaque_nodes(a, legs, found)
@@ -258,32 +260,25 @@ def _opaque_nodes(e: sympy.Expr, legs: set, found: dict) -> None:
         _opaque_nodes(e.base, legs, found)
     elif not (e.is_Rational or e is sympy.I or e in legs):
         found[e] = None
+    return found
 
 
-def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> Optional[tuple[PolyElement, dict]]:
+def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> tuple[PolyElement, dict]:
     """``e`` as (numerator, denominator) over ``R``, whose generators
     ``gens`` maps from sympy.  The denominator maps each distinct monic
     non-constant factor to its multiplicity, so a repeated factor is never
-    multiplied in twice; constants go to the numerator.  None at the first
-    subexpression that ``gens`` lacks and that is not a sum, product,
-    integer power, Gaussian rational or ``I``; ``ZeroDivisionError`` at a
-    negative power of a base that is zero in ``R``."""
+    multiplied in twice; constants go to the numerator.  Every opaque
+    subexpression of ``e`` (:func:`_opaque_nodes`) must be in ``gens``.
+    ``ZeroDivisionError`` at a negative power of a base that is zero in
+    ``R``."""
     gen = gens.get(e)
     if gen is not None:
         return gen, {}
     if e.is_Add or e.is_Mul:
-        parts = []
-        for a in e.args:
-            part = _read_fraction(a, R, gens)
-            if part is None:
-                return None
-            parts.append(part)
+        parts = [_read_fraction(a, R, gens) for a in e.args]
         return _sum(parts, R) if e.is_Add else _product(parts, R)
     if e.is_Pow and e.exp.is_Integer:
-        base = _read_fraction(e.base, R, gens)
-        if base is None:
-            return None
-        num, den = base
+        num, den = _read_fraction(e.base, R, gens)
         n = int(e.exp)
         if n >= 0:
             return num ** n, {f: m * n for f, m in den.items()}
@@ -296,9 +291,8 @@ def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> Optional[tuple[Pol
             inverse *= f ** (m * n)
         factor = num.quo_ground(lc)
         return inverse, ({} if factor.is_ground else {factor: n})
-    if e.is_Rational or e is sympy.I:
-        return R.ground_new(R.domain.from_sympy(e)), {}
-    return None
+    # a Gaussian rational or I
+    return R.ground_new(R.domain.from_sympy(e)), {}
 
 
 def _product(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
@@ -311,20 +305,29 @@ def _product(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
 
 
 def _sum(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
-    """The sum over the least common denominator: each factor at its
-    largest multiplicity."""
+    """The sum over the least common denominator."""
+    common = common_denominator(d for _, d in parts)
+    total = sum((over(n, d, common) for n, d in parts), R.zero)
+    return (total, common) if total else (R.zero, {})
+
+
+def common_denominator(dens: Iterable[Mapping]) -> dict:
+    """The least common denominator: each factor at its largest multiplicity."""
     common: dict = {}
-    for _, d in parts:
-        for f, m in d.items():
+    for den in dens:
+        for f, m in den.items():
             if common.get(f, 0) < m:
                 common[f] = m
-    total = R.zero
-    for n, d in parts:
-        for f, m in common.items():
-            if m != d.get(f, 0):
-                n = n * f ** (m - d.get(f, 0))
-        total += n
-    return (total, common) if total else (R.zero, {})
+    return common
+
+
+def over(num: PolyElement, den: Mapping, common: Mapping) -> PolyElement:
+    """The numerator of ``num / den`` over ``common``, a multiple of
+    ``den`` such as :func:`common_denominator` gives."""
+    for f, m in common.items():
+        if m != den.get(f, 0):
+            num = num * f ** (m - den.get(f, 0))
+    return num
 
 
 @dataclass(frozen=True)

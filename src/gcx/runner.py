@@ -135,6 +135,8 @@ class _Runner:
                 getattr(self, "cmd_" + cmd.kind.replace("-", "_"))(cmd)
             except ValueError as exc:  # all gcx errors derive from ValueError
                 self.report.check(f"#{self.index} {cmd.text}", False, str(exc))
+                if cmd.kind == "check":
+                    self.report.record(f"check_{self.index}", "fail")
         self.report.record("seed", self.seed)
         self.report.record("samples", self.samples)
         self.report.record("tolerance", self.tol)

@@ -9,11 +9,12 @@ during sampling.
 Equality is decided exactly wherever it can be.  After pinning their
 bumps, :func:`expr_equal` reads both sides as fractions over the chart's
 polynomial ring over the Gaussian rationals ``QQ_I``
-(:meth:`~gcx.chart.Chart.fractions`), where every subexpression that is
-not a field operation on legs and constants (``pi``, a float, a bump,
-``sin``) is one extra generator, and no gcd is taken.  The sides are
-equal when the cross-multiplied numerators agree, ``num_a * den_b ==
-num_b * den_a``.  That formal zero is final whatever the extra
+(:func:`read_fractions`), where every subexpression that is not a field
+operation on legs and constants (``pi``, a float, a bump, ``sin``) is
+one extra generator, and no gcd is taken.  The sides are equal when
+their numerators over the least common denominator
+(:func:`~gcx.chart.common_denominator`) agree.  That formal zero is
+final whatever the extra
 generators are; a nonzero difference is final only when they are at
 most ``pi`` and ``E``.  Any other difference is sampled: a
 Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero test is
@@ -54,7 +55,7 @@ import sympy
 from sympy.polys.rings import PolyElement
 from sympy.printing.pycode import PythonCodePrinter
 
-from .chart import Chart, Region, everywhere
+from .chart import Chart, Region, common_denominator, everywhere, over
 
 
 class EvaluationError(ValueError):
@@ -208,43 +209,51 @@ def _real_argument(fn: Callable[[float], float]) -> Callable:
 _NON_FINITE = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
 
 
-def _require_finite(expr: sympy.Expr, chart: Chart) -> None:
+def _require_finite(expr: sympy.Expr, chart: Chart) -> sympy.Expr:
     if expr.has(*_NON_FINITE):
         raise EvaluationError(f"infinite or undefined value in {expr} on chart {chart.name!r}")
+    return expr
+
+
+def read_fractions(values: Sequence, chart: Chart,
+                   pins: Optional[Mapping[str, int]] = None) -> tuple[list, tuple]:
+    """:meth:`~gcx.chart.Chart.fractions` of the values, each expression
+    with the bumps in ``pins`` pinned first.  An infinite or undefined
+    constant (``zoo``, ``nan``, ``oo``, ``-oo``), or a negative power of a
+    base that is zero in the ring, raises :class:`EvaluationError`.
+    """
+    values = [v if isinstance(v, PolyElement)
+              else _require_finite(pin_bumps(sympy.sympify(v), pins), chart) for v in values]
+    try:
+        return chart.fractions(values)
+    except ZeroDivisionError as exc:
+        raise EvaluationError(f"infinite or undefined value on chart {chart.name!r}: "
+                              f"{exc}") from None
 
 
 def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], list[complex]]:
     """Compile expressions over the chart's legs: point -> list of complex.
 
-    One :meth:`~gcx.chart.Chart.fractions` call reads every expression as
-    a numerator and denominator over the chart's ring; an element of
-    ``chart.ring`` is taken as it is.  Each fraction is put in lowest
-    terms in the ring (:func:`_lowest_terms`), so a removable singularity,
-    such as that of the surgery spinor at z1 = 0, is gone.  The numerator
-    and denominator are printed from their terms as plain Python, one
-    complex literal per coefficient, and compiled once.  Only the extra
-    generators (a bump application, ``exp``, ``sqrt``, ``pi``, a float)
-    go through ``sympy.lambdify``, whose elementary functions come from
-    ``cmath``; their values are arguments of the compiled fractions.
+    :func:`read_fractions` reads every expression as a fraction over the
+    chart's ring, and raises at once, rather than at every point, on an
+    infinite or undefined value.  Each fraction is put in lowest terms in
+    the ring (:func:`_lowest_terms`), so a removable singularity, such as
+    that of the surgery spinor at z1 = 0, is gone.  The numerator and
+    denominator are printed from their terms as plain Python, one complex
+    literal per coefficient, and compiled once.  Only the extra generators
+    (a bump application, ``exp``, ``sqrt``, ``pi``, a float) go through
+    ``sympy.lambdify``, whose elementary functions come from ``cmath``;
+    their values are arguments of the compiled fractions.
 
     The callable canonicalises its point with ``Chart.point`` and raises
     :class:`EvaluationError` on a singular or non-finite value, on a
     symbol that is not a leg of the chart, and on an opaque function with
-    no bump spec.  An infinite or undefined constant (``zoo``, ``nan``,
-    ``oo``, ``-oo``), or a negative power of a base that is zero in the
-    ring, raises :class:`EvaluationError` at once rather than at every
-    point.  The callable's ``zeros`` holds the indices of the expressions
-    that are zero in the ring.
+    no bump spec.  The callable's ``zeros`` holds the indices of the
+    expressions that are zero in the ring.
     """
-    read = [sympy.sympify(e) for e in exprs if not isinstance(e, PolyElement)]
-    for e in read:
-        _require_finite(e, chart)
-    unbound = set().union(*(e.free_symbols for e in read)) - set(chart.symbols)
-    try:
-        pairs, extras = chart.fractions(exprs)
-    except ZeroDivisionError as exc:
-        raise EvaluationError(f"infinite or undefined value on chart {chart.name!r}: "
-                              f"{exc}") from None
+    pairs, extras = read_fractions(exprs, chart)
+    # every symbol that is not a leg sits in an extra generator
+    unbound = set().union(*(e.free_symbols for e in extras)) - set(chart.symbols)
     fractions = [_lowest_terms(*pair) for pair in pairs]
     args = [f"x{i}" for i in range(chart.dim)] + [f"e{j}" for j in range(len(extras))]
     code = ", ".join(_fraction_code(num, factors, args) for num, factors in fractions)
@@ -373,34 +382,6 @@ def is_structural_zero(expr) -> bool:
 _FINAL_EXTRAS = frozenset({sympy.pi, sympy.E})
 
 
-def _exact_verdict(a: sympy.Expr, b: sympy.Expr, chart: Chart) -> Optional[bool]:
-    """Exact equality of two expressions read as fractions over the chart's
-    ring (:meth:`~gcx.chart.Chart.fractions`), or None when it is not final.
-
-    ``a = b`` holds exactly when the cross-multiplied numerators agree,
-    ``num_a * den_b == num_b * den_a``, with the denominator factors the
-    two share left out of both products; every denominator is nonzero in
-    the ring.  That formal zero is a verdict whatever the extra generators
-    are.  A nonzero difference is final only when the extra generators are
-    at most ``pi`` and ``E``.  A negative power of a base that is zero in
-    the ring raises :class:`EvaluationError`.
-    """
-    try:
-        ((num_a, den_a), (num_b, den_b)), extras = chart.fractions((a, b))
-    except ZeroDivisionError:
-        raise EvaluationError(f"infinite or undefined value in {a} or {b} "
-                              f"on chart {chart.name!r}") from None
-    for factor in den_a.keys() | den_b.keys():
-        k = den_b.get(factor, 0) - den_a.get(factor, 0)
-        if k > 0:
-            num_a *= factor ** k
-        elif k < 0:
-            num_b *= factor ** -k
-    if num_a == num_b:
-        return True
-    return False if _FINAL_EXTRAS.issuperset(extras) else None
-
-
 def expr_equal(
     a,
     b,
@@ -412,35 +393,35 @@ def expr_equal(
 ) -> bool:
     """Equality of two scalars on a region: structural, exact, or sampled.
 
-    Both sides have their region-pinned bumps substituted first.  A
-    pinned side holding an infinite or undefined value (``zoo``, ``nan``,
-    ``oo``, or a negative power of a base that is zero in the ring)
-    raises :class:`EvaluationError`.  Equal pinned sides are decided
-    structurally.  Otherwise both are read as fractions over the chart's
-    ring over ``QQ_I`` with one extra generator per other subexpression
-    (:meth:`~gcx.chart.Chart.fractions`), and the verdict is exact when
-    the cross-multiplied numerators agree, ``num_a * den_b == num_b *
-    den_a`` (equal, whatever the extra generators), or when they differ
-    and the extra generators are at most ``pi`` and ``E`` (different).
-    A nonzero rational function cannot vanish on an open region, and the
-    Wirtinger legs (z, zb) are an invertible linear change of the real
-    coordinates, so no sampling is needed there.  Any other difference,
-    one with a float among them, is sampled: both pinned sides are
-    compiled once and evaluated at up to ``samples`` points of the
-    region, drawn with ``rng`` (by default ``random.Random(0)``), where
-    ``|a - b|`` must stay within ``tol`` times ``max(1, |a|)``.  A point
-    where either side is singular is skipped.
+    Both sides have their region-pinned bumps substituted first.
+    Structurally identical pinned sides are equal before they are read,
+    unless they hold ``zoo``, ``nan`` or ``oo``, which raises
+    :class:`EvaluationError`.  Other sides are read with
+    :func:`read_fractions`, which raises it on such a value or on a
+    negative power of a base that is zero in the ring, so a zero base is
+    reported only when the sides differ.  The verdict is exact when the
+    numerators over the least common denominator agree (equal, whatever
+    the extra generators), or when they differ and the extra generators
+    are at most ``pi`` and ``E`` (different).  A nonzero rational function
+    cannot vanish on an open region, and the Wirtinger legs (z, zb) are an
+    invertible linear change of the real coordinates, so no sampling is
+    needed there.  Any other difference, one with a float among them, is
+    sampled: both pinned sides are compiled once and evaluated at up to
+    ``samples`` points of the region, drawn with ``rng`` (by default
+    ``random.Random(0)``), where ``|a - b|`` must stay within ``tol`` times
+    ``max(1, |a|)``.  A point where either side is singular is skipped.
     """
-    a, b = sympy.sympify(a), sympy.sympify(b)
     pins = region.bump_map if region is not None else {}
-    pinned_a, pinned_b = pin_bumps(a, pins), pin_bumps(b, pins)
-    _require_finite(pinned_a, chart)
-    _require_finite(pinned_b, chart)
+    pinned_a, pinned_b = pin_bumps(sympy.sympify(a), pins), pin_bumps(sympy.sympify(b), pins)
     if pinned_a == pinned_b:
+        _require_finite(pinned_a, chart)
         return True
-    verdict = _exact_verdict(pinned_a, pinned_b, chart)
-    if verdict is not None:
-        return verdict
+    ((num_a, den_a), (num_b, den_b)), extras = read_fractions((pinned_a, pinned_b), chart)
+    common = common_denominator((den_a, den_b))
+    if over(num_a, den_a, common) == over(num_b, den_b, common):
+        return True
+    if _FINAL_EXTRAS.issuperset(extras):
+        return False
     if region is None:
         region = everywhere(chart)
     if rng is None:

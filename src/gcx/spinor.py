@@ -6,7 +6,7 @@ A spinor structure is a mixed form rho together with a closed twisting
 generalized section; a certificate is either supplied and verified, or
 searched for among constant ones, which makes the condition linear in
 the 2n unknowns.  The search is exact for every spinor: the fraction
-reader (:meth:`~gcx.chart.Chart.fractions`) reads the coefficients over
+reader (:func:`~gcx.scalars.read_fractions`) reads the coefficients over
 the chart's ring over ``QQ_I``, each opaque subexpression (a bump,
 ``exp``, ``sqrt``, a float) one extra generator, and each pair (form key,
 monomial) is one equation.  ``pi`` and ``E`` are constants of the solve,
@@ -42,7 +42,7 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement, ring
 
-from .chart import Chart, Region, merge_regions
+from .chart import Chart, Region, common_denominator, merge_regions, over
 from .forms import (
     EqualityResult,
     GeneralizedSection,
@@ -62,7 +62,7 @@ from .scalars import (
     bump_function,
     compile_exprs,
     is_structural_zero,
-    pin_bumps,
+    read_fractions,
 )
 from .topology import SurgeryParams, validate_surgery_params
 
@@ -132,8 +132,10 @@ def _require_plateau(form: MixedForm, point: Mapping[str, complex],
     if region is None or not region.bump_values:
         return
     pins = region.bump_map
+    # a ring coefficient holds no bump
     nodes = list(dict.fromkeys(
-        node for c in form.terms.values() for node in c.atoms(sympy.Function)
+        node for c in form.coefficients.values() if not isinstance(c, PolyElement)
+        for node in c.atoms(sympy.Function)
         if getattr(node.func, "spec", None) is not None and node.func.bump in pins))
     args = compile_exprs([node.args[0] for node in nodes], form.chart)(point)
     for node, t in zip(nodes, (a.real for a in args)):
@@ -236,34 +238,32 @@ def _exact_certificate(rho: MixedForm, target: MixedForm, region: Optional[Regio
 
     The unknowns' actions on rho (the vector legs' interior products,
     then the covector legs' wedges) and the target, with the region's
-    bumps pinned, are read with one :meth:`~gcx.chart.Chart.fractions`
-    call, and each form key's equations are multiplied by the least
-    common denominator of that key's fractions.  Each pair (form key,
+    bumps pinned, are read with one :func:`~gcx.scalars.read_fractions`
+    call, and each form key's equations are put over the least common
+    denominator of that key's fractions.  Each pair (form key,
     monomial in the legs and the extra generators other than ``pi`` and
     ``E``) is one linear equation in the 2n unknowns, over ``QQ_I``, or
     ``QQ_I(pi, E)`` when those occur.  ``DomainMatrix.rref`` solves the
     augmented system.  Returns the certificate, with every free unknown
     set to 0, or None when the system is inconsistent; the rank; and the
-    extra generators.
+    extra generators.  An infinite or undefined coefficient raises
+    :class:`~gcx.scalars.EvaluationError`.
     """
     chart, n = rho.chart, rho.chart.dim
-    pins = region.bump_map if region is not None else {}
     columns = ([interior({leg.name: 1}, rho) for leg in chart.legs]
                + [wedge(MixedForm.basis(chart, leg.name), rho) for leg in chart.legs] + [target])
-    cells = [(key, col, c if isinstance(c, PolyElement) else pin_bumps(c, pins))
-             for col, form in enumerate(columns) for key, c in form.coefficients.items()]
-    pairs, extras = chart.fractions([c for _, _, c in cells])
-    common: dict[tuple, dict] = {}  # each key's least common denominator
+    cells = [(key, col, c) for col, form in enumerate(columns)
+             for key, c in form.coefficients.items()]
+    pairs, extras = read_fractions([c for _, _, c in cells], chart,
+                                   region.bump_map if region is not None else None)
+    dens: dict[tuple, list] = {}
     for (key, _, _), (_, den) in zip(cells, pairs):
-        lcd = common.setdefault(key, {})
-        for f, m in den.items():
-            lcd[f] = max(lcd.get(f, 0), m)
+        dens.setdefault(key, []).append(den)
+    common = {key: common_denominator(d) for key, d in dens.items()}
     constants = [n + j for j, e in enumerate(extras) if e in _FINAL_EXTRAS]
     rows: dict[tuple, dict[int, dict]] = {}  # (key, monomial) -> column -> pi, E terms
     for (key, col, _), (num, den) in zip(cells, pairs):
-        for f, m in common[key].items():
-            num *= f ** (m - den.get(f, 0))
-        for monom, coeff in num.iterterms():
+        for monom, coeff in over(num, den, common[key]).iterterms():
             split = tuple(0 if j in constants else m for j, m in enumerate(monom))
             rows.setdefault((key, split), {}).setdefault(col, {})[
                 tuple(monom[j] for j in constants)] = coeff

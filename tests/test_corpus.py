@@ -350,6 +350,32 @@ def test_cli_infinite_value_fails_the_check(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("coefficient, message", [
+    # the base is zero in the ring but not to sympy's Add
+    ("1/(pi*(z1+1)**2 - pi*z1**2 - 2*pi*z1 - pi)", "infinite or undefined value on chart 'C'"),
+    ("1/0", "infinite or undefined value in zoo"),
+])
+def test_cli_infinite_coefficient_fails_check_integrable(tmp_path, capsys, coefficient, message):
+    scn = tmp_path / "integrable.gcx"
+    scn.write_text("chart C = complex z1, complex z2\n"
+                   f"spinor s = on C; rho z1 + ({coefficient})*dz1^dz2\n"
+                   "check integrable s expect true\n")
+    assert main(["run", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert f"[FAIL] #1 check integrable s expect true  ({message}" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_check_that_raises_is_recorded_as_failed():
+    report = run(parse_scenario(
+        "chart C = complex z1, complex z2\n"
+        "spinor p = on C; rho z1 + dz1^dz2\n"
+        "spinor s = on C; rho (sin(z2)**2 + cos(z2)**2)*z1 + dz1^dz2\n"
+        "check integrable p expect true\ncheck integrable s expect true\n"))
+    assert "[FAIL] #2 check integrable s expect true  (integrability undecided" in report.render()
+    assert report.values["check_1"] == "pass" and report.values["check_2"] == "fail"
+
+
 def test_cli_assembly_check_uses_its_profile(tmp_path, capsys):
     scn = tmp_path / "assembly.gcx"
     for expect, code in (("ok", 1), ("fail", 0)):

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module imports numpy or mpmath, numpy is no declared dependency, gcds,
 sympy's cancellation and its expansion run only in the functions listed
-for each, nothing calls sympy's ``solve``, and no function asks whether
-a whole form is polynomial."""
+for each, nothing calls sympy's ``solve``, no function asks whether a
+whole form is polynomial, and only ``scalars.read_fractions`` reads
+``Chart.fractions``."""
 
 import ast
 import re
@@ -175,6 +176,14 @@ def attribute_reads(source: str, module: str, attr: str) -> set[str]:
 @pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_ring_terms_read_only_by_the_integrability_solve(path):
     assert attribute_reads(path.read_text(), path.stem, "ring_terms") <= _RING_TERMS_READERS
+
+
+def test_fractions_are_read_only_by_the_guarded_reader():
+    # read_fractions pins bumps and turns zoo or a zero base into an
+    # EvaluationError; any other reader of Chart.fractions would skip that
+    readers = set().union(*(attribute_reads(path.read_text(), path.stem, "fractions")
+                            for path in _PACKAGE.glob("*.py")))
+    assert readers == {"scalars.read_fractions"}
 
 
 def test_attribute_reads_names_the_enclosing_function():

@@ -21,6 +21,7 @@ from gcx.scalars import (
     expr_equal,
     is_structural_zero,
     pin_bumps,
+    read_fractions,
 )
 
 
@@ -208,6 +209,29 @@ def test_to_ring_agrees_with_from_expr(expr):
     except ValueError:  # a denominator, a function, pi, a foreign symbol
         expected = None
     assert ch.to_ring(expr) == expected
+
+
+def test_to_ring_extends_no_ring_for_an_opaque_value():
+    ch = Chart("tr", [("z1", "complex"), ("r", "radial")])
+    z1, z1b, r = ch.symbols
+    zero_base = z1 * (z1 + 1) - z1 ** 2 - z1
+    for value in (sympy.sin(z1), sympy.pi * z1, sympy.Float(0.5) * z1, 1 / z1, 1 / zero_base):
+        assert ch.to_ring(value) is None
+    x1, x1b, xr = ch.ring.gens
+    assert ch.to_ring(z1 * z1b / 2 + sympy.I * r) == x1 * x1b / 2 + ch.ring(sympy.I) * xr
+    assert set(ch._rings) == {0}
+
+
+def test_read_fractions_pins_bumps_and_rejects_undefined_values():
+    ch = Chart("rf", [("z1", "complex")])
+    z1, z1b = ch.symbols
+    xi = bump_function("xi_read", 0.25, 0.5)(z1 * z1b)
+    x1 = ch.ring.gens[0]
+    assert read_fractions([xi * z1 + 1, x1], ch, {"xi_read": 1}) == ([(x1 + 1, {}), (x1, {})], ())
+    assert read_fractions([xi * z1], ch)[1] == (xi,)
+    for value in (sympy.zoo * z1, sympy.nan, 1 / (z1 * (z1 + 1) - z1 ** 2 - z1)):
+        with pytest.raises(EvaluationError, match="infinite or undefined value"):
+            read_fractions([z1, value], ch)
 
 
 def test_expr_equal_transcendental_sampled():
