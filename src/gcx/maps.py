@@ -85,12 +85,12 @@ class CoordinateMap:
         return tuple(d_scalar(self.source, g) for g in images)
 
     def compose(self, outer: "CoordinateMap", name: str | None = None) -> "CoordinateMap":
-        """The composite ``outer after self`` (self: A->B, outer: B->C)."""
+        """The composite ``outer after self`` (self: A->B, outer: B->C), by one
+        simultaneous ``xreplace`` of B's legs, so A and B may share names."""
         if outer.source != self.target:
             raise MapError("charts do not chain for composition")
         subs = self.scalar_subs()
-        # simultaneous: source and target may share symbol names
-        table = {k: v.subs(subs, simultaneous=True) for k, v in outer.table.items()}
+        table = {k: v.xreplace(subs) for k, v in outer.table.items()}
         return CoordinateMap.make(
             self.source, outer.target, table, name or f"{outer.name}*{self.name}",
         )
@@ -117,11 +117,12 @@ def _substitute(p: PolyElement, images: tuple[PolyElement, ...],
 def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     """Pull a form on the target chart back along f.
 
-    Scalars are substituted simultaneously; each target differential is
-    replaced by the source exterior derivative of its defining scalar, so
-    the pullback commutes with wedge and d by construction.  A ring
-    coefficient pulled back along a polynomial map stays in the source
-    chart's ring; any other coefficient is substituted as an expression.
+    Each target differential is replaced by the source exterior derivative
+    of its defining scalar, so the pullback commutes with wedge and d by
+    construction.  A ring coefficient pulled back along a polynomial map
+    stays in the source chart's ring (:func:`_substitute`); any other has
+    every target leg replaced at once by one ``xreplace``, complete since no
+    coefficient holds a bound variable such as a ``Derivative``.
     """
     if a.chart != f.target:
         raise FormError(
@@ -133,11 +134,7 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
         if isinstance(c, PolyElement) and images is not None:
             pc = _substitute(c, images, f.source.ring)
         else:
-            pc = as_expr(c).subs(subs, simultaneous=True)
-        if is_structural_zero(pc):
-            continue
-        factor = MixedForm.scalar(f.source, pc)
-        if key:
-            factor = wedge_list([factor] + [dlegs[i] for i in key])
-        out = out + factor
+            pc = as_expr(c).xreplace(subs)
+        if not is_structural_zero(pc):
+            out = out + wedge_list([MixedForm.scalar(f.source, pc)] + [dlegs[i] for i in key])
     return out

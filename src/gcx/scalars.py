@@ -29,7 +29,7 @@ denominators from their terms as plain Python, compiled once.  Only the
 extra generators go through ``sympy.lambdify``, with elementary functions
 from ``cmath``.  The compiled code is then evaluated at each sample point
 on Python ``complex`` values.  Forms pin their bumps and compile once per
-set of region pins; equality compiles its two pinned sides.
+set of region pins; equality compiles the two fractions it has read.
 
 An opaque smooth symbol like the radial bump ``xi`` is a sympy Function
 class made by :func:`opaque_function`.  A bump's class carries its own
@@ -251,7 +251,12 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
     no bump spec.  The callable's ``zeros`` holds the indices of the
     expressions that are zero in the ring.
     """
-    pairs, extras = read_fractions(exprs, chart)
+    return compile_fractions(*read_fractions(exprs, chart), chart)
+
+
+def compile_fractions(pairs: Sequence, extras: Sequence[sympy.Expr],
+                      chart: Chart) -> Callable[[Mapping[str, complex]], list[complex]]:
+    """:func:`compile_exprs` of the ``(pairs, extras)`` of :func:`read_fractions`."""
     # every symbol that is not a leg sits in an extra generator
     unbound = set().union(*(e.free_symbols for e in extras)) - set(chart.symbols)
     fractions = [_lowest_terms(*pair) for pair in pairs]
@@ -406,7 +411,7 @@ def expr_equal(
     cannot vanish on an open region, and the Wirtinger legs (z, zb) are an
     invertible linear change of the real coordinates, so no sampling is
     needed there.  Any other difference, one with a float among them, is
-    sampled: both pinned sides are compiled once and evaluated at up to
+    sampled: both fractions read are compiled once and evaluated at up to
     ``samples`` points of the region, drawn with ``rng`` (by default
     ``random.Random(0)``), where ``|a - b|`` must stay within ``tol`` times
     ``max(1, |a|)``.  A point where either side is singular is skipped.
@@ -416,19 +421,16 @@ def expr_equal(
     if pinned_a == pinned_b:
         _require_finite(pinned_a, chart)
         return True
-    ((num_a, den_a), (num_b, den_b)), extras = read_fractions((pinned_a, pinned_b), chart)
-    common = common_denominator((den_a, den_b))
-    if over(num_a, den_a, common) == over(num_b, den_b, common):
+    pairs, extras = read_fractions((pinned_a, pinned_b), chart)
+    common = common_denominator(den for _, den in pairs)
+    if over(*pairs[0], common) == over(*pairs[1], common):
         return True
     if _FINAL_EXTRAS.issuperset(extras):
         return False
-    if region is None:
-        region = everywhere(chart)
-    if rng is None:
-        rng = random.Random(0)
-    sides_at = compile_exprs([pinned_a, pinned_b], chart)
-    failures = 0
-    tried = 0
+    region = everywhere(chart) if region is None else region
+    rng = random.Random(0) if rng is None else rng
+    sides_at = compile_fractions(pairs, extras, chart)
+    failures = tried = 0
     for _ in range(samples * 4):
         if tried >= samples:
             break

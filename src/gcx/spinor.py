@@ -59,6 +59,7 @@ from .forms import (
 from .maps import CoordinateMap, pullback
 from .scalars import (
     _FINAL_EXTRAS,
+    _lowest_terms,
     bump_function,
     compile_exprs,
     is_structural_zero,
@@ -445,7 +446,8 @@ def surgery_certificate(chart: Chart, params: SurgeryParams,
 
     X is a constant field in the z2 directions chosen so that i_X E
     reproduces the singular dz1/z1 term; the covector part is then
-    dz1/z1 - i_X E, which is smooth.
+    dz1/z1 - i_X E, stored as computed; :class:`SpinorError` is raised unless
+    in lowest terms in the chart's ring no denominator factor has z1.
     """
     a, q = params.a, params.q
     if a != 2 * q:
@@ -453,11 +455,10 @@ def surgery_certificate(chart: Chart, params: SurgeryParams,
     else:
         # valid parameters force q != 0 here
         vector = {"z2b": sympy.Rational(1, q)}
-    z1 = chart.symbol("z1")
-    sing = MixedForm.basis(chart, "z1").scale(1 / z1)
-    cov = sing - interior(vector, exponent)
-    cov = MixedForm(chart, {k: sympy.cancel(sympy.together(c)) for k, c in cov.terms.items()})
-    if any(c.has(z1) and sympy.denom(c).has(z1) for c in cov.terms.values()):
+    cov = MixedForm.basis(chart, "z1").scale(1 / chart.symbol("z1")) - interior(vector, exponent)
+    pairs, _ = read_fractions(list(cov.coefficients.values()), chart)
+    i1 = chart.leg_index("z1")
+    if any(f.degree(i1) > 0 for pair in pairs for f, _ in _lowest_terms(*pair)[1]):
         raise SpinorError("certificate covector failed to desingularize")
     return GeneralizedSection.make(chart, vector, cov)
 

@@ -45,12 +45,15 @@ from gcx import (
     pairing,
     parse_scenario,
     pullback,
+    validate_surgery_params,
     wedge,
 )
 from gcx.forms import lie_derivative, vector_bracket, wedge_power
 from gcx.runner import corpus_dir
 from gcx.scalars import compile_exprs, pin_bumps
-from gcx.spinor import build_gluck_spinor, build_luttinger_spinor, surgery_regions
+from gcx.spinor import (RADIAL_PROFILES, build_gluck_spinor, build_luttinger_spinor,
+                        collar_charts, disk_to_complex_map, luttinger_gluing_map,
+                        surgery_exponent, surgery_regions)
 
 
 def is_structurally_zero(a: MixedForm) -> bool:
@@ -529,10 +532,10 @@ def _ref_wedge(a: dict, b: dict) -> dict:
     return out
 
 
-def _ref_d(a: dict) -> dict:
+def _ref_d(a: dict, chart: Chart = _RING_CHART) -> dict:
     out: dict = {}
     for key, c in a.items():
-        for j, sym in enumerate(_RING_CHART.symbols):
+        for j, sym in enumerate(chart.symbols):
             if j not in key:
                 nkey, sign = _sorted_sign((j,) + key)
                 _ref_add(out, nkey, sign * sympy.diff(c, sym))
@@ -580,14 +583,11 @@ def test_ring_exp_form_matches_reference(b):
     _assert_terms_equal(exp_form(_ring_form(b)), ref)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(_coefficient_dicts(_keys()), st.lists(_POLY, min_size=4, max_size=4))
-def test_ring_pullback_matches_reference(a, images):
-    ch = _RING_CHART
-    f = CoordinateMap.make(ch, ch, dict(zip(("z1", "z2", "x1", "y1"), images)))
-    table = f.table
-    subs = {leg.symbol: table[leg.name] for leg in ch.legs}
-    dlegs = [_ref_d({(): table[leg.name]}) for leg in ch.legs]
+def _ref_pullback(f: CoordinateMap, a: dict) -> dict:
+    """The pullback of the expression coefficients ``a`` along f, built
+    from sympy's simultaneous ``subs`` and the reference wedge and d."""
+    subs = {leg.symbol: f.table[leg.name] for leg in f.target.legs}
+    dlegs = [_ref_d({(): f.table[leg.name]}, f.source) for leg in f.target.legs]
     ref: dict = {}
     for key, c in a.items():
         term = {(): c.subs(subs, simultaneous=True)}
@@ -595,7 +595,79 @@ def test_ring_pullback_matches_reference(a, images):
             term = _ref_wedge(term, dlegs[i])
         for k, v in term.items():
             _ref_add(ref, k, v)
-    _assert_terms_equal(pullback(f, _ring_form(a)), ref)
+    return ref
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_coefficient_dicts(_keys()), st.lists(_POLY, min_size=4, max_size=4))
+def test_ring_pullback_matches_reference(a, images):
+    ch = _RING_CHART
+    f = CoordinateMap.make(ch, ch, dict(zip(("z1", "z2", "x1", "y1"), images)))
+    _assert_terms_equal(pullback(f, _ring_form(a)), _ref_pullback(f, a))
+
+
+def _assert_matches_pullback_reference(f: CoordinateMap, a: MixedForm):
+    got = pullback(f, a)
+    # xreplace is a complete substitution only for trees with no bound variable
+    assert not any(c.has(sympy.Derivative, sympy.Subs) for c in got.terms.values())
+    subs = {leg.symbol: f.table[leg.name] for leg in f.target.legs}
+    # the degree-0 part is the substituted coefficient itself, node for node
+    assert got.terms.get(()) == (a.terms[()].subs(subs, simultaneous=True)
+                                 if () in a.terms else None)
+    # sympy distributes a rational factor over a sum depending on the order
+    # of the products, so higher degrees are compared as rational functions
+    # of their expanded atoms
+    ref = _ref_pullback(f, dict(a.terms))
+    for key in set(got.terms) | set(ref):
+        assert sympy.cancel(sympy.expand(got.coefficient(key)) - ref.get(key, 0)) == 0, key
+
+
+_EXPR_CHART = Chart("expr3", [("z1", "complex"), ("x1", "real")])
+_XI_PULL = bump_function("xi_pull", 0.25, 0.5)
+_EZ1, _EZ1B, _EX1 = _EXPR_CHART.symbols
+_EXPR_ATOMS = (_XI_PULL(sympy.sqrt(_EZ1 * _EZ1B)), sympy.exp(sympy.I * _EX1),
+               sympy.log(1 + _EZ1 * _EZ1B), sympy.pi * _EZ1, _EX1 ** 2 - _EZ1B / 3)
+# self-maps of the chart: source and target share every symbol name
+_SELF_MAPS = (
+    CoordinateMap.make(_EXPR_CHART, _EXPR_CHART, {
+        "z1": _EZ1B * sympy.exp(sympy.I * _EX1), "x1": sympy.log(1 + _EZ1 * _EZ1B) + _EX1}),
+    CoordinateMap.make(_EXPR_CHART, _EXPR_CHART, {
+        "z1": sympy.sqrt(2) * _EZ1 + _EX1, "x1": sympy.pi * _EX1}),
+    CoordinateMap.make(_EXPR_CHART, _EXPR_CHART, {"z1": _EZ1B, "x1": _EX1 ** 2}),
+)
+_EXPR_KEYS = st.sets(st.integers(0, _EXPR_CHART.dim - 1), max_size=2).map(
+    lambda k: tuple(sorted(k)))
+_EXPR_COEFFICIENTS = st.lists(st.sampled_from(_EXPR_ATOMS), min_size=1, max_size=2).map(
+    lambda atoms: sympy.Mul(*atoms))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.dictionaries(_EXPR_KEYS, _EXPR_COEFFICIENTS, min_size=1, max_size=3),
+       st.sampled_from(_SELF_MAPS))
+def test_expression_pullback_matches_reference(a, f):
+    form = MixedForm(_EXPR_CHART, a)
+    _assert_matches_pullback_reference(f, form)
+    _assert_matches_pullback_reference(f, d(form))
+
+
+def test_d_of_a_bump_holds_no_bound_variable():
+    # an opaque function differentiates to its named derivative
+    dxi = d(MixedForm.scalar(_EXPR_CHART, _EX1 * _EXPR_ATOMS[0]))
+    names = {node.func.__name__ for c in dxi.terms.values() for node in c.atoms(sympy.Function)}
+    assert "xi_pull_prime" in names
+    assert not any(c.has(sympy.Derivative, sympy.Subs) for c in dxi.terms.values())
+
+
+@pytest.mark.parametrize("profile", RADIAL_PROFILES)
+@pytest.mark.parametrize("params", [(0, 1, 1, 0), (1, 3, 1, 2)], ids=str)
+def test_collar_pullbacks_match_reference(params, profile):
+    s = build_luttinger_spinor(params)
+    psi = disk_to_complex_map(collar_charts()[0], s.chart)
+    phi, omega_tilde = luttinger_gluing_map(params, profile)
+    exponent = surgery_exponent(s.chart, validate_surgery_params(*params))
+    for f, a in ((psi, s.rho), (psi, exponent), (phi, omega_tilde),
+                 (phi, exp_form(omega_tilde.scale(sympy.I)))):
+        _assert_matches_pullback_reference(f, a)
 
 
 def _ref_interior(vector: dict, a: dict) -> dict:

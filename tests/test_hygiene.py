@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module imports numpy or mpmath, numpy is no declared dependency, gcds,
-sympy's cancellation and its expansion run only in the functions listed
-for each, nothing calls sympy's ``solve``, no function asks whether a
-whole form is polynomial, and only ``scalars.read_fractions`` reads
-``Chart.fractions``."""
+no module imports numpy or mpmath, numpy is no declared dependency, gcds
+and sympy's expansion run only in the functions listed for each, nothing
+calls sympy's ``cancel``, ``together``, ``solve`` or ``subs``, no function
+asks whether a whole form is polynomial, and only
+``scalars.read_fractions`` reads ``Chart.fractions``."""
 
 import ast
 import re
@@ -96,20 +96,23 @@ def test_numpy_is_not_a_dependency():
     assert "numpy" not in {re.match(r"[\w.-]+", req).group(0).lower() for req in requirements}
 
 
-_SIMPLIFIERS = ("cancel", "together", "expand", "gcd", "solve")
-# the functions that may call each: cancel (after together) is the
-# desingularisation check of the surgery certificate itself; equality
-# reads fractions and takes no gcd, and compiling puts each coefficient in
-# lowest terms in the chart's ring, where a gcd runs only for a leftover
-# denominator factor that is not provably irreducible; stability is
-# decided by Groebner bases, so no function may call solve
-_CANCEL_SITES = {"spinor.surgery_certificate"}
+_SIMPLIFIERS = ("cancel", "together", "expand", "gcd", "solve", "subs")
+# the functions that may call each: equality reads fractions and takes no
+# gcd, and compiling and the surgery certificate's smoothness check put
+# each coefficient in lowest terms in the chart's ring, where a gcd runs
+# only for a leftover denominator factor that is not provably irreducible,
+# so no function may cancel; stability is decided by Groebner bases, so
+# no function may call solve; a pullback or composition substitutes with
+# xreplace, and a ring image with maps._substitute, so no function may
+# call subs
+_CANCEL_SITES: set[str] = set()
 _SIMPLIFIER_SITES = {
     "cancel": _CANCEL_SITES,
     "together": _CANCEL_SITES,
     "expand": {"scenario._point"},
     "gcd": {"scalars._lowest_terms"},
     "solve": set(),
+    "subs": set(),
 }
 
 
@@ -130,8 +133,8 @@ def _scoped(source: str, module: str):
 
 def simplifier_calls(source: str, module: str) -> set[tuple[str, str]]:
     """(name, function) for each call of ``cancel``, ``together``,
-    ``expand``, ``gcd`` or ``solve``, as a function or a method, with the
-    dotted name of the function or class it sits in."""
+    ``expand``, ``gcd``, ``solve`` or ``subs``, as a function or a method,
+    with the dotted name of the function or class it sits in."""
     found = set()
     for node, scope in _scoped(source, module):
         if isinstance(node, ast.Call):
@@ -154,10 +157,11 @@ def test_simplifier_calls_reads_functions_methods_and_lambdas():
               "class A:\n    def f(self, c):\n        return sympy.cancel(together(c))\n"
               "def g(c):\n    return map(lambda e: e.expand(), c)\n"
               "def h(p, q):\n    return p.gcd(q)\n"
-              "def k(e, z):\n    return sympy.solve(e, z)\n")
+              "def k(e, z):\n    return sympy.solve(e, z)\n"
+              "def s(e, t):\n    return e.subs(t, simultaneous=True)\n")
     assert simplifier_calls(source, "m") == {
         ("cancel", "m.A.f"), ("together", "m.A.f"), ("expand", "m.g"), ("gcd", "m.h"),
-        ("solve", "m.k")}
+        ("solve", "m.k"), ("subs", "m.s")}
 
 
 # each coefficient is a ring element or an expression on its own, and

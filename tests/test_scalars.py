@@ -75,11 +75,12 @@ def test_expr_equal_algebraic_exact():
 
 
 def _no_sampling(monkeypatch):
-    def refuse(exprs, chart):
+    def refuse(exprs, *args):
         raise AssertionError(f"sampled {exprs}")
 
     for module in (scalars, forms, spinor):
         monkeypatch.setattr(module, "compile_exprs", refuse)
+    monkeypatch.setattr(scalars, "compile_fractions", refuse)
 
 
 def test_expr_equal_algebraic_decided_without_sampling(monkeypatch):
@@ -133,6 +134,22 @@ def test_expr_equal_transcendental_still_samples(monkeypatch):
         expr_equal(sympy.exp(x1 * (x1 + 1)), sympy.exp(x1) * sympy.exp(x1 ** 2), ch)
     monkeypatch.undo()
     assert expr_equal(sympy.exp(x1 * (x1 + 1)), sympy.exp(x1) * sympy.exp(x1 ** 2), ch)
+
+
+def test_expr_equal_reads_each_side_once(monkeypatch):
+    # the sampled comparison compiles the fractions its exact test read
+    ch = real_chart(1)
+    (x1,) = ch.symbols
+    calls = []
+    real_read = scalars.read_fractions
+
+    def spy(values, *args, **kwargs):
+        calls.append(list(values))
+        return real_read(values, *args, **kwargs)
+
+    monkeypatch.setattr(scalars, "read_fractions", spy)
+    assert expr_equal(sympy.sin(x1) ** 2 + sympy.cos(x1) ** 2, 1, ch)
+    assert calls == [[sympy.sin(x1) ** 2 + sympy.cos(x1) ** 2, 1]]
 
 
 _PROPERTY_CHART = Chart("pc", [("z1", "complex"), ("x1", "real")])

@@ -143,8 +143,9 @@ def _forbid_sampling(monkeypatch):
         raise AssertionError("an exact decision sampled")
 
     for module in (gcx.scalars, gcx.forms, gcx.spinor):
-        if hasattr(module, "compile_exprs"):
-            monkeypatch.setattr(module, "compile_exprs", forbidden)
+        for name in ("compile_exprs", "compile_fractions"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(Region, "sample", forbidden)
 
 
@@ -485,6 +486,15 @@ def test_surgery_certificate_is_smooth():
         z1 = ch.symbol("z1")
         for c in cert.covector.terms.values():
             assert not sympy.denom(sympy.cancel(sympy.together(c))).has(z1)
+
+
+def test_surgery_certificate_keeps_a_pole_of_mismatched_parameters():
+    # the field chosen for (1, 3, 1, 2) leaves dz1/z1 of the (0, 1, 1, 0)
+    # exponent uncancelled
+    ch = _c2()
+    exponent = surgery_exponent(ch, validate_surgery_params(0, 1, 1, 0))
+    with pytest.raises(SpinorError, match="failed to desingularize"):
+        surgery_certificate(ch, validate_surgery_params(1, 3, 1, 2), exponent)
 
 
 @pytest.mark.parametrize("build, squared", [(build_luttinger_spinor, False),
