@@ -17,8 +17,10 @@ when it is structurally zero (:func:`~gcx.scalars.is_structural_zero`):
 runs, so a coefficient that only simplifies to zero is kept until an
 identity check decides it.
 
-``terms`` and :meth:`MixedForm.coefficient` are expression-valued; a ring
-coefficient is converted once, when first read.
+Package code reads ``coefficients`` as stored.  ``terms`` and
+:meth:`MixedForm.coefficient` are the expression view for callers
+outside the package; a ring coefficient is converted once, when first
+read there.
 """
 
 from __future__ import annotations
@@ -186,14 +188,6 @@ class MixedForm:
             return sympy.Integer(0)
         return sign * self.terms.get(skey, sympy.Integer(0))
 
-    @property
-    def ring_terms(self) -> Optional[dict]:
-        """The coefficients when every one is an element of ``chart.ring``,
-        else None."""
-        if all(isinstance(c, PolyElement) for c in self.coefficients.values()):
-            return self.coefficients
-        return None
-
     def degree_block(self, k: int) -> "MixedForm":
         return MixedForm(
             self.chart,
@@ -202,10 +196,10 @@ class MixedForm:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({len(k) for k in self.terms}))
+        return tuple(sorted({len(k) for k in self.coefficients}))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coefficients
 
     def is_homogeneous(self, k: int | None = None) -> bool:
         degs = self.degrees
@@ -283,7 +277,7 @@ class MixedForm:
             coefficients = [c if isinstance(c, PolyElement) else pin_bumps(c, dict(pins))
                             for c in self.coefficients.values()]
             values_at = compile_exprs(coefficients, self.chart)
-            keys = [(i, key) for i, key in enumerate(self.terms) if i not in values_at.zeros]
+            keys = [(i, key) for i, key in enumerate(self.coefficients) if i not in values_at.zeros]
             compiled = self._compiled[pins] = (keys, values_at)
         keys, values_at = compiled
         values = values_at(point)
@@ -432,9 +426,9 @@ def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> sympy.Expr:
     chart = s1.chart
     val = sympy.Integer(0)
     for name, x in s1.vector:
-        val += x * s2.covector.coefficient((chart.leg_index(name),))
+        val += x * as_expr(s2.covector.coefficients.get((chart.leg_index(name),), 0))
     for name, y in s2.vector:
-        val += y * s1.covector.coefficient((chart.leg_index(name),))
+        val += y * as_expr(s1.covector.coefficients.get((chart.leg_index(name),), 0))
     return sympy.Rational(1, 2) * val
 
 
@@ -493,21 +487,16 @@ def form_equal(a: MixedForm, b: MixedForm, region: Optional[Region] = None,
     """Coefficient-wise equality over the union of the two key sets.
 
     Keys are compared in sorted order; the result names the first key
-    whose coefficients differ.  A key whose two coefficients are ring
-    elements (a missing one is the ring's zero) is compared in the ring,
-    exactly and with no sampling; any other key goes through
-    :func:`expr_equal`, all of them with one shared sampling rng.
+    whose coefficients differ.  Each key's two coefficients go to
+    :func:`expr_equal` as they are stored, a missing one as the ring's
+    zero, all of them with one shared sampling rng; so two ring elements
+    are compared in the ring, exactly and with no sampling.
     """
     a._check(b)
     zero = a.chart.ring.zero
     rng = random.Random(seed)
     for key in sorted(set(a.coefficients) | set(b.coefficients)):
-        ca, cb = a.coefficients.get(key, zero), b.coefficients.get(key, zero)
-        if isinstance(ca, PolyElement) and isinstance(cb, PolyElement):
-            same = ca == cb
-        else:
-            same = expr_equal(a.coefficient(key), b.coefficient(key), a.chart,
-                              region=region, samples=samples, tol=tol, rng=rng)
-        if not same:
+        if not expr_equal(a.coefficients.get(key, zero), b.coefficients.get(key, zero), a.chart,
+                          region=region, samples=samples, tol=tol, rng=rng):
             return EqualityResult(key, a.key_name(key))
     return EqualityResult(None)

@@ -208,7 +208,7 @@ class _Runner:
 
     def chk_assembly(self, p):
         got = assembly_check(p["params"], profile=p["profile"],
-                             samples=min(self.samples, 16), seed=self.seed,
+                             samples=self.samples, seed=self.seed,
                              tol=self.tol)
         if not got:
             self.report.note(f"  assembly: the pieces differ at coefficient {got.name}")

@@ -6,20 +6,20 @@ exp, sqrt, trig) and opaque bump functions are kept symbolic, with
 derivative rules built in, and are only ever evaluated numerically
 during sampling.
 
-Equality is decided exactly wherever it can be.  After pinning their
-bumps, :func:`expr_equal` reads both sides as fractions over the chart's
-polynomial ring over the Gaussian rationals ``QQ_I``
+Equality is decided exactly wherever it can be.  :func:`expr_equal`
+compares two ring elements in the ring.  Otherwise, after pinning the
+bumps of its expression sides, it reads both sides as fractions over
+the chart's polynomial ring over the Gaussian rationals ``QQ_I``
 (:func:`read_fractions`), where every subexpression that is not a field
 operation on legs and constants (``pi``, a float, a bump, ``sin``) is
 one extra generator, and no gcd is taken.  The sides are equal when
 their numerators over the least common denominator
 (:func:`~gcx.chart.common_denominator`) agree.  That formal zero is
-final whatever the extra
-generators are; a nonzero difference is final only when they are at
-most ``pi`` and ``E``.  Any other difference is sampled: a
-Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero test is
-structural (:func:`is_structural_zero`) and never queries sympy's
-assumptions on a compound expression.
+final whatever the extra generators are; a nonzero difference is final
+only when they are at most ``pi`` and ``E``.  Any other difference is
+sampled: a Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero
+test is structural (:func:`is_structural_zero`) and never queries
+sympy's assumptions on a compound expression.
 
 Numeric evaluation has one path, :func:`compile_exprs`.  It reads the
 expressions with the same fraction reader, puts each fraction in lowest
@@ -396,32 +396,38 @@ def expr_equal(
     tol: float = 1e-9,
     rng=None,
 ) -> bool:
-    """Equality of two scalars on a region: structural, exact, or sampled.
+    """Equality of two scalars on a region: ring, structural, exact or sampled.
 
-    Both sides have their region-pinned bumps substituted first.
-    Structurally identical pinned sides are equal before they are read,
-    unless they hold ``zoo``, ``nan`` or ``oo``, which raises
+    Each side is taken as stored, a ``chart.ring`` element or an
+    expression.  Two ring elements are compared in the ring.  Expression
+    sides have their region-pinned bumps substituted, once, and two
+    structurally identical ones are equal before they are read, unless
+    they hold ``zoo``, ``nan`` or ``oo``, which raises
     :class:`EvaluationError`.  Other sides are read with
-    :func:`read_fractions`, which raises it on such a value or on a
-    negative power of a base that is zero in the ring, so a zero base is
-    reported only when the sides differ.  The verdict is exact when the
-    numerators over the least common denominator agree (equal, whatever
-    the extra generators), or when they differ and the extra generators
-    are at most ``pi`` and ``E`` (different).  A nonzero rational function
-    cannot vanish on an open region, and the Wirtinger legs (z, zb) are an
-    invertible linear change of the real coordinates, so no sampling is
-    needed there.  Any other difference, one with a float among them, is
-    sampled: both fractions read are compiled once and evaluated at up to
-    ``samples`` points of the region, drawn with ``rng`` (by default
-    ``random.Random(0)``), where ``|a - b|`` must stay within ``tol`` times
-    ``max(1, |a|)``.  A point where either side is singular is skipped.
+    :func:`read_fractions`, a ring side as it is, which raises it on such
+    a value or on a negative power of a base that is zero in the ring, so
+    a zero base is reported only when the sides differ.  The verdict is
+    exact when the numerators over the least common denominator agree
+    (equal, whatever the extra generators), or when they differ and the
+    extra generators are at most ``pi`` and ``E`` (different).  A nonzero
+    rational function cannot vanish on an open region, and the Wirtinger
+    legs (z, zb) are an invertible linear change of the real coordinates,
+    so no sampling is needed there.  Any other difference, one with a
+    float among them, is sampled: both fractions read are compiled once
+    and evaluated at up to ``samples`` points of the region, drawn with
+    ``rng`` (by default ``random.Random(0)``), where ``|a - b|`` must stay
+    within ``tol`` times ``max(1, |a|)``.  A point where either side is
+    singular is skipped.
     """
+    rings = isinstance(a, PolyElement), isinstance(b, PolyElement)
+    if all(rings):
+        return a == b
     pins = region.bump_map if region is not None else {}
-    pinned_a, pinned_b = pin_bumps(sympy.sympify(a), pins), pin_bumps(sympy.sympify(b), pins)
-    if pinned_a == pinned_b:
-        _require_finite(pinned_a, chart)
+    a, b = (v if ring else pin_bumps(sympy.sympify(v), pins) for v, ring in zip((a, b), rings))
+    if not any(rings) and a == b:
+        _require_finite(a, chart)
         return True
-    pairs, extras = read_fractions((pinned_a, pinned_b), chart)
+    pairs, extras = read_fractions((a, b), chart)
     common = common_denominator(den for _, den in pairs)
     if over(*pairs[0], common) == over(*pairs[1], common):
         return True

@@ -305,11 +305,10 @@ class ExprParser:
         return self.expr(func(as_expr(self.scalar(arg, line))))
 
     def exp(self, arg: MixedForm, line: int) -> MixedForm:
-        scalar = arg.degree_block(0)
-        rest = arg - scalar
+        rest = arg - arg.degree_block(0)
         out = exp_form(rest) if not rest.is_zero() else MixedForm.one(self.chart)
-        if not scalar.is_zero():
-            out = out.scale(sympy.exp(scalar.coefficient(())))
+        if () in arg.coefficients:
+            out = out.scale(sympy.exp(as_expr(arg.coefficients[()])))
         return out
 
     def scalar(self, value: Value, line: int, message: str = "expected a scalar expression"):
@@ -337,7 +336,8 @@ class ExprParser:
             a, b = self.form(a), self.form(b)
             out = wedge(a, b)
             # a shared key means that both factors have terms
-            if out.is_zero() and any(set(k1) & set(k2) for k1 in a.terms for k2 in b.terms):
+            if out.is_zero() and any(set(k1) & set(k2) for k1 in a.coefficients
+                                      for k2 in b.coefficients):
                 self.sc.warnings.append(f"line {line}: wedge with repeated differential is zero")
             return out
         if op == "*":
@@ -444,6 +444,8 @@ def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
         raise
     except ValueError as exc:  # gcx's errors, and sympy's on a bad constant
         raise ParseError(str(exc), line) from exc
+    except RecursionError:  # the expression parser recurses once per nesting level
+        raise ParseError("expression nested too deeply", line) from None
     _assert_consumed(ts, line)
 
 
@@ -596,18 +598,15 @@ def _stmt_map(sc, ts, line, text):
     for _ in _items(ts, ","):
         leg = ts.next().text
         ts.expect("->")
-        parser = ExprParser(sc, source, ts)
-        table[leg] = parser.scalar(parser.parse(), line,
-                                   "map assignments must be scalar expressions")
+        table[leg] = _scalar(sc, source, ts, line, "map assignments must be scalar expressions")
     sc.maps[name] = CoordinateMap.make(source, target, table, name=name)
 
 
-def _scalar_clause(sc, chart, ts, line, clause: str):
-    """A clause value that must be a scalar, as its degree-0 coefficient."""
-    value = parse_expr(sc, chart, ts)
-    if not value.is_homogeneous(0):
-        raise ParseError(f"{clause} needs a scalar expression", line)
-    return value.coefficient(())
+def _scalar(sc, chart, ts, line, message: str):
+    """A value that must be a scalar, as its stored degree-0 coefficient;
+    a form raises ``message``."""
+    parser = ExprParser(sc, chart, ts)
+    return parser.scalar(parser.parse(), line, message)
 
 
 def _named(table: dict, kind: str, name: str, line: int):
@@ -659,7 +658,7 @@ def _stmt_spinor(sc, ts, line, text):
         for _ in _items(ts, ","):
             leg = ts.next().text
             ts.expect("=")
-            out[leg] = _scalar_clause(sc, chart(), ts, line, f"vector {leg!r}")
+            out[leg] = _scalar(sc, chart(), ts, line, f"vector {leg!r} needs a scalar expression")
         return out
 
     readers = {"on": lambda: _chart_ref(sc, ts, line), "rho": form, "h": form,
@@ -830,10 +829,10 @@ def _point(sc, chart, ts, line) -> dict[str, complex]:
         if leg in exact:
             raise ParseError(f"coordinate {leg!r} is given twice", line)
         ts.expect("=")
-        value = parse_expr(sc, chart, ts)
-        number = value.coefficient(())
-        if not value.is_homogeneous(0) or not number.is_number:
-            raise ParseError(f"coordinate {leg!r} needs a constant value", line)
+        message = f"coordinate {leg!r} needs a constant value"
+        number = as_expr(_scalar(sc, chart, ts, line, message))
+        if not number.is_number:
+            raise ParseError(message, line)
         partner = chart.legs[chart.conj_index(index)].name
         if partner == leg and sympy.im(number).is_zero is False:
             raise ParseError(f"coordinate {leg!r} is real, but its value is {number}", line)
@@ -884,7 +883,7 @@ def _stmt_check(sc, ts, line, text):
         if ts.accept("on"):
             payload["region"] = _named(sc.regions, "region", ts.next().text, line)
         if ts.accept("scale"):
-            payload["scale"] = _scalar_clause(sc, chart, ts, line, "scale")
+            payload["scale"] = _scalar(sc, chart, ts, line, "scale needs a scalar expression")
     elif what in ("lemma", "assembly"):
         ts.expect("params")
         payload["params"] = _params(ts, line)

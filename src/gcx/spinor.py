@@ -47,6 +47,7 @@ from .forms import (
     EqualityResult,
     GeneralizedSection,
     MixedForm,
+    as_expr,
     clifford,
     d,
     exp_form,
@@ -310,12 +311,13 @@ def check_stable(s: SpinorStructure) -> StabilityResult:
     A Groebner basis {1} of p and q alone means s0 never vanishes.  With
     neither a certificate nor a witness (:func:`_witness`), and for an s0
     that is not a polynomial over ``QQ_I``, :class:`SpinorError` is raised.
+    s0 is read as stored; the messages print it as an expression.
     """
     chart = s.chart
-    s0 = s.rho.coefficient(())
-    if is_structural_zero(s0):
+    stored = s.rho.coefficients.get(())
+    if stored is None:
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
-    p = chart.to_ring(s0)
+    p, s0 = chart.to_ring(stored), as_expr(stored)
     if p is None:
         raise SpinorError(f"degree-0 part {s0} is not a polynomial over QQ_I "
                           f"in the legs of chart {chart.name!r}")

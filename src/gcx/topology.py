@@ -191,8 +191,8 @@ class ManifoldDescriptor:
     loci: tuple[SurgeryLocus, ...] = ()
 
     def __post_init__(self):
-        if self.dimension % 2:
-            raise TopologyError("descriptor dimension must be even")
+        if self.dimension % 2 or self.dimension < 0:
+            raise TopologyError("descriptor dimension must be even and nonnegative")
         if self.dimension % 4 != 0 and self.signature is not None:
             raise TopologyError(
                 "signature only makes sense when dimension = 0 mod 4"

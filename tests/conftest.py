@@ -1,4 +1,5 @@
-"""Shared helpers: random charts, polynomial forms, and maps."""
+"""Shared helpers: random charts, polynomial forms, maps, and a reader
+of ring-valued forms."""
 
 from __future__ import annotations
 
@@ -6,12 +7,21 @@ import random
 
 import sympy
 from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
 from gcx import Chart, CoordinateMap, GeneralizedSection, MixedForm
 
 
 def real_chart(n: int, name: str = "R") -> Chart:
     return Chart(name, [(f"x{i}", "real") for i in range(1, n + 1)])
+
+
+def ring_coefficients(form: MixedForm) -> dict | None:
+    """The form's coefficients when every one is an element of
+    ``chart.ring``, else None."""
+    if all(isinstance(c, PolyElement) for c in form.coefficients.values()):
+        return form.coefficients
+    return None
 
 
 def random_poly(chart: Chart, rng: random.Random, max_degree: int = 2) -> sympy.Expr:

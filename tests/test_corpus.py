@@ -128,6 +128,7 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("check params (0, 1, 1) expect ok", "params needs four integers"),
     ("region R on C = z1 in (0.3, 0.4), xi = 0.5", "expected an integer, got '0.5'"),
     ("manifold M = dim 4.7; chi 2.9", "expected an integer, got '4.7'"),
+    ("manifold M = dim -4; chi 2", "descriptor dimension must be even"),
     ("check chi M expect 2.5", "expected an integer, got '2.5'"),
     ("check equal on C z1, z1 expect same", "check equal expects equal or different, got 'same'"),
     ("form w on C = z1**2.5", "** needs an integer exponent"),
@@ -149,6 +150,17 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and message in err, err
+
+
+@pytest.mark.parametrize("expr", ["-" * 600 + "z1", "(" * 500 + "z1" + ")" * 500],
+                         ids=["signs", "parentheses"])
+def test_cli_deep_nesting_is_a_parse_error(tmp_path, capsys, expr):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = complex z1\ncheck equal on C {expr}, z1 expect equal\n")
+    for command in ("verify", "run"):
+        assert main([command, str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: expression nested too deeply" in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("statement, message", [

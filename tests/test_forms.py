@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import gcx
 import gcx.forms as forms_module
+import gcx.scalars as scalars_module
 
 from conftest import (
     gaussian_polys,
@@ -23,6 +24,7 @@ from conftest import (
     random_section,
     random_vector,
     real_chart,
+    ring_coefficients,
 )
 from gcx import (
     Chart,
@@ -543,7 +545,7 @@ def _ref_d(a: dict, chart: Chart = _RING_CHART) -> dict:
 
 
 def _assert_terms_equal(form: MixedForm, ref: dict):
-    assert form.ring_terms is not None, "expected a ring form"
+    assert ring_coefficients(form) is not None, "expected a ring form"
     for key in set(form.terms) | set(ref):
         assert sympy.expand(form.coefficient(key) - ref.get(key, 0)) == 0, key
 
@@ -727,26 +729,36 @@ def test_ring_d_of_d_has_no_terms():
     m = _ring_form({(): z1 ** 2 * z2b + sympy.I * x1 * y1, (0,): z1b * x1 ** 3,
                     (2, 5): (1 + sympy.I) * z2 * y1 ** 2})
     ddm = d(d(m))
-    assert ddm.ring_terms == {} and not ddm.terms
+    assert ring_coefficients(ddm) == {} and not ddm.terms
 
 
 def test_form_equal_decides_ring_keys_of_a_mixed_form_in_the_ring(monkeypatch):
+    # the pi coefficients differ structurally, so they must be read
     sc = parse_scenario("chart C = complex z1, complex z2\n"
-                        "form F on C = z1**2*dz1 + pi*dz2\n"
-                        "form G on C = z1*z1*dz1 + pi*dz2\n")
+                        "form F on C = z1**2*dz1 + pi*(z2 + 1)*dz2\n"
+                        "form G on C = z1*z1*dz1 + (pi*z2 + pi)*dz2\n")
     F, G = sc.forms["F"], sc.forms["G"]
     assert isinstance(F.coefficients[(0,)], PolyElement)
     assert isinstance(G.coefficients[(0,)], PolyElement)
-    calls = []
-    real_expr_equal = forms_module.expr_equal
+    reads = []
+    real_read = scalars_module.read_fractions
 
-    def counting(*args, **kwargs):
-        calls.append(args[:2])
-        return real_expr_equal(*args, **kwargs)
+    def spy(values, *args, **kwargs):
+        reads.append(tuple(values))
+        return real_read(values, *args, **kwargs)
 
-    monkeypatch.setattr(forms_module, "expr_equal", counting)
+    monkeypatch.setattr(scalars_module, "read_fractions", spy)
     assert form_equal(F, G)
-    assert calls == [(sympy.pi, sympy.pi)]
+    assert reads == [(F.coefficients[(2,)], G.coefficients[(2,)])]
+
+
+@_RING_SETTINGS
+@given(_coefficient_dicts(_keys()), _coefficient_dicts(_keys()), st.booleans())
+def test_form_equal_reads_a_ring_coefficient_as_its_expression(a, b, same):
+    ring_a = _ring_form(a)
+    ring_b = ring_a if same else _ring_form(b)
+    a_expr = MixedForm(_RING_CHART, {k: c.as_expr() for k, c in ring_a.coefficients.items()})
+    assert form_equal(a_expr, ring_b) == form_equal(ring_a, ring_b)
 
 
 def test_polynomial_coefficients_stay_in_the_ring_beside_an_expression():
@@ -757,7 +769,7 @@ def test_polynomial_coefficients_stay_in_the_ring_beside_an_expression():
     C, F, G, f = sc.charts["C"], sc.forms["F"], sc.forms["G"], sc.maps["f"]
     z1, z1b, z2, z2b = C.ring.gens
     assert F.coefficients == {(0,): z1, (2,): sympy.pi}
-    assert F.ring_terms is None and G.ring_terms is None
+    assert ring_coefficients(F) is None and ring_coefficients(G) is None
     # d(z1*z2b*dz1) = -z1*dz1^dz2b stays in the ring; d(pi*z1*dz1b) is an
     # expression
     dG = d(G)

@@ -2,8 +2,9 @@
 no module imports numpy or mpmath, numpy is no declared dependency, gcds
 and sympy's expansion run only in the functions listed for each, nothing
 calls sympy's ``cancel``, ``together``, ``solve`` or ``subs``, no function
-asks whether a whole form is polynomial, and only
-``scalars.read_fractions`` reads ``Chart.fractions``."""
+asks whether a whole form is polynomial, only
+``scalars.read_fractions`` reads ``Chart.fractions``, and package code
+reads form coefficients as stored, not through their expression view."""
 
 import ast
 import re
@@ -188,6 +189,19 @@ def test_fractions_are_read_only_by_the_guarded_reader():
     readers = set().union(*(attribute_reads(path.read_text(), path.stem, "fractions")
                             for path in _PACKAGE.glob("*.py")))
     assert readers == {"scalars.read_fractions"}
+
+
+def test_coefficients_are_read_as_stored():
+    # terms and coefficient() convert ring coefficients to expressions for
+    # callers outside the package; package code reads coefficients, so no
+    # ring coefficient becomes an expression only to be read back
+    sources = [(path.read_text(), path.stem) for path in _PACKAGE.glob("*.py")]
+    terms = set().union(*(attribute_reads(source, module, "terms") for source, module in sources))
+    assert {scope for scope in terms if not scope.startswith("forms.MixedForm.")} == set()
+    calls = {scope for source, module in sources for node, scope in _scoped(source, module)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "coefficient"}
+    assert calls == set()
 
 
 def test_attribute_reads_names_the_enclosing_function():

@@ -104,6 +104,27 @@ def test_expr_equal_algebraic_decided_without_sampling(monkeypatch):
     assert expr_equal(sympy.sin(x1) * (x1 ** 2 - 1) / (x1 - 1), sympy.sin(x1) * (x1 + 1), ch)
 
 
+def test_expr_equal_takes_ring_elements_as_stored(monkeypatch):
+    _no_sampling(monkeypatch)
+    ch = Chart("cz", [("z1", "complex"), ("x1", "real")])
+    z1, z1b, x1 = ch.symbols
+    expr = z1 * z1b + sympy.I * x1 / 3
+    p = ch.to_ring(expr)
+    # a ring side is read as it is, beside an expression side
+    assert expr_equal(p, sympy.expand(expr * (x1 + 1)) / (x1 + 1), ch)
+    assert expr_equal(expr, p, ch)
+    assert not expr_equal(p, expr + sympy.pi, ch)
+    assert not expr_equal(sympy.E * expr, p, ch)
+
+    def refuse(values, *args, **kwargs):
+        raise AssertionError(f"read {values}")
+
+    # two ring sides are compared in the ring, and nothing is read
+    monkeypatch.setattr(scalars, "read_fractions", refuse)
+    assert expr_equal(p * p, ch.to_ring(sympy.expand(expr ** 2)), ch)
+    assert not expr_equal(p, p + 1, ch)
+
+
 def test_expr_equal_zero_denominator_is_undefined(monkeypatch):
     _no_sampling(monkeypatch)
     ch = Chart("cz", [("z1", "complex"), ("x1", "real")])
