@@ -26,6 +26,8 @@ import sympy
 from sympy.polys.domains import QQ_I
 from sympy.polys.rings import PolyElement, PolyRing, ring
 
+from .poly import GaussPoly, GaussRing
+
 COORD_KINDS = ("real", "radial", "angle", "complex")
 
 _TWO_PI = 2 * math.pi
@@ -114,44 +116,52 @@ class Chart:
         return self.legs[i].conj
 
     @cached_property
-    def ring(self) -> PolyRing:
-        """The polynomials over the Gaussian rationals in the chart's legs."""
-        return self.extended_ring(0)
+    def ring(self) -> GaussRing:
+        """The kernel's polynomial coefficients in the chart's legs: each a
+        numerator with Gaussian-integer coefficients over one positive
+        integer denominator (:mod:`gcx.poly`), so that sums, products,
+        derivatives, conjugation and pullback substitution take no gcd.
+        Its field is :meth:`extended_ring` ``(0)``."""
+        return GaussRing(self.extended_ring(0))
 
     def extended_ring(self, k: int) -> PolyRing:
-        """:attr:`ring` with ``k`` extra generators after the legs, built
-        once per chart and ``k``.  The extra generators' names are not
-        identifiers, so no leg shares one."""
+        """The polynomials over the Gaussian rationals ``QQ_I`` in the legs
+        and ``k`` extra generators after them, built once per chart and
+        ``k``: the ring of the fraction reader and the solvers, where a
+        coefficient of :attr:`ring` is read in lowest terms.  The extra
+        generators' names are not identifiers, so no leg shares one."""
         extended = self._rings.get(k)
         if extended is None:
             extra = tuple(sympy.Symbol(f"extra {j}") for j in range(k))
             extended = self._rings[k] = ring(self.symbols + extra, QQ_I)[0]
         return extended
 
-    def to_ring(self, value) -> Optional[PolyElement]:
+    def to_ring(self, value) -> Optional[GaussPoly]:
         """``value`` as an element of :attr:`ring`, or None when it is not a
-        polynomial over ``QQ_I`` in the legs.
+        polynomial over the Gaussian rationals in the legs.
 
-        A value with a subexpression that :meth:`fractions` would read as
-        an extra generator (a float, a foreign symbol, a function, ``pi``, a
-        non-integer power) is None at once, and no extended ring is built;
-        so is one whose denominator is not a nonzero constant.  A float is
-        refused rather than read as the rational it rounds to.
+        An expression is read in :meth:`extended_ring` ``(0)`` and then put
+        over one integer denominator.  A value with a subexpression that
+        :meth:`fractions` would read as an extra generator (a float, a
+        foreign symbol, a function, ``pi``, a non-integer power) is None at
+        once, and no extended ring is built; so is one whose denominator is
+        not a nonzero constant.  A float is refused rather than read as the
+        rational it rounds to.
         """
-        if isinstance(value, PolyElement):
+        if isinstance(value, GaussPoly):
             return value if value.ring == self.ring else None
         value = sympy.sympify(value)
         if _opaque_nodes(value, self._leg_gens, {}):
             return None
         try:
-            num, den = _read_fraction(value, self.ring, self._leg_gens)
+            num, den = _read_fraction(value, self.extended_ring(0), self._leg_gens)
         except ZeroDivisionError:
             return None
-        return None if den else num
+        return None if den else self.ring.from_field(num)
 
     @cached_property
     def _leg_gens(self) -> dict:
-        return dict(zip(self.symbols, self.ring.gens))
+        return dict(zip(self.symbols, self.extended_ring(0).gens))
 
     def fractions(self, exprs: Sequence) -> tuple[list, tuple]:
         """The expressions as fractions over one ring, with no gcd taken.
@@ -164,18 +174,20 @@ class Chart:
         Returns ``(pairs, extras)``: a ``(numerator, denominator)`` pair per
         expression, where the denominator maps each of its distinct
         non-constant factors to its multiplicity (``{}`` is 1), and the
-        subexpressions read as the extra generators, in order.  A negative
-        power of a base that is zero in the ring raises ``ZeroDivisionError``.
+        subexpressions read as the extra generators, in order.  An element
+        of :attr:`ring` is read in lowest terms (:meth:`GaussPoly.to_field`).
+        A negative power of a base that is zero in the ring raises
+        ``ZeroDivisionError``.
         :func:`~gcx.scalars.read_fractions`, the one caller, guards it.
         """
-        exprs = [e if isinstance(e, PolyElement) else sympy.sympify(e) for e in exprs]
+        exprs = [e if isinstance(e, GaussPoly) else sympy.sympify(e) for e in exprs]
         found: dict = {}
         for e in exprs:
-            if not isinstance(e, PolyElement):
+            if not isinstance(e, GaussPoly):
                 _opaque_nodes(e, self._leg_gens, found)
         extended = self.extended_ring(len(found))
         gens = dict(zip(self.symbols + tuple(found), extended.gens))
-        return [(e.set_ring(extended), {}) if isinstance(e, PolyElement)
+        return [(e.to_field(extended), {}) if isinstance(e, GaussPoly)
                 else _read_fraction(e, extended, gens) for e in exprs], tuple(found)
 
     def __repr__(self):
@@ -229,14 +241,14 @@ class Chart:
                 swap[leg.symbol] = self.legs[leg.conj].symbol
         return _conj_walk(expr, swap)
 
-    def conj_poly(self, p: PolyElement) -> PolyElement:
+    def conj_poly(self, p: GaussPoly) -> GaussPoly:
         """Formal conjugation in :attr:`ring`: each exponent moves to the
         conjugate leg's slot and each coefficient is conjugated."""
-        conj = [leg.conj for leg in self.legs]
-        return self.ring({
-            tuple(monom[j] for j in conj): QQ_I.new(c.x, -c.y)
-            for monom, c in p.iterterms()
-        })
+        return p.conjugate(self._conj)
+
+    @cached_property
+    def _conj(self) -> tuple[int, ...]:
+        return tuple(leg.conj for leg in self.legs)
 
 
 def _conj_walk(e: sympy.Expr, swap: dict) -> sympy.Expr:

@@ -17,6 +17,16 @@ when it is structurally zero (:func:`~gcx.scalars.is_structural_zero`):
 runs, so a coefficient that only simplifies to zero is kept until an
 identity check decides it.
 
+A ring element is fraction-free (:class:`~gcx.poly.GaussPoly`): a
+numerator with Gaussian-integer coefficients over one positive integer
+denominator.  So the kernel's sums, products, derivatives, conjugates and
+pullback substitutions run on integers and take no gcd.  The hot loops
+(:func:`wedge`, the sums of each key) add and multiply two ring elements
+inline.  Two ring elements are compared by cross-multiplying their
+denominators.  A ring element is put in lowest terms only when it leaves
+the kernel: when it is read into ``QQ_I``, converted to an expression (a
+constant to its number) or printed.
+
 Package code reads ``coefficients`` as stored.  ``terms`` and
 :meth:`MixedForm.coefficient` are the expression view for callers
 outside the package; a ring coefficient is converted once, when first
@@ -31,9 +41,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 import sympy
-from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region
+from .poly import GaussPoly
 from .scalars import (
     compile_exprs,
     expr_equal,
@@ -67,44 +77,50 @@ def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
 
 
 def as_expr(c) -> sympy.Expr:
-    """A coefficient as an expression: a ring element is converted."""
-    return c.as_expr() if isinstance(c, PolyElement) else sympy.sympify(c)
+    """A coefficient as an expression: a ring element is converted, a
+    constant one to its number."""
+    return c.as_expr() if isinstance(c, GaussPoly) else sympy.sympify(c)
 
 
 def scalar_of(chart: Chart, value):
     """``value`` as an element of ``chart.ring`` when it is a polynomial
-    over ``QQ_I`` in the legs, else as an expression."""
+    over the Gaussian rationals in the legs, else as an expression."""
     ring = chart.to_ring(value)
     return ring if ring is not None else as_expr(value)
 
 
 def plus(a, b):
     """``a + b``: in the ring when both are ring elements, else as expressions."""
-    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+    if type(a) is GaussPoly and type(b) is GaussPoly:
         return a + b
     return as_expr(a) + as_expr(b)
 
 
 def times(a, b):
     """``a * b``: in the ring when both are ring elements, else as expressions."""
-    if isinstance(a, PolyElement) and isinstance(b, PolyElement):
+    if type(a) is GaussPoly and type(b) is GaussPoly:
         return a * b
     return as_expr(a) * as_expr(b)
 
 
 def conjugate_of(chart: Chart, c):
     """The formal conjugate of a coefficient, in the ring for a ring element."""
-    return chart.conj_poly(c) if isinstance(c, PolyElement) else chart.conj_expr(c)
+    return chart.conj_poly(c) if isinstance(c, GaussPoly) else chart.conj_expr(c)
 
 
 def _add_to(data: dict, key, value) -> None:
-    data[key] = plus(data[key], value) if key in data else value
+    old = data.get(key)
+    if old is None:
+        data[key] = value
+    elif type(old) is GaussPoly and type(value) is GaussPoly:
+        data[key] = old + value
+    else:
+        data[key] = plus(old, value)
 
 
 def _signed(sign: int, c):
-    """``sign * c``; a ring element is negated, since multiplying it by an
-    integer converts the integer into the coefficient domain first."""
-    if isinstance(c, PolyElement):
+    """``sign * c``; a ring element is negated."""
+    if type(c) is GaussPoly:
         return c if sign > 0 else -c
     return sign * c
 
@@ -149,17 +165,19 @@ class MixedForm:
     def __init__(self, chart: Chart, terms: Mapping | None = None):
         self.chart = chart
         self._compiled = {}
+        ring = chart.ring
         data: dict[tuple[int, ...], object] = {}
         for key, coeff in (terms or {}).items():
-            if isinstance(coeff, PolyElement):
-                if coeff.ring != chart.ring:
+            if type(coeff) is GaussPoly:
+                if coeff.ring is not ring and coeff.ring != ring:
                     raise FormError("coefficient chart mismatch")
             else:
                 coeff = sympy.sympify(coeff)
             skey, sign = _sort_key(key)
             if sign:
                 _add_to(data, skey, _signed(sign, coeff))
-        self.coefficients = {k: v for k, v in data.items() if not is_structural_zero(v)}
+        self.coefficients = {k: v for k, v in data.items()
+                             if (v if type(v) is GaussPoly else not is_structural_zero(v))}
         self.terms = _ExprView(self.coefficients)
 
     # -- constructors ----------------------------------------------------
@@ -274,7 +292,7 @@ class MixedForm:
         pins = region.bump_values if region is not None else ()
         compiled = self._compiled.get(pins)
         if compiled is None:
-            coefficients = [c if isinstance(c, PolyElement) else pin_bumps(c, dict(pins))
+            coefficients = [c if isinstance(c, GaussPoly) else pin_bumps(c, dict(pins))
                             for c in self.coefficients.values()]
             values_at = compile_exprs(coefficients, self.chart)
             keys = [(i, key) for i, key in enumerate(self.coefficients) if i not in values_at.zeros]
@@ -297,7 +315,9 @@ def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
         for k2, c2 in b.coefficients.items():
             if set(k1) & set(k2):
                 continue
-            _add_to(data, tuple(sorted(k1 + k2)), times(_signed(_merge_sign(k1, k2), c1), c2))
+            c = _signed(_merge_sign(k1, k2), c1)
+            c = c * c2 if type(c) is GaussPoly and type(c2) is GaussPoly else times(c, c2)
+            _add_to(data, tuple(sorted(k1 + k2)), c)
     return MixedForm(a.chart, data)
 
 
@@ -325,11 +345,12 @@ def d(a: MixedForm) -> MixedForm:
     chart = a.chart
     data: dict[tuple[int, ...], object] = {}
     for key, c in a.coefficients.items():
-        for j, v in enumerate(chart.ring.gens if isinstance(c, PolyElement) else chart.symbols):
+        ring = type(c) is GaussPoly
+        for j, v in enumerate(chart.symbols):
             if j in key:
                 continue
-            dc = c.diff(v)
-            if is_structural_zero(dc):
+            dc = c.diff(j if ring else v)
+            if not dc if ring else is_structural_zero(dc):
                 continue
             pos = sum(1 for i in key if i < j)
             _add_to(data, tuple(sorted(key + (j,))), _signed((-1) ** pos, dc))
@@ -383,20 +404,27 @@ def exp_form(b: MixedForm) -> MixedForm:
 
 @dataclass(frozen=True)
 class GeneralizedSection:
-    """A section X + xi of TM + T*M on a single chart."""
+    """A section X + xi of TM + T*M on a single chart.
+
+    Each vector coefficient is stored as :func:`scalar_of` reads it, an
+    element of ``chart.ring`` or an expression, and a structural zero is
+    left out.
+    """
 
     chart: Chart
-    vector: tuple[tuple[str, sympy.Expr], ...]
+    vector: tuple[tuple[str, object], ...]
     covector: MixedForm
 
     @staticmethod
     def make(chart: Chart, vector: Mapping[str, object] | None = None,
              covector: MixedForm | None = None) -> "GeneralizedSection":
-        vec = tuple(
-            sorted((name, as_expr(v)) for name, v in (vector or {}).items())
-        )
-        for name, _ in vec:
+        vec = []
+        for name, v in (vector or {}).items():
             chart.leg_index(name)
+            c = scalar_of(chart, v)
+            if not is_structural_zero(c):
+                vec.append((name, c))
+        vec = tuple(sorted(vec))
         cov = covector if covector is not None else MixedForm.zero(chart)
         if cov.chart != chart:
             raise FormError("covector part lives on a different chart")
@@ -405,7 +433,7 @@ class GeneralizedSection:
         return GeneralizedSection(chart, vec, cov)
 
     @property
-    def vector_map(self) -> dict[str, sympy.Expr]:
+    def vector_map(self) -> dict[str, object]:
         return dict(self.vector)
 
     def is_zero(self) -> bool:
@@ -426,23 +454,24 @@ def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> sympy.Expr:
     chart = s1.chart
     val = sympy.Integer(0)
     for name, x in s1.vector:
-        val += x * as_expr(s2.covector.coefficients.get((chart.leg_index(name),), 0))
+        val += as_expr(x) * as_expr(s2.covector.coefficients.get((chart.leg_index(name),), 0))
     for name, y in s2.vector:
-        val += y * as_expr(s1.covector.coefficients.get((chart.leg_index(name),), 0))
+        val += as_expr(y) * as_expr(s1.covector.coefficients.get((chart.leg_index(name),), 0))
     return sympy.Rational(1, 2) * val
 
 
-def vector_bracket(X: Mapping[str, sympy.Expr], Y: Mapping[str, sympy.Expr],
+def vector_bracket(X: Mapping[str, object], Y: Mapping[str, object],
                    chart: Chart) -> dict[str, sympy.Expr]:
-    """Coordinate Lie bracket [X, Y]."""
+    """Coordinate Lie bracket [X, Y]; the fields' coefficients are
+    expressions or ring elements."""
     out: dict[str, sympy.Expr] = {}
     for leg in chart.legs:
         acc = sympy.Integer(0)
         for j, legj in enumerate(chart.legs):
-            xj = sympy.sympify(X.get(legj.name, 0))
-            yj = sympy.sympify(Y.get(legj.name, 0))
-            yk = sympy.sympify(Y.get(leg.name, 0))
-            xk = sympy.sympify(X.get(leg.name, 0))
+            xj = as_expr(X.get(legj.name, 0))
+            yj = as_expr(Y.get(legj.name, 0))
+            yk = as_expr(Y.get(leg.name, 0))
+            xk = as_expr(X.get(leg.name, 0))
             acc += xj * sympy.diff(yk, legj.symbol) - yj * sympy.diff(xk, legj.symbol)
         if not is_structural_zero(acc):
             out[leg.name] = acc

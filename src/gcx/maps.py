@@ -7,10 +7,10 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 import sympy
-from sympy.polys.rings import PolyElement, PolyRing
 
 from .chart import Chart
 from .forms import FormError, MixedForm, as_expr, conjugate_of, d_scalar, wedge_list
+from .poly import GaussPoly, GaussRing
 from .scalars import is_structural_zero
 
 
@@ -38,7 +38,7 @@ class CoordinateMap:
         table: dict[str, object] = {}
         for key, value in assignments.items():
             target.leg_index(key)
-            ring = isinstance(value, PolyElement) and value.ring == source.ring
+            ring = isinstance(value, GaussPoly) and value.ring == source.ring
             table[key] = value if ring else as_expr(value)
         for coord in target.coords:
             if coord.kind == "complex":
@@ -52,7 +52,7 @@ class CoordinateMap:
             raise MapError(f"map {name!r} misses target legs {missing}")
         src_syms = set(source.symbols)
         for key, value in table.items():
-            extra = set() if isinstance(value, PolyElement) else value.free_symbols - src_syms
+            extra = set() if isinstance(value, GaussPoly) else value.free_symbols - src_syms
             if extra:
                 raise MapError(
                     f"assignment {key!r} of map {name!r} uses non-source symbols {extra}"
@@ -69,7 +69,7 @@ class CoordinateMap:
         return {self.target.symbol(k): v for k, v in self.table.items()}
 
     @cached_property
-    def ring_images(self) -> Optional[tuple[PolyElement, ...]]:
+    def ring_images(self) -> Optional[tuple[GaussPoly, ...]]:
         """The assignment of each target leg, in leg order, as an element of
         the source chart's ring; None when one is not a polynomial."""
         values = dict(self.assignments)
@@ -96,22 +96,23 @@ class CoordinateMap:
         )
 
 
-def _substitute(p: PolyElement, images: tuple[PolyElement, ...],
-                ring: PolyRing) -> PolyElement:
+def _substitute(p: GaussPoly, images: tuple[GaussPoly, ...], ring: GaussRing) -> GaussPoly:
     """``p`` with every generator replaced by its image at once; the images
-    live in ``ring``, which may differ from the ring of ``p``."""
+    live in ``ring``, which may differ from the ring of ``p``.  The
+    numerator's terms are substituted and summed in ``ring``, and the sum
+    is divided by the denominator of ``p`` at the end."""
     out = ring.zero
-    powers: dict[tuple[int, int], PolyElement] = {}
-    for monom, coeff in p.iterterms():
-        term = ring.ground_new(coeff)
+    powers: dict[tuple[int, int], GaussPoly] = {}
+    for monom, coeff in p.num.iterterms():
+        term = GaussPoly(ring, ring.numerators.ground_new(coeff), 1)
         for i, n in enumerate(monom):
             if n:
                 power = powers.get((i, n))
                 if power is None:
                     power = powers[(i, n)] = images[i] ** n
-                term *= power
-        out += term
-    return out
+                term = term * power
+        out = out + term
+    return GaussPoly(ring, out.num, out.den * p.den if out else 1)
 
 
 def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
@@ -122,18 +123,21 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     construction.  A ring coefficient pulled back along a polynomial map
     stays in the source chart's ring (:func:`_substitute`); any other has
     every target leg replaced at once by one ``xreplace``, complete since no
-    coefficient holds a bound variable such as a ``Derivative``.
+    coefficient holds a bound variable such as a ``Derivative``.  The
+    ``xreplace`` substitution is built only when some coefficient needs it.
     """
     if a.chart != f.target:
         raise FormError(
             f"form lives on {a.chart.name!r}, expected target {f.target.name!r}"
         )
-    images, dlegs, subs = f.ring_images, f.differentials, f.scalar_subs()
+    images, dlegs, subs = f.ring_images, f.differentials, None
     out = MixedForm.zero(f.source)
     for key, c in a.coefficients.items():
-        if isinstance(c, PolyElement) and images is not None:
+        if isinstance(c, GaussPoly) and images is not None:
             pc = _substitute(c, images, f.source.ring)
         else:
+            if subs is None:
+                subs = f.scalar_subs()
             pc = as_expr(c).xreplace(subs)
         if not is_structural_zero(pc):
             out = out + wedge_list([MixedForm.scalar(f.source, pc)] + [dlegs[i] for i in key])

@@ -7,12 +7,14 @@ derivative rules built in, and are only ever evaluated numerically
 during sampling.
 
 Equality is decided exactly wherever it can be.  :func:`expr_equal`
-compares two ring elements in the ring.  Otherwise, after pinning the
-bumps of its expression sides, it reads both sides as fractions over
-the chart's polynomial ring over the Gaussian rationals ``QQ_I``
-(:func:`read_fractions`), where every subexpression that is not a field
-operation on legs and constants (``pi``, a float, a bump, ``sin``) is
-one extra generator, and no gcd is taken.  The sides are equal when
+compares two elements of the chart's fraction-free coefficient ring
+(:class:`~gcx.poly.GaussPoly`) by cross-multiplying their integer
+denominators.  Otherwise, after pinning the bumps of its expression
+sides, it reads both sides as fractions over the chart's polynomial ring
+over the Gaussian rationals ``QQ_I`` (:func:`read_fractions`, which
+reads a ring side in lowest terms), where every subexpression that is
+not a field operation on legs and constants (``pi``, a float, a bump,
+``sin``) is one extra generator, and no gcd is taken.  The sides are equal when
 their numerators over the least common denominator
 (:func:`~gcx.chart.common_denominator`) agree.  That formal zero is
 final whatever the extra generators are; a nonzero difference is final
@@ -56,6 +58,7 @@ from sympy.polys.rings import PolyElement
 from sympy.printing.pycode import PythonCodePrinter
 
 from .chart import Chart, Region, common_denominator, everywhere, over
+from .poly import GaussPoly
 
 
 class EvaluationError(ValueError):
@@ -222,7 +225,7 @@ def read_fractions(values: Sequence, chart: Chart,
     constant (``zoo``, ``nan``, ``oo``, ``-oo``), or a negative power of a
     base that is zero in the ring, raises :class:`EvaluationError`.
     """
-    values = [v if isinstance(v, PolyElement)
+    values = [v if isinstance(v, GaussPoly)
               else _require_finite(pin_bumps(sympy.sympify(v), pins), chart) for v in values]
     try:
         return chart.fractions(values)
@@ -399,7 +402,8 @@ def expr_equal(
     """Equality of two scalars on a region: ring, structural, exact or sampled.
 
     Each side is taken as stored, a ``chart.ring`` element or an
-    expression.  Two ring elements are compared in the ring.  Expression
+    expression.  Two ring elements are compared in the ring, by
+    cross-multiplying their integer denominators.  Expression
     sides have their region-pinned bumps substituted, once, and two
     structurally identical ones are equal before they are read, unless
     they hold ``zoo``, ``nan`` or ``oo``, which raises
@@ -419,7 +423,7 @@ def expr_equal(
     within ``tol`` times ``max(1, |a|)``.  A point where either side is
     singular is skipped.
     """
-    rings = isinstance(a, PolyElement), isinstance(b, PolyElement)
+    rings = isinstance(a, GaussPoly), isinstance(b, GaussPoly)
     if all(rings):
         return a == b
     pins = region.bump_map if region is not None else {}

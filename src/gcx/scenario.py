@@ -25,13 +25,13 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import sympy
 from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.rings import PolyElement
 
 from .chart import Chart, Region
 from .forms import (
     GeneralizedSection, MixedForm, as_expr, d as ext_d, exp_form, plus, scalar_of, times, wedge,
 )
 from .maps import CoordinateMap, pullback
+from .poly import GaussPoly
 from .scalars import bump_function, is_structural_zero
 from .groups import GroupPresentation, Word, checked_words, parse_relators, parse_word
 from .spinor import (
@@ -196,7 +196,7 @@ _SCALAR_FUNCS = {
     "sqrt": sympy.sqrt, "log": sympy.log, "sin": sympy.sin, "cos": sympy.cos,
 }
 
-Value = Union[PolyElement, sympy.Expr, MixedForm]  # a scalar, or a form
+Value = Union[GaussPoly, sympy.Expr, MixedForm]  # a scalar, or a form
 
 
 class ExprParser:
@@ -323,12 +323,16 @@ class ExprParser:
         """``value`` times a scalar, kept in the ring as MixedForm.scale keeps it."""
         if isinstance(value, MixedForm):
             return value.scale(factor)
+        if type(factor) is GaussPoly and type(value) is GaussPoly:
+            return factor * value
         return self.expr(times(scalar_of(self.chart, factor), value))
 
     def combine(self, op: str, a: Value, b: Value, line: int) -> Value:
         if op == "-":
             op, b = "+", -b
         if op == "+":
+            if type(a) is GaussPoly and type(b) is GaussPoly:
+                return a + b
             if isinstance(a, MixedForm) or isinstance(b, MixedForm):
                 return self.form(a) + self.form(b)
             return self.expr(plus(a, b))
@@ -347,8 +351,8 @@ class ExprParser:
             return self.scale(b, self.scalar(a, line, message))
         if op == "/":
             divisor = self.scalar(b, line)
-            if isinstance(divisor, PolyElement) and divisor.is_ground and divisor:
-                return self.scale(a, divisor.ring.ground_new(QQ_I.revert(divisor.LC)))
+            if isinstance(divisor, GaussPoly) and divisor.is_ground and divisor:
+                return self.scale(a, divisor.inverse())
             # a zero or non-constant divisor goes to the expression path, so
             # 1/(z1 - z1) is zoo and fails its check
             return self.scale(a, 1 / as_expr(divisor))

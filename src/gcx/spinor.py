@@ -20,7 +20,8 @@ undecided otherwise, since an opaque generator may obey relations
 :class:`IntegrabilityResult` names the path taken (``"stored"`` or
 ``"exact"``) and the rank of an exact solve.
 
-Stability is decided exactly, in the chart's ring.  With p the degree-0
+Stability is decided exactly, over ``QQ_I`` in the chart's legs
+(:meth:`~gcx.chart.Chart.extended_ring`).  With p the degree-0
 part s0 and q its conjugate, ds0 ^ ds0bar is the sum of the 2x2 minors of
 the Jacobian of (p, q) in the legs times the legs' 2-forms.  A reduced
 Groebner basis {1} of p, q and the minors certifies that no complex point,
@@ -58,6 +59,7 @@ from .forms import (
     wedge_power,
 )
 from .maps import CoordinateMap, pullback
+from .poly import GaussPoly
 from .scalars import (
     _FINAL_EXTRAS,
     _lowest_terms,
@@ -136,7 +138,7 @@ def _require_plateau(form: MixedForm, point: Mapping[str, complex],
     pins = region.bump_map
     # a ring coefficient holds no bump
     nodes = list(dict.fromkeys(
-        node for c in form.coefficients.values() if not isinstance(c, PolyElement)
+        node for c in form.coefficients.values() if not isinstance(c, GaussPoly)
         for node in c.atoms(sympy.Function)
         if getattr(node.func, "spec", None) is not None and node.func.bump in pins))
     args = compile_exprs([node.args[0] for node in nodes], form.chart)(point)
@@ -317,16 +319,17 @@ def check_stable(s: SpinorStructure) -> StabilityResult:
     stored = s.rho.coefficients.get(())
     if stored is None:
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
-    p, s0 = chart.to_ring(stored), as_expr(stored)
-    if p is None:
+    s0_ring, s0 = chart.to_ring(stored), as_expr(stored)
+    if s0_ring is None:
         raise SpinorError(f"degree-0 part {s0} is not a polynomial over QQ_I "
                           f"in the legs of chart {chart.name!r}")
-    q, one = chart.conj_poly(p), [chart.ring.one]
-    if groebner([p, q], chart.ring) == one:
+    field = chart.extended_ring(0)
+    p, q, one = s0_ring.to_field(), chart.conj_poly(s0_ring).to_field(), [field.one]
+    if groebner([p, q], field) == one:
         return StabilityResult(True, None, "degree-0 part has empty zero set")
-    minors = [m for a, b in combinations(chart.ring.gens, 2)
+    minors = [m for a, b in combinations(field.gens, 2)
               if (m := p.diff(a) * q.diff(b) - p.diff(b) * q.diff(a))]
-    if groebner([p, q, *minors], chart.ring) == one:
+    if groebner([p, q, *minors], field) == one:
         return StabilityResult(
             True, s0, f"transverse: Groebner basis {{1}}; type change locus {{{s0} = 0}}")
     witness = _witness(chart, [p, *minors])

@@ -7,9 +7,9 @@ import random
 
 import sympy
 from hypothesis import strategies as st
-from sympy.polys.rings import PolyElement
 
 from gcx import Chart, CoordinateMap, GeneralizedSection, MixedForm
+from gcx.poly import GaussPoly
 
 
 def real_chart(n: int, name: str = "R") -> Chart:
@@ -19,7 +19,7 @@ def real_chart(n: int, name: str = "R") -> Chart:
 def ring_coefficients(form: MixedForm) -> dict | None:
     """The form's coefficients when every one is an element of
     ``chart.ring``, else None."""
-    if all(isinstance(c, PolyElement) for c in form.coefficients.values()):
+    if all(isinstance(c, GaussPoly) for c in form.coefficients.values()):
         return form.coefficients
     return None
 

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 import sympy
-from sympy.polys.rings import PolyElement
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
 import gcx
 import gcx.forms as forms_module
 import gcx.scalars as scalars_module
+from gcx.poly import GaussPoly
 
 from conftest import (
     gaussian_polys,
@@ -36,6 +37,7 @@ from gcx import (
     Region,
     RegionError,
     bump_function,
+    check_integrable,
     clifford,
     courant_bracket,
     d,
@@ -51,7 +53,7 @@ from gcx import (
     wedge,
 )
 from gcx.forms import lie_derivative, vector_bracket, wedge_power
-from gcx.runner import corpus_dir
+from gcx.runner import corpus_dir, corpus_files, run
 from gcx.scalars import compile_exprs, pin_bumps
 from gcx.spinor import (RADIAL_PROFILES, build_gluck_spinor, build_luttinger_spinor,
                         collar_charts, disk_to_complex_map, luttinger_gluing_map,
@@ -315,6 +317,44 @@ def test_section_accepts_ring_element_coefficients():
     z1z2 = ch.symbol("z1") * ch.symbol("z2")
     from_product = GeneralizedSection.make(ch, {"z1": ch.ring.gens[0] * ch.ring.gens[2]})
     assert from_product.vector == GeneralizedSection.make(ch, {"z1": z1z2}).vector
+
+
+def test_section_stores_its_vector_as_read(monkeypatch):
+    sc = parse_scenario("chart C = complex z1, complex z2\nspinor s = on C; rho z1 + dz1^dz2; "
+                        "vector z1b = 0, z2 = 3*z1b; covector 0*dz1\n")
+    C, s = sc.charts["C"], sc.spinors["s"]
+    z1, z1b, z2, z2b = C.ring.gens
+    # the structural zero is left out, and 3*z1b stays a ring element
+    assert s.certificate.vector == (("z2", 3 * z1b),)
+    assert isinstance(s.certificate.vector_map["z2"], GaussPoly)
+    seen = []
+    scalar_of = forms_module.scalar_of
+
+    def spy(chart, value):
+        seen.append(value)
+        return scalar_of(chart, value)
+
+    monkeypatch.setattr(forms_module, "scalar_of", spy)
+    check_integrable(s)
+    assert seen and all(isinstance(v, GaussPoly) for v in seen)
+
+
+def test_ring_vectors_pair_and_bracket_as_expressions():
+    ch = Chart("C", [("z1", "complex"), ("x1", "real")])
+    z1, z1b, x1 = ch.symbols
+    X = {"z1": z1 * x1 / 3, "x1": sympy.Integer(2)}
+    Y = {"z1b": x1 ** 2, "z1": sympy.I * z1b}
+    ring_X, ring_Y = ({k: ch.to_ring(v) for k, v in V.items()} for V in (X, Y))
+    xi = MixedForm(ch, {(0,): z1b, (2,): sympy.sin(x1)})
+    eta = MixedForm(ch, {(1,): x1 / 2, (2,): z1})
+    s1, s2 = GeneralizedSection.make(ch, ring_X, xi), GeneralizedSection.make(ch, ring_Y, eta)
+    assert all(isinstance(v, GaussPoly) for _, v in s1.vector + s2.vector)
+    # eta(X) = z1 * 2 and xi(Y) = z1b * i z1b
+    assert sympy.expand(pairing(s1, s2) - (2 * z1 + sympy.I * z1b ** 2) / 2) == 0
+    bracket = vector_bracket(X, Y, ch)
+    assert set(vector_bracket(ring_X, ring_Y, ch)) == set(bracket)
+    for name, value in vector_bracket(ring_X, ring_Y, ch).items():
+        assert sympy.expand(value - bracket[name]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +739,7 @@ def test_ring_interior_matches_expression_path(a, vector):
     reached = {tuple(i for i in key if i != 0) for key in form.coefficients if 0 in key}
     assert reached <= set(mixed.coefficients)
     for key, c in mixed.coefficients.items():
-        assert isinstance(c, PolyElement) == (key not in reached), key
+        assert isinstance(c, GaussPoly) == (key not in reached), key
     assert form_equal(mixed, interior(others, form) + interior({"z1": sympy.sqrt(2)}, form))
     # a ring-element field acts on an expression form too
     ring_X = {name: _RING_CHART.to_ring(c) for name, c in X.items()}
@@ -738,8 +778,8 @@ def test_form_equal_decides_ring_keys_of_a_mixed_form_in_the_ring(monkeypatch):
                         "form F on C = z1**2*dz1 + pi*(z2 + 1)*dz2\n"
                         "form G on C = z1*z1*dz1 + (pi*z2 + pi)*dz2\n")
     F, G = sc.forms["F"], sc.forms["G"]
-    assert isinstance(F.coefficients[(0,)], PolyElement)
-    assert isinstance(G.coefficients[(0,)], PolyElement)
+    assert isinstance(F.coefficients[(0,)], GaussPoly)
+    assert isinstance(G.coefficients[(0,)], GaussPoly)
     reads = []
     real_read = scalars_module.read_fractions
 
@@ -774,8 +814,25 @@ def test_polynomial_coefficients_stay_in_the_ring_beside_an_expression():
     # expression
     dG = d(G)
     assert dG.coefficients[(0, 3)] == -z1
-    assert not isinstance(dG.coefficients[(0, 1)], PolyElement)
+    assert not isinstance(dG.coefficients[(0, 1)], GaussPoly)
     # f*F = (z1*z2 + z2**2)*(z2*dz1 + (z1 + 2*z2)*dz2) + pi*dz2
     pulled = pullback(f, F)
     assert pulled.coefficients[(0,)] == (z1 * z2 + z2 ** 2) * z2
-    assert not isinstance(pulled.coefficients[(2,)], PolyElement)
+    assert not isinstance(pulled.coefficients[(2,)], GaussPoly)
+
+
+def test_corpus_pass_converts_no_ring_constant(monkeypatch):
+    # a ring constant becomes an expression as its number: no polynomial
+    # conversion runs for it, as a factor of an expression or anywhere else
+    ground = []
+    as_expr = PolyElement.as_expr
+
+    def spy(self, *symbols):
+        if self.is_ground:
+            ground.append(self)
+        return as_expr(self, *symbols)
+
+    monkeypatch.setattr(PolyElement, "as_expr", spy)
+    for path in corpus_files():
+        assert run(load_scenario(path)).ok, path.name
+    assert ground == []

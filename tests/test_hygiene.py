@@ -3,8 +3,9 @@ no module imports numpy or mpmath, numpy is no declared dependency, gcds
 and sympy's expansion run only in the functions listed for each, nothing
 calls sympy's ``cancel``, ``together``, ``solve`` or ``subs``, no function
 asks whether a whole form is polynomial, only
-``scalars.read_fractions`` reads ``Chart.fractions``, and package code
-reads form coefficients as stored, not through their expression view."""
+``scalars.read_fractions`` reads ``Chart.fractions``, package code
+reads form coefficients as stored, not through their expression view,
+and ``QQ_I`` is named only where a coefficient leaves the kernel."""
 
 import ast
 import re
@@ -105,13 +106,14 @@ _SIMPLIFIERS = ("cancel", "together", "expand", "gcd", "solve", "subs")
 # so no function may cancel; stability is decided by Groebner bases, so
 # no function may call solve; a pullback or composition substitutes with
 # xreplace, and a ring image with maps._substitute, so no function may
-# call subs
+# call subs; the kernel's coefficients take no gcd, and the inverse of a
+# constant takes one of three integers
 _CANCEL_SITES: set[str] = set()
 _SIMPLIFIER_SITES = {
     "cancel": _CANCEL_SITES,
     "together": _CANCEL_SITES,
     "expand": {"scenario._point"},
-    "gcd": {"scalars._lowest_terms"},
+    "gcd": {"scalars._lowest_terms", "poly.GaussPoly.inverse"},
     "solve": set(),
     "subs": set(),
 }
@@ -202,6 +204,41 @@ def test_coefficients_are_read_as_stored():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "coefficient"}
     assert calls == set()
+
+
+# QQ_I, sympy's Gaussian rationals, is named only where a coefficient
+# leaves the kernel: the rings of the fraction reader and the solvers
+# (Chart.extended_ring), the exact certificate's rref, the stability
+# check's polynomials on an axis, and the parser's ground values.  Kernel
+# arithmetic runs on gcx.poly's fraction-free coefficients.
+_QQ_I_SITES = {
+    "chart.Chart.extended_ring",
+    "spinor",  # _T_RING
+    "spinor._exact_certificate",
+    "spinor._witness",
+    "scenario.ExprParser.atom",
+    "scenario.ExprParser.name_atom",
+}
+
+
+def name_reads(source: str, module: str, name: str) -> set[str]:
+    """The dotted names of the functions and classes, or the module, that
+    read the name ``name``; an import binds it but does not read it."""
+    return {scope for node, scope in _scoped(source, module)
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)}
+
+
+def test_gaussian_rationals_only_at_the_kernel_boundaries():
+    readers = set().union(*(name_reads(path.read_text(), path.stem, "QQ_I")
+                            for path in _PACKAGE.glob("*.py")))
+    assert readers == _QQ_I_SITES
+
+
+def test_name_reads_names_the_module_or_the_enclosing_function():
+    source = ("from d import QQ_I\nR = ring(QQ_I)\n"
+              "class P:\n    def atom(self):\n        return QQ_I(0, 1)\n"
+              "def f():\n    QQ_I = 1\n")
+    assert name_reads(source, "m", "QQ_I") == {"m", "m.P.atom"}
 
 
 def test_attribute_reads_names_the_enclosing_function():

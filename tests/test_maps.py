@@ -2,13 +2,13 @@
 
 import pytest
 import sympy
-from sympy.polys.rings import PolyElement
 
 from conftest import real_chart, ring_coefficients
-from gcx import (Chart, CoordinateMap, MixedForm, build_luttinger_spinor, parse_scenario,
-                 pullback)
+from gcx import (Chart, CoordinateMap, MixedForm, build_luttinger_spinor, form_equal,
+                 parse_scenario, pullback)
 from gcx.forms import scalar_of
 from gcx.maps import MapError
+from gcx.poly import GaussPoly
 from gcx.spinor import collar_charts, disk_to_complex_map, luttinger_gluing_map
 import gcx.maps as maps_module
 
@@ -80,6 +80,30 @@ def test_pullback_differentiates_each_image_once(monkeypatch, polynomial):
     assert len(calls) == B.dim
 
 
+def test_ring_pullback_along_a_polynomial_map_converts_nothing(monkeypatch):
+    # the xreplace substitution of the map's expressions is built only for
+    # a coefficient that needs it
+    A, B = real_chart(2, "A"), real_chart(2, "B")
+    x1, x2 = A.symbols
+    f = CoordinateMap.make(A, B, {"x1": x1 * x2, "x2": x1 + x2 ** 2 / 3})
+    y1, y2 = B.symbols
+    a = MixedForm(B, {(0,): scalar_of(B, y1 * y2 / 2), (0, 1): scalar_of(B, y2)})
+    conversions = []
+
+    def spy(c):
+        conversions.append(c)
+        return sympy.sympify(c)
+
+    monkeypatch.setattr(maps_module, "as_expr", spy)
+    monkeypatch.setattr(GaussPoly, "as_expr", spy)
+    pulled = pullback(f, a)
+    assert conversions == []
+    assert ring_coefficients(pulled) is not None
+    monkeypatch.undo()
+    # the same form with expression coefficients takes the xreplace path
+    assert form_equal(pulled, pullback(f, MixedForm(B, {(0,): y1 * y2 / 2, (0, 1): y2})))
+
+
 MAP_SCENARIO = """\
 chart C = complex z1, complex z2, real x1
 chart D = complex w1, real u1
@@ -94,7 +118,7 @@ def test_parsed_polynomial_map_keeps_ring_images():
     f, C = sc.maps["f"], sc.charts["C"]
     values = dict(f.assignments)
     # the parser's ring elements, with the conjugate leg filled in the ring
-    assert all(isinstance(values[leg.name], PolyElement) for leg in f.target.legs)
+    assert all(isinstance(values[leg.name], GaussPoly) for leg in f.target.legs)
     assert values["w1b"] == C.conj_poly(values["w1"])
     images = f.ring_images
     assert [C.to_ring(f.table[leg.name]) for leg in f.target.legs] == list(images)

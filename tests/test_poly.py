@@ -1,0 +1,123 @@
+"""Fraction-free coefficients against the Gaussian-rational reference.
+
+Each property draws polynomials over the Gaussian rationals, reads them
+as :class:`GaussPoly` values, some in unreduced form (numerator and
+denominator both scaled by an integer), and checks every operation
+against the same operation on sympy's ``QQ_I`` polynomials.
+"""
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from conftest import gaussian_polys
+from gcx import Chart
+from gcx.maps import _substitute
+from gcx.poly import GaussPoly
+
+_CHART = Chart("poly", [("z1", "complex"), ("z2", "complex"), ("x1", "real"), ("r", "radial")])
+_RING = _CHART.ring
+_FIELD = _CHART.extended_ring(0)
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def _pairs(draw):
+    """(value, its reference in QQ_I[legs]); the value's numerator and
+    denominator are both multiplied by a drawn integer."""
+    reference = _FIELD.from_expr(sympy.expand(draw(gaussian_polys(_CHART))))
+    value = _RING.from_field(reference)
+    k = draw(st.integers(1, 12))
+    return GaussPoly(_RING, value.num * k, value.den * k), reference
+
+
+def _is(value: GaussPoly, reference) -> bool:
+    """The value is the reference, in lowest terms and as an expression."""
+    return (value.to_field() == reference and value.as_expr() == reference.as_expr()
+            and bool(value) == bool(reference))
+
+
+@_SETTINGS
+@given(_pairs(), _pairs())
+def test_ring_operations_match_the_reference(p, q):
+    (a, ref_a), (b, ref_b) = p, q
+    assert _is(a + b, ref_a + ref_b)
+    assert _is(a - b, ref_a - ref_b)
+    assert _is(-a, -ref_a)
+    assert _is(a * b, ref_a * ref_b)
+    assert _is(a + 3, ref_a + 3) and _is(2 * a, ref_a * 2) and _is(a / -6, ref_a / -6)
+
+
+@_SETTINGS
+@given(_pairs(), st.integers(0, 3))
+def test_powers_match_the_reference(p, n):
+    a, ref = p
+    if not a and n == 0:
+        with pytest.raises(ValueError):
+            a ** n
+        return
+    assert _is(a ** n, ref ** n)
+
+
+@_SETTINGS
+@given(_pairs())
+def test_derivatives_and_conjugates_match_the_reference(p):
+    a, ref = p
+    for j in range(_CHART.dim):
+        assert _is(a.diff(j), ref.diff(_FIELD.gens[j]))
+    conj = [leg.conj for leg in _CHART.legs]
+    assert _is(_CHART.conj_poly(a), _FIELD({
+        tuple(monom[j] for j in conj): _FIELD.domain.new(c.x, -c.y) for monom, c in ref.items()}))
+
+
+@_SETTINGS
+@given(_pairs(), st.lists(_pairs(), min_size=6, max_size=6))
+def test_substitution_matches_the_reference(p, images):
+    a, ref = p
+    got = _substitute(a, tuple(value for value, _ in images), _RING)
+    assert _is(got, ref.compose(list(zip(_FIELD.gens, (image for _, image in images)))))
+
+
+@_SETTINGS
+@given(_pairs(), _pairs(), st.integers(1, 12))
+def test_equality_of_unreduced_representatives(p, q, k):
+    (a, ref_a), (b, ref_b) = p, q
+    scaled = GaussPoly(_RING, a.num * k, a.den * k)
+    assert scaled == a and hash(scaled) == hash(a)
+    assert (a == b) == (ref_a == ref_b)
+    assert (a == 0) == (not ref_a)
+    # against a sympy value, sympy compares the expression
+    assert a == ref_a.as_expr()
+
+
+def test_unreduced_example():
+    z1 = _RING.gens[0]
+    p = z1 * _RING.ground_new(sympy.Rational(1, 3)) + 1
+    assert GaussPoly(_RING, p.num * 2, p.den * 2) == p
+    assert (p.num, p.den) != (p.num * 2, p.den * 2)
+    assert str(GaussPoly(_RING, p.num * 2, p.den * 2)) == str(p.to_field())
+
+
+def test_constants_are_read_and_inverted_over_one_denominator():
+    c = _RING.ground_new(sympy.Rational(3, 2) + sympy.I / 3)
+    assert (c.num.LC.x, c.num.LC.y, c.den) == (9, 2, 6)
+    inverse = c.inverse()
+    assert inverse * c == 1 and inverse.as_expr() == sympy.Rational(54, 85) - sympy.I * 12 / 85
+    assert inverse.den == 85
+    assert _RING.ground_new(-4).inverse().as_expr() == sympy.Rational(-1, 4)
+    for value in (_RING.zero, _RING.gens[0]):
+        with pytest.raises(ZeroDivisionError):
+            value.inverse()
+
+
+def test_kernel_arithmetic_keeps_denominators_unreduced():
+    # sums, products, derivatives and conjugates run on the numerators and
+    # divide out no content: (2p, 6) stays over 6 until it leaves the kernel
+    z1, z1b, z2, z2b, x1, r = _RING.gens
+    p = z1 * 3 + x1 * z2b
+    a = GaussPoly(_RING, p.num * 2, 6)
+    b = (r * z1b - 2) / 4
+    assert (a + a).den == 6 and (a + b).den == 12 and (a * b).den == 24
+    assert (a ** 3).den == 216 and a.diff(0).den == 6 and _CHART.conj_poly(a).den == 6
+    assert a + a == p * 2 / 3 and a * b == p * (r * z1b - 2) / 12
+    assert a.to_field() == (p / 3).to_field()

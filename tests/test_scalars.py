@@ -243,7 +243,7 @@ def test_to_ring_agrees_with_from_expr(expr):
         assert ch.to_ring(expr) is None
         return
     try:
-        expected = ch.ring.from_expr(expr)
+        expected = ch.ring(expr)
     except ValueError:  # a denominator, a function, pi, a foreign symbol
         expected = None
     assert ch.to_ring(expr) == expected
@@ -264,8 +264,10 @@ def test_read_fractions_pins_bumps_and_rejects_undefined_values():
     ch = Chart("rf", [("z1", "complex")])
     z1, z1b = ch.symbols
     xi = bump_function("xi_read", 0.25, 0.5)(z1 * z1b)
-    x1 = ch.ring.gens[0]
-    assert read_fractions([xi * z1 + 1, x1], ch, {"xi_read": 1}) == ([(x1 + 1, {}), (x1, {})], ())
+    # a ring value is read as it is, into the fraction reader's ring
+    x1, read_x1 = ch.ring.gens[0], ch.extended_ring(0).gens[0]
+    assert read_fractions([xi * z1 + 1, x1], ch, {"xi_read": 1}) == (
+        [(read_x1 + 1, {}), (read_x1, {})], ())
     assert read_fractions([xi * z1], ch)[1] == (xi,)
     for value in (sympy.zoo * z1, sympy.nan, 1 / (z1 * (z1 + 1) - z1 ** 2 - z1)):
         with pytest.raises(EvaluationError, match="infinite or undefined value"):
