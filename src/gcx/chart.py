@@ -178,9 +178,9 @@ class Chart:
         of :attr:`ring` is read in lowest terms (:meth:`GaussPoly.to_field`).
         A negative power of a base that is zero in the ring raises
         ``ZeroDivisionError``.
-        :func:`~gcx.scalars.read_fractions`, the one caller, guards it.
+        :func:`~gcx.scalars.read_fractions`, the one caller, sympifies the
+        expressions and guards it.
         """
-        exprs = [e if isinstance(e, GaussPoly) else sympy.sympify(e) for e in exprs]
         found: dict = {}
         for e in exprs:
             if not isinstance(e, GaussPoly):
@@ -226,25 +226,19 @@ class Chart:
 
     # -- formal conjugation --------------------------------------------
 
-    def conj_expr(self, expr) -> sympy.Expr:
-        """Formal conjugation: swap z <-> zb, conjugate constants.
+    def conjugate(self, value):
+        """Formal conjugation: swap z <-> zb, conjugate constants, in
+        :attr:`ring` for an element of it.
 
-        Real-valued symbols (real/radial/angle legs, opaque bump
-        symbols) are fixed; elementary functions are conjugated
-        argument-wise, which is valid on the real domains this toolkit
-        restricts them to.
+        Real-valued symbols (real/radial/angle legs, opaque bump symbols)
+        are fixed; elementary functions are conjugated argument-wise, which
+        is valid on the real domains this toolkit restricts them to.
         """
-        expr = sympy.sympify(expr)
-        swap = {}
-        for i, leg in enumerate(self.legs):
-            if leg.conj != i:
-                swap[leg.symbol] = self.legs[leg.conj].symbol
-        return _conj_walk(expr, swap)
-
-    def conj_poly(self, p: GaussPoly) -> GaussPoly:
-        """Formal conjugation in :attr:`ring`: each exponent moves to the
-        conjugate leg's slot and each coefficient is conjugated."""
-        return p.conjugate(self._conj)
+        if isinstance(value, GaussPoly):
+            return value.conjugate(self._conj)
+        swap = {leg.symbol: self.legs[leg.conj].symbol
+                for i, leg in enumerate(self.legs) if leg.conj != i}
+        return _conj_walk(sympy.sympify(value), swap)
 
     @cached_property
     def _conj(self) -> tuple[int, ...]:

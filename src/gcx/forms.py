@@ -7,25 +7,25 @@ coefficients are dropped.
 
 Each coefficient is decided on its own.  It is an element of the chart's
 polynomial ring while it is a polynomial over the Gaussian rationals in
-the legs, and a sympy expression otherwise: two ring elements add and
-multiply in the ring (:func:`plus`, :func:`times`), and any other pair
-works on expressions.  So ``d``, conjugation, pullback along a polynomial
+the legs, and a sympy expression otherwise.  Coefficients combine with
+``+``, ``*`` and ``==``: two ring elements add and multiply in the ring,
+and a ring element meets an expression as the expression it converts to
+(:mod:`gcx.poly`).  So ``d``, conjugation, pullback along a polynomial
 map and :func:`form_equal` keep a polynomial coefficient exact beside a
-transcendental one.  A ring zero is an exact zero; an expression is zero
-when it is structurally zero (:func:`~gcx.scalars.is_structural_zero`):
-``0`` or a numeric zero such as ``Float(0.0)``.  No assumption query
-runs, so a coefficient that only simplifies to zero is kept until an
-identity check decides it.
+transcendental one.  A coefficient is zero when it is structurally zero
+(:func:`~gcx.scalars.is_structural_zero`): a ring element with a zero
+numerator, ``0``, or a numeric zero such as ``Float(0.0)``.  No
+assumption query runs, so a coefficient that only simplifies to zero is
+kept until an identity check decides it.
 
 A ring element is fraction-free (:class:`~gcx.poly.GaussPoly`): a
 numerator with Gaussian-integer coefficients over one positive integer
 denominator.  So the kernel's sums, products, derivatives, conjugates and
-pullback substitutions run on integers and take no gcd.  The hot loops
-(:func:`wedge`, the sums of each key) add and multiply two ring elements
-inline.  Two ring elements are compared by cross-multiplying their
-denominators.  A ring element is put in lowest terms only when it leaves
-the kernel: when it is read into ``QQ_I``, converted to an expression (a
-constant to its number) or printed.
+pullback substitutions run on integers and take no gcd.  Two ring
+elements are compared by cross-multiplying their denominators.  A ring
+element is put in lowest terms only when it leaves the kernel: when it is
+read into ``QQ_I``, converted to an expression (a constant to its number)
+or printed.
 
 Package code reads ``coefficients`` as stored.  ``terms`` and
 :meth:`MixedForm.coefficient` are the expression view for callers
@@ -84,45 +84,22 @@ def as_expr(c) -> sympy.Expr:
 
 def scalar_of(chart: Chart, value):
     """``value`` as an element of ``chart.ring`` when it is a polynomial
-    over the Gaussian rationals in the legs, else as an expression."""
+    over the Gaussian rationals in the legs, else as an expression.  An
+    element of another chart's ring raises :class:`FormError`."""
     ring = chart.to_ring(value)
-    return ring if ring is not None else as_expr(value)
-
-
-def plus(a, b):
-    """``a + b``: in the ring when both are ring elements, else as expressions."""
-    if type(a) is GaussPoly and type(b) is GaussPoly:
-        return a + b
-    return as_expr(a) + as_expr(b)
-
-
-def times(a, b):
-    """``a * b``: in the ring when both are ring elements, else as expressions."""
-    if type(a) is GaussPoly and type(b) is GaussPoly:
-        return a * b
-    return as_expr(a) * as_expr(b)
-
-
-def conjugate_of(chart: Chart, c):
-    """The formal conjugate of a coefficient, in the ring for a ring element."""
-    return chart.conj_poly(c) if isinstance(c, GaussPoly) else chart.conj_expr(c)
+    if ring is None and isinstance(value, GaussPoly):
+        raise FormError("coefficient chart mismatch")
+    return ring if ring is not None else sympy.sympify(value)
 
 
 def _add_to(data: dict, key, value) -> None:
     old = data.get(key)
-    if old is None:
-        data[key] = value
-    elif type(old) is GaussPoly and type(value) is GaussPoly:
-        data[key] = old + value
-    else:
-        data[key] = plus(old, value)
+    data[key] = value if old is None else old + value
 
 
 def _signed(sign: int, c):
-    """``sign * c``; a ring element is negated."""
-    if type(c) is GaussPoly:
-        return c if sign > 0 else -c
-    return sign * c
+    """``sign * c`` for a sign of +1 or -1, with no int read into the ring."""
+    return c if sign > 0 else -c
 
 
 class _ExprView(MappingABC):
@@ -176,8 +153,7 @@ class MixedForm:
             skey, sign = _sort_key(key)
             if sign:
                 _add_to(data, skey, _signed(sign, coeff))
-        self.coefficients = {k: v for k, v in data.items()
-                             if (v if type(v) is GaussPoly else not is_structural_zero(v))}
+        self.coefficients = {k: v for k, v in data.items() if not is_structural_zero(v)}
         self.terms = _ExprView(self.coefficients)
 
     # -- constructors ----------------------------------------------------
@@ -261,14 +237,14 @@ class MixedForm:
         """Multiply by a scalar: an expression or a ring element.  A ring
         coefficient scaled by a polynomial stays in the ring."""
         factor = scalar_of(self.chart, scalar)
-        return MixedForm(self.chart, {k: times(factor, c) for k, c in self.coefficients.items()})
+        return MixedForm(self.chart, {k: factor * c for k, c in self.coefficients.items()})
 
     def conjugate(self) -> "MixedForm":
         chart = self.chart
         data = {}
         for key, c in self.coefficients.items():
             skey, sign = _sort_key(chart.conj_index(i) for i in key)
-            _add_to(data, skey, _signed(sign, conjugate_of(chart, c)))
+            _add_to(data, skey, _signed(sign, chart.conjugate(c)))
         return MixedForm(chart, data)
 
     def real_part(self) -> "MixedForm":
@@ -315,9 +291,7 @@ def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
         for k2, c2 in b.coefficients.items():
             if set(k1) & set(k2):
                 continue
-            c = _signed(_merge_sign(k1, k2), c1)
-            c = c * c2 if type(c) is GaussPoly and type(c2) is GaussPoly else times(c, c2)
-            _add_to(data, tuple(sorted(k1 + k2)), c)
+            _add_to(data, tuple(sorted(k1 + k2)), _signed(_merge_sign(k1, k2), c1) * c2)
     return MixedForm(a.chart, data)
 
 
@@ -350,7 +324,7 @@ def d(a: MixedForm) -> MixedForm:
             if j in key:
                 continue
             dc = c.diff(j if ring else v)
-            if not dc if ring else is_structural_zero(dc):
+            if is_structural_zero(dc):
                 continue
             pos = sum(1 for i in key if i < j)
             _add_to(data, tuple(sorted(key + (j,))), _signed((-1) ** pos, dc))
@@ -374,7 +348,7 @@ def interior(X: Mapping[str, sympy.Expr], a: MixedForm) -> MixedForm:
         for t, j in enumerate(key):
             xc = idx.get(j)
             if xc is not None:
-                _add_to(data, key[:t] + key[t + 1:], times(_signed((-1) ** t, xc), c))
+                _add_to(data, key[:t] + key[t + 1:], _signed((-1) ** t, xc) * c)
     return MixedForm(chart, data)
 
 

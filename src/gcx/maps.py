@@ -9,7 +9,7 @@ from typing import Mapping, Optional
 import sympy
 
 from .chart import Chart
-from .forms import FormError, MixedForm, as_expr, conjugate_of, d_scalar, wedge_list
+from .forms import FormError, MixedForm, as_expr, d_scalar, wedge_list
 from .poly import GaussPoly, GaussRing
 from .scalars import is_structural_zero
 
@@ -44,9 +44,9 @@ class CoordinateMap:
             if coord.kind == "complex":
                 bname = coord.name + "b"
                 if coord.name in table and bname not in table:
-                    table[bname] = conjugate_of(source, table[coord.name])
+                    table[bname] = source.conjugate(table[coord.name])
                 elif bname in table and coord.name not in table:
-                    table[coord.name] = conjugate_of(source, table[bname])
+                    table[coord.name] = source.conjugate(table[bname])
         missing = [leg.name for leg in target.legs if leg.name not in table]
         if missing:
             raise MapError(f"map {name!r} misses target legs {missing}")

@@ -18,11 +18,17 @@ for the solvers and the fraction reader), converting it to a sympy
 expression, and printing it.  A :class:`GaussRing` is built on that
 Gaussian-rational ring, reads values from it and from sympy, and makes
 the generators, ``zero`` and ``one``.
+
+A value meets a sympy expression through Python's operators: ``+``,
+``-``, ``*`` and ``==`` return ``NotImplemented`` for a sympy operand,
+which reads the value with :meth:`GaussPoly.as_expr`.  So coefficients of
+either kind combine with no test of their kind.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from fractions import Fraction
 from math import gcd, lcm
 
 import sympy
@@ -74,8 +80,15 @@ class GaussRing:
         return GaussPoly(self, num, den)
 
     def ground_new(self, value) -> "GaussPoly":
-        """The constant ``value``: an element of ``QQ_I``, ``QQ`` or ``ZZ_I``,
-        an int, or a sympy Gaussian rational such as ``Rational(1, 3)`` or ``I``."""
+        """The constant ``value``: an int or a ``Fraction``, taken straight to
+        its numerator and denominator; or an element of ``QQ_I``, ``QQ`` or
+        ``ZZ_I``, or a sympy Gaussian rational such as ``Rational(1, 3)`` or
+        ``I``, read through :attr:`field`'s domain."""
+        if isinstance(value, (int, Fraction)):
+            num = self.numerators.zero
+            if value:
+                num[self.numerators.zero_monom] = _GAUSSIAN_INTEGER.new(value.numerator, 0)
+            return GaussPoly(self, num, value.denominator)
         c = self.field.domain.convert(value)
         return self.from_field({self.field.zero_monom: c} if c else {})
 
@@ -90,7 +103,7 @@ class GaussPoly:
     """``num / den``: ``num`` in ``ring.numerators``, ``den`` a positive int.
 
     Immutable; the arithmetic accepts two elements of one ring, or an
-    element and an int.
+    element and an int, and leaves any other operand to it.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -104,7 +117,7 @@ class GaussPoly:
         if type(other) is GaussPoly:
             return other
         if isinstance(other, int):
-            return GaussPoly(self.ring, self.ring.numerators.ground_new(other), 1)
+            return self.ring.ground_new(other)
         return NotImplemented
 
     # -- arithmetic ------------------------------------------------------
@@ -187,8 +200,11 @@ class GaussPoly:
 
     def __eq__(self, other):
         """Equal values, by cross-multiplying the denominators; an int
-        compares as a constant.  Against a sympy value, ``NotImplemented``
-        lets sympy compare it with :meth:`as_expr`."""
+        compares as a constant, and ``0`` as a zero numerator.  Against a
+        sympy value, ``NotImplemented`` lets sympy compare it with
+        :meth:`as_expr`."""
+        if type(other) is int and not other:
+            return not self.num
         other = self._coerce(other)
         if other is NotImplemented:
             return other

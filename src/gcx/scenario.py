@@ -24,11 +24,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Union
 
 import sympy
-from sympy.polys.domains import QQ, QQ_I
 
 from .chart import Chart, Region
 from .forms import (
-    GeneralizedSection, MixedForm, as_expr, d as ext_d, exp_form, plus, scalar_of, times, wedge,
+    GeneralizedSection, MixedForm, as_expr, d as ext_d, exp_form, scalar_of, wedge,
 )
 from .maps import CoordinateMap, pullback
 from .poly import GaussPoly
@@ -239,7 +238,7 @@ class ExprParser:
     def atom(self) -> Value:
         tok = self.ts.next()
         if tok.kind == "number":
-            return self.chart.ring.ground_new(QQ_I(QQ(Fraction(tok.text)), QQ.zero))
+            return self.chart.ring.ground_new(Fraction(tok.text))
         if tok.text == "(":
             inner = self.parse()
             self.ts.expect(")")
@@ -255,7 +254,7 @@ class ExprParser:
     def name_atom(self, tok: Token) -> Value:
         name = tok.text
         if name == "i":
-            return self.chart.ring.ground_new(QQ_I(0, 1))
+            return self.chart.ring.ground_new(sympy.I)
         if name == "pi":
             return sympy.pi
         if self.ts.peek() is not None and self.ts.peek().text == "(":
@@ -323,19 +322,15 @@ class ExprParser:
         """``value`` times a scalar, kept in the ring as MixedForm.scale keeps it."""
         if isinstance(value, MixedForm):
             return value.scale(factor)
-        if type(factor) is GaussPoly and type(value) is GaussPoly:
-            return factor * value
-        return self.expr(times(scalar_of(self.chart, factor), value))
+        return self.expr(scalar_of(self.chart, factor) * value)
 
     def combine(self, op: str, a: Value, b: Value, line: int) -> Value:
         if op == "-":
             op, b = "+", -b
         if op == "+":
-            if type(a) is GaussPoly and type(b) is GaussPoly:
-                return a + b
             if isinstance(a, MixedForm) or isinstance(b, MixedForm):
                 return self.form(a) + self.form(b)
-            return self.expr(plus(a, b))
+            return self.expr(a + b)
         if op == "^":
             a, b = self.form(a), self.form(b)
             out = wedge(a, b)

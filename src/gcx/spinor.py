@@ -324,7 +324,7 @@ def check_stable(s: SpinorStructure) -> StabilityResult:
         raise SpinorError(f"degree-0 part {s0} is not a polynomial over QQ_I "
                           f"in the legs of chart {chart.name!r}")
     field = chart.extended_ring(0)
-    p, q, one = s0_ring.to_field(), chart.conj_poly(s0_ring).to_field(), [field.one]
+    p, q, one = s0_ring.to_field(), chart.conjugate(s0_ring).to_field(), [field.one]
     if groebner([p, q], field) == one:
         return StabilityResult(True, None, "degree-0 part has empty zero set")
     minors = [m for a, b in combinations(field.gens, 2)

@@ -319,6 +319,22 @@ def test_section_accepts_ring_element_coefficients():
     assert from_product.vector == GeneralizedSection.make(ch, {"z1": z1z2}).vector
 
 
+def test_ring_element_of_another_chart_is_refused():
+    # read as an expression, it would carry the other chart's legs as
+    # foreign symbols
+    C = Chart("C", [("z1", "complex")])
+    D = Chart("D", [("w1", "complex")])
+    w1 = D.ring.gens[0]
+    with pytest.raises(FormError, match="coefficient chart mismatch"):
+        MixedForm(C, {(0,): w1})
+    with pytest.raises(FormError, match="coefficient chart mismatch"):
+        MixedForm.basis(C, "z1").scale(w1)
+    with pytest.raises(FormError, match="coefficient chart mismatch"):
+        interior({"z1": w1}, MixedForm.basis(C, "z1"))
+    with pytest.raises(FormError, match="coefficient chart mismatch"):
+        GeneralizedSection.make(C, {"z1": w1})
+
+
 def test_section_stores_its_vector_as_read(monkeypatch):
     sc = parse_scenario("chart C = complex z1, complex z2\nspinor s = on C; rho z1 + dz1^dz2; "
                         "vector z1b = 0, z2 = 3*z1b; covector 0*dz1\n")

@@ -5,7 +5,8 @@ calls sympy's ``cancel``, ``together``, ``solve`` or ``subs``, no function
 asks whether a whole form is polynomial, only
 ``scalars.read_fractions`` reads ``Chart.fractions``, package code
 reads form coefficients as stored, not through their expression view,
-and ``QQ_I`` is named only where a coefficient leaves the kernel."""
+``QQ_I`` is named only where a coefficient leaves the kernel, and a
+coefficient's kind is tested only where the algorithm differs by kind."""
 
 import ast
 import re
@@ -208,16 +209,15 @@ def test_coefficients_are_read_as_stored():
 
 # QQ_I, sympy's Gaussian rationals, is named only where a coefficient
 # leaves the kernel: the rings of the fraction reader and the solvers
-# (Chart.extended_ring), the exact certificate's rref, the stability
-# check's polynomials on an axis, and the parser's ground values.  Kernel
-# arithmetic runs on gcx.poly's fraction-free coefficients.
+# (Chart.extended_ring), the exact certificate's rref, and the stability
+# check's polynomials on an axis.  Kernel arithmetic runs on gcx.poly's
+# fraction-free coefficients, and the parser reads its numbers straight
+# into them.
 _QQ_I_SITES = {
     "chart.Chart.extended_ring",
     "spinor",  # _T_RING
     "spinor._exact_certificate",
     "spinor._witness",
-    "scenario.ExprParser.atom",
-    "scenario.ExprParser.name_atom",
 }
 
 
@@ -247,3 +247,60 @@ def test_attribute_reads_names_the_enclosing_function():
               "def g(a):\n    return (lambda: a.ring_terms)()\n"
               "def h(a):\n    a.ring_terms = {}\n")
     assert attribute_reads(source, "m", "ring_terms") == {"m.A.f", "m.g"}
+
+
+# Coefficients of either kind combine with +, * and ==, so a value is
+# tested against GaussPoly only where the algorithm differs by kind:
+# reading into QQ_I, the ring-ring compare, the index-or-symbol
+# derivative, conjugation, pullback substitution and the map that keeps
+# its ring images for it, the chart checks, the bump pins, the conversion
+# to an expression, and the parser's constant divisor.
+_KIND_TEST_SITES = {
+    "chart.Chart.to_ring",
+    "chart.Chart.fractions",
+    "scalars.read_fractions",
+    "scalars.expr_equal",
+    "forms.d",
+    "chart.Chart.conjugate",
+    "maps.pullback",
+    "maps.CoordinateMap.make",
+    "forms.MixedForm.__init__",
+    "forms.MixedForm.evaluate_at",
+    "forms.scalar_of",
+    "spinor._require_plateau",
+    "forms.as_expr",
+    "scenario.ExprParser.combine",
+}
+
+
+def kind_tests(source: str, module: str) -> set[str]:
+    """The dotted names of the functions and classes that test a value
+    against ``GaussPoly`` with ``isinstance`` or ``type(...) is``."""
+    found = set()
+    for node, scope in _scoped(source, module):
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                and len(node.args) == 2):
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(c, "id", None) == "GaussPoly" for c in classes):
+                found.add(scope)
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot))
+                                                   for op in node.ops):
+            sides = [node.left, *node.comparators]
+            typed = any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "type"
+                        for n in sides)
+            if typed and any(getattr(n, "id", None) == "GaussPoly" for n in sides):
+                found.add(scope)
+    return found
+
+
+def test_coefficient_kind_is_tested_only_where_the_algorithm_differs():
+    sites = set().union(*(kind_tests(path.read_text(), path.stem)
+                          for path in _PACKAGE.glob("*.py") if path.name != "poly.py"))
+    assert sites == _KIND_TEST_SITES
+
+
+def test_kind_tests_reads_isinstance_and_type_is():
+    source = ("def f(a, b):\n    return type(a) is GaussPoly and type(b) is not GaussPoly\n"
+              "class M:\n    def g(self, c):\n        return isinstance(c, (int, GaussPoly))\n"
+              "def h(c):\n    return isinstance(c, MixedForm) or type(c) is int\n")
+    assert kind_tests(source, "m") == {"m.f", "m.M.g"}

@@ -119,7 +119,7 @@ def test_parsed_polynomial_map_keeps_ring_images():
     values = dict(f.assignments)
     # the parser's ring elements, with the conjugate leg filled in the ring
     assert all(isinstance(values[leg.name], GaussPoly) for leg in f.target.legs)
-    assert values["w1b"] == C.conj_poly(values["w1"])
+    assert values["w1b"] == C.conjugate(values["w1"])
     images = f.ring_images
     assert [C.to_ring(f.table[leg.name]) for leg in f.target.legs] == list(images)
 

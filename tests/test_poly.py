@@ -6,12 +6,16 @@ denominator both scaled by an integer), and checks every operation
 against the same operation on sympy's ``QQ_I`` polynomials.
 """
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
 
 from conftest import gaussian_polys
-from gcx import Chart
+from gcx import Chart, bump_function
+from gcx.forms import as_expr
 from gcx.maps import _substitute
 from gcx.poly import GaussPoly
 
@@ -66,7 +70,7 @@ def test_derivatives_and_conjugates_match_the_reference(p):
     for j in range(_CHART.dim):
         assert _is(a.diff(j), ref.diff(_FIELD.gens[j]))
     conj = [leg.conj for leg in _CHART.legs]
-    assert _is(_CHART.conj_poly(a), _FIELD({
+    assert _is(_CHART.conjugate(a), _FIELD({
         tuple(monom[j] for j in conj): _FIELD.domain.new(c.x, -c.y) for monom, c in ref.items()}))
 
 
@@ -118,6 +122,63 @@ def test_kernel_arithmetic_keeps_denominators_unreduced():
     a = GaussPoly(_RING, p.num * 2, 6)
     b = (r * z1b - 2) / 4
     assert (a + a).den == 6 and (a + b).den == 12 and (a * b).den == 24
-    assert (a ** 3).den == 216 and a.diff(0).den == 6 and _CHART.conj_poly(a).den == 6
+    assert (a ** 3).den == 216 and a.diff(0).den == 6 and _CHART.conjugate(a).den == 6
     assert a + a == p * 2 / 3 and a * b == p * (r * z1b - 2) / 12
     assert a.to_field() == (p / 3).to_field()
+
+
+# number tokens as the scenario parser reads them: digits, a point, digits
+_NUMBER_TEXTS = st.one_of(
+    st.integers(0, 10 ** 12).map(str),
+    st.builds("{}.{}".format, st.integers(0, 10 ** 6), st.from_regex(r"\A\d{0,8}\Z")),
+    st.from_regex(r"\A\.\d{1,8}\Z"),
+)
+
+
+@_SETTINGS
+@given(_NUMBER_TEXTS, st.booleans())
+def test_ground_values_are_read_straight_to_numerator_and_denominator(text, negative):
+    value = -Fraction(text) if negative else Fraction(text)
+    got = _RING.ground_new(value)
+    reference = _RING.ground_new(QQ_I(QQ(value), QQ.zero))
+    assert got == reference and (got.num, got.den) == (reference.num, reference.den)
+    if value.denominator == 1:
+        assert _RING.ground_new(int(value)) == reference
+    assert _is(got, _FIELD.ground_new(QQ_I(QQ(value), QQ.zero)))
+
+
+_Z1, _Z1B, _Z2, _Z2B, _X1, _R = _CHART.symbols
+# expression coefficients: transcendental, or a polynomial beside pi or a bump
+_EXPRESSIONS = st.sampled_from([
+    sympy.sin(_X1), sympy.pi * _Z1, bump_function("xi", 0.25, 0.5)(_R),
+    _Z1B * sympy.exp(_X1) + 2, sympy.sqrt(_R) / 3,
+])
+
+
+@_SETTINGS
+@given(_pairs(), _EXPRESSIONS)
+def test_ring_elements_meet_expressions_through_the_operators(p, e):
+    a, _ = p
+    ea = as_expr(a)
+
+    def same(got, want):
+        assert isinstance(got, sympy.Expr)
+        assert sympy.expand(got - want) == 0
+
+    same(a + e, ea + e)
+    same(e + a, e + ea)
+    same(a * e, ea * e)
+    same(e * a, e * ea)
+    same(a - e, ea - e)
+    same(e - a, e - ea)
+    assert a == ea and ea == a
+    assert (a == e) == (ea == e) and (e == a) == (e == ea)
+
+
+@_SETTINGS
+@given(_pairs(), st.integers(1, 12))
+def test_zero_test_is_exact_on_unreduced_representatives(p, k):
+    a, ref = p
+    unreduced = GaussPoly(_RING, a.num * (2 * k), a.den * (2 * k))
+    assert (unreduced == 0) == (0 == unreduced) == (not ref)
+    assert GaussPoly(_RING, (a - a).num, 6 * k) == 0
