@@ -99,6 +99,10 @@ class Chart:
     def dim(self) -> int:
         return len(self.legs)
 
+    def __contains__(self, name: str) -> bool:
+        """Whether the chart has a leg named ``name``."""
+        return name in self._index
+
     def leg_index(self, name: str) -> int:
         try:
             return self._index[name]

@@ -437,15 +437,13 @@ def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> sympy.Expr:
 def vector_bracket(X: Mapping[str, object], Y: Mapping[str, object],
                    chart: Chart) -> dict[str, sympy.Expr]:
     """Coordinate Lie bracket [X, Y]; the fields' coefficients are
-    expressions or ring elements."""
+    expressions or ring elements, each converted to an expression once."""
+    xs = [as_expr(X.get(leg.name, 0)) for leg in chart.legs]
+    ys = [as_expr(Y.get(leg.name, 0)) for leg in chart.legs]
     out: dict[str, sympy.Expr] = {}
-    for leg in chart.legs:
+    for leg, xk, yk in zip(chart.legs, xs, ys):
         acc = sympy.Integer(0)
-        for j, legj in enumerate(chart.legs):
-            xj = as_expr(X.get(legj.name, 0))
-            yj = as_expr(Y.get(legj.name, 0))
-            yk = as_expr(Y.get(leg.name, 0))
-            xk = as_expr(X.get(leg.name, 0))
+        for legj, xj, yj in zip(chart.legs, xs, ys):
             acc += xj * sympy.diff(yk, legj.symbol) - yj * sympy.diff(xk, legj.symbol)
         if not is_structural_zero(acc):
             out[leg.name] = acc

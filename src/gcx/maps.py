@@ -103,8 +103,8 @@ def _substitute(p: GaussPoly, images: tuple[GaussPoly, ...], ring: GaussRing) ->
     is divided by the denominator of ``p`` at the end."""
     out = ring.zero
     powers: dict[tuple[int, int], GaussPoly] = {}
-    for monom, coeff in p.num.iterterms():
-        term = GaussPoly(ring, ring.numerators.ground_new(coeff), 1)
+    for monom, coeff in p.num.items():
+        term = GaussPoly(ring, {ring.zero_monom: coeff}, 1)
         for i, n in enumerate(monom):
             if n:
                 power = powers.get((i, n))

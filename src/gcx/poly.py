@@ -1,23 +1,27 @@
-"""Fraction-free polynomial coefficients: a numerator in ``ZZ_I[legs]`` over
-one positive integer denominator.
+"""Fraction-free polynomial coefficients: a numerator of Gaussian-integer
+pairs over one positive integer denominator.
 
 A :class:`GaussPoly` is the value ``num / den`` of a polynomial ``num``
 with Gaussian-integer coefficients in a chart's legs and a positive
-integer ``den``.  Every kernel operation runs on the numerators, in
-integers: a sum over equal denominators adds numerators, any other sum
-scales each side by its quotient of the least common multiple of the two
-denominators, and a product multiplies numerators and denominators.  No
-operation takes the content gcd of a numerator, so a representation is
-not unique: ``(2p, 6)`` and ``(p, 3)`` are one value.  Equality
-cross-multiplies by the denominators, and a value is zero when its
-numerator is.
+integer ``den``.  The numerator is a plain dict that maps each monomial,
+a tuple of exponents in leg order, to its coefficient ``x + iy`` as the
+pair ``(x, y)`` of Python ints; no pair ``(0, 0)`` is ever stored, so the
+zero polynomial is the empty dict, and a zero value has denominator 1.
+
+Every kernel operation runs on the numerators, in integers: a sum over
+equal denominators adds numerators, any other sum scales each side by
+its quotient of the least common multiple of the two denominators, and a
+product multiplies numerators and denominators.  No operation takes the
+content gcd of a numerator, so a representation is not unique: ``(2p, 6)``
+and ``(p, 3)`` are one value.  Equality cross-multiplies by the
+denominators, and a value is zero when its numerator is.
 
 A value is put in lowest terms only where it leaves the kernel: reading
 it into the Gaussian-rational ring ``QQ_I[legs]`` (:meth:`GaussPoly.to_field`,
 for the solvers and the fraction reader), converting it to a sympy
 expression, and printing it.  A :class:`GaussRing` is built on that
 Gaussian-rational ring, reads values from it and from sympy, and makes
-the generators, ``zero`` and ``one``.
+the generators, ``zero``, ``one`` and ``i``.
 
 A value meets a sympy expression through Python's operators: ``+``,
 ``-``, ``*`` and ``==`` return ``NotImplemented`` for a sympy operand,
@@ -30,37 +34,73 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 import sympy
-from sympy.polys.domains import ZZ_I
 from sympy.polys.rings import PolyElement, PolyRing
 
-_GAUSSIAN_INTEGER = ZZ_I.dtype
+# a numerator: monomial -> (re, im), with no (0, 0) stored
+Numerator = dict[tuple[int, ...], tuple[int, int]]
 
 
-def _scaled(num: PolyElement, k: int) -> PolyElement:
-    """``num`` times the positive integer ``k``."""
-    if k == 1:
+def _times(num: Numerator, x: int, y: int) -> Numerator:
+    """``num`` times the nonzero Gaussian integer ``x + iy``."""
+    if y:
+        return {m: (a * x - b * y, a * y + b * x) for m, (a, b) in num.items()}
+    if x == 1:
         return num
-    out = num.ring.zero
-    for monom, c in num.items():
-        out[monom] = c.new(c.x * k, c.y * k)
+    return {m: (a * x, b * x) for m, (a, b) in num.items()}
+
+
+def _sum(p: Numerator, q: Numerator) -> Numerator:
+    if len(q) > len(p):
+        p, q = q, p
+    out = dict(p)
+    for m, c in q.items():
+        old = out.get(m)
+        if old is None:
+            out[m] = c
+        else:
+            x, y = old[0] + c[0], old[1] + c[1]
+            if x or y:
+                out[m] = (x, y)
+            else:
+                del out[m]
     return out
+
+
+def _product(p: Numerator, q: Numerator) -> Numerator:
+    out: Numerator = {}
+    merged = False
+    for mp, (xp, yp) in p.items():
+        for mq, (xq, yq) in q.items():
+            m = tuple(map(add, mp, mq))
+            x, y = xp * xq - yp * yq, xp * yq + yp * xq
+            old = out.get(m)
+            if old is not None:
+                x, y, merged = x + old[0], y + old[1], True
+            out[m] = (x, y)
+    # a product of nonzero Gaussian integers is nonzero, so only a merged
+    # sum can be a zero pair
+    return {m: c for m, c in out.items() if c[0] or c[1]} if merged else out
 
 
 class GaussRing:
     """The values of the Gaussian-rational polynomial ring ``field`` as
-    ``num / den``: ``num`` in the same generators over ``ZZ_I``
-    (``numerators``), ``den`` a positive integer."""
+    ``num / den``: ``num`` a dict of Gaussian-integer pairs in the same
+    generators, ``den`` a positive integer."""
 
-    __slots__ = ("field", "numerators", "gens", "zero", "one")
+    __slots__ = ("field", "zero_monom", "gens", "zero", "one", "i")
 
     def __init__(self, field: PolyRing):
         self.field = field
-        self.numerators = field.clone(domain=ZZ_I)
-        self.gens = tuple(GaussPoly(self, g, 1) for g in self.numerators.gens)
-        self.zero = GaussPoly(self, self.numerators.zero, 1)
-        self.one = GaussPoly(self, self.numerators.one, 1)
+        n = field.ngens
+        self.zero_monom = (0,) * n
+        self.gens = tuple(GaussPoly(self, {(0,) * j + (1,) + (0,) * (n - j - 1): (1, 0)}, 1)
+                          for j in range(n))
+        self.zero = GaussPoly(self, {}, 1)
+        self.one = GaussPoly(self, {self.zero_monom: (1, 0)}, 1)
+        self.i = GaussPoly(self, {self.zero_monom: (0, 1)}, 1)
 
     def __eq__(self, other):
         return isinstance(other, GaussRing) and self.field == other.field
@@ -73,24 +113,21 @@ class GaussRing:
         the least common denominator of its coefficients."""
         terms = [(monom, c.x, c.y) for monom, c in p.items()]
         den = lcm(*(q.denominator for _, x, y in terms for q in (x, y)))
-        num = self.numerators.zero
-        for monom, x, y in terms:
-            num[monom] = _GAUSSIAN_INTEGER.new(x.numerator * (den // x.denominator),
-                                               y.numerator * (den // y.denominator))
+        num = {monom: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+               for monom, x, y in terms}
         return GaussPoly(self, num, den)
 
     def ground_new(self, value) -> "GaussPoly":
         """The constant ``value``: an int or a ``Fraction``, taken straight to
-        its numerator and denominator; or an element of ``QQ_I``, ``QQ`` or
-        ``ZZ_I``, or a sympy Gaussian rational such as ``Rational(1, 3)`` or
-        ``I``, read through :attr:`field`'s domain."""
+        its numerator and denominator; or an element of ``QQ_I`` or ``QQ``,
+        or a sympy Gaussian rational such as ``Rational(1, 3)`` or ``I``,
+        read through :attr:`field`'s domain."""
         if isinstance(value, (int, Fraction)):
-            num = self.numerators.zero
-            if value:
-                num[self.numerators.zero_monom] = _GAUSSIAN_INTEGER.new(value.numerator, 0)
-            return GaussPoly(self, num, value.denominator)
+            if not value:
+                return self.zero
+            return GaussPoly(self, {self.zero_monom: (value.numerator, 0)}, value.denominator)
         c = self.field.domain.convert(value)
-        return self.from_field({self.field.zero_monom: c} if c else {})
+        return self.from_field({self.zero_monom: c} if c else {})
 
     def __call__(self, value) -> "GaussPoly":
         """``value`` as :attr:`field` reads it: a number, an expression (a
@@ -100,7 +137,8 @@ class GaussRing:
 
 
 class GaussPoly:
-    """``num / den``: ``num`` in ``ring.numerators``, ``den`` a positive int.
+    """``num / den``: ``num`` a dict ``{monomial: (re, im)}`` of Python ints
+    with no zero pair, ``den`` a positive int.
 
     Immutable; the arithmetic accepts two elements of one ring, or an
     element and an int, and leaves any other operand to it.
@@ -108,7 +146,7 @@ class GaussPoly:
 
     __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring: GaussRing, num: PolyElement, den: int):
+    def __init__(self, ring: GaussRing, num: Numerator, den: int):
         self.ring = ring
         self.num = num
         self.den = den
@@ -120,6 +158,9 @@ class GaussPoly:
             return self.ring.ground_new(other)
         return NotImplemented
 
+    def _new(self, num: Numerator, den: int) -> "GaussPoly":
+        return GaussPoly(self.ring, num, den if num else 1)
+
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -128,16 +169,15 @@ class GaussPoly:
             return other
         den = self.den
         if den == other.den:
-            num = self.num + other.num
-        else:
-            den = lcm(den, other.den)
-            num = _scaled(self.num, den // self.den) + _scaled(other.num, den // other.den)
-        return GaussPoly(self.ring, num, den if num else 1)
+            return self._new(_sum(self.num, other.num), den)
+        den = lcm(den, other.den)
+        return self._new(_sum(_times(self.num, den // self.den, 0),
+                              _times(other.num, den // other.den, 0)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussPoly(self.ring, -self.num, self.den)
+        return self._new(_times(self.num, -1, 0), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -149,13 +189,27 @@ class GaussPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        num = self.num * other.num
-        return GaussPoly(self.ring, num, self.den * other.den if num else 1)
+        p, q, zero = self.num, other.num, self.ring.zero_monom
+        if len(q) == 1 and zero in q:
+            num = _times(p, *q[zero])
+        elif len(p) == 1 and zero in p:
+            num = _times(q, *p[zero])
+        else:
+            num = _product(p, q)
+        return self._new(num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return GaussPoly(self.ring, self.num ** n, self.den ** n)
+        """``self ** n`` for an int ``n >= 0``; ``0 ** 0`` is a ``ValueError``."""
+        if n < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {n}")
+        if not (n or self.num):
+            raise ValueError("0**0")
+        out = self.ring.one
+        for _ in range(n):
+            out = out * self
+        return out
 
     def __truediv__(self, k):
         """``self / k`` for a nonzero int ``k``."""
@@ -163,35 +217,32 @@ class GaussPoly:
             return NotImplemented
         if not k:
             raise ZeroDivisionError("division by zero")
-        return GaussPoly(self.ring, self.num if k > 0 else -self.num, self.den * abs(k))
+        return self._new(self.num if k > 0 else _times(self.num, -1, 0), self.den * abs(k))
 
     def inverse(self) -> "GaussPoly":
         """``1 / self`` for a nonzero constant, in lowest terms:
         ``den * conj(g) / |g|**2`` for the numerator ``g``."""
-        if not (self.num and self.num.is_ground):
+        if not (self.num and self.is_ground):
             raise ZeroDivisionError(f"{self} is not a nonzero constant")
-        g = self.num.LC
-        x, y, norm = self.den * g.x, -self.den * g.y, g.x * g.x + g.y * g.y
+        gx, gy = self.num[self.ring.zero_monom]
+        x, y, norm = self.den * gx, -self.den * gy, gx * gx + gy * gy
         k = gcd(x, y, norm)
-        return GaussPoly(self.ring, self.ring.numerators.ground_new(
-            _GAUSSIAN_INTEGER.new(x // k, y // k)), norm // k)
+        return GaussPoly(self.ring, {self.ring.zero_monom: (x // k, y // k)}, norm // k)
 
     def diff(self, j: int) -> "GaussPoly":
         """The partial derivative in the ``j``-th leg."""
-        out = self.num.ring.zero
-        for monom, c in self.num.items():
+        out = {}
+        for monom, (x, y) in self.num.items():
             e = monom[j]
             if e:
-                out[monom[:j] + (e - 1,) + monom[j + 1:]] = c.new(c.x * e, c.y * e)
-        return GaussPoly(self.ring, out, self.den if out else 1)
+                out[monom[:j] + (e - 1,) + monom[j + 1:]] = (x * e, y * e)
+        return self._new(out, self.den)
 
     def conjugate(self, conj) -> "GaussPoly":
         """The formal conjugate: each exponent moves to the slot ``conj``
         names for it, and each coefficient is conjugated."""
-        out = self.num.ring.zero
-        for monom, c in self.num.items():
-            out[tuple(monom[j] for j in conj)] = c.new(c.x, -c.y)
-        return GaussPoly(self.ring, out, self.den)
+        return self._new({tuple([monom[j] for j in conj]): (x, -y)
+                          for monom, (x, y) in self.num.items()}, self.den)
 
     # -- comparison ------------------------------------------------------
 
@@ -210,7 +261,7 @@ class GaussPoly:
             return other
         if self.den == other.den:
             return self.num == other.num
-        return _scaled(self.num, other.den) == _scaled(other.num, self.den)
+        return _times(self.num, other.den, 0) == _times(other.num, self.den, 0)
 
     def __hash__(self):
         return hash(self.as_expr())
@@ -219,7 +270,8 @@ class GaussPoly:
 
     @property
     def is_ground(self) -> bool:
-        return self.num.is_ground
+        num = self.num
+        return not num or (len(num) == 1 and self.ring.zero_monom in num)
 
     def to_field(self, field: PolyRing | None = None) -> PolyElement:
         """The value in lowest terms in ``ring.field``, or in ``field``: a
@@ -229,16 +281,16 @@ class GaussPoly:
         rationals = domain.dom
         pad = (0,) * (field.ngens - self.ring.field.ngens)
         out = field.zero
-        for monom, c in self.num.items():
-            out[monom + pad] = domain.dtype.new(rationals(c.x, den), rationals(c.y, den))
+        for monom, (x, y) in self.num.items():
+            out[monom + pad] = domain.dtype.new(rationals(x, den), rationals(y, den))
         return out
 
     def as_expr(self) -> sympy.Expr:
         """The value as a sympy expression, each coefficient in lowest
         terms; a constant is its number."""
-        if self.num.is_ground:
-            c = self.num.LC
-            return sympy.Rational(c.x, self.den) + sympy.Rational(c.y, self.den) * sympy.I
+        if self.is_ground:
+            x, y = self.num.get(self.ring.zero_monom, (0, 0))
+            return sympy.Rational(x, self.den) + sympy.Rational(y, self.den) * sympy.I
         return self.to_field().as_expr()
 
     def _sympy_(self) -> sympy.Expr:

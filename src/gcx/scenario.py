@@ -197,6 +197,8 @@ _SCALAR_FUNCS = {
 
 Value = Union[GaussPoly, sympy.Expr, MixedForm]  # a scalar, or a form
 
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "**": 4}
+
 
 class ExprParser:
     """Pratt parser over a fixed chart.  A scalar stays bare: in ``chart.ring``
@@ -215,7 +217,7 @@ class ExprParser:
             tok = self.ts.peek()
             if tok is None or tok.kind != "op":
                 break
-            prec = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "**": 4}.get(tok.text)
+            prec = _PRECEDENCE.get(tok.text)
             if prec is None or prec < min_prec:
                 break
             self.ts.next()
@@ -238,7 +240,8 @@ class ExprParser:
     def atom(self) -> Value:
         tok = self.ts.next()
         if tok.kind == "number":
-            return self.chart.ring.ground_new(Fraction(tok.text))
+            text = tok.text
+            return self.chart.ring.ground_new(int(text) if text.isdigit() else Fraction(text))
         if tok.text == "(":
             inner = self.parse()
             self.ts.expect(")")
@@ -254,15 +257,15 @@ class ExprParser:
     def name_atom(self, tok: Token) -> Value:
         name = tok.text
         if name == "i":
-            return self.chart.ring.ground_new(sympy.I)
+            return self.chart.ring.i
         if name == "pi":
             return sympy.pi
         if self.ts.peek() is not None and self.ts.peek().text == "(":
             return self.call(name, tok.line)
         # differential of a leg
-        if name.startswith("d") and name[1:] in {l.name for l in self.chart.legs}:
+        if name.startswith("d") and name[1:] in self.chart:
             return MixedForm.basis(self.chart, name[1:])
-        if name in {l.name for l in self.chart.legs}:
+        if name in self.chart:
             return self.chart.ring.gens[self.chart.leg_index(name)]
         if name in self.sc.forms:
             f = self.sc.forms[name]

@@ -373,6 +373,29 @@ def test_ring_vectors_pair_and_bracket_as_expressions():
         assert sympy.expand(value - bracket[name]) == 0
 
 
+def test_vector_bracket_converts_each_ring_entry_once(monkeypatch):
+    ch = Chart("C", [("z1", "complex"), ("z2", "complex"), ("x1", "real"), ("r", "radial")])
+    z1, z1b, z2, z2b, x1, r = ch.symbols
+    X = {"z1": z1 * x1 / 3 + z2b, "z2b": r ** 2 - sympy.I * z1, "x1": sympy.Integer(2),
+         "r": x1 * z2}
+    Y = {"z1b": x1 ** 2, "z1": sympy.I * z1b * r, "z2": z2 * z2b / 5}
+    ring_X, ring_Y = ({k: ch.to_ring(v) for k, v in V.items()} for V in (X, Y))
+    bracket = vector_bracket(X, Y, ch)
+    calls = []
+    original = GaussPoly.as_expr
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GaussPoly, "as_expr", counted)
+    got = vector_bracket(ring_X, ring_Y, ch)
+    assert len(calls) <= len(ring_X) + len(ring_Y)
+    assert set(got) == set(bracket)
+    for name, value in got.items():
+        assert sympy.expand(value - bracket[name]) == 0
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluation against a subs + N reference
 # ---------------------------------------------------------------------------

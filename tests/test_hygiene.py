@@ -6,7 +6,9 @@ asks whether a whole form is polynomial, only
 ``scalars.read_fractions`` reads ``Chart.fractions``, package code
 reads form coefficients as stored, not through their expression view,
 ``QQ_I`` is named only where a coefficient leaves the kernel, and a
-coefficient's kind is tested only where the algorithm differs by kind."""
+coefficient's kind is tested only where the algorithm differs by kind,
+and no module names sympy's Gaussian integers ``ZZ_I`` or reads a ring
+of them."""
 
 import ast
 import re
@@ -232,6 +234,15 @@ def test_gaussian_rationals_only_at_the_kernel_boundaries():
     readers = set().union(*(name_reads(path.read_text(), path.stem, "QQ_I")
                             for path in _PACKAGE.glob("*.py")))
     assert readers == _QQ_I_SITES
+
+
+def test_kernel_numerators_are_integer_pairs():
+    # a GaussPoly numerator is a dict of Python int pairs: no module reads
+    # sympy's Gaussian integers or a ring of them
+    sources = [(path.read_text(), path.stem) for path in _PACKAGE.glob("*.py")]
+    assert set().union(*(name_reads(source, module, "ZZ_I") for source, module in sources)) == set()
+    assert set().union(*(attribute_reads(source, module, "numerators")
+                         for source, module in sources)) == set()
 
 
 def test_name_reads_names_the_module_or_the_enclosing_function():

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 
-from conftest import gaussian_polys
+from conftest import GAUSSIAN_RATIONALS, gaussian_polys
 from gcx import Chart, bump_function
 from gcx.forms import as_expr
 from gcx.maps import _substitute
@@ -25,14 +25,23 @@ _FIELD = _CHART.extended_ring(0)
 _SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
+def _times(num: dict, k: int) -> dict:
+    """A numerator ``{monomial: (re, im)}`` times the positive int ``k``."""
+    return {monom: (x * k, y * k) for monom, (x, y) in num.items()}
+
+
+def _unreduced(value: GaussPoly, k: int) -> GaussPoly:
+    """The value with numerator and denominator both multiplied by ``k``."""
+    return GaussPoly(_RING, _times(value.num, k), value.den * k)
+
+
 @st.composite
 def _pairs(draw):
     """(value, its reference in QQ_I[legs]); the value's numerator and
     denominator are both multiplied by a drawn integer."""
     reference = _FIELD.from_expr(sympy.expand(draw(gaussian_polys(_CHART))))
     value = _RING.from_field(reference)
-    k = draw(st.integers(1, 12))
-    return GaussPoly(_RING, value.num * k, value.den * k), reference
+    return _unreduced(value, draw(st.integers(1, 12))), reference
 
 
 def _is(value: GaussPoly, reference) -> bool:
@@ -86,7 +95,7 @@ def test_substitution_matches_the_reference(p, images):
 @given(_pairs(), _pairs(), st.integers(1, 12))
 def test_equality_of_unreduced_representatives(p, q, k):
     (a, ref_a), (b, ref_b) = p, q
-    scaled = GaussPoly(_RING, a.num * k, a.den * k)
+    scaled = _unreduced(a, k)
     assert scaled == a and hash(scaled) == hash(a)
     assert (a == b) == (ref_a == ref_b)
     assert (a == 0) == (not ref_a)
@@ -97,14 +106,15 @@ def test_equality_of_unreduced_representatives(p, q, k):
 def test_unreduced_example():
     z1 = _RING.gens[0]
     p = z1 * _RING.ground_new(sympy.Rational(1, 3)) + 1
-    assert GaussPoly(_RING, p.num * 2, p.den * 2) == p
-    assert (p.num, p.den) != (p.num * 2, p.den * 2)
-    assert str(GaussPoly(_RING, p.num * 2, p.den * 2)) == str(p.to_field())
+    assert _unreduced(p, 2) == p
+    assert (p.num, p.den) != (_times(p.num, 2), p.den * 2)
+    assert str(_unreduced(p, 2)) == str(p.to_field())
 
 
 def test_constants_are_read_and_inverted_over_one_denominator():
     c = _RING.ground_new(sympy.Rational(3, 2) + sympy.I / 3)
-    assert (c.num.LC.x, c.num.LC.y, c.den) == (9, 2, 6)
+    assert (c.num, c.den) == ({_RING.zero_monom: (9, 2)}, 6)
+    assert _RING.i == _RING.ground_new(sympy.I) and _RING.i.num == {_RING.zero_monom: (0, 1)}
     inverse = c.inverse()
     assert inverse * c == 1 and inverse.as_expr() == sympy.Rational(54, 85) - sympy.I * 12 / 85
     assert inverse.den == 85
@@ -119,7 +129,7 @@ def test_kernel_arithmetic_keeps_denominators_unreduced():
     # divide out no content: (2p, 6) stays over 6 until it leaves the kernel
     z1, z1b, z2, z2b, x1, r = _RING.gens
     p = z1 * 3 + x1 * z2b
-    a = GaussPoly(_RING, p.num * 2, 6)
+    a = GaussPoly(_RING, _times(p.num, 2), 6)
     b = (r * z1b - 2) / 4
     assert (a + a).den == 6 and (a + b).den == 12 and (a * b).den == 24
     assert (a ** 3).den == 216 and a.diff(0).den == 6 and _CHART.conjugate(a).den == 6
@@ -179,6 +189,42 @@ def test_ring_elements_meet_expressions_through_the_operators(p, e):
 @given(_pairs(), st.integers(1, 12))
 def test_zero_test_is_exact_on_unreduced_representatives(p, k):
     a, ref = p
-    unreduced = GaussPoly(_RING, a.num * (2 * k), a.den * (2 * k))
+    unreduced = _unreduced(a, 2 * k)
     assert (unreduced == 0) == (0 == unreduced) == (not ref)
     assert GaussPoly(_RING, (a - a).num, 6 * k) == 0
+
+
+def _canonical(value: GaussPoly) -> bool:
+    """No zero pair is stored, every coefficient is a plain pair of ints
+    under a monomial of one exponent per leg, and zero is over 1."""
+    return (all(type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
+                and (c[0] or c[1]) and len(monom) == _CHART.dim
+                for monom, c in value.num.items())
+            and (bool(value.num) or value.den == 1))
+
+
+@_SETTINGS
+@given(_pairs(), _pairs(), st.integers(0, 3), st.lists(_pairs(), min_size=6, max_size=6))
+def test_results_store_no_zero_pair(p, q, n, images):
+    (a, _), (b, _) = p, q
+    results = [a + b, a - b, a - a, a + (-a), a * b, a * (b - b), -a, a * 0, a * 1, a / 3,
+               _substitute(a, tuple(value for value, _ in images), _RING),
+               _substitute(a - a, tuple(value for value, _ in images), _RING),
+               _CHART.conjugate(a), _CHART.conjugate(a - a)]
+    results += [a.diff(j) for j in range(_CHART.dim)]
+    if a or n:
+        results.append(a ** n)
+    # opposite terms that cancel in a sum and in a product
+    z1, z1b = _RING.gens[:2]
+    results += [(z1 + z1b) * (z1 - z1b) + z1b * z1b, (a + z1) - z1 - a]
+    assert all(_canonical(value) for value in results)
+
+
+@_SETTINGS
+@given(_pairs(), GAUSSIAN_RATIONALS, st.integers(1, 12))
+def test_products_with_a_constant_match_the_reference(p, constant, k):
+    a, ref = p
+    c = _unreduced(_RING.ground_new(constant), k)
+    ref_c = _FIELD.ground_new(_FIELD.domain.from_sympy(constant))
+    assert _is(a * c, ref * ref_c) and _is(c * a, ref_c * ref)
+    assert _canonical(a * c) and _canonical(c * a)
