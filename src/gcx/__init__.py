@@ -38,7 +38,6 @@ from .scalars import bump_function, expr_equal, opaque_function
 from .scenario import ParseError, Scenario, parse_scenario
 from .runner import Report, RunError, list_corpus, load_scenario, run
 from .spinor import (
-    DecompositionHints,
     IntegrabilityResult,
     SpinorError,
     SpinorStructure,

@@ -345,11 +345,6 @@ class Interval:
     lo: Optional[float] = None
     hi: Optional[float] = None
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = self.lo if other.lo is None else (other.lo if self.lo is None else max(self.lo, other.lo))
-        hi = self.hi if other.hi is None else (other.hi if self.hi is None else min(self.hi, other.hi))
-        return Interval(lo, hi)
-
 
 # Default sampling windows per coordinate kind, and of a bounded or
 # nonzero complex coordinate's modulus.
@@ -398,30 +393,11 @@ class Region:
         return Region(chart, name, bnds, nonzero, tuple(sorted((bump_values or {}).items())))
 
     def bound_for(self, coord: str) -> Interval:
-        iv = Interval()
-        for k, v in self.bounds:
-            if k == coord:
-                iv = iv.intersect(v)
-        return iv
+        return dict(self.bounds).get(coord, Interval())
 
     @property
     def bump_map(self) -> dict[str, int]:
         return dict(self.bump_values)
-
-    def intersect(self, other: "Region") -> "Region":
-        if self.chart is not other.chart and self.chart != other.chart:
-            raise RegionError("cannot intersect regions on different charts")
-        bumps = dict(self.bump_values)
-        for k, v in other.bump_values:
-            if bumps.setdefault(k, v) != v:
-                raise RegionError(f"conflicting bump pinning for {k!r}")
-        return Region(
-            self.chart,
-            f"{self.name}&{other.name}",
-            self.bounds + other.bounds,
-            tuple(dict.fromkeys(self.nonzero + other.nonzero)),
-            tuple(sorted(bumps.items())),
-        )
 
     # -- sampling ------------------------------------------------------
 
@@ -473,15 +449,6 @@ class Region:
             raise RegionError(f"region {self.name!r} leaves no room to sample {coord!r}: "
                               f"its window ({lo:g}, {hi:g}) is empty")
         return lo, hi
-
-
-def merge_regions(a: Optional[Region], b: Optional[Region]) -> Optional[Region]:
-    """The intersection of two optional regions; None when both are None."""
-    if a is None:
-        return b
-    if b is None or b is a:
-        return a
-    return a.intersect(b)
 
 
 def everywhere(chart: Chart) -> Region:

@@ -57,17 +57,22 @@ class FormError(ValueError):
 
 
 def _sort_key(key: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """Sorted key and the permutation sign; sign 0 for repeated indices."""
-    key = tuple(key)
-    if len(set(key)) != len(key):
-        return (), 0
-    perm = sorted(range(len(key)), key=lambda i: key[i])
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return tuple(sorted(key)), (-1) ** inv
+    """Sorted key and the permutation sign; sign 0 for repeated indices.
+
+    One insertion sort, each swap flipping the sign; a key is at most
+    ``chart.dim`` long.
+    """
+    out = list(key)
+    sign = 1
+    for i in range(1, len(out)):
+        j = i
+        while j and out[j - 1] > out[j]:
+            out[j - 1], out[j] = out[j], out[j - 1]
+            sign = -sign
+            j -= 1
+        if j and out[j - 1] == out[j]:
+            return (), 0
+    return tuple(out), sign
 
 
 def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
@@ -305,15 +310,6 @@ def wedge_list(forms: Iterable[MixedForm]) -> MixedForm:
     return out
 
 
-def wedge_power(a: MixedForm, n: int) -> MixedForm:
-    if n < 0:
-        raise FormError("negative wedge power")
-    out = MixedForm.one(a.chart)
-    for _ in range(n):
-        out = wedge(out, a)
-    return out
-
-
 def d(a: MixedForm) -> MixedForm:
     """Exterior derivative; opaque symbols use their formal derivatives."""
     chart = a.chart
@@ -374,6 +370,22 @@ def exp_form(b: MixedForm) -> MixedForm:
         kfact *= k
         out = out + power.scale(sympy.Rational(1, kfact))
     return out
+
+
+def mukai(a: MixedForm, b: MixedForm) -> MixedForm:
+    """The Mukai pairing (a, b): the top-degree part of sigma(a) ^ b, where
+    sigma multiplies a k-form by (-1)^(k(k-1)/2).  Each term of a meets
+    only the complementary term of b."""
+    a._check(b)
+    full = tuple(range(a.chart.dim))
+    data: dict[tuple[int, ...], object] = {}
+    for k1, c1 in a.coefficients.items():
+        k2 = tuple(i for i in full if i not in k1)
+        c2 = b.coefficients.get(k2)
+        if c2 is not None:
+            sign = (-1) ** (len(k1) * (len(k1) - 1) // 2) * _merge_sign(k1, k2)
+            _add_to(data, full, _signed(sign, c1) * c2)
+    return MixedForm(a.chart, data)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .groups import GroupPresentation, Word, checked_words, parse_relators, pars
 from .spinor import (
     RADIAL_PROFILES,
     XI,
-    DecompositionHints,
     SpinorStructure,
     build_gluck_spinor,
     build_luttinger_spinor,
@@ -86,7 +85,8 @@ class TokenStream:
         self.text = text
         self.line = line
         self.pos = 0  # where the next unconsumed token's scan starts
-        self._next: Optional[tuple[Token, int]] = None  # peeked token, its end
+        # the peeked token (None at the end of the statement) and its end
+        self._next: Optional[tuple[Optional[Token], int]] = None
 
     def peek(self) -> Optional[Token]:
         if self._next is None:
@@ -95,9 +95,10 @@ class TokenStream:
                 rest = self.text[self.pos:].lstrip()
                 if rest:
                     raise ParseError(f"unexpected character {rest[0]!r}", self.line)
-                return None
-            kind = m.lastgroup
-            self._next = (Token(kind, m.group(kind), self.line), m.end())
+                self._next = (None, self.pos)
+            else:
+                kind = m.lastgroup
+                self._next = (Token(kind, m.group(kind), self.line), m.end())
         return self._next[0]
 
     def next(self) -> Token:
@@ -260,7 +261,8 @@ class ExprParser:
             return self.chart.ring.i
         if name == "pi":
             return sympy.pi
-        if self.ts.peek() is not None and self.ts.peek().text == "(":
+        following = self.ts.peek()
+        if following is not None and following.text == "(":
             return self.call(name, tok.line)
         # differential of a leg
         if name.startswith("d") and name[1:] in self.chart:
@@ -664,8 +666,7 @@ def _stmt_spinor(sc, ts, line, text):
         return out
 
     readers = {"on": lambda: _chart_ref(sc, ts, line), "rho": form, "h": form,
-               "region": region, "vector": vector, "covector": form, "hint_b": form,
-               "hint_omega": form, "hint_Omega": form, "hint_region": region}
+               "region": region, "vector": vector, "covector": form}
     first = ts.peek()
     if first is None or first.text not in readers:
         # shorthand: the whole right-hand side is the spinor expression
@@ -677,15 +678,8 @@ def _stmt_spinor(sc, ts, line, text):
     certificate = None
     if "vector" in got or "covector" in got:
         certificate = GeneralizedSection.make(chart(), got.get("vector"), got.get("covector"))
-    hints = None
-    if any(key.startswith("hint_") for key in got):
-        for k in ("b", "omega", "Omega"):
-            if f"hint_{k}" not in got:
-                raise ParseError(f"hints need hint_{k}", line)
-        hints = DecompositionHints(got["hint_b"], got["hint_omega"], got["hint_Omega"],
-                                   got.get("hint_region"))
     sc.spinors[name] = SpinorStructure.make(
-        got["rho"], got.get("h"), region=got.get("region"), certificate=certificate, hints=hints
+        got["rho"], got.get("h"), region=got.get("region"), certificate=certificate
     )
 
 

@@ -1,6 +1,12 @@
 """Pure spinors: type, nondegeneracy, stability, twisted integrability,
 B-field transforms, and the glued surgery spinors.
 
+Nondegeneracy is read from rho alone: a pure spinor line is a generalized
+complex structure where its Mukai pairing (rho, conj(rho))
+(:func:`~gcx.forms.mukai`) is nonzero (Gualtieri, *Generalized complex
+geometry*, 2011), so no decomposition rho = e^{B + i omega} ^ Omega is
+supplied.
+
 A spinor structure is a mixed form rho together with a closed twisting
 3-form H.  Integrability means d_H rho = (X + xi) . rho for some
 generalized section; a certificate is either supplied and verified, or
@@ -33,7 +39,7 @@ minor vanish is the witness that it does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
@@ -43,7 +49,7 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement, ring
 
-from .chart import Chart, Region, common_denominator, merge_regions, over
+from .chart import Chart, Region, common_denominator, over
 from .forms import (
     EqualityResult,
     GeneralizedSection,
@@ -54,9 +60,9 @@ from .forms import (
     exp_form,
     form_equal,
     interior,
+    mukai,
     scalar_of,
     wedge,
-    wedge_power,
 )
 from .maps import CoordinateMap, pullback
 from .poly import GaussPoly
@@ -80,29 +86,17 @@ _T_RING = ring("t", QQ_I)[0]  # check_stable's polynomials on an axis
 
 
 @dataclass(frozen=True)
-class DecompositionHints:
-    """A stated local decomposition rho = e^{B + i omega} ^ Omega."""
-
-    b: MixedForm
-    omega: MixedForm
-    big_omega: MixedForm
-    region: Optional[Region] = None
-
-
-@dataclass(frozen=True)
 class SpinorStructure:
     chart: Chart
     rho: MixedForm
     h: MixedForm
     region: Optional[Region] = None
     certificate: Optional[GeneralizedSection] = None
-    hints: Optional[DecompositionHints] = None
 
     @staticmethod
     def make(rho: MixedForm, h: Optional[MixedForm] = None,
              region: Optional[Region] = None,
-             certificate: Optional[GeneralizedSection] = None,
-             hints: Optional[DecompositionHints] = None) -> "SpinorStructure":
+             certificate: Optional[GeneralizedSection] = None) -> "SpinorStructure":
         chart = rho.chart
         if h is None:
             h = MixedForm.zero(chart)
@@ -110,17 +104,7 @@ class SpinorStructure:
             raise SpinorError("twisting form must be a 3-form")
         if not form_equal(d(h), MixedForm.zero(chart), region=region, samples=_BUILD_SAMPLES):
             raise SpinorError("twisting 3-form is not closed")
-        s = SpinorStructure(chart, rho, h, region, certificate, hints)
-        if hints is not None:
-            stated = wedge(
-                exp_form(hints.b + hints.omega.scale(sympy.I)), hints.big_omega
-            )
-            reg = merge_regions(region, hints.region)
-            if not form_equal(rho, stated, region=reg, samples=_BUILD_SAMPLES):
-                raise SpinorError(
-                    "decomposition hints do not reproduce rho on their region"
-                )
-        return s
+        return SpinorStructure(chart, rho, h, region, certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -163,25 +147,15 @@ def type_at(rho: MixedForm, point: Mapping[str, complex],
 
 def check_nondegenerate(s: SpinorStructure, point: Mapping[str, complex],
                         tol: float = 1e-9) -> bool:
-    """Test Omega ^ conj(Omega) ^ omega^(m-k) != 0 at the point."""
-    if s.hints is None:
-        raise SpinorError("nondegeneracy needs decomposition hints")
+    """Whether the top coefficient of (rho, conj(rho)) is nonzero at the
+    point, which must lie on the plateaus of the spinor's region."""
     chart = s.chart
     if chart.dim % 2:
         raise SpinorError("odd-dimensional chart")
-    m = chart.dim // 2
-    big = s.hints.big_omega
-    degs = [deg for deg in big.degrees if deg > 0] or [0]
-    k = degs[0]
-    if not big.is_homogeneous(k):
-        raise SpinorError("Omega hint is not homogeneous")
-    top = wedge(big, big.conjugate())
-    top = wedge(top, wedge_power(s.hints.omega, m - k))
-    region = merge_regions(s.region, s.hints.region)
-    _require_plateau(top, point, region)
-    values = top.evaluate_at(point, region)
-    full = tuple(range(chart.dim))
-    return abs(values.get(full, 0.0)) > tol
+    top = mukai(s.rho, s.rho.conjugate())
+    _require_plateau(top, point, s.region)
+    values = top.evaluate_at(point, s.region)
+    return abs(values.get(tuple(range(chart.dim)), 0.0)) > tol
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +371,7 @@ def b_field_transform(s: SpinorStructure, b: MixedForm) -> SpinorStructure:
         cert = GeneralizedSection.make(
             s.chart, cert.vector_map, cert.covector - interior(cert.vector_map, b)
         )
-    hints = s.hints
-    if hints is not None:
-        hints = replace(hints, b=hints.b + b)
-    return SpinorStructure(s.chart, rho, h, s.region, cert, hints)
+    return SpinorStructure(s.chart, rho, h, s.region, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +504,7 @@ def _surgery_spinor(params, extra: Optional[MixedForm], chart: Optional[Chart],
     rho = wedge(MixedForm.scalar(chart, z1), exp_form(exponent))
     cert = surgery_certificate(chart, params, exponent)
     full = surgery_regions(chart, bump, squared=gluck)["disk"]
-    return SpinorStructure(chart, rho, MixedForm.zero(chart), full, cert, None)
+    return SpinorStructure(chart, rho, MixedForm.zero(chart), full, cert)
 
 
 # ---------------------------------------------------------------------------

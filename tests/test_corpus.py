@@ -142,6 +142,7 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("region B on C = |z1| in (0.1, 0.2), |z1| in (0.6, 0.9)", "region 'B' bounds 'z1' twice"),
     ("region B on C = z1 in (0.1, 0.2), |z1| in (0.6, 0.9)", "region 'B' bounds 'z1' twice"),
     ("region B on C = nonzero z1, nonzero z1", "region 'B' names nonzero 'z1' twice"),
+    ("spinor s = on C; rho z1; hint_b 0", "unknown spinor clause 'hint_b'"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -396,20 +397,29 @@ def test_cli_assembly_check_uses_its_profile(tmp_path, capsys):
         assert "dr^dt0^dt1^dt2" in capsys.readouterr().out
 
 
-def test_cli_nondegenerate_check_reads_the_hints(tmp_path, capsys):
+def test_cli_nondegenerate_check_reads_rho(tmp_path, capsys):
     scn = tmp_path / "nondegenerate.gcx"
     scn.write_text(
         "chart C = real x1, real x2\n"
-        "spinor s = on C; rho exp(i*dx1^dx2); hint_b 0; hint_omega dx1^dx2; hint_Omega 1\n"
+        "spinor s = on C; rho exp(i*dx1^dx2)\n"
         # omega vanishes on x1 = 0, so there rho is degenerate
-        "spinor t = on C; rho exp(i*x1*dx1^dx2); hint_b 0; hint_omega x1*dx1^dx2; "
-        "hint_Omega 1\n"
+        "spinor t = on C; rho exp(i*x1*dx1^dx2)\n"
         "check nondegenerate s at x1 = 0, x2 = 0.5 expect true\n"
         "check nondegenerate t at x1 = 0, x2 = 0.5 expect false\n"
     )
     assert main(["run", str(scn)]) == 0
     out = capsys.readouterr().out
     assert "expect true  (got true)" in out and "expect false  (got false)" in out
+
+
+def test_cli_readme_nondegenerate_example_passes(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    prefixes = ("chart C = ", "form omega0 on C = ", "spinor s = on C; ", "check nondegenerate s at ")
+    lines = [next(line for line in readme if line.startswith(p)) for p in prefixes]
+    scn = tmp_path / "readme.gcx"
+    scn.write_text("\n".join(lines) + "\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr()
+    assert "expect true  (got true)" in capsys.readouterr().out
 
 
 def _statement_lines(path) -> list[int]:

@@ -8,6 +8,7 @@ import sympy
 from sympy.polys.domains import QQ, QQ_I
 
 from conftest import ring_coefficients
+import gcx.scenario as scenario_module
 from gcx import MixedForm, ParseError, parse_scenario
 from gcx.runner import corpus_files, load_scenario, run
 
@@ -141,6 +142,24 @@ def test_polynomial_form_line_builds_few_forms(monkeypatch):
         (0,): coefficient * z1 * z2 ** 2,
         (5,): ring.ground_new(QQ(5, 3)) * x1,
     }
+
+
+def test_each_token_and_each_statement_end_is_scanned_once(monkeypatch):
+    scans = []
+    token_re = scenario_module._TOKEN_RE
+
+    class Counting:
+        def match(self, text, pos):
+            scans.append((text, pos))
+            return token_re.match(text, pos)
+
+    monkeypatch.setattr(scenario_module, "_TOKEN_RE", Counting())
+    sc = parse_scenario(CHART6 + "form F on C = ((z1 + 2)*dz1)^x1\n"
+                        "spinor s = on C; rho z1 + dz1^dz2\n"
+                        "check type s at z1 = 0, z2 = 1, x1 = 0, y1 = pi expect 2\n")
+    monkeypatch.undo()
+    assert set(sc.forms) == {"F"} and set(sc.spinors) == {"s"}
+    assert len(scans) == len(set(scans))
 
 
 @pytest.mark.parametrize("text", ["12", "1.5", "1.", ".5", "007", "i"])

@@ -17,7 +17,6 @@ from conftest import GAUSSIAN_RATIONALS, gaussian_polys, ring_coefficients
 
 from gcx import (
     Chart,
-    DecompositionHints,
     GeneralizedSection,
     MixedForm,
     Region,
@@ -109,8 +108,7 @@ def test_type_at_point_off_the_pinned_plateau_fails():
 def test_nondegenerate_point_off_the_pinned_plateau_fails():
     ch, bump, core = _plateau_case()
     omega = wedge(MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z1b")).scale(bump * sympy.I / 2)
-    hints = DecompositionHints(MixedForm.zero(ch), omega, MixedForm.one(ch), core)
-    s = SpinorStructure.make(exp_form(omega.scale(sympy.I)), hints=hints)
+    s = SpinorStructure.make(exp_form(omega.scale(sympy.I)), region=core)
     assert not check_nondegenerate(s, {"z1": 0.1})
     with pytest.raises(SpinorError, match="bump 'xi'.*region 'core'"):
         check_nondegenerate(s, {"z1": 0.9})
@@ -365,31 +363,59 @@ def test_stability_detects_degenerate_s0():
     assert not check_stable(s).stable
 
 
-def test_hints_must_reproduce_rho():
-    ch = _c2()
-    rho, omega0, front = _local_model(ch)
-    bad = DecompositionHints(MixedForm.zero(ch), omega0.scale(2), front)
-    with pytest.raises(SpinorError):
-        SpinorStructure.make(rho, hints=bad)
-
-
 def test_nondegenerate_symplectic_spinor():
-    # rho = e^{i omega} with Omega = 1: nondegeneracy is omega^2 != 0
+    # rho = e^{i omega}: (rho, conj(rho)) is a nonzero multiple of omega^2
     ch = _c2()
     _, omega0, _ = _local_model(ch)
-    rho = exp_form(omega0.scale(sympy.I))
-    hints = DecompositionHints(MixedForm.zero(ch), omega0, MixedForm.one(ch))
-    s = SpinorStructure.make(rho, hints=hints)
+    s = SpinorStructure.make(exp_form(omega0.scale(sympy.I)))
     assert check_nondegenerate(s, {"z1": 0.5, "z2": 0.2})
-    # a rank-deficient omega fails the top-power test
+    # a rank-deficient omega makes the pairing vanish
     degenerate = wedge(MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z1b")).scale(
         sympy.I / 2
     )
-    s2 = SpinorStructure.make(
-        exp_form(degenerate.scale(sympy.I)),
-        hints=DecompositionHints(MixedForm.zero(ch), degenerate, MixedForm.one(ch)),
-    )
+    s2 = SpinorStructure.make(exp_form(degenerate.scale(sympy.I)))
     assert not check_nondegenerate(s2, {"z1": 0.5, "z2": 0.2})
+
+
+def test_nondegenerate_on_an_odd_dimensional_chart_raises():
+    ch = Chart("C", [("z1", "complex"), ("x", "real")])
+    with pytest.raises(SpinorError, match="odd-dimensional chart"):
+        check_nondegenerate(SpinorStructure.make(MixedForm.one(ch)), {"z1": 0.5, "x": 0.1})
+
+
+def test_nondegenerate_is_invariant_under_a_real_b_field():
+    # (e^B rho, e^B conj(rho)) = (rho, conj(rho)) for a real B
+    ch = _c2()
+    rho, _, _ = _local_model(ch)
+    z1, z1b = ch.symbol("z1"), ch.symbol("z1b")
+    b = (wedge(MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z2b")).scale(z1b)
+         + wedge(MixedForm.basis(ch, "z1b"), MixedForm.basis(ch, "z2")).scale(z1))
+    degenerate = wedge(MixedForm.basis(ch, "z1"), MixedForm.basis(ch, "z1b")).scale(sympy.I / 2)
+    for form, verdict in ((rho, True), (exp_form(degenerate.scale(sympy.I)), False)):
+        s = SpinorStructure.make(form)
+        moved = b_field_transform(s, b)
+        assert not form_equal(moved.rho, s.rho)
+        for point in ({"z1": 0.5, "z2": 0.2}, {"z1": 0, "z2": 1}, {"z1": 0.3 - 0.8j, "z2": -1j}):
+            assert check_nondegenerate(s, point) is verdict
+            assert check_nondegenerate(moved, point) is verdict
+
+
+@pytest.mark.parametrize("scenario, name, point", [
+    ("cor_2_8", "s", {"z1": 0.1 + 0.1j, "z2": 0.3 + 0.2j, "x1": 0.3, "y1": 0.3, "x2": 0.3,
+                      "y2": 0.3}),
+    ("ex_2_9", "s", {"z1": 0.1 + 0.1j, "z2": 0.3 + 0.2j, "x1": 0.3, "y1": 0.3}),
+    ("ex_2_9", "sB", {"z1": 0.1 + 0.1j, "z2": 0.3 + 0.2j, "x1": 0.3, "y1": 0.3}),
+    ("prop_3_8", "L", {"z1": 0.1 + 0.1j, "z2": 0.3 + 0.2j, "x1": 0.3, "y1": 0.3}),
+])
+def test_corpus_spinors_are_nondegenerate(scenario, name, point):
+    s = load_scenario(corpus_dir() / f"{scenario}.gcx").spinors[name]
+    assert check_nondegenerate(s, point)
+
+
+@pytest.mark.parametrize("z1", [0, 0.4, 0.4j, 0.9, -0.9])
+def test_luttinger_spinor_is_nondegenerate(z1):
+    # the top coefficient is xi - 3/2: pb xi - aq has no zero for xi in [0, 1]
+    assert check_nondegenerate(build_luttinger_spinor((1, 3, 1, 2)), {"z1": z1, "z2": 0.3})
 
 
 def test_twisting_form_validation():
