@@ -6,7 +6,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[tuple[str, int], ...]
@@ -16,34 +17,45 @@ class GroupError(ValueError):
     """Malformed word or presentation."""
 
 
-# One match per letter, past any ``*``: a name or a commutator's ``]`` with
-# an optional ``^`` and integer exponent (a ``^`` without one is kept for the
-# parser to reject), or an integer or other character, which the parser
-# skips (``1``), follows (``[``, ``,``) or rejects.
-_TOKEN = re.compile(r"[\s*]*(?:([A-Za-z_][A-Za-z_0-9]*|\])(?:\s*(\^)\s*(-?\d+)?)?|(-?\d+|[^\s*]))")
+# A relator body is read run by run: ``_DELIMITERS`` splits it at brackets
+# and commas, and each run is cut at ``*`` into factors.  Most factors are one
+# ``name`` or ``name^int``; ``_FACTOR_TOKEN`` reads any other factor a token at
+# a time: a name with an optional ``^`` and exponent (a ``^`` without one is
+# kept for the reader to reject), or an integer or other character, which the
+# reader skips (``1``) or rejects.
+_DELIMITERS = re.compile(r"([\[\],])")
+_FACTOR_TOKEN = re.compile(r"\s*(?:([A-Za-z_][A-Za-z_0-9]*)(?:\s*(\^)\s*(-?\d+)?)?|(-?\d+|\S))")
+# the optional exponent of a commutator, at the start of the run after its ']'
+_CARET = re.compile(r"(?:\s*(\^)\s*(-?\d+)?)?")
 
 
 def parse_word(text: str) -> Word:
-    """Parse a free-group word: ``x*y^-2``, ``[x,y]`` (commutator), ``1``,
-    freely reducing it as it is read."""
-    out, _ = _parse_word_seq(iter(_TOKEN.findall(text)))
+    r"""Parse a free-group word: ``x*y^-2``, ``[x,y]`` (commutator), ``1``,
+    freely reduced.
+
+    The text is split once at ``[``, ``]`` and ``,``, each run between them
+    is cut at ``*``, and each distinct factor is read once.  Names are ASCII
+    (``[A-Za-z_][A-Za-z_0-9]*``) and exponent digits are decimal digits, as
+    ``\d`` matches them."""
+    out, _ = _parse_word_seq(iter(_DELIMITERS.split(text)))
     return tuple(out)
 
 
 def parse_relators(text: str) -> tuple[Word, ...]:
-    """Parse a comma-separated relator list, one word per top-level segment,
-    each freely reduced as it is read.  Commas inside a commutator ``[..]``
-    do not split; an empty segment gives the empty word."""
-    tokens = iter(_TOKEN.findall(text))
+    """Parse a comma-separated relator list, one freely reduced word per
+    top-level segment, read as ``parse_word`` reads one word.  Commas inside
+    a commutator ``[..]`` do not split; an empty segment gives the empty
+    word."""
+    parts = iter(_DELIMITERS.split(text))
     words = []
     while True:
-        out, end = _parse_word_seq(tokens, ",")
+        out, end = _parse_word_seq(parts, ",")
         words.append(tuple(out))
         if end is None:
             return tuple(words)
 
 
-def _exponent(caret: str, digits: str) -> int:
+def _exponent(caret: str | None, digits: str | None) -> int:
     """The exponent of a letter or commutator: 1 without ``^``."""
     if digits:
         return int(digits)
@@ -52,37 +64,75 @@ def _exponent(caret: str, digits: str) -> int:
     return 1
 
 
-def _parse_word_seq(tokens: Iterator[tuple[str, str, str, str]], stop: str | None = None):
-    """Read letters up to ``stop`` onto a stack that is freely reduced after
-    every letter.  Return the stack and the stop's match, or None at the end."""
+def _read_factor(factor: str) -> Sequence[tuple[str, int]]:
+    """The freely reduced letters of one ``*``-separated factor."""
+    name, caret, digits = factor.partition("^")
+    name = name.strip()
+    if name.isascii() and name.isidentifier():
+        if not caret:
+            return ((name, 1),)
+        digits = digits.strip()
+        if (digits[1:] if digits[:1] == "-" else digits).isdecimal():
+            e = int(digits)
+            return ((name, e),) if e else ()
+    letters = []
+    for name, caret, digits, other in _FACTOR_TOKEN.findall(factor):
+        if name:
+            letters.append((name, _exponent(caret, digits)))
+        elif other != "1":
+            raise GroupError(f"unexpected token {other!r} in word")
+    return free_reduce(letters)
+
+
+def _read_run(run: str) -> Sequence[tuple[str, int]]:
+    """The freely reduced letters of a run between brackets and commas.
+    Each distinct factor is read once, in the order of first occurrence,
+    so the first bad token in the text is the one reported."""
+    factors = run.split("*")
+    table = dict.fromkeys(factors)
+    for factor in table:
+        table[factor] = _read_factor(factor)
+    if len(factors) == 1:
+        return table[run]
+    if all(len(letters) == 1 for letters in table.values()):
+        # the common case, where each factor is one letter
+        letters = list(map({f: letter for f, (letter,) in table.items()}.__getitem__, factors))
+    else:
+        letters = list(chain.from_iterable(map(table.__getitem__, factors)))
+    names = list(map(itemgetter(0), letters))
+    # each factor is reduced, so only letters where two factors meet can merge
+    return free_reduce(letters) if any(map(eq, names, names[1:])) else letters
+
+
+def _parse_word_seq(parts: Iterator[str], stop: str | None = None):
+    """Read runs and delimiters up to ``stop`` onto a freely reduced stack.
+    Return the stack and the stop, or None at the end."""
     out: list[tuple[str, int]] = []
-    for match in tokens:
-        name, caret, digits, other = match
-        if name and name != "]":
-            e = int(digits) if digits else _exponent(caret, digits)
-            if out and out[-1][0] == name:
-                e += out.pop()[1]
-            if e:
-                out.append((name, e))
-        elif (tok := name or other) == stop:
-            return out, match
-        elif tok == "[":
-            a, end = _parse_word_seq(tokens, ",")
-            if end is None:
-                raise GroupError("expected ',' in commutator")
-            b, end = _parse_word_seq(tokens, "]")
-            if end is None:
-                raise GroupError("expected ']' in commutator")
-            e = _exponent(end[1], end[2])
-            # [a,b]^-1 = [b,a]; each piece is reduced, so joins suffice
-            a_inv, b_inv = invert_word(a), invert_word(b)
-            pieces = (a, b, a_inv, b_inv) if e > 0 else (b, a, b_inv, a_inv)
-            for _ in range(abs(e)):
-                for piece in pieces:
-                    _join(out, piece)
-        elif tok != "1":
-            raise GroupError(f"unexpected token {tok!r} in word")
-    return out, None
+    run = next(parts)
+    while True:
+        if run:
+            _join(out, _read_run(run))
+        delimiter = next(parts, None)
+        if delimiter == stop or delimiter is None:
+            return out, delimiter
+        if delimiter != "[":
+            raise GroupError(f"unexpected token {delimiter!r} in word")
+        a, end = _parse_word_seq(parts, ",")
+        if end is None:
+            raise GroupError("expected ',' in commutator")
+        b, end = _parse_word_seq(parts, "]")
+        if end is None:
+            raise GroupError("expected ']' in commutator")
+        run = next(parts)
+        caret = _CARET.match(run)
+        e = _exponent(caret[1], caret[2])
+        run = run[caret.end():]
+        # [a,b]^-1 = [b,a]; each piece is reduced, so joins suffice
+        a_inv, b_inv = invert_word(a), invert_word(b)
+        pieces = (a, b, a_inv, b_inv) if e > 0 else (b, a, b_inv, a_inv)
+        for _ in range(abs(e)):
+            for piece in pieces:
+                _join(out, piece)
 
 
 def _pow_word(word: Word, exp: int) -> list[tuple[str, int]]:

@@ -143,6 +143,10 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("region B on C = z1 in (0.1, 0.2), |z1| in (0.6, 0.9)", "region 'B' bounds 'z1' twice"),
     ("region B on C = nonzero z1, nonzero z1", "region 'B' names nonzero 'z1' twice"),
     ("spinor s = on C; rho z1; hint_b 0", "unknown spinor clause 'hint_b'"),
+    # '²' is a digit to str.isdigit and int() rejects it; 'é' is a letter to
+    # str.isalpha but not part of a generator name
+    ("group G = < x | x^² >", "'^' needs an integer exponent"),
+    ("group G = < x | x*é >", "unexpected token 'é' in word"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -150,7 +154,7 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     for command in ("verify", "run"):
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
-        assert "line 2" in err and message in err, err
+        assert "line 2" in err and message in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("expr", ["-" * 600 + "z1", "(" * 500 + "z1" + ")" * 500],

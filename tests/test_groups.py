@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from gcx import (
     smith_normal_form,
     tietze_simplify,
 )
+from gcx import groups
 from gcx.groups import (
     _trim_cycle,
     exponent_matrix,
@@ -396,6 +398,104 @@ def test_spaced_exponents_parse():
         ("x", -2), ("y", 4), ("x", 1), ("y", -1), ("x", -1))
 
 
+# The parser as it was before each distinct factor was read once: one regex
+# match per letter onto a stack reduced after every letter.  Kept as the
+# reference that the factor reader must agree with, word for word and
+# message for message.
+_REFERENCE_TOKEN = re.compile(
+    r"[\s*]*(?:([A-Za-z_][A-Za-z_0-9]*|\])(?:\s*(\^)\s*(-?\d+)?)?|(-?\d+|[^\s*]))")
+
+
+def _reference_parse(text: str, relators: bool = False):
+    """One word, or with ``relators`` one word per top-level comma segment."""
+    tokens = iter(_REFERENCE_TOKEN.findall(text))
+    if not relators:
+        return tuple(_reference_seq(tokens)[0])
+    words = []
+    while True:
+        out, end = _reference_seq(tokens, ",")
+        words.append(tuple(out))
+        if end is None:
+            return tuple(words)
+
+
+def _reference_exponent(caret: str, digits: str) -> int:
+    if digits:
+        return int(digits)
+    if caret:
+        raise GroupError("'^' needs an integer exponent")
+    return 1
+
+
+def _reference_push(out: list, name: str, e: int) -> None:
+    if out and out[-1][0] == name:
+        e += out.pop()[1]
+    if e:
+        out.append((name, e))
+
+
+def _reference_seq(tokens, stop=None):
+    out: list = []
+    for match in tokens:
+        name, caret, digits, other = match
+        if name and name != "]":
+            _reference_push(out, name, _reference_exponent(caret, digits))
+        elif (tok := name or other) == stop:
+            return out, match
+        elif tok == "[":
+            a, end = _reference_seq(tokens, ",")
+            if end is None:
+                raise GroupError("expected ',' in commutator")
+            b, end = _reference_seq(tokens, "]")
+            if end is None:
+                raise GroupError("expected ']' in commutator")
+            e = _reference_exponent(end[1], end[2])
+            a_inv = [(g, -f) for g, f in reversed(a)]
+            b_inv = [(g, -f) for g, f in reversed(b)]
+            commutator = a + b + a_inv + b_inv if e > 0 else b + a + b_inv + a_inv
+            for letter in commutator * abs(e):
+                _reference_push(out, *letter)
+        elif tok != "1":
+            raise GroupError(f"unexpected token {tok!r} in word")
+    return out, None
+
+
+def _outcome(parse, text: str):
+    """The parsed value, or the text of the GroupError; any other exception
+    propagates and fails the test."""
+    try:
+        return parse(text)
+    except GroupError as err:
+        return f"GroupError: {err}"
+
+
+# Besides ASCII, a digit that ``str.isdigit`` accepts but ``\d`` does not
+# (``²``), a letter that ``str.isalpha`` accepts but a name may not hold
+# (``é``), and a decimal digit that ``\d`` and ``int`` accept (``٣``).
+_PIECES = ["x", "y", "t1", "l_2", "x1", "1", "2", "-1", "0", "^", "^-", "^0", "^2", "^-1",
+           "[", "]", ",", "@", "-", "*", " ", "\t", "é", "²", "٣"]
+_texts = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=24).map("".join),
+    st.lists(_words, min_size=1, max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_texts)
+def test_parse_matches_per_letter_reference(text):
+    assert _outcome(parse_word, text) == _outcome(_reference_parse, text)
+    assert _outcome(parse_relators, text) == _outcome(
+        lambda t: _reference_parse(t, relators=True), text)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x^٣", (("x", 3),)), ("x ^ -1٣ * y", (("x", -13), ("y", 1))),
+    ("x*x^0*x^-2", (("x", -1),)), ("[x,y]^0*x", (("x", 1),)), ("x y x", (("x", 1), ("y", 1), ("x", 1))),
+])
+def test_parse_word_unusual_factors(text, want):
+    assert parse_word(text) == want == _reference_parse(text)
+
+
 def _lcg_word(seed: int, gens, size: int) -> str:
     """A freely reduced word of ``size`` letters, each +-1, drawn by a
     linear congruential generator so that it never changes."""
@@ -406,6 +506,45 @@ def _lcg_word(seed: int, gens, size: int) -> str:
         if not letters or letters[-1][0] != g:
             letters.append((g, 1 if (x >> 16) & 1 else -1))
     return "*".join(f"{g}^{e}" for g, e in letters)
+
+
+def test_each_distinct_factor_is_read_once(monkeypatch):
+    body = "t1^-1*" + _lcg_word(4, ["a", "b", "t1"], 6000)
+    reads = []
+    read_factor = groups._read_factor
+
+    def counting(factor):
+        reads.append(factor)
+        return read_factor(factor)
+
+    monkeypatch.setattr(groups, "_read_factor", counting)
+    words = parse_relators(body)
+    monkeypatch.undo()
+    assert words == _reference_parse(body, relators=True)
+    assert body.count("*") >= 6000
+    assert len(reads) <= len(set(body.split("*")))
+
+
+_gens = ["a", "b", "c", "d"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(_gens[:3]), st.integers(-3, 3)), max_size=30),
+                max_size=5))
+def test_exponent_matrix_is_per_letter_exponent_sums(words):
+    # commutators give zero rows; "d" never occurs, so its column is zero
+    g = GroupPresentation.make(_gens, words + [parse_word("[a,b]"), parse_word("[a*b,c^2]")])
+    assert exponent_matrix(g) == [
+        [sum(e for h, e in rel if h == gen) for gen in _gens] for rel in g.relators]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_letters)
+def test_word_str_parses_back_and_invert_word_inverts(word):
+    word = free_reduce(word)
+    assert parse_word(word_str(word)) == word
+    assert invert_word(invert_word(word)) == word
+    assert free_reduce(word + invert_word(word)) == ()
 
 
 def test_tietze_pinned_on_long_defining_words():
