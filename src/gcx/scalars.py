@@ -27,10 +27,13 @@ Numeric evaluation has one path, :func:`compile_exprs`.  It reads the
 expressions with the same fraction reader, puts each fraction in lowest
 terms in the ring, so that a removable singularity, such as that of the
 surgery spinor at z1 = 0, is gone, and prints the numerators and
-denominators from their terms as plain Python, compiled once.  Only the
-extra generators go through ``sympy.lambdify``, with elementary functions
-from ``cmath``.  The compiled code is then evaluated at each sample point
-on Python ``complex`` values.  Forms pin their bumps and compile once per
+denominators from their terms as plain Python.  The extra generators are
+printed into the same function from their sympy trees
+(:class:`_ExtraPrinter`): arithmetic, ``sqrt``, elementary functions from
+``cmath``, ``re``, ``im``, ``conjugate``, ``Abs``, ``atan2`` and bumps
+through their specs; any other node raises :class:`EvaluationError` when
+evaluated.  The function is compiled once and evaluated at each sample
+point on Python ``complex`` values.  Forms pin their bumps and compile once per
 set of region pins; equality compiles the two fractions it has read.
 
 An opaque smooth symbol like the radial bump ``xi`` is a sympy Function
@@ -55,7 +58,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import sympy
 from sympy.polys.rings import PolyElement
-from sympy.printing.pycode import PythonCodePrinter
 
 from .chart import Chart, Region, common_denominator, everywhere, over
 from .poly import GaussPoly
@@ -181,32 +183,18 @@ def pin_bumps(expr: sympy.Expr, bump_values: Mapping[str, int]) -> sympy.Expr:
 # ---------------------------------------------------------------------------
 
 
-def _bump_namespace(exprs: Sequence[sympy.Expr]) -> dict[str, Callable]:
-    """Numeric values of the bumps in the expressions, read from each
-    class's own spec: the derivative for a ``_prime``, else the value.
-    A higher derivative has none, and evaluating it fails."""
-    bumps = {}
-    for e in exprs:
-        for node in e.atoms(sympy.Function):
-            fn = node.func
-            if getattr(fn, "spec", None) is None or fn.order > 1:
-                continue
-            if bumps.setdefault(fn.__name__, fn) is not fn:
-                raise EvaluationError(f"two bumps named {fn.__name__!r} with different thresholds")
-    return {name: _real_argument(fn.spec.derivative if fn.order else fn.spec.value)
-            for name, fn in bumps.items()}
+def _real_argument(fn: Callable[..., float]) -> Callable:
+    """``fn`` of real arguments, called on compiled values."""
+    return lambda *args: fn(*map(_real, args))
 
 
-def _real_argument(fn: Callable[[float], float]) -> Callable:
+def _real(t: complex) -> float:
     # compiled arguments such as sqrt(z1*z1b) arrive as complex numbers
     # whose imaginary part is zero up to rounding
-    def call(t):
-        t = complex(t)
-        if abs(t.imag) > 1e-12 * max(1.0, abs(t.real)):
-            raise TypeError(f"bump argument {t} is not real")
-        return fn(t.real)
-
-    return call
+    t = complex(t)
+    if abs(t.imag) > 1e-12 * max(1.0, abs(t.real)):
+        raise TypeError(f"argument {t} is not real")
+    return t.real
 
 
 _NON_FINITE = (sympy.zoo, sympy.nan, sympy.oo, -sympy.oo)
@@ -243,16 +231,22 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
     the ring (:func:`_lowest_terms`), so a removable singularity, such as
     that of the surgery spinor at z1 = 0, is gone.  The numerator and
     denominator are printed from their terms as plain Python, one complex
-    literal per coefficient, and compiled once.  Only the extra generators
-    (a bump application, ``exp``, ``sqrt``, ``pi``, a float) go through
-    ``sympy.lambdify``, whose elementary functions come from ``cmath``;
-    their values are arguments of the compiled fractions.
+    literal per coefficient.  The extra generators (a bump application,
+    ``exp``, ``sqrt``, ``pi``, a float) are printed by
+    :class:`_ExtraPrinter` into the same function, which computes each one
+    once from the leg values and then the fractions; it is compiled once.
+    The printer covers legs, numbers, ``I``, ``pi``, ``E``, sums, products,
+    powers, the elementary functions of ``cmath``, ``re``, ``im``,
+    ``conjugate``, ``Abs``, ``atan2``, and bumps and their first
+    derivatives.  Two bumps with one name and different thresholds raise
+    :class:`EvaluationError` here.
 
     The callable canonicalises its point with ``Chart.point`` and raises
     :class:`EvaluationError` on a singular or non-finite value, on a
-    symbol that is not a leg of the chart, and on an opaque function with
-    no bump spec.  The callable's ``zeros`` holds the indices of the
-    expressions that are zero in the ring.
+    symbol that is not a leg of the chart, and on any other node, such as
+    an opaque function with no bump spec or a bump's second derivative.
+    The callable's ``zeros`` holds the indices of the expressions that are
+    zero in the ring.
     """
     return compile_fractions(*read_fractions(exprs, chart), chart)
 
@@ -263,24 +257,16 @@ def compile_fractions(pairs: Sequence, extras: Sequence[sympy.Expr],
     # every symbol that is not a leg sits in an extra generator
     unbound = set().union(*(e.free_symbols for e in extras)) - set(chart.symbols)
     fractions = [_lowest_terms(*pair) for pair in pairs]
-    args = [f"x{i}" for i in range(chart.dim)] + [f"e{j}" for j in range(len(extras))]
-    code = ", ".join(_fraction_code(num, factors, args) for num, factors in fractions)
-    namespace = {}
-    exec(f"def fractions_at({', '.join(args)}):\n    return [{code}]\n", namespace)
-    fractions_at = namespace["fractions_at"]
-    extras_at = _compile_extras(extras, chart) if extras and not unbound else None
+    values_at = None if unbound else _compile_values(fractions, extras, chart)
     names = [leg.name for leg in chart.legs]
 
     def evaluate(point: Mapping[str, complex]) -> list[complex]:
         if unbound:
             raise EvaluationError(f"unbound symbols {unbound} on chart {chart.name!r}")
         pt = chart.point(point)
-        values = [pt[n] for n in names]
         try:
-            if extras_at is not None:
-                values += extras_at(*values)
-            values = fractions_at(*values)
-        except (ZeroDivisionError, OverflowError, ValueError, NameError, TypeError) as exc:
+            values = values_at(*[pt[n] for n in names])
+        except (ZeroDivisionError, OverflowError, ValueError, TypeError) as exc:
             raise EvaluationError(f"cannot evaluate at {dict(point)!r}: {exc}") from exc
         if not all(map(cmath.isfinite, values)):
             raise EvaluationError(f"non-finite value at {dict(point)!r}")
@@ -290,24 +276,112 @@ def compile_fractions(pairs: Sequence, extras: Sequence[sympy.Expr],
     return evaluate
 
 
-def _compile_extras(extras: Sequence[sympy.Expr], chart: Chart) -> Callable:
-    """The extra generators compiled with ``sympy.lambdify`` over the legs."""
-    # The printed code calls math.<name>; the namespace binds that name to
-    # cmath, since every leg value is complex.  It is built per call: a
-    # module-level dict holding a module could not be deep-copied.
-    printer = PythonCodePrinter({
-        "fully_qualified_modules": True, "inline": True,
-        "allow_unknown_functions": True, "user_functions": {},
-    })
-    complex_ops = {
-        "math": cmath,
-        "re": lambda v: complex(v).real,
-        "im": lambda v: complex(v).imag,
-        "conjugate": lambda v: complex(v).conjugate(),
-    }
-    return sympy.lambdify(chart.symbols, list(extras),
-                          modules=[_bump_namespace(extras), complex_ops],
-                          printer=printer, docstring_limit=0)
+def _compile_values(fractions: Sequence, extras: Sequence[sympy.Expr], chart: Chart) -> Callable:
+    """One compiled function from the leg values to the fractions' values:
+    it binds each extra generator to ``e<j>`` and returns the fractions."""
+    legs = [f"x{i}" for i in range(chart.dim)]
+    namespace: dict = {}
+    printer = _ExtraPrinter(dict(zip(chart.symbols, legs)), namespace)
+    body = "".join(f"    e{j} = {printer.code(e)}\n" for j, e in enumerate(extras))
+    gens = legs + [f"e{j}" for j in range(len(extras))]
+    code = ", ".join(_fraction_code(num, factors, gens) for num, factors in fractions)
+    exec(f"def values_at({', '.join(legs)}):\n{body}    return [{code}]\n", namespace)
+    return namespace["values_at"]
+
+
+# numeric functions by sympy class: the elementary functions on complex
+# values, and atan2, in which sympy writes re and im of a power
+_FUNCTIONS = {getattr(sympy, name): getattr(cmath, name) for name in (
+    "exp", "log", "sin", "cos", "tan", "sinh", "cosh", "tanh",
+    "asin", "acos", "atan", "asinh", "acosh", "atanh")}
+_FUNCTIONS[sympy.atan2] = _real_argument(math.atan2)
+# parts of a complex value, read from the value itself
+_PARTS = {sympy.re: "({}).real", sympy.im: "({}).imag",
+          sympy.conjugate: "({}).conjugate()", sympy.Abs: "abs({})"}
+_ROOTS = (sympy.Rational(1, 2), sympy.Rational(-1, 2))
+
+
+class _ExtraPrinter:
+    """Python source for extra generators over the legs' argument names.
+
+    Legs, numbers, ``I``, ``pi``, ``E``, sums, products and powers print as
+    Python arithmetic, a power of 1/2 or -1/2 as ``sqrt`` or ``1/sqrt``.
+    ``exp``, ``log``, ``sin``, ``cos`` and the other functions of
+    :data:`_FUNCTIONS` call ``cmath``, and ``atan2`` ``math`` at real
+    arguments; ``re``, ``im``, ``conjugate`` and ``Abs`` read the complex
+    value; a bump or its first derivative calls its class's spec through
+    :func:`_real_argument`.  Any other node, such as
+    an opaque function with no spec or a bump's second derivative, calls a
+    function that raises ``ValueError`` when it is evaluated.  Every
+    function the source calls is bound in ``namespace`` under a generated
+    name, never under a name from the expressions.  Two bumps with one name
+    and different thresholds raise :class:`EvaluationError` here, at
+    compile time.
+    """
+
+    def __init__(self, legs: Mapping[sympy.Symbol, str], namespace: dict):
+        self.legs = legs
+        self.namespace = namespace
+        self.names: dict = {}  # a function class or an unevaluable node -> its bound name
+        self.bumps: dict[str, type] = {}
+
+    def bind(self, key, fn: Callable) -> str:
+        """The generated name of ``fn``, bound once per ``key``."""
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = f"f{len(self.names)}"
+            self.namespace[name] = fn
+        return name
+
+    def operand(self, e: sympy.Expr) -> str:
+        """``code(e)``, parenthesised unless it is a name, a call or a
+        nonnegative integer or float."""
+        code = self.code(e)
+        if (e in self.legs or e.is_Function or e is sympy.I
+                or (e.is_Integer or e.is_Float or e.is_NumberSymbol) and e.is_nonnegative):
+            return code
+        return f"({code})"
+
+    def code(self, e: sympy.Expr) -> str:
+        leg = self.legs.get(e)
+        if leg is not None:
+            return leg
+        if e is sympy.I:
+            return "1j"
+        if e.is_Integer:
+            return str(e.p)
+        if e.is_Rational:
+            return f"{e.p}/{e.q}"
+        if e.is_Float or e.is_NumberSymbol:
+            return repr(float(e))
+        if e.is_Add:
+            return " + ".join(map(self.code, e.args))
+        if e.is_Mul:
+            return "*".join(map(self.operand, e.args))
+        if e.is_Pow:
+            if e.exp in _ROOTS:
+                root = f"{self.bind(cmath.sqrt, cmath.sqrt)}({self.code(e.base)})"
+                return root if e.exp.is_positive else f"1/{root}"
+            return f"{self.operand(e.base)}**{self.operand(e.exp)}"
+        fn = e.func
+        if fn in _FUNCTIONS:
+            return f"{self.bind(fn, _FUNCTIONS[fn])}({', '.join(map(self.code, e.args))})"
+        if fn in _PARTS:
+            return _PARTS[fn].format(self.code(e.args[0]))
+        if getattr(fn, "spec", None) is not None and fn.order <= 1:
+            if self.bumps.setdefault(fn.__name__, fn) is not fn:
+                raise EvaluationError(f"two bumps named {fn.__name__!r} with different thresholds")
+            spec = fn.spec
+            step = self.bind(fn, _real_argument(spec.derivative if fn.order else spec.value))
+            return f"{step}({self.code(e.args[0])})"
+        return f"{self.bind(e, _no_value(e))}()"
+
+
+def _no_value(node: sympy.Expr) -> Callable:
+    def fail():
+        raise ValueError(f"{node} has no numeric value")
+
+    return fail
 
 
 def _fraction_code(num: PolyElement, factors: list, names: Sequence[str]) -> str:

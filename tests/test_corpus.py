@@ -666,3 +666,21 @@ def test_cli_removable_singularities(tmp_path, capsys):
         "check type c at z1 = 1, z2 = 0.5 expect 0\n"
         "check type a at z1 = -1, z2 = 0.5 expect 2\n")
     assert main(["run", str(scn)]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("statements", [
+    "chart C = complex z1, complex z2\n"
+    "spinor s = on C; rho z1*exp(z2) + math(z1*z1b)*dz1^dz2\n"
+    "check type s at z1 = 0.4, z2 = 0.1 expect 0\n",
+    "chart C = real x, real y\n"
+    "check equal on C math(x)*exp(y), exp(y)*math(x) + 1/10**12*sin(x) expect equal\n",
+], ids=["type", "equal"])
+def test_cli_bump_named_math_beside_elementary_functions(tmp_path, capsys, statements):
+    # compiled code binds its helpers to generated names, so a bump may be
+    # named like a module or function the compiled code calls
+    scn = tmp_path / "math_bump.gcx"
+    scn.write_text("bump math = 0 upto 0.25, 1 from 0.5\n" + statements)
+    assert main(["run", str(scn)]) == 0
+    captured = capsys.readouterr()
+    assert "result: pass" in captured.out
+    assert "Traceback" not in captured.out + captured.err

@@ -7,11 +7,14 @@ asks whether a whole form is polynomial, only
 reads form coefficients as stored, not through their expression view,
 ``QQ_I`` is named only where a coefficient leaves the kernel, and a
 coefficient's kind is tested only where the algorithm differs by kind,
-and no module names sympy's Gaussian integers ``ZZ_I`` or reads a ring
-of them."""
+no module names sympy's Gaussian integers ``ZZ_I`` or reads a ring
+of them, and no module compiles through sympy's printers."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,3 +318,63 @@ def test_kind_tests_reads_isinstance_and_type_is():
               "class M:\n    def g(self, c):\n        return isinstance(c, (int, GaussPoly))\n"
               "def h(c):\n    return isinstance(c, MixedForm) or type(c) is int\n")
     assert kind_tests(source, "m") == {"m.f", "m.M.g"}
+
+
+# compile_exprs prints the extra generators itself: sympy's code printers
+# and lambdify, and the sympy.codegen they import, stay out of the package
+_PRINTER_MODULES = (["sympy", "printing"], ["sympy", "codegen"])
+
+
+def printer_uses(source: str) -> set[str]:
+    """Each module under ``sympy.printing`` or ``sympy.codegen`` that the
+    source imports or reads as an attribute chain, and ``lambdify`` when
+    the source names it in an import, a name or an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if "lambdify" in parts:
+                found.add("lambdify")
+            if parts[:2] in _PRINTER_MODULES:
+                found.add(name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_compile_through_sympy_printers(path):
+    assert printer_uses(path.read_text()) == set(), path.name
+
+
+def test_printer_uses_reads_imports_calls_and_attribute_chains():
+    source = ("import sympy.codegen.ast\nfrom sympy.printing.pycode import PythonCodePrinter\n"
+              "from sympy import lambdify\nf = sympy.printing.pycode.pycode\n"
+              "g = sympy.lambdify\nfrom sympy.utilities.lambdify import implemented_function\n")
+    assert printer_uses(source) == {
+        "sympy.codegen.ast", "sympy.printing.pycode", "sympy.printing.pycode.PythonCodePrinter",
+        "sympy.printing.pycode.pycode", "sympy.printing", "lambdify"}
+    assert printer_uses("import sympy\nx = sympy.sin(1)\nfrom sympy.polys.rings import ring\n") == set()
+
+
+def test_sampled_check_loads_no_sympy_codegen():
+    # a fresh interpreter, since another test may have imported it
+    script = (
+        "import sys\n"
+        "from gcx import parse_scenario, run\n"
+        "report = run(parse_scenario('chart C = real x, real y\\n'\n"
+        "    'check equal on C sin(x)**2 + cos(x)**2, 1 expect equal\\n'))\n"
+        "assert report.ok, report.render()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('sympy.codegen')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -373,3 +373,80 @@ def test_compiled_non_finite_raises():
     with pytest.raises(EvaluationError):
         compile_exprs([sympy.log(x1)], ch)({"x1": 0.0})
     assert compile_exprs([sympy.log(x1)], ch)({"x1": -1.0})[0] == pytest.approx(math.pi * 1j)
+
+
+def test_compiled_unevaluable_nodes_raise_when_evaluated():
+    ch = real_chart(1)
+    (x1,) = ch.symbols
+    second = sympy.diff(bump_function("xi_2", 0.25, 0.5)(x1), x1, 2)
+    for expr in (1 + opaque_function("f_late")(x1), second):
+        at = compile_exprs([x1, expr], ch)
+        with pytest.raises(EvaluationError, match="has no numeric value"):
+            at({"x1": 0.3})
+
+
+def test_compiled_names_never_collide_with_bump_names():
+    # the printed code names legs x<i>, extras e<j> and helpers f<k>, and
+    # binds no name from the expressions
+    ch = real_chart(2)
+    x1, x2 = ch.symbols
+    names = ("math", "cmath", "sqrt", "exp", "x0", "e0", "f0", "f1")
+    bumps = [bump_function(name, 0.25, 0.5) for name in names]
+    extras = sympy.exp(x2) + sympy.sqrt(x1) + sympy.sin(x1)
+    at = compile_exprs([sum(b(x1) for b in bumps) * extras, bumps[0](x2) * extras], ch)
+    point = {"x1": 0.9, "x2": 0.1}
+    expected = cmath.exp(0.1) + cmath.sqrt(0.9) + cmath.sin(0.9)
+    assert at(point) == [pytest.approx(len(names) * expected, rel=1e-14), 0]
+
+
+_DIFF_CHART = Chart("dc", [("z1", "complex"), ("x1", "real")])
+_DIFF_BUMP = bump_function("xi_diff", 0.25, 0.75)
+# added to an argument with a branch cut, so that an argument that is
+# identically real or imaginary stays off the cut
+_OFF_CUT = sympy.Rational(1, 2) + sympy.I * sympy.Rational(2, 7)
+_ENTIRE = (sympy.exp, sympy.sin, sympy.cos, sympy.tan, sympy.sinh, sympy.cosh, sympy.tanh)
+_CUT = (sympy.log, sympy.asin, sympy.acos, sympy.atan, sympy.asinh, sympy.acosh, sympy.atanh)
+_PARTS = (sympy.re, sympy.im, sympy.conjugate, sympy.Abs)
+_BUMPS = (_DIFF_BUMP, opaque_function("xi_diff", _DIFF_BUMP.spec, 1))
+_DIFF_LEAVES = st.one_of(
+    st.sampled_from(_DIFF_CHART.symbols),
+    st.sampled_from((sympy.I, sympy.pi, sympy.E, sympy.Float(0.37), sympy.Float(-1.25))),
+    st.builds(sympy.Rational, st.integers(-3, 3), st.integers(1, 4)),
+)
+_EXPONENTS = st.one_of(
+    st.sampled_from((sympy.Rational(1, 2), -sympy.Rational(1, 2), sympy.Rational(1, 3),
+                     -sympy.Rational(2, 3), sympy.Float(0.7))),
+    st.sampled_from(_DIFF_CHART.symbols),
+)
+
+
+def _diff_nodes(children):
+    return st.one_of(
+        st.builds(lambda a, b: a + b, children, children),
+        st.builds(lambda a, b: a * b, children, children),
+        st.builds(lambda a, n: a ** n, children, st.integers(-2, 3)),
+        st.builds(lambda a, q: (a + _OFF_CUT) ** q, children, _EXPONENTS),
+        st.builds(lambda f, a: f(a), st.sampled_from(_ENTIRE + _PARTS), children),
+        st.builds(lambda f, a: f(a + _OFF_CUT), st.sampled_from(_CUT), children),
+        # a bump's argument is real
+        st.builds(lambda f, a: f(sympy.Abs(a)), st.sampled_from(_BUMPS), children),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.recursive(_DIFF_LEAVES, _diff_nodes, max_leaves=6), st.integers(0, 2 ** 16))
+def test_compiled_extras_match_sympy_evaluation(expr, seed):
+    assume(not expr.has(*scalars._NON_FINITE))
+    ch = _DIFF_CHART
+    at = compile_exprs([expr], ch)
+    rng = random.Random(seed)
+    for _ in range(3):
+        point = {"z1": complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), "x1": rng.uniform(-1, 1)}
+        subs = {ch.symbol(n): v for n, v in ch.point(point).items()}
+        # a bump folds to its spec's value at a real number, so its
+        # argument, real but not always folded by sympy, is evaluated first
+        value = expr.subs(subs).replace(lambda n: n.func in _BUMPS,
+                                        lambda n: n.func(sympy.re(sympy.N(n.args[0]))))
+        want = complex(sympy.N(value))
+        (got,) = at(point)
+        assert abs(got - want) <= 1e-12 * abs(want), (expr, point, got, want)
