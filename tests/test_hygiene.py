@@ -360,7 +360,8 @@ def test_printer_uses_reads_imports_calls_and_attribute_chains():
     assert printer_uses(source) == {
         "sympy.codegen.ast", "sympy.printing.pycode", "sympy.printing.pycode.PythonCodePrinter",
         "sympy.printing.pycode.pycode", "sympy.printing", "lambdify"}
-    assert printer_uses("import sympy\nx = sympy.sin(1)\nfrom sympy.polys.rings import ring\n") == set()
+    clean = "import sympy\nx = sympy.sin(1)\nfrom sympy.polys.rings import ring\n"
+    assert printer_uses(clean) == set()
 
 
 def test_sampled_check_loads_no_sympy_codegen():

@@ -12,7 +12,7 @@ import gcx.forms as forms
 import gcx.scalars as scalars
 import gcx.spinor as spinor
 from conftest import GAUSSIAN_RATIONALS, gaussian_polys, real_chart
-from gcx import (Chart, MixedForm, bump_function, build_gluck_spinor, check_integrable,
+from gcx import (Chart, MixedForm, Region, bump_function, build_gluck_spinor, check_integrable,
                  opaque_function)
 from gcx.scalars import (
     EvaluationError,
@@ -397,6 +397,20 @@ def test_compiled_names_never_collide_with_bump_names():
     point = {"x1": 0.9, "x2": 0.1}
     expected = cmath.exp(0.1) + cmath.sqrt(0.9) + cmath.sin(0.9)
     assert at(point) == [pytest.approx(len(names) * expected, rel=1e-14), 0]
+
+
+def test_compiled_negated_real_leg_takes_the_principal_branch():
+    # -x1 is -0.5 with a zero imaginary part of sign +, as in sympy, so log
+    # and sqrt land on the upper side of their cut
+    ch = real_chart(1)
+    (x1,) = ch.symbols
+    at = compile_exprs([sympy.log(-x1), sympy.sqrt(-x1), sympy.log(-x1) - sympy.log(x1)], ch)
+    log_half, root, difference = at({"x1": 0.5})
+    assert log_half == pytest.approx(complex(math.log(0.5), math.pi), rel=1e-15)
+    assert root == pytest.approx(1j * math.sqrt(0.5), rel=1e-15)
+    assert difference == pytest.approx(1j * math.pi, rel=1e-15)
+    region = Region.make(ch, "positive", bounds={"x1": (0.1, 1)})
+    assert expr_equal(sympy.log(-x1), sympy.log(x1) + sympy.I * sympy.pi, ch, region)
 
 
 _DIFF_CHART = Chart("dc", [("z1", "complex"), ("x1", "real")])
