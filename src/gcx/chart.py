@@ -1,4 +1,4 @@
-"""Coordinate charts, named sub-regions, and sample-point generation.
+"""Coordinate charts, their rings, named sub-regions, and sample points.
 
 A chart is an ordered list of coordinates, each of one of four kinds:
 
@@ -13,6 +13,9 @@ A chart is an ordered list of coordinates, each of one of four kinds:
 The "legs" of a chart index the basis covectors of the (complexified)
 cotangent space: one leg per real/radial/angle coordinate, two legs
 (dz, dzb) per complex coordinate.
+
+A chart owns the polynomial rings in its legs (:attr:`Chart.ring`,
+:meth:`Chart.extended_ring`); :mod:`gcx.scalars` reads values into them.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import sympy
 from sympy.polys.domains import QQ_I
-from sympy.polys.rings import PolyElement, PolyRing, ring
+from sympy.polys.rings import PolyRing, ring
 
 from .poly import GaussPoly, GaussRing
 
@@ -131,68 +134,21 @@ class Chart:
     def extended_ring(self, k: int) -> PolyRing:
         """The polynomials over the Gaussian rationals ``QQ_I`` in the legs
         and ``k`` extra generators after them, built once per chart and
-        ``k``: the ring of the fraction reader and the solvers, where a
-        coefficient of :attr:`ring` is read in lowest terms.  The extra
-        generators' names are not identifiers, so no leg shares one."""
+        ``k``: the ring of :mod:`gcx.scalars`' fraction reader and of the
+        solvers, where a coefficient of :attr:`ring` is read in lowest
+        terms.  The extra generators' names are not identifiers, so no leg
+        shares one."""
         extended = self._rings.get(k)
         if extended is None:
             extra = tuple(sympy.Symbol(f"extra {j}") for j in range(k))
             extended = self._rings[k] = ring(self.symbols + extra, QQ_I)[0]
         return extended
 
-    def to_ring(self, value) -> Optional[GaussPoly]:
-        """``value`` as an element of :attr:`ring`, or None when it is not a
-        polynomial over the Gaussian rationals in the legs.
-
-        An expression is read in :meth:`extended_ring` ``(0)`` and then put
-        over one integer denominator.  A value with a subexpression that
-        :meth:`fractions` would read as an extra generator (a float, a
-        foreign symbol, a function, ``pi``, a non-integer power) is None at
-        once, and no extended ring is built; so is one whose denominator is
-        not a nonzero constant.  A float is refused rather than read as the
-        rational it rounds to.
-        """
-        if isinstance(value, GaussPoly):
-            return value if value.ring == self.ring else None
-        value = sympy.sympify(value)
-        if _opaque_nodes(value, self._leg_gens, {}):
-            return None
-        try:
-            num, den = _read_fraction(value, self.extended_ring(0), self._leg_gens)
-        except ZeroDivisionError:
-            return None
-        return None if den else self.ring.from_field(num)
-
     @cached_property
-    def _leg_gens(self) -> dict:
+    def leg_gens(self) -> dict:
+        """Each leg's symbol mapped to its generator of
+        :meth:`extended_ring` ``(0)``."""
         return dict(zip(self.symbols, self.extended_ring(0).gens))
-
-    def fractions(self, exprs: Sequence) -> tuple[list, tuple]:
-        """The expressions as fractions over one ring, with no gcd taken.
-
-        Sums, products, integer powers, legs, Gaussian rationals and ``I``
-        are read in :meth:`extended_ring`; every other subexpression
-        (``pi``, ``E``, a float, a bump application, any other function, a
-        non-integer power) becomes one extra generator, shared by equal
-        subexpressions; an element of :attr:`ring` is taken as it is.
-        Returns ``(pairs, extras)``: a ``(numerator, denominator)`` pair per
-        expression, where the denominator maps each of its distinct
-        non-constant factors to its multiplicity (``{}`` is 1), and the
-        subexpressions read as the extra generators, in order.  An element
-        of :attr:`ring` is read in lowest terms (:meth:`GaussPoly.to_field`).
-        A negative power of a base that is zero in the ring raises
-        ``ZeroDivisionError``.
-        :func:`~gcx.scalars.read_fractions`, the one caller, sympifies the
-        expressions and guards it.
-        """
-        found: dict = {}
-        for e in exprs:
-            if not isinstance(e, GaussPoly):
-                _opaque_nodes(e, self._leg_gens, found)
-        extended = self.extended_ring(len(found))
-        gens = dict(zip(self.symbols + tuple(found), extended.gens))
-        return [(e.to_field(extended), {}) if isinstance(e, GaussPoly)
-                else _read_fraction(e, extended, gens) for e in exprs], tuple(found)
 
     def __repr__(self):
         return f"Chart({self.name!r}, dim={self.dim})"
@@ -257,87 +213,6 @@ def _conj_walk(e: sympy.Expr, swap: dict) -> sympy.Expr:
     if not e.args:
         return e
     return e.func(*(_conj_walk(a, swap) for a in e.args))
-
-
-def _opaque_nodes(e: sympy.Expr, legs: Mapping, found: dict) -> dict:
-    """Add to ``found``, and return it, each subexpression of ``e`` that
-    :func:`_read_fraction` does not read as a field operation on legs and
-    Gaussian rationals."""
-    if e.is_Add or e.is_Mul:
-        for a in e.args:
-            _opaque_nodes(a, legs, found)
-    elif e.is_Pow and e.exp.is_Integer:
-        _opaque_nodes(e.base, legs, found)
-    elif not (e.is_Rational or e is sympy.I or e in legs):
-        found[e] = None
-    return found
-
-
-def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> tuple[PolyElement, dict]:
-    """``e`` as (numerator, denominator) over ``R``, whose generators
-    ``gens`` maps from sympy.  The denominator maps each distinct monic
-    non-constant factor to its multiplicity, so a repeated factor is never
-    multiplied in twice; constants go to the numerator.  Every opaque
-    subexpression of ``e`` (:func:`_opaque_nodes`) must be in ``gens``.
-    ``ZeroDivisionError`` at a negative power of a base that is zero in
-    ``R``."""
-    gen = gens.get(e)
-    if gen is not None:
-        return gen, {}
-    if e.is_Add or e.is_Mul:
-        parts = [_read_fraction(a, R, gens) for a in e.args]
-        return _sum(parts, R) if e.is_Add else _product(parts, R)
-    if e.is_Pow and e.exp.is_Integer:
-        num, den = _read_fraction(e.base, R, gens)
-        n = int(e.exp)
-        if n >= 0:
-            return num ** n, {f: m * n for f, m in den.items()}
-        if not num:
-            raise ZeroDivisionError(f"{e.base} is zero")
-        n = -n
-        lc = num.LC
-        inverse = R.ground_new(R.domain.revert(lc) ** n)
-        for f, m in den.items():
-            inverse *= f ** (m * n)
-        factor = num.quo_ground(lc)
-        return inverse, ({} if factor.is_ground else {factor: n})
-    # a Gaussian rational or I
-    return R.ground_new(R.domain.from_sympy(e)), {}
-
-
-def _product(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
-    num, den = R.one, {}
-    for n, d in parts:
-        num *= n
-        for f, m in d.items():
-            den[f] = den.get(f, 0) + m
-    return (num, den) if num else (R.zero, {})
-
-
-def _sum(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
-    """The sum over the least common denominator."""
-    common = common_denominator(d for _, d in parts)
-    total = sum((over(n, d, common) for n, d in parts), R.zero)
-    return (total, common) if total else (R.zero, {})
-
-
-def common_denominator(dens: Iterable[Mapping]) -> dict:
-    """The least common denominator: each factor at its largest multiplicity."""
-    common: dict = {}
-    for den in dens:
-        for f, m in den.items():
-            if common.get(f, 0) < m:
-                common[f] = m
-    return common
-
-
-def over(num: PolyElement, den: Mapping, common: Mapping) -> PolyElement:
-    """The numerator of ``num / den`` over ``common``, a multiple of
-    ``den`` such as :func:`common_denominator` gives."""
-    for f, m in common.items():
-        if m != den.get(f, 0):
-            num = num * f ** (m - den.get(f, 0))
-    return num
 
 
 @dataclass(frozen=True)

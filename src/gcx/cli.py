@@ -105,15 +105,12 @@ def main(argv=None) -> int:
             return cmd_verify(args)
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "corpus":
-            if args.corpus_command == "list":
-                return cmd_corpus_list(args)
-            return cmd_corpus_run_all(args)
+        if args.corpus_command == "list":
+            return cmd_corpus_list(args)
+        return cmd_corpus_run_all(args)
     except (ParseError, RunError, OSError) as exc:
         sys.stderr.write(f"gcx: error: {exc}\n")
         return 2
-    parser.error("unknown command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -44,12 +44,7 @@ import sympy
 
 from .chart import Chart, Region
 from .poly import GaussPoly
-from .scalars import (
-    compile_exprs,
-    expr_equal,
-    is_structural_zero,
-    pin_bumps,
-)
+from .scalars import compile_exprs, expr_equal, is_structural_zero, to_ring
 
 
 class FormError(ValueError):
@@ -75,12 +70,6 @@ def _sort_key(key: Iterable[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), sign
 
 
-def _merge_sign(k1: tuple[int, ...], k2: tuple[int, ...]) -> int:
-    """Sign of sorting the concatenation of two sorted disjoint keys."""
-    inv = sum(1 for i in k1 for j in k2 if i > j)
-    return (-1) ** inv
-
-
 def as_expr(c) -> sympy.Expr:
     """A coefficient as an expression: a ring element is converted, a
     constant one to its number."""
@@ -91,7 +80,7 @@ def scalar_of(chart: Chart, value):
     """``value`` as an element of ``chart.ring`` when it is a polynomial
     over the Gaussian rationals in the legs, else as an expression.  An
     element of another chart's ring raises :class:`FormError`."""
-    ring = chart.to_ring(value)
+    ring = to_ring(chart, value)
     if ring is None and isinstance(value, GaussPoly):
         raise FormError("coefficient chart mismatch")
     return ring if ring is not None else sympy.sympify(value)
@@ -248,8 +237,7 @@ class MixedForm:
         chart = self.chart
         data = {}
         for key, c in self.coefficients.items():
-            skey, sign = _sort_key(chart.conj_index(i) for i in key)
-            _add_to(data, skey, _signed(sign, chart.conjugate(c)))
+            _add_to(data, tuple(chart.conj_index(i) for i in key), chart.conjugate(c))
         return MixedForm(chart, data)
 
     def real_part(self) -> "MixedForm":
@@ -266,16 +254,13 @@ class MixedForm:
         The coefficients are pinned and compiled by :func:`compile_exprs`,
         which puts them in lowest terms in the chart's ring, once per set
         of region pins, and kept on the form; each call then evaluates them
-        at the point in complex arithmetic.  Ring coefficients are handed
-        over as they are.  Coefficients that are zero in the ring are left
-        out.
+        at the point in complex arithmetic.  Coefficients that are zero in
+        the ring are left out.
         """
         pins = region.bump_values if region is not None else ()
         compiled = self._compiled.get(pins)
         if compiled is None:
-            coefficients = [c if isinstance(c, GaussPoly) else pin_bumps(c, dict(pins))
-                            for c in self.coefficients.values()]
-            values_at = compile_exprs(coefficients, self.chart)
+            values_at = compile_exprs(list(self.coefficients.values()), self.chart, dict(pins))
             keys = [(i, key) for i, key in enumerate(self.coefficients) if i not in values_at.zeros]
             compiled = self._compiled[pins] = (keys, values_at)
         keys, values_at = compiled
@@ -296,7 +281,7 @@ def wedge(a: MixedForm, b: MixedForm) -> MixedForm:
         for k2, c2 in b.coefficients.items():
             if set(k1) & set(k2):
                 continue
-            _add_to(data, tuple(sorted(k1 + k2)), _signed(_merge_sign(k1, k2), c1) * c2)
+            _add_to(data, k1 + k2, c1 * c2)
     return MixedForm(a.chart, data)
 
 
@@ -322,8 +307,7 @@ def d(a: MixedForm) -> MixedForm:
             dc = c.diff(j if ring else v)
             if is_structural_zero(dc):
                 continue
-            pos = sum(1 for i in key if i < j)
-            _add_to(data, tuple(sorted(key + (j,))), _signed((-1) ** pos, dc))
+            _add_to(data, (j,) + key, dc)
     return MixedForm(chart, data)
 
 
@@ -383,8 +367,7 @@ def mukai(a: MixedForm, b: MixedForm) -> MixedForm:
         k2 = tuple(i for i in full if i not in k1)
         c2 = b.coefficients.get(k2)
         if c2 is not None:
-            sign = (-1) ** (len(k1) * (len(k1) - 1) // 2) * _merge_sign(k1, k2)
-            _add_to(data, full, _signed(sign, c1) * c2)
+            _add_to(data, k1 + k2, _signed((-1) ** (len(k1) * (len(k1) - 1) // 2), c1) * c2)
     return MixedForm(a.chart, data)
 
 

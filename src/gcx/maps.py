@@ -11,7 +11,7 @@ import sympy
 from .chart import Chart
 from .forms import FormError, MixedForm, as_expr, d_scalar, wedge_list
 from .poly import GaussPoly, GaussRing
-from .scalars import is_structural_zero
+from .scalars import is_structural_zero, to_ring
 
 
 class MapError(ValueError):
@@ -73,7 +73,7 @@ class CoordinateMap:
         """The assignment of each target leg, in leg order, as an element of
         the source chart's ring; None when one is not a polynomial."""
         values = dict(self.assignments)
-        images = tuple(self.source.to_ring(values[leg.name]) for leg in self.target.legs)
+        images = tuple(to_ring(self.source, values[leg.name]) for leg in self.target.legs)
         return None if any(g is None for g in images) else images
 
     @cached_property

@@ -195,10 +195,7 @@ class _Runner:
         return check_nondegenerate(p["spinor"], p["point"], tol=self.tol), None
 
     def chk_equal(self, p):
-        right = p["right"]
-        if "scale" in p:
-            right = right.scale(p["scale"])
-        return form_equal(p["left"], right, region=p.get("region"),
+        return form_equal(p["left"], p["right"], region=p.get("region"),
                           samples=self.samples, seed=self.seed, tol=self.tol), None
 
     def chk_lemma(self, p):

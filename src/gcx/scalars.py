@@ -6,22 +6,23 @@ exp, sqrt, trig) and opaque bump functions are kept symbolic, with
 derivative rules built in, and are only ever evaluated numerically
 during sampling.
 
+Coefficients are read into the chart's rings here and nowhere else:
+:func:`to_ring` reads a polynomial value into the kernel's ring
+(:class:`~gcx.poly.GaussPoly`), and :func:`read_fractions` reads values
+as fractions over the chart's ring over ``QQ_I``, each subexpression that
+is not a field operation on legs and constants (``pi``, a float, a bump,
+``sin``) one extra generator, with no gcd taken.
+
 Equality is decided exactly wherever it can be.  :func:`expr_equal`
-compares two elements of the chart's fraction-free coefficient ring
-(:class:`~gcx.poly.GaussPoly`) by cross-multiplying their integer
+compares two ring elements by cross-multiplying their integer
 denominators.  Otherwise, after pinning the bumps of its expression
-sides, it reads both sides as fractions over the chart's polynomial ring
-over the Gaussian rationals ``QQ_I`` (:func:`read_fractions`, which
-reads a ring side in lowest terms), where every subexpression that is
-not a field operation on legs and constants (``pi``, a float, a bump,
-``sin``) is one extra generator, and no gcd is taken.  The sides are equal when
-their numerators over the least common denominator
-(:func:`~gcx.chart.common_denominator`) agree.  That formal zero is
-final whatever the extra generators are; a nonzero difference is final
-only when they are at most ``pi`` and ``E``.  Any other difference is
-sampled: a Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero
-test is structural (:func:`is_structural_zero`) and never queries
-sympy's assumptions on a compound expression.
+sides, it reads both, and they are equal when their numerators over the
+least common denominator agree, whatever the extra generators.  A
+nonzero difference is final only when every extra generator is a
+constant (:func:`is_constant_extra`).  Any other difference is sampled: a
+Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero test is
+structural (:func:`is_structural_zero`) and never queries sympy's
+assumptions on a compound expression.
 
 Numeric evaluation has one path, :func:`compile_exprs`.  It reads the
 expressions with the same fraction reader, puts each fraction in lowest
@@ -33,8 +34,8 @@ printed into the same function from their sympy trees
 ``cmath``, ``re``, ``im``, ``conjugate``, ``Abs``, ``atan2`` and bumps
 through their specs; any other node raises :class:`EvaluationError` when
 evaluated.  The function is compiled once and evaluated at each sample
-point on Python ``complex`` values.  Forms pin their bumps and compile once per
-set of region pins; equality compiles the two fractions it has read.
+point on Python ``complex`` values.  Forms compile once per set of region
+pins; equality compiles the two fractions it has read.
 
 An opaque smooth symbol like the radial bump ``xi`` is a sympy Function
 class made by :func:`opaque_function`.  A bump's class carries its own
@@ -53,13 +54,14 @@ import cmath
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import sympy
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyElement, PolyRing
 
-from .chart import Chart, Region, common_denominator, everywhere, over
+from .chart import Chart, Region, everywhere
 from .poly import GaussPoly
 
 
@@ -206,29 +208,146 @@ def _require_finite(expr: sympy.Expr, chart: Chart) -> sympy.Expr:
     return expr
 
 
+def to_ring(chart: Chart, value) -> Optional[GaussPoly]:
+    """``value`` as an element of ``chart.ring``, or None when it is not a
+    polynomial over the Gaussian rationals in the legs.  A value with an
+    extra generator of :func:`read_fractions` (a float, a foreign symbol,
+    a function, ``pi``, a non-integer power) is None at once, with no
+    extended ring built, and so is one whose denominator is not a nonzero
+    constant; a float is not read as the rational it rounds to."""
+    if isinstance(value, GaussPoly):
+        return value if value.ring == chart.ring else None
+    value = sympy.sympify(value)
+    if _opaque_nodes(value, chart.leg_gens, {}):
+        return None
+    try:
+        num, den = _read_fraction(value, chart.extended_ring(0), chart.leg_gens)
+    except ZeroDivisionError:
+        return None
+    return None if den else chart.ring.from_field(num)
+
+
 def read_fractions(values: Sequence, chart: Chart,
                    pins: Optional[Mapping[str, int]] = None) -> tuple[list, tuple]:
-    """:meth:`~gcx.chart.Chart.fractions` of the values, each expression
-    with the bumps in ``pins`` pinned first.  An infinite or undefined
-    constant (``zoo``, ``nan``, ``oo``, ``-oo``), or a negative power of a
-    base that is zero in the ring, raises :class:`EvaluationError`.
+    """The values as ``(pairs, extras)`` over ``chart.extended_ring``, with
+    no gcd taken; each expression has the bumps in ``pins`` pinned first.
+
+    Sums, products, integer powers, legs, Gaussian rationals and ``I`` are
+    read in the ring; every other subexpression (``pi``, a float, a bump,
+    any other function, a non-integer power) is one extra generator,
+    shared by equal subexpressions, listed in ``extras``.  An element of
+    ``chart.ring`` is read in lowest terms.  ``pairs`` holds a
+    ``(numerator, denominator)`` per value; a denominator maps each
+    distinct non-constant factor to its multiplicity (``{}`` is 1).  An
+    infinite or undefined constant (``zoo``, ``nan``, ``oo``), or a
+    negative power of a base that is zero in the ring, raises
+    :class:`EvaluationError`.
     """
+    found: dict = {}
     values = [v if isinstance(v, GaussPoly)
               else _require_finite(pin_bumps(sympy.sympify(v), pins), chart) for v in values]
+    for v in values:
+        if not isinstance(v, GaussPoly):
+            _opaque_nodes(v, chart.leg_gens, found)
+    extended = chart.extended_ring(len(found))
+    gens = dict(zip(chart.symbols + tuple(found), extended.gens))
     try:
-        return chart.fractions(values)
+        return [(v.to_field(extended), {}) if isinstance(v, GaussPoly)
+                else _read_fraction(v, extended, gens) for v in values], tuple(found)
     except ZeroDivisionError as exc:
         raise EvaluationError(f"infinite or undefined value on chart {chart.name!r}: "
                               f"{exc}") from None
 
 
-def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, complex]], list[complex]]:
+def _opaque_nodes(e: sympy.Expr, legs: Mapping, found: dict) -> dict:
+    """Add to ``found``, and return it, each subexpression of ``e`` that
+    :func:`_read_fraction` does not read as a field operation on legs and
+    Gaussian rationals."""
+    if e.is_Add or e.is_Mul:
+        for a in e.args:
+            _opaque_nodes(a, legs, found)
+    elif e.is_Pow and e.exp.is_Integer:
+        _opaque_nodes(e.base, legs, found)
+    elif not (e.is_Rational or e is sympy.I or e in legs):
+        found[e] = None
+    return found
+
+
+def _read_fraction(e: sympy.Expr, R: PolyRing, gens: dict) -> tuple[PolyElement, dict]:
+    """``e`` as (numerator, denominator) over ``R``, whose generators
+    ``gens`` maps from sympy.  The denominator maps each distinct monic
+    non-constant factor to its multiplicity, so a repeated factor is never
+    multiplied in twice; constants go to the numerator.  Every opaque
+    subexpression of ``e`` (:func:`_opaque_nodes`) must be in ``gens``.
+    ``ZeroDivisionError`` at a negative power of a base that is zero in
+    ``R``."""
+    gen = gens.get(e)
+    if gen is not None:
+        return gen, {}
+    if e.is_Add or e.is_Mul:
+        parts = [_read_fraction(a, R, gens) for a in e.args]
+        return _sum(parts, R) if e.is_Add else _product(parts, R)
+    if e.is_Pow and e.exp.is_Integer:
+        num, den = _read_fraction(e.base, R, gens)
+        n = int(e.exp)
+        if n >= 0:
+            return num ** n, {f: m * n for f, m in den.items()}
+        if not num:
+            raise ZeroDivisionError(f"{e.base} is zero")
+        n = -n
+        lc = num.LC
+        inverse = R.ground_new(R.domain.revert(lc) ** n)
+        for f, m in den.items():
+            inverse *= f ** (m * n)
+        factor = num.quo_ground(lc)
+        return inverse, ({} if factor.is_ground else {factor: n})
+    # a Gaussian rational or I
+    return R.ground_new(R.domain.from_sympy(e)), {}
+
+
+def _product(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
+    num, den = R.one, {}
+    for n, d in parts:
+        num *= n
+        for f, m in d.items():
+            den[f] = den.get(f, 0) + m
+    return (num, den) if num else (R.zero, {})
+
+
+def _sum(parts: list, R: PolyRing) -> tuple[PolyElement, dict]:
+    """The sum over the least common denominator."""
+    common = common_denominator(d for _, d in parts)
+    total = sum((over(n, d, common) for n, d in parts), R.zero)
+    return (total, common) if total else (R.zero, {})
+
+
+def common_denominator(dens: Iterable[Mapping]) -> dict:
+    """The least common denominator: each factor at its largest multiplicity."""
+    common: dict = {}
+    for den in dens:
+        for f, m in den.items():
+            if common.get(f, 0) < m:
+                common[f] = m
+    return common
+
+
+def over(num: PolyElement, den: Mapping, common: Mapping) -> PolyElement:
+    """The numerator of ``num / den`` over ``common``, a multiple of
+    ``den`` such as :func:`common_denominator` gives."""
+    for f, m in common.items():
+        if m != den.get(f, 0):
+            num = num * f ** (m - den.get(f, 0))
+    return num
+
+
+def compile_exprs(exprs: Sequence, chart: Chart, pins: Optional[Mapping[str, int]] = None
+                  ) -> Callable[[Mapping[str, complex]], list[complex]]:
     """Compile expressions over the chart's legs: point -> list of complex.
 
-    :func:`read_fractions` reads every expression as a fraction over the
-    chart's ring, and raises at once, rather than at every point, on an
-    infinite or undefined value.  Each fraction is put in lowest terms in
-    the ring (:func:`_lowest_terms`), so a removable singularity, such as
+    :func:`read_fractions` pins the bumps in ``pins`` and reads every
+    expression as a fraction over the chart's ring, and raises at once,
+    rather than at every point, on an infinite or undefined value.  Each
+    fraction is put in lowest terms in the ring (:func:`lowest_terms`), so a removable singularity, such as
     that of the surgery spinor at z1 = 0, is gone.  The numerator and
     denominator are printed from their terms as plain Python, one complex
     literal per coefficient.  The extra generators (a bump application,
@@ -248,7 +367,7 @@ def compile_exprs(exprs: Sequence, chart: Chart) -> Callable[[Mapping[str, compl
     The callable's ``zeros`` holds the indices of the expressions that are
     zero in the ring.
     """
-    return compile_fractions(*read_fractions(exprs, chart), chart)
+    return compile_fractions(*read_fractions(exprs, chart, pins), chart)
 
 
 def compile_fractions(pairs: Sequence, extras: Sequence[sympy.Expr],
@@ -256,7 +375,7 @@ def compile_fractions(pairs: Sequence, extras: Sequence[sympy.Expr],
     """:func:`compile_exprs` of the ``(pairs, extras)`` of :func:`read_fractions`."""
     # every symbol that is not a leg sits in an extra generator
     unbound = set().union(*(e.free_symbols for e in extras)) - set(chart.symbols)
-    fractions = [_lowest_terms(*pair) for pair in pairs]
+    fractions = [lowest_terms(*pair) for pair in pairs]
     values_at = None if unbound else _compile_values(fractions, extras, chart)
     names = [leg.name for leg in chart.legs]
 
@@ -348,10 +467,10 @@ class _ExtraPrinter:
             return leg
         if e is sympy.I:
             return "1j"
-        if e.is_Integer:
-            return str(e.p)
         if e.is_Rational:
-            return f"{e.p}/{e.q}"
+            if max(abs(e.p), e.q) > sys.float_info.max:  # too long to print as digits
+                return repr(_float(e.p, e.q))
+            return str(e.p) if e.is_Integer else f"{e.p}/{e.q}"
         if e.is_Float or e.is_NumberSymbol:
             return repr(float(e))
         if e.is_Add:
@@ -398,8 +517,22 @@ def _poly_code(p: PolyElement, names: Sequence[str]) -> str:
     terms = []
     for monom, c in p.iterterms():
         powers = "".join(f"*{x}" if k == 1 else f"*{x}**{k}" for x, k in zip(names, monom) if k)
-        terms.append(repr(complex(float(c.x), float(c.y))) + powers)
+        value = complex(*(_float(q.numerator, q.denominator) for q in (c.x, c.y)))
+        terms.append(repr(value) + powers)
     return " + ".join(terms) or "0j"
+
+
+def _float(p: int, q: int) -> float:
+    """``p/q`` as a float.  :class:`EvaluationError` when it is beyond a
+    float's range, naming it by its leading digits and decimal exponent,
+    since its decimal form may be too long for Python to print."""
+    try:
+        return p / q
+    except OverflowError:
+        exponent = math.log10(abs(p)) - math.log10(q)
+        whole = math.floor(exponent)
+        raise EvaluationError(f"the number {'-' if p < 0 else ''}{10 ** (exponent - whole):.6g}"
+                              f"e+{whole} is too large for floating point") from None
 
 
 def _irreducible(f: PolyElement) -> bool:
@@ -418,7 +551,7 @@ def _irreducible(f: PolyElement) -> bool:
     return False
 
 
-def _lowest_terms(num: PolyElement, den: Mapping) -> tuple[PolyElement, list]:
+def lowest_terms(num: PolyElement, den: Mapping) -> tuple[PolyElement, list]:
     """``num / den`` in lowest terms, as ``(numerator, [(factor, power)])``.
 
     Each denominator factor is divided out of the numerator as often as it
@@ -458,10 +591,15 @@ def is_structural_zero(expr) -> bool:
     return expr == 0 or (isinstance(expr, sympy.Number) and expr.is_zero)
 
 
-# pi and E are treated as algebraically independent transcendentals, as
-# sympy's cancel treats them: a nonzero polynomial in them and the legs
-# counts as a nonzero function
 _FINAL_EXTRAS = frozenset({sympy.pi, sympy.E})
+
+
+def is_constant_extra(extra: sympy.Expr) -> bool:
+    """Whether an extra generator of :func:`read_fractions` is a constant of
+    a verdict: ``pi`` or ``E``, read as algebraically independent
+    transcendentals, as sympy's ``cancel`` reads them.  Any other extra may
+    obey relations the reader does not see, such as sqrt(u)**2 = u."""
+    return extra in _FINAL_EXTRAS
 
 
 def expr_equal(
@@ -486,8 +624,8 @@ def expr_equal(
     a value or on a negative power of a base that is zero in the ring, so
     a zero base is reported only when the sides differ.  The verdict is
     exact when the numerators over the least common denominator agree
-    (equal, whatever the extra generators), or when they differ and the
-    extra generators are at most ``pi`` and ``E`` (different).  A nonzero
+    (equal, whatever the extra generators), or when they differ and every
+    extra generator is a constant (:func:`is_constant_extra`; different).  A nonzero
     rational function cannot vanish on an open region, and the Wirtinger
     legs (z, zb) are an invertible linear change of the real coordinates,
     so no sampling is needed there.  Any other difference, one with a
@@ -509,7 +647,7 @@ def expr_equal(
     common = common_denominator(den for _, den in pairs)
     if over(*pairs[0], common) == over(*pairs[1], common):
         return True
-    if _FINAL_EXTRAS.issuperset(extras):
+    if all(map(is_constant_extra, extras)):
         return False
     region = everywhere(chart) if region is None else region
     rng = random.Random(0) if rng is None else rng

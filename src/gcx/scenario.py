@@ -349,14 +349,13 @@ class ExprParser:
                 a, b = b, a  # the scalar factor first
             message = "'*' needs a scalar factor; use '^' to wedge forms"
             return self.scale(b, self.scalar(a, line, message))
-        if op == "/":
-            divisor = self.scalar(b, line)
-            if isinstance(divisor, GaussPoly) and divisor.is_ground and divisor:
-                return self.scale(a, divisor.inverse())
-            # a zero or non-constant divisor goes to the expression path, so
-            # 1/(z1 - z1) is zoo and fails its check
-            return self.scale(a, 1 / as_expr(divisor))
-        raise ParseError(f"unknown operator {op!r}", line)
+        # op == "/"
+        divisor = self.scalar(b, line)
+        if isinstance(divisor, GaussPoly) and divisor.is_ground and divisor:
+            return self.scale(a, divisor.inverse())
+        # a zero or non-constant divisor goes to the expression path, so
+        # 1/(z1 - z1) is zoo and fails its check
+        return self.scale(a, 1 / as_expr(divisor))
 
 
 def parse_expr(sc: Scenario, chart: Chart, ts: TokenStream) -> MixedForm:
@@ -878,8 +877,6 @@ def _stmt_check(sc, ts, line, text):
         payload["right"] = parse_expr(sc, chart, ts)
         if ts.accept("on"):
             payload["region"] = _named(sc.regions, "region", ts.next().text, line)
-        if ts.accept("scale"):
-            payload["scale"] = _scalar(sc, chart, ts, line, "scale needs a scalar expression")
     elif what in ("lemma", "assembly"):
         ts.expect("params")
         payload["params"] = _params(ts, line)

@@ -15,8 +15,9 @@ the 2n unknowns.  The search is exact for every spinor: the fraction
 reader (:func:`~gcx.scalars.read_fractions`) reads the coefficients over
 the chart's ring over ``QQ_I``, each opaque subexpression (a bump,
 ``exp``, ``sqrt``, a float) one extra generator, and each pair (form key,
-monomial) is one equation.  ``pi`` and ``E`` are constants of the solve,
-as :func:`~gcx.scalars.expr_equal` treats them, so ``rref`` runs over
+monomial) is one equation.  ``pi`` and ``E`` are constants of the solve
+(:func:`~gcx.scalars.is_constant_extra`), as they are of
+:func:`~gcx.scalars.expr_equal`'s verdicts, so ``rref`` runs over
 ``QQ_I`` or ``QQ_I(pi, E)``.  A solution is the certificate, with free
 unknowns set to 0; an inconsistent system proves that none exists when
 the extra generators are at most ``pi`` and ``E``, and leaves the check
@@ -49,7 +50,7 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import PolyElement, ring
 
-from .chart import Chart, Region, common_denominator, over
+from .chart import Chart, Region
 from .forms import (
     EqualityResult,
     GeneralizedSection,
@@ -67,12 +68,15 @@ from .forms import (
 from .maps import CoordinateMap, pullback
 from .poly import GaussPoly
 from .scalars import (
-    _FINAL_EXTRAS,
-    _lowest_terms,
     bump_function,
+    common_denominator,
     compile_exprs,
+    is_constant_extra,
     is_structural_zero,
+    lowest_terms,
+    over,
     read_fractions,
+    to_ring,
 )
 from .topology import SurgeryParams, validate_surgery_params
 
@@ -197,7 +201,7 @@ def check_integrable(s: SpinorStructure, samples: int = 32, seed: int = 0,
                                    "stored")
     cert, rank, extras = _exact_certificate(rho, target, s.region)
     if cert is None:
-        opaque = [e for e in extras if e not in _FINAL_EXTRAS]
+        opaque = [e for e in extras if not is_constant_extra(e)]
         if opaque:
             raise SpinorError(
                 f"integrability undecided: no constant certificate, but "
@@ -238,7 +242,7 @@ def _exact_certificate(rho: MixedForm, target: MixedForm, region: Optional[Regio
     for (key, _, _), (_, den) in zip(cells, pairs):
         dens.setdefault(key, []).append(den)
     common = {key: common_denominator(d) for key, d in dens.items()}
-    constants = [n + j for j, e in enumerate(extras) if e in _FINAL_EXTRAS]
+    constants = [n + j for j, e in enumerate(extras) if is_constant_extra(e)]
     rows: dict[tuple, dict[int, dict]] = {}  # (key, monomial) -> column -> pi, E terms
     for (key, col, _), (num, den) in zip(cells, pairs):
         for monom, coeff in over(num, den, common[key]).iterterms():
@@ -293,7 +297,7 @@ def check_stable(s: SpinorStructure) -> StabilityResult:
     stored = s.rho.coefficients.get(())
     if stored is None:
         raise SpinorError("degree-0 part vanishes identically: not a pure spinor")
-    s0_ring, s0 = chart.to_ring(stored), as_expr(stored)
+    s0_ring, s0 = to_ring(chart, stored), as_expr(stored)
     if s0_ring is None:
         raise SpinorError(f"degree-0 part {s0} is not a polynomial over QQ_I "
                           f"in the legs of chart {chart.name!r}")
@@ -434,7 +438,7 @@ def surgery_certificate(chart: Chart, params: SurgeryParams,
     cov = MixedForm.basis(chart, "z1").scale(1 / chart.symbol("z1")) - interior(vector, exponent)
     pairs, _ = read_fractions(list(cov.coefficients.values()), chart)
     i1 = chart.leg_index("z1")
-    if any(f.degree(i1) > 0 for pair in pairs for f, _ in _lowest_terms(*pair)[1]):
+    if any(f.degree(i1) > 0 for pair in pairs for f, _ in lowest_terms(*pair)[1]):
         raise SpinorError("certificate covector failed to desingularize")
     return GeneralizedSection.make(chart, vector, cov)
 

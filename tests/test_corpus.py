@@ -147,6 +147,8 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     # str.isalpha but not part of a generator name
     ("group G = < x | x^² >", "'^' needs an integer exponent"),
     ("group G = < x | x*é >", "unexpected token 'é' in word"),
+    # check equal has no scale clause: c*(expr) on the right scales it
+    ("check equal on C z1, z1 scale dz1 + 2 expect equal", "expected 'expect', got 'scale'"),
 ])
 def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -219,7 +221,6 @@ def test_cli_component_clause_repeats(tmp_path, capsys):
 
 @pytest.mark.parametrize("statement, message", [
     ("spinor s = rho z1 + dz1^dz2; vector z2 = dz1 + 3", "vector 'z2' needs a scalar expression"),
-    ("check equal on C z1, z1 scale dz1 + 2 expect equal", "scale needs a scalar expression"),
 ])
 def test_cli_scalar_clauses_reject_forms(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -683,4 +684,25 @@ def test_cli_bump_named_math_beside_elementary_functions(tmp_path, capsys, state
     assert main(["run", str(scn)]) == 0
     captured = capsys.readouterr()
     assert "result: pass" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("statements, number", [
+    ("chart C = complex z1, complex z2\n"
+     "spinor s = on C; rho 10**400*z1*exp(z2) + dz1^dz2\n"
+     "check type s at z1 = 0.5, z2 = 0.1 expect 0\n", "1e+400"),
+    ("chart C = real x, real y\n"
+     "check equal on C x*10**400, x*10**400 + 1/10**12*sin(y) expect different\n", "1e+400"),
+    ("chart C = real x, real y\n"
+     "check equal on C sin(10**5000*x), sin(10**5000*x) + 1/10**12*sin(y) expect equal\n",
+     "1e+5000"),
+], ids=["type-coefficient", "equal-coefficient", "equal-extra"])
+def test_cli_number_beyond_floating_point_fails_its_check(tmp_path, capsys, statements, number):
+    # a ring coefficient or a number inside an extra generator that no
+    # float can hold fails the check and names the number
+    scn = tmp_path / "huge.gcx"
+    scn.write_text(statements)
+    assert main(["run", str(scn)]) == 1
+    captured = capsys.readouterr()
+    assert f"(the number {number} is too large for floating point)" in captured.out
     assert "Traceback" not in captured.out + captured.err

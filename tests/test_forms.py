@@ -55,7 +55,7 @@ from gcx import (
 )
 from gcx.forms import lie_derivative, mukai, vector_bracket
 from gcx.runner import corpus_dir, corpus_files, run
-from gcx.scalars import compile_exprs, pin_bumps
+from gcx.scalars import compile_exprs, pin_bumps, to_ring
 from gcx.spinor import (RADIAL_PROFILES, build_gluck_spinor, build_luttinger_spinor,
                         collar_charts, disk_to_complex_map, luttinger_gluing_map,
                         surgery_exponent, surgery_regions)
@@ -381,7 +381,7 @@ def test_ring_vectors_pair_and_bracket_as_expressions():
     z1, z1b, x1 = ch.symbols
     X = {"z1": z1 * x1 / 3, "x1": sympy.Integer(2)}
     Y = {"z1b": x1 ** 2, "z1": sympy.I * z1b}
-    ring_X, ring_Y = ({k: ch.to_ring(v) for k, v in V.items()} for V in (X, Y))
+    ring_X, ring_Y = ({k: to_ring(ch, v) for k, v in V.items()} for V in (X, Y))
     xi = MixedForm(ch, {(0,): z1b, (2,): sympy.sin(x1)})
     eta = MixedForm(ch, {(1,): x1 / 2, (2,): z1})
     s1, s2 = GeneralizedSection.make(ch, ring_X, xi), GeneralizedSection.make(ch, ring_Y, eta)
@@ -400,7 +400,7 @@ def test_vector_bracket_converts_each_ring_entry_once(monkeypatch):
     X = {"z1": z1 * x1 / 3 + z2b, "z2b": r ** 2 - sympy.I * z1, "x1": sympy.Integer(2),
          "r": x1 * z2}
     Y = {"z1b": x1 ** 2, "z1": sympy.I * z1b * r, "z2": z2 * z2b / 5}
-    ring_X, ring_Y = ({k: ch.to_ring(v) for k, v in V.items()} for V in (X, Y))
+    ring_X, ring_Y = ({k: to_ring(ch, v) for k, v in V.items()} for V in (X, Y))
     bracket = vector_bracket(X, Y, ch)
     calls = []
     original = GaussPoly.as_expr
@@ -499,9 +499,9 @@ def test_evaluate_at_needs_no_lambdify_or_cancel(monkeypatch):
 def test_form_compiles_once_per_pin_set(monkeypatch):
     compiled = []
 
-    def counting(exprs, chart):
+    def counting(exprs, chart, pins=None):
         compiled.append(len(exprs))
-        return compile_exprs(exprs, chart)
+        return compile_exprs(exprs, chart, pins)
 
     monkeypatch.setattr(forms_module, "compile_exprs", counting)
     s = build_luttinger_spinor((1, 3, 1, 2))
@@ -609,7 +609,7 @@ def _coefficient_dicts(keys):
 
 
 def _ring_form(exprs: dict) -> MixedForm:
-    return MixedForm(_RING_CHART, {k: _RING_CHART.to_ring(c) for k, c in exprs.items()})
+    return MixedForm(_RING_CHART, {k: to_ring(_RING_CHART, c) for k, c in exprs.items()})
 
 
 def _sorted_sign(key) -> tuple[tuple[int, ...], int]:
@@ -800,7 +800,7 @@ def test_ring_interior_matches_expression_path(a, vector):
         assert isinstance(c, GaussPoly) == (key not in reached), key
     assert form_equal(mixed, interior(others, form) + interior({"z1": sympy.sqrt(2)}, form))
     # a ring-element field acts on an expression form too
-    ring_X = {name: _RING_CHART.to_ring(c) for name, c in X.items()}
+    ring_X = {name: to_ring(_RING_CHART, c) for name, c in X.items()}
     assert form_equal(interior(ring_X, MixedForm(_RING_CHART, a)), ring)
 
 

@@ -2,8 +2,9 @@
 no module imports numpy or mpmath, numpy is no declared dependency, gcds
 and sympy's expansion run only in the functions listed for each, nothing
 calls sympy's ``cancel``, ``together``, ``solve`` or ``subs``, no function
-asks whether a whole form is polynomial, only
-``scalars.read_fractions`` reads ``Chart.fractions``, package code
+asks whether a whole form is polynomial, only ``scalars.read_fractions``
+and ``scalars.to_ring`` call the fraction reader, ``chart.py`` holds no
+reader, no module imports a private name of ``gcx.scalars``, package code
 reads form coefficients as stored, not through their expression view,
 ``QQ_I`` is named only where a coefficient leaves the kernel, and a
 coefficient's kind is tested only where the algorithm differs by kind,
@@ -119,7 +120,7 @@ _SIMPLIFIER_SITES = {
     "cancel": _CANCEL_SITES,
     "together": _CANCEL_SITES,
     "expand": {"scenario._point"},
-    "gcd": {"scalars._lowest_terms", "poly.GaussPoly.inverse"},
+    "gcd": {"scalars.lowest_terms", "poly.GaussPoly.inverse"},
     "solve": set(),
     "subs": set(),
 }
@@ -193,10 +194,59 @@ def test_ring_terms_read_only_by_the_integrability_solve(path):
 
 def test_fractions_are_read_only_by_the_guarded_reader():
     # read_fractions pins bumps and turns zoo or a zero base into an
-    # EvaluationError; any other reader of Chart.fractions would skip that
-    readers = set().union(*(attribute_reads(path.read_text(), path.stem, "fractions")
+    # EvaluationError, and to_ring refuses an opaque value before reading
+    # it; any other caller of _read_fraction would skip that
+    callers = set().union(*(name_reads(path.read_text(), path.stem, "_read_fraction")
                             for path in _PACKAGE.glob("*.py")))
-    assert readers == {"scalars.read_fractions"}
+    assert callers == {"scalars.read_fractions", "scalars.to_ring", "scalars._read_fraction"}
+
+
+# the functions that read a coefficient into the chart's rings; they live
+# in scalars.py, beside the guard and the final rule, and chart.py keeps
+# only the rings
+_READER = {"to_ring", "_opaque_nodes", "_read_fraction", "_sum", "_product",
+           "common_denominator", "over"}
+
+
+def defined_functions(source: str) -> set[str]:
+    """The names of the functions and methods the source defines."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def private_imports(source: str, module: str) -> set[str]:
+    """The underscore-prefixed names that the source imports from the
+    package module ``module``, relative or absolute."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == f"gcx.{module}" or (node.level == 1 and node.module == module))
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def imported_names(source: str) -> set[str]:
+    """The names that the source's import statements bind."""
+    return {(alias.asname or alias.name).split(".")[0] for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_one_module_reads_coefficients_into_the_ring():
+    chart = (_PACKAGE / "chart.py").read_text()
+    assert "PolyElement" not in imported_names(chart)
+    assert defined_functions(chart) & _READER == set()
+    assert _READER <= defined_functions((_PACKAGE / "scalars.py").read_text())
+    found = {path.name: private_imports(path.read_text(), "scalars")
+             for path in _PACKAGE.glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_reader_scans_read_definitions_and_private_imports():
+    source = ("from .scalars import _lowest_terms, over\nfrom gcx.scalars import _X as y\n"
+              "from .chart import _hidden\nfrom sympy.polys.rings import PolyElement\n"
+              "class C:\n    def to_ring(self):\n        pass\n"
+              "def over():\n    pass\n")
+    assert private_imports(source, "scalars") == {"_lowest_terms", "_X"}
+    assert defined_functions(source) == {"to_ring", "over"}
+    assert "PolyElement" in imported_names(source)
 
 
 def test_coefficients_are_read_as_stored():
@@ -265,13 +315,12 @@ def test_attribute_reads_names_the_enclosing_function():
 
 # Coefficients of either kind combine with +, * and ==, so a value is
 # tested against GaussPoly only where the algorithm differs by kind:
-# reading into QQ_I, the ring-ring compare, the index-or-symbol
-# derivative, conjugation, pullback substitution and the map that keeps
-# its ring images for it, the chart checks, the bump pins, the conversion
-# to an expression, and the parser's constant divisor.
+# reading into the ring and into QQ_I, the ring-ring compare, the
+# index-or-symbol derivative, conjugation, pullback substitution and the
+# map that keeps its ring images for it, the chart checks, the bump pins,
+# the conversion to an expression, and the parser's constant divisor.
 _KIND_TEST_SITES = {
-    "chart.Chart.to_ring",
-    "chart.Chart.fractions",
+    "scalars.to_ring",
     "scalars.read_fractions",
     "scalars.expr_equal",
     "forms.d",
@@ -279,7 +328,6 @@ _KIND_TEST_SITES = {
     "maps.pullback",
     "maps.CoordinateMap.make",
     "forms.MixedForm.__init__",
-    "forms.MixedForm.evaluate_at",
     "forms.scalar_of",
     "spinor._require_plateau",
     "forms.as_expr",

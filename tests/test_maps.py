@@ -9,6 +9,7 @@ from gcx import (Chart, CoordinateMap, MixedForm, build_luttinger_spinor, form_e
 from gcx.forms import scalar_of
 from gcx.maps import MapError
 from gcx.poly import GaussPoly
+from gcx.scalars import to_ring
 from gcx.spinor import collar_charts, disk_to_complex_map, luttinger_gluing_map
 import gcx.maps as maps_module
 
@@ -121,7 +122,7 @@ def test_parsed_polynomial_map_keeps_ring_images():
     assert all(isinstance(values[leg.name], GaussPoly) for leg in f.target.legs)
     assert values["w1b"] == C.conjugate(values["w1"])
     images = f.ring_images
-    assert [C.to_ring(f.table[leg.name]) for leg in f.target.legs] == list(images)
+    assert [to_ring(C, f.table[leg.name]) for leg in f.target.legs] == list(images)
 
 
 @pytest.mark.parametrize("name", ["g", "h"])

@@ -22,6 +22,7 @@ from gcx.scalars import (
     is_structural_zero,
     pin_bumps,
     read_fractions,
+    to_ring,
 )
 
 
@@ -109,7 +110,7 @@ def test_expr_equal_takes_ring_elements_as_stored(monkeypatch):
     ch = Chart("cz", [("z1", "complex"), ("x1", "real")])
     z1, z1b, x1 = ch.symbols
     expr = z1 * z1b + sympy.I * x1 / 3
-    p = ch.to_ring(expr)
+    p = to_ring(ch, expr)
     # a ring side is read as it is, beside an expression side
     assert expr_equal(p, sympy.expand(expr * (x1 + 1)) / (x1 + 1), ch)
     assert expr_equal(expr, p, ch)
@@ -121,7 +122,7 @@ def test_expr_equal_takes_ring_elements_as_stored(monkeypatch):
 
     # two ring sides are compared in the ring, and nothing is read
     monkeypatch.setattr(scalars, "read_fractions", refuse)
-    assert expr_equal(p * p, ch.to_ring(sympy.expand(expr ** 2)), ch)
+    assert expr_equal(p * p, to_ring(ch, sympy.expand(expr ** 2)), ch)
     assert not expr_equal(p, p + 1, ch)
 
 
@@ -240,13 +241,13 @@ def _candidates(children):
 def test_to_ring_agrees_with_from_expr(expr):
     ch = _PROPERTY_CHART
     if expr.has(sympy.Float):
-        assert ch.to_ring(expr) is None
+        assert to_ring(ch, expr) is None
         return
     try:
         expected = ch.ring(expr)
     except ValueError:  # a denominator, a function, pi, a foreign symbol
         expected = None
-    assert ch.to_ring(expr) == expected
+    assert to_ring(ch, expr) == expected
 
 
 def test_to_ring_extends_no_ring_for_an_opaque_value():
@@ -254,9 +255,9 @@ def test_to_ring_extends_no_ring_for_an_opaque_value():
     z1, z1b, r = ch.symbols
     zero_base = z1 * (z1 + 1) - z1 ** 2 - z1
     for value in (sympy.sin(z1), sympy.pi * z1, sympy.Float(0.5) * z1, 1 / z1, 1 / zero_base):
-        assert ch.to_ring(value) is None
+        assert to_ring(ch, value) is None
     x1, x1b, xr = ch.ring.gens
-    assert ch.to_ring(z1 * z1b / 2 + sympy.I * r) == x1 * x1b / 2 + ch.ring(sympy.I) * xr
+    assert to_ring(ch, z1 * z1b / 2 + sympy.I * r) == x1 * x1b / 2 + ch.ring(sympy.I) * xr
     assert set(ch._rings) == {0}
 
 
@@ -373,6 +374,9 @@ def test_compiled_non_finite_raises():
     with pytest.raises(EvaluationError):
         compile_exprs([sympy.log(x1)], ch)({"x1": 0.0})
     assert compile_exprs([sympy.log(x1)], ch)({"x1": -1.0})[0] == pytest.approx(math.pi * 1j)
+    # a float product that overflows raises nothing in Python, and is caught
+    with pytest.raises(EvaluationError, match="non-finite value at"):
+        compile_exprs([sympy.Float(1e300) * x1], ch)({"x1": 1e10})
 
 
 def test_compiled_unevaluable_nodes_raise_when_evaluated():

@@ -9,7 +9,7 @@ from sympy.polys.domains import QQ, QQ_I
 
 from conftest import ring_coefficients
 import gcx.scenario as scenario_module
-from gcx import MixedForm, ParseError, parse_scenario
+from gcx import MixedForm, ParseError, Region, parse_scenario
 from gcx.runner import corpus_files, load_scenario, run
 
 
@@ -186,3 +186,62 @@ def test_division_by_zero_takes_the_expression_path():
     report = run(sc)
     assert len(report.failures) == 1
     assert "infinite or undefined value in zoo" in report.render()
+
+
+def test_pullback_call_lands_on_the_source_chart():
+    text = ("chart C = real x, real y\nchart D = real u, real v\n"
+            "map f : C -> D = u -> x + y, v -> x*y\nform w on D = u*dv\n")
+    report = run(parse_scenario(
+        text + "check equal on C pullback(f, w), (x + y)*(y*dx + x*dy) expect equal\n"
+               "check equal on C pullback(f, w), x*dy expect different\n"))
+    assert report.ok, report.render()
+    with pytest.raises(ParseError, match="line 5: pullback along 'f' lands on 'C'"):
+        parse_scenario(text + "check equal on D pullback(f, w), w expect equal\n")
+
+
+def test_spinor_region_pins_its_bumps():
+    # on the core the bump term is pinned away and a constant certificate
+    # exists; on the whole chart the bump is opaque to the linear solve
+    text = ("chart C = complex z1, complex z2\nbump xi = 0 upto 0.25, 1 from 0.5\n"
+            "region core on C = |z1| in (0, 0.25), xi = 0\n"
+            "spinor s = on C; rho z1 + xi(z1*z1b)*z2 + dz1^dz2{}\n"
+            "check integrable s expect true\n")
+    assert "(certificate found by linear solve)" in run(parse_scenario(
+        text.format("; region core"))).render()
+    report = run(parse_scenario(text.format("")))
+    assert not report.ok and "integrability undecided" in report.render()
+
+
+def test_run_report_lists_parse_warnings_first():
+    report = run(parse_scenario("chart C = complex z1\nform w on C = dz1 ^ dz1\n"
+                                "check equal on C w, 0 expect equal\n"))
+    assert report.ok
+    assert report.render().splitlines()[1:3] == [
+        "[warn] line 2: wedge with repeated differential is zero",
+        "[ok] #1 check equal on C w, 0 expect equal  (got equal)"]
+
+
+def test_abelianization_of_an_unknown_pi1_fails_its_check():
+    report = run(parse_scenario("manifold M = dim 4; chi 2; pi1 unknown\n"
+                                "check abelianization M expect rank 0 torsion []\n"))
+    assert "[FAIL] #1 check abelianization M expect rank 0 torsion []  " \
+           "(manifold 'M' has unknown pi1)" in report.render()
+
+
+def test_check_equal_skips_singular_sample_points(monkeypatch):
+    drawn = []
+    real_sample = Region.sample
+
+    def counting(self, rng):
+        drawn.append(None)
+        return real_sample(self, rng)
+
+    monkeypatch.setattr(Region, "sample", counting)
+    text = ("chart C = real x1, real y1, complex z1\nbump xi = 0 upto 0.25, 1 from 0.5\n"
+            "check equal on C xi({0})*(sin(y1)**2 + cos(y1)**2), xi({0}) expect equal\n")
+    # a bump's argument must be real: sqrt(x1) is not where x1 < 0
+    assert run(parse_scenario(text.format("sqrt(x1)"))).ok
+    assert len(drawn) > 32
+    # and z1 never is
+    assert "(sampling cannot avoid singular loci)" in run(parse_scenario(
+        text.format("z1"))).render()

@@ -38,7 +38,7 @@ from gcx import (
     validate_surgery_params,
     wedge,
 )
-from gcx.scalars import bump_function, compile_exprs
+from gcx.scalars import bump_function, compile_exprs, to_ring
 from gcx.runner import corpus_dir, load_scenario
 from gcx.scenario import parse_scenario
 from gcx.spinor import (
@@ -338,11 +338,11 @@ _C2_KEYS = st.sets(st.integers(0, _C2.dim - 1), max_size=3).map(lambda k: tuple(
        st.lists(GAUSSIAN_RATIONALS, min_size=2 * _C2.dim, max_size=2 * _C2.dim))
 def test_exact_solve_recovers_a_constant_certificate(terms, coeffs):
     ch = _C2
-    rho = MixedForm(ch, {k: ch.to_ring(c) for k, c in terms.items()})
+    rho = MixedForm(ch, {k: to_ring(ch, c) for k, c in terms.items()})
     n = ch.dim
     true = GeneralizedSection.make(
         ch, {leg.name: coeffs[i] for i, leg in enumerate(ch.legs)},
-        MixedForm(ch, {(i,): ch.to_ring(coeffs[n + i]) for i in range(n)}))
+        MixedForm(ch, {(i,): to_ring(ch, coeffs[n + i]) for i in range(n)}))
     target = clifford(true, rho)
     assert ring_coefficients(target) is not None
     found, rank, _ = _exact_certificate(rho, target)
