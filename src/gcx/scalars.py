@@ -347,8 +347,9 @@ def compile_exprs(exprs: Sequence, chart: Chart, pins: Optional[Mapping[str, int
     :func:`read_fractions` pins the bumps in ``pins`` and reads every
     expression as a fraction over the chart's ring, and raises at once,
     rather than at every point, on an infinite or undefined value.  Each
-    fraction is put in lowest terms in the ring (:func:`lowest_terms`), so a removable singularity, such as
-    that of the surgery spinor at z1 = 0, is gone.  The numerator and
+    fraction is put in lowest terms in the ring (:func:`lowest_terms`), so
+    a removable singularity, such as that of the surgery spinor at z1 = 0,
+    is gone.  The numerator and
     denominator are printed from their terms as plain Python, one complex
     literal per coefficient.  The extra generators (a bump application,
     ``exp``, ``sqrt``, ``pi``, a float) are printed by
@@ -625,10 +626,10 @@ def expr_equal(
     a zero base is reported only when the sides differ.  The verdict is
     exact when the numerators over the least common denominator agree
     (equal, whatever the extra generators), or when they differ and every
-    extra generator is a constant (:func:`is_constant_extra`; different).  A nonzero
-    rational function cannot vanish on an open region, and the Wirtinger
-    legs (z, zb) are an invertible linear change of the real coordinates,
-    so no sampling is needed there.  Any other difference, one with a
+    extra generator is a constant of :func:`is_constant_extra`
+    (different).  A nonzero rational function cannot vanish on an open
+    region, and the Wirtinger legs (z, zb) are an invertible linear change
+    of the real coordinates, so no sampling is needed there.  Any other difference, one with a
     float among them, is sampled: both fractions read are compiled once
     and evaluated at up to ``samples`` points of the region, drawn with
     ``rng`` (by default ``random.Random(0)``), where ``|a - b|`` must stay
