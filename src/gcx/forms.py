@@ -7,7 +7,8 @@ coefficients are dropped.
 
 Each coefficient is decided on its own.  It is an element of the chart's
 polynomial ring while it is a polynomial over the Gaussian rationals in
-the legs, and a sympy expression otherwise.  Coefficients combine with
+the legs, or a quotient of two that the kernel formed, and a sympy
+expression otherwise.  Coefficients combine with
 ``+``, ``*`` and ``==``: two ring elements add and multiply in the ring,
 and a ring element meets an expression as the expression it converts to
 (:mod:`gcx.poly`).  So ``d``, conjugation, pullback along a polynomial
@@ -19,9 +20,10 @@ assumption query runs, so a coefficient that only simplifies to zero is
 kept until an identity check decides it.
 
 A ring element is fraction-free (:class:`~gcx.poly.GaussPoly`): a
-numerator with Gaussian-integer coefficients over one positive integer
-denominator.  So the kernel's sums, products, derivatives, conjugates and
-pullback substitutions run on integers and take no gcd.  Two ring
+numerator with Gaussian-integer coefficients over a positive integer,
+and for a quotient by a non-constant polynomial over a Gaussian-integer
+polynomial too.  So the kernel's sums, products, derivatives, conjugates
+and pullback substitutions run on integers and take no gcd.  Two ring
 elements are compared by cross-multiplying their denominators.  A ring
 element is put in lowest terms only when it leaves the kernel: when it is
 read into ``QQ_I``, converted to an expression (a constant to its number)
@@ -77,12 +79,15 @@ def as_expr(c) -> sympy.Expr:
 
 
 def scalar_of(chart: Chart, value):
-    """``value`` as an element of ``chart.ring`` when it is a polynomial
-    over the Gaussian rationals in the legs, else as an expression.  An
-    element of another chart's ring raises :class:`FormError`."""
+    """``value`` as an element of ``chart.ring`` when it is one or a
+    polynomial over the Gaussian rationals in the legs, else as an
+    expression.  An element of another chart's ring raises
+    :class:`FormError`."""
+    if isinstance(value, GaussPoly):
+        if value.ring != chart.ring:
+            raise FormError("coefficient chart mismatch")
+        return value
     ring = to_ring(chart, value)
-    if ring is None and isinstance(value, GaussPoly):
-        raise FormError("coefficient chart mismatch")
     return ring if ring is not None else sympy.sympify(value)
 
 
@@ -296,13 +301,15 @@ def wedge_list(forms: Iterable[MixedForm]) -> MixedForm:
 
 
 def d(a: MixedForm) -> MixedForm:
-    """Exterior derivative; opaque symbols use their formal derivatives."""
+    """Exterior derivative; opaque symbols use their formal derivatives.  An
+    expression is differentiated only in the legs it holds."""
     chart = a.chart
     data: dict[tuple[int, ...], object] = {}
     for key, c in a.coefficients.items():
         ring = type(c) is GaussPoly
+        free = None if ring else c.free_symbols
         for j, v in enumerate(chart.symbols):
-            if j in key:
+            if j in key or not (ring or v in free):
                 continue
             dc = c.diff(j if ring else v)
             if is_structural_zero(dc):

@@ -96,11 +96,22 @@ class CoordinateMap:
         )
 
 
-def _substitute(p: GaussPoly, images: tuple[GaussPoly, ...], ring: GaussRing) -> GaussPoly:
+def _substitute(p: GaussPoly, images: tuple[GaussPoly, ...], ring: GaussRing
+                ) -> Optional[GaussPoly]:
     """``p`` with every generator replaced by its image at once; the images
     live in ``ring``, which may differ from the ring of ``p``.  The
     numerator's terms are substituted and summed in ``ring``, and the sum
-    is divided by the denominator of ``p`` at the end."""
+    is divided by the denominator of ``p`` at the end.  A quotient has its
+    numerator and each denominator factor substituted, and is None when
+    the image of a factor is zero."""
+    if p.den_factors is not None:
+        num, factors = p.fraction()
+        out, dens = _substitute(num, images, ring), [_substitute(f, images, ring) for f in factors]
+        if not all(dens):
+            return None
+        for den in dens:
+            out = out / den
+        return out
     out = ring.zero
     powers: dict[tuple[int, int], GaussPoly] = {}
     for monom, coeff in p.num.items():
@@ -121,7 +132,8 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     Each target differential is replaced by the source exterior derivative
     of its defining scalar, so the pullback commutes with wedge and d by
     construction.  A ring coefficient pulled back along a polynomial map
-    stays in the source chart's ring (:func:`_substitute`); any other has
+    stays in the source chart's ring (:func:`_substitute`), unless it is a
+    quotient with a denominator factor that pulls back to zero; any other has
     every target leg replaced at once by one ``xreplace``, complete since no
     coefficient holds a bound variable such as a ``Derivative``.  The
     ``xreplace`` substitution is built only when some coefficient needs it.
@@ -133,9 +145,10 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     images, dlegs, subs = f.ring_images, f.differentials, None
     out = MixedForm.zero(f.source)
     for key, c in a.coefficients.items():
+        pc = None
         if isinstance(c, GaussPoly) and images is not None:
             pc = _substitute(c, images, f.source.ring)
-        else:
+        if pc is None:
             if subs is None:
                 subs = f.scalar_subs()
             pc = as_expr(c).xreplace(subs)

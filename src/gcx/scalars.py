@@ -8,14 +8,15 @@ during sampling.
 
 Coefficients are read into the chart's rings here and nowhere else:
 :func:`to_ring` reads a polynomial value into the kernel's ring
-(:class:`~gcx.poly.GaussPoly`), and :func:`read_fractions` reads values
-as fractions over the chart's ring over ``QQ_I``, each subexpression that
-is not a field operation on legs and constants (``pi``, a float, a bump,
-``sin``) one extra generator, with no gcd taken.
+(:class:`~gcx.poly.GaussPoly`), and :func:`read_fractions` reads values,
+a quotient of the kernel's ring among them, as fractions over the
+chart's ring over ``QQ_I``, each subexpression that is not a field
+operation on legs and constants (``pi``, a float, a bump, ``sin``) one
+extra generator, with no gcd taken.
 
 Equality is decided exactly wherever it can be.  :func:`expr_equal`
-compares two ring elements by cross-multiplying their integer
-denominators.  Otherwise, after pinning the bumps of its expression
+compares two elements of the kernel's ring, polynomials or quotients, by
+cross-multiplying their denominators.  Otherwise, after pinning the bumps of its expression
 sides, it reads both, and they are equal when their numerators over the
 least common denominator agree, whatever the extra generators.  A
 nonzero difference is final only when every extra generator is a
@@ -209,14 +210,15 @@ def _require_finite(expr: sympy.Expr, chart: Chart) -> sympy.Expr:
 
 
 def to_ring(chart: Chart, value) -> Optional[GaussPoly]:
-    """``value`` as an element of ``chart.ring``, or None when it is not a
-    polynomial over the Gaussian rationals in the legs.  A value with an
+    """``value`` as a polynomial of ``chart.ring``, or None when it is not a
+    polynomial over the Gaussian rationals in the legs; a quotient of the
+    ring is None, whatever its value, as its expression is.  A value with an
     extra generator of :func:`read_fractions` (a float, a foreign symbol,
     a function, ``pi``, a non-integer power) is None at once, with no
     extended ring built, and so is one whose denominator is not a nonzero
     constant; a float is not read as the rational it rounds to."""
     if isinstance(value, GaussPoly):
-        return value if value.ring == chart.ring else None
+        return value if value.ring == chart.ring and value.den_factors is None else None
     value = sympy.sympify(value)
     if _opaque_nodes(value, chart.leg_gens, {}):
         return None
@@ -236,7 +238,9 @@ def read_fractions(values: Sequence, chart: Chart,
     read in the ring; every other subexpression (``pi``, a float, a bump,
     any other function, a non-integer power) is one extra generator,
     shared by equal subexpressions, listed in ``extras``.  An element of
-    ``chart.ring`` is read in lowest terms.  ``pairs`` holds a
+    ``chart.ring`` is read in lowest terms, a quotient of it as its
+    numerator over its monic denominator factors, with their leading
+    coefficients moved into the numerator and no gcd taken.  ``pairs`` holds a
     ``(numerator, denominator)`` per value; a denominator maps each
     distinct non-constant factor to its multiplicity (``{}`` is 1).  An
     infinite or undefined constant (``zoo``, ``nan``, ``oo``), or a
@@ -252,11 +256,25 @@ def read_fractions(values: Sequence, chart: Chart,
     extended = chart.extended_ring(len(found))
     gens = dict(zip(chart.symbols + tuple(found), extended.gens))
     try:
-        return [(v.to_field(extended), {}) if isinstance(v, GaussPoly)
+        return [_ring_fraction(v, extended) if isinstance(v, GaussPoly)
                 else _read_fraction(v, extended, gens) for v in values], tuple(found)
     except ZeroDivisionError as exc:
         raise EvaluationError(f"infinite or undefined value on chart {chart.name!r}: "
                               f"{exc}") from None
+
+
+def _ring_fraction(v: GaussPoly, R: PolyRing) -> tuple[PolyElement, dict]:
+    """An element of a chart's ring as (numerator, denominator) over ``R``,
+    each denominator factor monic, its leading coefficient moved into the
+    numerator."""
+    num, factors = v.fraction()
+    num, den = num.to_field(R), {}
+    for f in factors:
+        f = f.to_field(R)
+        num = num.quo_ground(f.LC)
+        f = f.monic()
+        den[f] = den.get(f, 0) + 1
+    return num, den
 
 
 def _opaque_nodes(e: sympy.Expr, legs: Mapping, found: dict) -> dict:
@@ -473,7 +491,12 @@ class _ExtraPrinter:
                 return repr(_float(e.p, e.q))
             return str(e.p) if e.is_Integer else f"{e.p}/{e.q}"
         if e.is_Float or e.is_NumberSymbol:
-            return repr(float(e))
+            value = float(e)
+            # a Float beyond a double's range raises as a rational does
+            if not math.isfinite(value):
+                exact = sympy.Rational(e)
+                value = _float(exact.p, exact.q)
+            return repr(value)
         if e.is_Add:
             return " + ".join(map(self.code, e.args))
         if e.is_Mul:
@@ -615,8 +638,8 @@ def expr_equal(
     """Equality of two scalars on a region: ring, structural, exact or sampled.
 
     Each side is taken as stored, a ``chart.ring`` element or an
-    expression.  Two ring elements are compared in the ring, by
-    cross-multiplying their integer denominators.  Expression
+    expression.  Two ring elements, polynomials or quotients, are compared
+    in the ring, by cross-multiplying their denominators.  Expression
     sides have their region-pinned bumps substituted, once, and two
     structurally identical ones are equal before they are read, unless
     they hold ``zoo``, ``nan`` or ``oo``, which raises

@@ -203,8 +203,8 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "**": 4}
 
 class ExprParser:
     """Pratt parser over a fixed chart.  A scalar stays bare: in ``chart.ring``
-    while it is a polynomial, else a sympy expression that is not a structural
-    zero.  A MixedForm is made only when a differential, a named form or a form
+    while it is a polynomial or a quotient by a nonzero one, else a sympy
+    expression that is not a structural zero.  A MixedForm is made only when a differential, a named form or a form
     function joins, with the value that reading scalars as 0-forms gives."""
 
     def __init__(self, scenario: Scenario, chart: Chart, ts: TokenStream):
@@ -351,9 +351,9 @@ class ExprParser:
             return self.scale(b, self.scalar(a, line, message))
         # op == "/"
         divisor = self.scalar(b, line)
-        if isinstance(divisor, GaussPoly) and divisor.is_ground and divisor:
+        if isinstance(divisor, GaussPoly) and divisor:
             return self.scale(a, divisor.inverse())
-        # a zero or non-constant divisor goes to the expression path, so
+        # an expression or a zero divisor goes to the expression path, so
         # 1/(z1 - z1) is zoo and fails its check
         return self.scale(a, 1 / as_expr(divisor))
 

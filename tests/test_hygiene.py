@@ -19,8 +19,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 import gcx
+from gcx import parse_scenario, run
+from gcx.poly import GaussPoly
 
 _PACKAGE = Path(gcx.__file__).parent
 _SOURCES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -113,14 +116,15 @@ _SIMPLIFIERS = ("cancel", "together", "expand", "gcd", "solve", "subs")
 # so no function may cancel; stability is decided by Groebner bases, so
 # no function may call solve; a pullback or composition substitutes with
 # xreplace, and a ring image with maps._substitute, so no function may
-# call subs; the kernel's coefficients take no gcd, and the inverse of a
-# constant takes one of three integers
+# call subs; the kernel's coefficients take no gcd, the inverse of a
+# constant takes one of three integers, and a quotient's hash takes the
+# gcd of its numerator and denominator, so equal values hash alike
 _CANCEL_SITES: set[str] = set()
 _SIMPLIFIER_SITES = {
     "cancel": _CANCEL_SITES,
     "together": _CANCEL_SITES,
     "expand": {"scenario._point"},
-    "gcd": {"scalars.lowest_terms", "poly.GaussPoly.inverse"},
+    "gcd": {"scalars.lowest_terms", "poly.GaussPoly.inverse", "poly.GaussPoly.__hash__"},
     "solve": set(),
     "subs": set(),
 }
@@ -420,3 +424,25 @@ def test_sampled_check_loads_no_sympy_codegen():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_rational_identity_check_builds_no_sympy_expression(monkeypatch):
+    # a quotient by a polynomial stays in the kernel's ring: parsing and
+    # deciding the identities benchmark's rational check, (P^2 - Q^2)/(P - Q)
+    # = P + Q, converts no ring element to an expression and builds no sum
+    p, q = "((-1/3) + (1/3)*z2)", "((5/3) + (-5/3)*z2)"
+    text = ("chart C = complex z1, complex z2, real x1, real y1\n"
+            "form R on C = ((4/3 + -5/3*i) + (2/3 + -5/3*i)*x1)*dy1\n"
+            f"check equal on C (({p})**2 - ({q})**2)/({p} - ({q})) * R, ({p} + {q}) * R"
+            " expect equal\n"
+            f"check equal on C (({p})**2 - ({q})**2)/({p} - ({q})) * R, ({p} - {q}) * R"
+            " expect different\n")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a sympy expression was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(GaussPoly, "as_expr", fail)
+        patched.setattr(sympy.Add, "flatten", classmethod(fail))
+        report = run(parse_scenario(text))
+    assert report.ok and len(report.lines) == 2, report.render()

@@ -6,15 +6,16 @@ denominator both scaled by an integer), and checks every operation
 against the same operation on sympy's ``QQ_I`` polynomials.
 """
 
+import cmath
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 
 from conftest import GAUSSIAN_RATIONALS, gaussian_polys
-from gcx import Chart, bump_function
+from gcx import Chart, MixedForm, bump_function
 from gcx.forms import as_expr
 from gcx.maps import _substitute
 from gcx.poly import GaussPoly
@@ -129,9 +130,12 @@ def test_constants_are_read_and_inverted_over_one_denominator():
     assert inverse * c == 1 and inverse.as_expr() == sympy.Rational(54, 85) - sympy.I * 12 / 85
     assert inverse.den == 85
     assert _RING.ground_new(-4).inverse().as_expr() == sympy.Rational(-1, 4)
-    for value in (_RING.zero, _RING.gens[0]):
-        with pytest.raises(ZeroDivisionError):
-            value.inverse()
+    with pytest.raises(ZeroDivisionError):
+        _RING.zero.inverse()
+    # any other nonzero value swaps its numerator and denominator
+    z1 = _RING.gens[0]
+    assert z1.inverse().den_factors == (z1.num,) and z1.inverse() * z1 == 1
+    assert z1.inverse().inverse() == z1 and z1.inverse().inverse().den_factors is None
 
 
 def test_kernel_arithmetic_keeps_denominators_unreduced():
@@ -227,3 +231,112 @@ def test_products_with_a_constant_match_the_reference(p, constant, k):
     c = _unreduced(_RING.ground_new(constant), k)
     ref_c = _FIELD.ground_new(_FIELD.domain.from_sympy(constant))
     assert _is(a * c, ref * ref_c) and _is(c * a, ref_c * ref)
+
+
+# -- quotients against sympy expressions of the same text -------------------
+
+_QUOTIENT_CHARTS = [Chart("q2", [("z1", "complex")]),
+                    Chart("q3", [("z1", "complex"), ("x1", "real")]),
+                    Chart("r3", [("x1", "real"), ("y1", "real"), ("r", "radial")])]
+_SMALL = st.sampled_from(["1", "2", "1/2", "-1/3", "2/3 + i", "-i", "3/2 - 2*i"])
+# the texts of + - * and / over three polynomial texts; a quotient adds over
+# an equal denominator or cross-multiplies, and divides again
+_TEMPLATES = ["({P})/({Q})", "({P})/({Q}) + {R}", "({P})/({Q}) - ({R})/({Q})",
+              "({P})/({Q}) + ({R})/({P})", "({P})/({Q}) * ({R})/({P})",
+              "(({P})/({Q}))**2 - {R}", "(({P})/({Q}))/(({R})/({Q}) + 1)"]
+
+
+@st.composite
+def _poly_text(draw, chart: Chart, degree: int = 2):
+    """A nonzero polynomial in the legs, as scenario text: one or two terms,
+    each of at most the given degree."""
+    names = [leg.name for leg in chart.legs]
+    terms = draw(st.lists(st.tuples(_SMALL, st.lists(st.sampled_from(names), max_size=degree)),
+                          min_size=1, max_size=2))
+    return " + ".join(f"({c})" + "".join(f"*{x}" for x in mono) for c, mono in terms)
+
+
+@st.composite
+def _quotient_case(draw):
+    chart = draw(st.sampled_from(_QUOTIENT_CHARTS))
+    texts = {k: draw(_poly_text(chart)) for k in "PQR"}
+    first, second = draw(st.lists(st.sampled_from(_TEMPLATES), min_size=2, max_size=2,
+                                  unique=True))
+    images = [draw(_poly_text(chart, degree=1)) for _ in chart.coords]
+    return chart, first.format(**texts), second.format(**texts), images
+
+
+def _sympy_of(chart: Chart, text: str) -> sympy.Expr:
+    names = {leg.name: leg.symbol for leg in chart.legs} | {"i": sympy.I}
+    return sympy.parse_expr(text, local_dict=names)
+
+
+def _conj_of(chart: Chart, e: sympy.Expr) -> sympy.Expr:
+    swap = {leg.symbol: chart.legs[leg.conj].symbol for leg in chart.legs}
+    return e.xreplace({**swap, sympy.I: -sympy.I})
+
+
+def _parsed(chart: Chart, body: str, images) -> MixedForm:
+    """The form ``body`` parses to on the chart, beside the map ``f`` of the
+    chart to itself with the given images of its coordinates."""
+    from gcx import parse_scenario
+    kinds = ", ".join(f"{c.kind} {c.name}" for c in chart.coords)
+    assignments = ", ".join(f"{c.name} -> {image}" for c, image in zip(chart.coords, images))
+    sc = parse_scenario(f"chart C = {kinds}\nmap f : C -> C = {assignments}\n"
+                        f"form F on C = {body}\n")
+    return sc.forms["F"]
+
+
+def _agree(chart, value, reference, rng) -> None:
+    """``value``, kept in the ring, equals ``reference`` in expr_equal's
+    verdict and at sample points through compile_exprs."""
+    from gcx.chart import everywhere
+    from gcx.scalars import EvaluationError, compile_exprs, expr_equal
+    assert isinstance(value, GaussPoly)
+    assert expr_equal(value, reference, chart)
+    ring_at, expr_at = compile_exprs([value], chart), compile_exprs([reference], chart)
+    for _ in range(3):
+        point = everywhere(chart).sample(rng)
+        try:
+            want = expr_at(point)[0]
+        except EvaluationError:
+            continue
+        assert cmath.isclose(ring_at(point)[0], want, rel_tol=1e-7, abs_tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_quotient_case())
+def test_quotients_agree_with_sympy_expressions_of_the_same_text(case):
+    import random
+
+    from gcx.scalars import expr_equal
+    chart, text, other, images = case
+    rng = random.Random(0)
+    form = _parsed(chart, text, images)
+    value = form.coefficients.get((), chart.ring.zero)
+    assume(isinstance(value, GaussPoly))  # a divisor that is zero in the ring
+    reference = _sympy_of(chart, text)
+    _agree(chart, value, reference, rng)
+    # a different text: the ring compare, and the ring against the
+    # expression, give cancel's verdict
+    other_value = _parsed(chart, other, images).coefficients.get((), chart.ring.zero)
+    other_reference = _sympy_of(chart, other)
+    assume(isinstance(other_value, GaussPoly))
+    same = sympy.cancel(reference - other_reference) == 0
+    assert (value == other_value) == same
+    assert expr_equal(value, other_reference, chart) == same
+    # d, conj and pullback along the polynomial map stay in the ring
+    derivative = _parsed(chart, f"d({text})", images).coefficients
+    for j, leg in enumerate(chart.legs):
+        _agree(chart, derivative.get((j,), chart.ring.zero), sympy.diff(reference, leg.symbol),
+               rng)
+    conjugate = _parsed(chart, f"conj({text})", images).coefficients
+    _agree(chart, conjugate.get((), chart.ring.zero), _conj_of(chart, reference), rng)
+    table = {}
+    for c, image in zip(chart.coords, images):
+        table[chart.symbol(c.name)] = _sympy_of(chart, image)
+        if c.kind == "complex":
+            table[chart.symbol(c.name + "b")] = _conj_of(chart, _sympy_of(chart, image))
+    pulled = _parsed(chart, f"pullback(f, {text})", images).coefficients.get((), chart.ring.zero)
+    assume(isinstance(pulled, GaussPoly))  # a denominator that pulls back to zero
+    _agree(chart, pulled, reference.xreplace(table), rng)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 import sympy
@@ -377,6 +378,15 @@ def test_compiled_non_finite_raises():
     # a float product that overflows raises nothing in Python, and is caught
     with pytest.raises(EvaluationError, match="non-finite value at"):
         compile_exprs([sympy.Float(1e300) * x1], ch)({"x1": 1e10})
+
+
+def test_compiled_float_beyond_a_double_names_the_number():
+    # a Float that no double can hold raises as a rational does, naming it
+    ch = Chart("C", [("x", "real")])
+    (x,) = ch.symbols
+    for text, name in (("1e400", "1e+400"), ("-2.5e999", "-2.5e+999")):
+        with pytest.raises(EvaluationError, match=re.escape(f"the number {name} is too large")):
+            compile_exprs([sympy.Float(text) * sympy.sin(x)], ch)({"x": 0.5})
 
 
 def test_compiled_unevaluable_nodes_raise_when_evaluated():

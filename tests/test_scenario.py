@@ -10,6 +10,7 @@ from sympy.polys.domains import QQ, QQ_I
 from conftest import ring_coefficients
 import gcx.scenario as scenario_module
 from gcx import MixedForm, ParseError, Region, parse_scenario
+from gcx.poly import GaussPoly
 from gcx.runner import corpus_files, load_scenario, run
 
 
@@ -110,12 +111,14 @@ def test_parser_keeps_polynomial_forms_in_the_ring():
         "form P on C = ((1/3 + 2*i)*z1**2 - x1/2) * dz1 ^ dx1 + conj(z1)**3\n"
         "form Q on C = d(P) + exp(dz1 ^ dz1b) ^ P / (2 - i)\n"
         "form T on C = pi * dz1\n"
-        "form U on C = dz1 / (1 + z1)\n"
+        "form U on C = dz1 / (1 + sin(z1))\n"
+        "form V on C = dz1 / (1 + z1)\n"
     )
     assert ring_coefficients(sc.forms["P"]) is not None
     assert ring_coefficients(sc.forms["Q"]) is not None
     assert ring_coefficients(sc.forms["T"]) is None
     assert ring_coefficients(sc.forms["U"]) is None
+    assert ring_coefficients(sc.forms["V"]) is not None
 
 
 CHART6 = "chart C = complex z1, complex z2, real x1, real y1\n"
@@ -186,6 +189,23 @@ def test_division_by_zero_takes_the_expression_path():
     report = run(sc)
     assert len(report.failures) == 1
     assert "infinite or undefined value in zoo" in report.render()
+
+
+def test_division_by_a_polynomial_stays_in_the_ring():
+    # the quotient is a ring element over a polynomial denominator, with no
+    # gcd taken; d, conj and equality keep it there
+    sc = parse_scenario(CHART6 + "form U on C = (z1**2 - x1**2)/(z1 - x1) * dz2\n"
+                        "form V on C = -2*z1b/(1 + z1*z1b)**2\n"
+                        "check equal on C (z1**2 - x1**2)/(z1 - x1), z1 + x1 expect equal\n"
+                        "check equal on C d(1/(1 + z1*z1b)), V/2*dz1 + conj(V)/2*dz1b"
+                        " expect equal\n"
+                        "check equal on C U, (z1 - x1)*dz2 expect different\n")
+    u, v = sc.forms["U"].coefficients[(2,)], sc.forms["V"].coefficients[()]
+    z1, z1b, _, _, x1, _ = sc.charts["C"].ring.gens
+    assert isinstance(u, GaussPoly) and u.den_factors is not None and u == z1 + x1
+    assert isinstance(v, GaussPoly) and v * (1 + z1 * z1b) ** 2 == -2 * z1b
+    report = run(sc)
+    assert report.ok, report.render()
 
 
 def test_pullback_call_lands_on_the_source_chart():
