@@ -8,9 +8,9 @@ coefficients are dropped.
 Each coefficient is decided on its own.  It is an element of the chart's
 polynomial ring while it is a polynomial over the Gaussian rationals in
 the legs, or a quotient of two that the kernel formed, and a sympy
-expression otherwise.  Coefficients combine with
-``+``, ``*`` and ``==``: two ring elements add and multiply in the ring,
-and a ring element meets an expression as the expression it converts to
+expression otherwise.  Coefficients combine with ``+``, ``*`` and
+``==``: two ring elements add and multiply in the ring, and a ring
+element meets an expression as the expression it converts to
 (:mod:`gcx.poly`).  So ``d``, conjugation, pullback along a polynomial
 map and :func:`form_equal` keep a polynomial coefficient exact beside a
 transcendental one.  A coefficient is zero when it is structurally zero

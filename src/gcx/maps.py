@@ -133,9 +133,9 @@ def pullback(f: CoordinateMap, a: MixedForm) -> MixedForm:
     of its defining scalar, so the pullback commutes with wedge and d by
     construction.  A ring coefficient pulled back along a polynomial map
     stays in the source chart's ring (:func:`_substitute`), unless it is a
-    quotient with a denominator factor that pulls back to zero; any other has
-    every target leg replaced at once by one ``xreplace``, complete since no
-    coefficient holds a bound variable such as a ``Derivative``.  The
+    quotient with a denominator factor that pulls back to zero; any other
+    has every target leg replaced at once by one ``xreplace``, complete
+    since no coefficient holds a bound variable such as a ``Derivative``.  The
     ``xreplace`` substitution is built only when some coefficient needs it.
     """
     if a.chart != f.target:

@@ -46,8 +46,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Optional
-import math
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add
 
 import sympy
@@ -362,7 +361,7 @@ class GaussPoly:
         if self.den_factors is None:
             return hash(self.as_expr())
         num, factors = self.fraction()
-        num, den = num.to_field(), math.prod(f.to_field() for f in factors)
+        num, den = num.to_field(), prod(f.to_field() for f in factors)
         common = num.gcd(den)
         num, den = num.exquo(common), den.exquo(common)
         num, den = num.quo_ground(den.LC), den.monic()

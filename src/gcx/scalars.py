@@ -16,9 +16,10 @@ extra generator, with no gcd taken.
 
 Equality is decided exactly wherever it can be.  :func:`expr_equal`
 compares two elements of the kernel's ring, polynomials or quotients, by
-cross-multiplying their denominators.  Otherwise, after pinning the bumps of its expression
-sides, it reads both, and they are equal when their numerators over the
-least common denominator agree, whatever the extra generators.  A
+cross-multiplying their denominators.  Otherwise, after pinning the
+bumps of its expression sides, it reads both, and they are equal when
+their numerators over the least common denominator agree, whatever the
+extra generators.  A
 nonzero difference is final only when every extra generator is a
 constant (:func:`is_constant_extra`).  Any other difference is sampled: a
 Schwartz-Zippel-style verdict at tolerance ``tol``.  A zero test is
@@ -240,8 +241,8 @@ def read_fractions(values: Sequence, chart: Chart,
     shared by equal subexpressions, listed in ``extras``.  An element of
     ``chart.ring`` is read in lowest terms, a quotient of it as its
     numerator over its monic denominator factors, with their leading
-    coefficients moved into the numerator and no gcd taken.  ``pairs`` holds a
-    ``(numerator, denominator)`` per value; a denominator maps each
+    coefficients moved into the numerator and no gcd taken.  ``pairs``
+    holds a ``(numerator, denominator)`` per value; a denominator maps each
     distinct non-constant factor to its multiplicity (``{}`` is 1).  An
     infinite or undefined constant (``zoo``, ``nan``, ``oo``), or a
     negative power of a base that is zero in the ring, raises

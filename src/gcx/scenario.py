@@ -204,8 +204,9 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3, "**": 4}
 class ExprParser:
     """Pratt parser over a fixed chart.  A scalar stays bare: in ``chart.ring``
     while it is a polynomial or a quotient by a nonzero one, else a sympy
-    expression that is not a structural zero.  A MixedForm is made only when a differential, a named form or a form
-    function joins, with the value that reading scalars as 0-forms gives."""
+    expression that is not a structural zero.  A MixedForm is made only when
+    a differential, a named form or a form function joins, with the value
+    that reading scalars as 0-forms gives."""
 
     def __init__(self, scenario: Scenario, chart: Chart, ts: TokenStream):
         self.sc = scenario

@@ -138,6 +138,16 @@ def test_constants_are_read_and_inverted_over_one_denominator():
     assert z1.inverse().inverse() == z1 and z1.inverse().inverse().den_factors is None
 
 
+def test_equal_quotients_hash_alike():
+    # no gcd is taken, so one value has many quotients; each hashes as the
+    # value in lowest terms, a polynomial as itself
+    z1, z1b = _RING.gens[:2]
+    p, q = 1 + z1 * z1b, -z1 + 2
+    assert (2 * p) / (2 * q) == p / q and hash((2 * p) / (2 * q)) == hash(p / q)
+    assert (p * q) / q == p and hash((p * q) / q) == hash(p)
+    assert hash(q / (2 * q)) == hash(_RING.one / 2)
+
+
 def test_kernel_arithmetic_keeps_denominators_unreduced():
     # sums, products, derivatives and conjugates run on the numerators and
     # divide out no content: (2p, 6) stays over 6 until it leaves the kernel
