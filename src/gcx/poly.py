@@ -254,6 +254,12 @@ class GaussPoly:
             return other
         return self + -other
 
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other - self
+
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -293,6 +299,13 @@ class GaussPoly:
             raise ZeroDivisionError("division by zero")
         return self._new(self.num if k > 0 else _times(self.num, -1, 0), self.den * abs(k),
                          self.den_factors)
+
+    def __rtruediv__(self, k):
+        """``k / self`` for an int ``k`` and a nonzero ``self``."""
+        k = self._coerce(k)
+        if k is NotImplemented:
+            return k
+        return k * self.inverse()
 
     def inverse(self) -> "GaussPoly":
         """``1 / self`` for a nonzero value.  A nonzero constant's is in lowest

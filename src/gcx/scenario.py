@@ -46,11 +46,12 @@ from .topology import (
     ManifoldDescriptor,
     SurgeryLocus,
     TypeChangeComponent,
+    keeps_signature,
 )
 
 
 class ParseError(ValueError):
-    """Syntax or semantic error, carrying the line number."""
+    """Syntax or semantic error, with the line that the statement loop gives it."""
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(f"line {line}: {message}" if line else message)
@@ -75,15 +76,13 @@ _TOKEN_RE = re.compile(
 class Token(NamedTuple):
     kind: str  # string | number | name | op
     text: str
-    line: int
 
 
 class TokenStream:
     """The tokens of one statement, scanned on demand."""
 
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.line = line
+    def __init__(self, statement: str):
+        self.text = statement
         self.pos = 0  # where the next unconsumed token's scan starts
         # the peeked token (None at the end of the statement) and its end
         self._next: Optional[tuple[Optional[Token], int]] = None
@@ -94,30 +93,30 @@ class TokenStream:
             if m is None:
                 rest = self.text[self.pos:].lstrip()
                 if rest:
-                    raise ParseError(f"unexpected character {rest[0]!r}", self.line)
+                    raise ParseError(f"unexpected character {rest[0]!r}")
                 self._next = (None, self.pos)
             else:
                 kind = m.lastgroup
-                self._next = (Token(kind, m.group(kind), self.line), m.end())
+                self._next = (Token(kind, m.group(kind)), m.end())
         return self._next[0]
 
     def next(self) -> Token:
         tok = self.peek()
         if tok is None:
-            raise ParseError("unexpected end of statement", self.line)
+            raise ParseError("unexpected end of statement")
         self.pos = self._next[1]
         self._next = None
         return tok
 
-    def expect(self, text: str) -> Token:
+    def expect(self, want: str) -> Token:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, got {tok.text!r}", self.line)
+        if tok.text != want:
+            raise ParseError(f"expected {want!r}, got {tok.text!r}")
         return tok
 
-    def accept(self, text: str) -> bool:
+    def accept(self, want: str) -> bool:
         tok = self.peek()
-        if tok is not None and tok.text == text:
+        if tok is not None and tok.text == want:
             self.next()
             return True
         return False
@@ -129,7 +128,7 @@ class TokenStream:
         """Consume the raw text up to the next ``char``, and the char."""
         end = self.text.find(char, self.pos)
         if end < 0:
-            raise ParseError(f"expected {char!r}", self.line)
+            raise ParseError(f"expected {char!r}")
         raw = self.text[self.pos:end]
         self.pos = end + 1
         self._next = None
@@ -163,28 +162,31 @@ class Scenario:
     commands: list[Command] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     statements: list[str] = field(default_factory=list)
+    line: int = 0  # the line of the statement being read
     # (table, scope, name) -> the line that declared it
     declared: dict[tuple[str, str, str], int] = field(default_factory=dict)
 
-    def declare(self, table: str, name: str, line: int, scope: str = "") -> str:
-        """Record ``name`` as declared in ``table`` on ``line``; a second
+    def declare(self, table: str, name: str, scope: str = "") -> str:
+        """Record ``name`` as declared in ``table`` on this line; a second
         declaration into the same table is a parse error naming the first."""
         key = (table, scope, name)
         if key in self.declared:
             raise ParseError(f"{table} {name!r}{scope} is already declared "
-                             f"on line {self.declared[key]}", line)
-        self.declared[key] = line
+                             f"on line {self.declared[key]}")
+        self.declared[key] = self.line
         return name
+
+    def command(self, kind: str, payload: dict):
+        """Append the command that the statement being read makes."""
+        self.commands.append(Command(kind, payload, self.line, self.statements[-1]))
 
     def pretty(self) -> str:
         """Canonical text whose re-parse is structurally identical."""
         return "\n".join(self.statements) + "\n"
 
-    def only_chart(self, line: int) -> Chart:
+    def only_chart(self) -> Chart:
         if len(self.charts) != 1:
-            raise ParseError(
-                "statement needs an explicit 'on <chart>' clause", line
-            )
+            raise ParseError("statement needs an explicit 'on <chart>' clause")
         return next(iter(self.charts.values()))
 
 
@@ -226,11 +228,11 @@ class ExprParser:
             if tok.text == "**":
                 n = self.ts.next()
                 if not n.text.isdigit():
-                    raise ParseError("** needs an integer exponent", tok.line)
-                left = self.scalar(left, tok.line) ** int(n.text)
+                    raise ParseError("** needs an integer exponent")
+                left = self.scalar(left) ** int(n.text)
                 continue
             right = self.parse(prec + 1)
-            left = self.combine(tok.text, left, right, tok.line)
+            left = self.combine(tok.text, left, right)
         return left
 
     def form(self, value: Value) -> MixedForm:
@@ -254,7 +256,7 @@ class ExprParser:
             return self.parse(5)
         if tok.kind == "name":
             return self.name_atom(tok)
-        raise ParseError(f"unexpected token {tok.text!r} in expression", tok.line)
+        raise ParseError(f"unexpected token {tok.text!r} in expression")
 
     def name_atom(self, tok: Token) -> Value:
         name = tok.text
@@ -264,7 +266,7 @@ class ExprParser:
             return sympy.pi
         following = self.ts.peek()
         if following is not None and following.text == "(":
-            return self.call(name, tok.line)
+            return self.call(name)
         # differential of a leg
         if name.startswith("d") and name[1:] in self.chart:
             return MixedForm.basis(self.chart, name[1:])
@@ -273,31 +275,27 @@ class ExprParser:
         if name in self.sc.forms:
             f = self.sc.forms[name]
             if f.chart != self.chart:
-                raise ParseError(
-                    f"form {name!r} lives on chart {f.chart.name!r}", tok.line
-                )
+                raise ParseError(f"form {name!r} lives on chart {f.chart.name!r}")
             return f
-        raise ParseError(f"unknown name {name!r}", tok.line)
+        raise ParseError(f"unknown name {name!r}")
 
-    def call(self, name: str, line: int) -> Value:
+    def call(self, name: str) -> Value:
         self.ts.expect("(")
         if name == "pullback":
             mname = self.ts.next().text
-            cmap = _named(self.sc.maps, "map", mname, line)
+            cmap = _named(self.sc.maps, "map", mname)
             self.ts.expect(",")
             arg = parse_expr(self.sc, cmap.target, self.ts)
             self.ts.expect(")")
             if cmap.source != self.chart:
-                raise ParseError(
-                    f"pullback along {mname!r} lands on {cmap.source.name!r}", line
-                )
+                raise ParseError(f"pullback along {mname!r} lands on {cmap.source.name!r}")
             return pullback(cmap, arg)
         arg = self.parse()
         self.ts.expect(")")
         if name == "d":
             return ext_d(self.form(arg))
         if name == "exp":
-            return self.exp(self.form(arg), line)
+            return self.exp(self.form(arg))
         if name == "re":
             return self.form(arg).real_part()
         if name == "im":
@@ -306,22 +304,22 @@ class ExprParser:
             return self.form(arg).conjugate()
         func = _SCALAR_FUNCS.get(name) or self.sc.bumps.get(name)
         if func is None:
-            raise ParseError(f"unknown function {name!r}", line)
-        return self.expr(func(as_expr(self.scalar(arg, line))))
+            raise ParseError(f"unknown function {name!r}")
+        return self.expr(func(as_expr(self.scalar(arg))))
 
-    def exp(self, arg: MixedForm, line: int) -> MixedForm:
+    def exp(self, arg: MixedForm) -> MixedForm:
         rest = arg - arg.degree_block(0)
         out = exp_form(rest) if not rest.is_zero() else MixedForm.one(self.chart)
         if () in arg.coefficients:
             out = out.scale(sympy.exp(as_expr(arg.coefficients[()])))
         return out
 
-    def scalar(self, value: Value, line: int, message: str = "expected a scalar expression"):
+    def scalar(self, value: Value, message: str = "expected a scalar expression"):
         """The stored coefficient of a degree-0 value."""
         if not isinstance(value, MixedForm):
             return value
         if not value.is_homogeneous(0):
-            raise ParseError(message, line)
+            raise ParseError(message)
         return value.coefficients.get((), self.chart.ring.zero)
 
     def scale(self, value: Value, factor) -> Value:
@@ -330,7 +328,7 @@ class ExprParser:
             return value.scale(factor)
         return self.expr(scalar_of(self.chart, factor) * value)
 
-    def combine(self, op: str, a: Value, b: Value, line: int) -> Value:
+    def combine(self, op: str, a: Value, b: Value) -> Value:
         if op == "-":
             op, b = "+", -b
         if op == "+":
@@ -343,15 +341,16 @@ class ExprParser:
             # a shared key means that both factors have terms
             if out.is_zero() and any(set(k1) & set(k2) for k1 in a.coefficients
                                       for k2 in b.coefficients):
-                self.sc.warnings.append(f"line {line}: wedge with repeated differential is zero")
+                self.sc.warnings.append(
+                    f"line {self.sc.line}: wedge with repeated differential is zero")
             return out
         if op == "*":
             if isinstance(a, MixedForm) and not a.is_homogeneous(0):
                 a, b = b, a  # the scalar factor first
             message = "'*' needs a scalar factor; use '^' to wedge forms"
-            return self.scale(b, self.scalar(a, line, message))
+            return self.scale(b, self.scalar(a, message))
         # op == "/"
-        divisor = self.scalar(b, line)
+        divisor = self.scalar(b)
         if isinstance(divisor, GaussPoly) and divisor:
             return self.scale(a, divisor.inverse())
         # an expression or a zero divisor goes to the expression path, so
@@ -379,31 +378,36 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
-def _statements(text: str):
-    """(line number, statement) for every line that is not blank or a comment."""
-    for raw_no, raw in enumerate(text.splitlines(), start=1):
-        line = " ".join(_strip_comment(raw).split())
-        if line:
-            yield raw_no, line
+def _read_statements(sc: Scenario, source: str, read: Callable):
+    """``read(sc, statement)`` for every line that is not blank or a comment,
+    with ``sc.line`` set to its number; an error it raises names that line."""
+    for sc.line, raw in enumerate(source.splitlines(), start=1):
+        statement = " ".join(_strip_comment(raw).split())
+        if statement:
+            try:
+                read(sc, statement)
+            except ValueError as exc:  # gcx's errors, and sympy's on a bad constant
+                raise ParseError(str(exc), sc.line) from exc
 
 
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(source: str) -> Scenario:
     sc = Scenario()
-    for raw_no, line in _statements(text):
-        sc.statements.append(line)
-        _parse_statement(sc, TokenStream(line, raw_no), line)
+    _read_statements(sc, source, _parse_statement)
     _resolve_manifolds(sc)
     return sc
 
 
-def read_title(text: str) -> str:
+def read_title(source: str) -> str:
     """The title that :func:`parse_scenario` gives, read without the other statements."""
     sc = Scenario()
-    for raw_no, line in _statements(text):
-        ts = TokenStream(line, raw_no)
-        if ts.accept("title"):
-            _stmt_title(sc, ts, raw_no, line)
+    _read_statements(sc, source, _read_title_statement)
     return sc.title
+
+
+def _read_title_statement(sc: Scenario, statement: str):
+    ts = TokenStream(statement)
+    if ts.accept("title"):
+        _stmt_title(sc, ts)
 
 
 def _resolve_manifolds(sc: Scenario):
@@ -419,14 +423,15 @@ def _resolve_manifolds(sc: Scenario):
             raise ParseError(f"unknown manifold {name!r}", cmd.line)
         if p.get("what") == "sigma" and not signature_known[name]:
             raise ParseError(f"the signature of manifold {name!r} is unknown", cmd.line)
-        if "new" in p:  # only a branched cover with branch components loses it
-            branched = cmd.kind == "branched-cover" and p["branching"].components
-            signature_known[p["new"]] = signature_known[name] and not branched
+        if "new" in p:
+            known = signature_known[name] and keeps_signature(p.get("branching"))
+            signature_known[p["new"]] = known
 
 
-def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
+def _parse_statement(sc: Scenario, statement: str):
+    sc.statements.append(statement)
+    ts = TokenStream(statement)
     head = ts.next()
-    line = head.line
     table: dict[str, Callable] = {
         "title": _stmt_title, "chart": _stmt_chart, "region": _stmt_region,
         "bump": _stmt_bump, "form": _stmt_form, "scalar": _stmt_form,
@@ -441,22 +446,18 @@ def _parse_statement(sc: Scenario, ts: TokenStream, text: str):
     else:
         fn = table.get(head.text)
         if fn is None:
-            raise ParseError(f"unknown statement {head.text!r}", line)
+            raise ParseError(f"unknown statement {head.text!r}")
     try:
-        fn(sc, ts, line, text)
-    except ParseError:
-        raise
-    except ValueError as exc:  # gcx's errors, and sympy's on a bad constant
-        raise ParseError(str(exc), line) from exc
+        fn(sc, ts)
     except RecursionError:  # the expression parser recurses once per nesting level
-        raise ParseError("expression nested too deeply", line) from None
-    _assert_consumed(ts, line)
+        raise ParseError("expression nested too deeply") from None
+    _assert_consumed(ts)
 
 
-def _stmt_title(sc, ts, line, text):
+def _stmt_title(sc, ts):
     tok = ts.next()
     if tok.kind != "string":
-        raise ParseError("title needs a quoted string", line)
+        raise ParseError("title needs a quoted string")
     sc.title = tok.text.strip('"')
 
 
@@ -467,8 +468,8 @@ def _items(ts: TokenStream, sep: str):
         yield
 
 
-def _stmt_chart(sc, ts, line, text):
-    name = sc.declare("chart", ts.next().text, line)
+def _stmt_chart(sc, ts):
+    name = sc.declare("chart", ts.next().text)
     ts.expect("=")
     coords = []
     for _ in _items(ts, ","):
@@ -477,27 +478,27 @@ def _stmt_chart(sc, ts, line, text):
     sc.charts[name] = Chart(name, coords)
 
 
-def _read_number(ts, line) -> float:
+def _read_number(ts) -> float:
     sign = -1.0 if ts.accept("-") else 1.0
     tok = ts.next()
     if tok.kind != "number":
-        raise ParseError(f"expected a number, got {tok.text!r}", line)
+        raise ParseError(f"expected a number, got {tok.text!r}")
     return sign * float(sympy.Rational(tok.text))
 
 
-def _read_int(ts, line) -> int:
+def _read_int(ts) -> int:
     """An integer with an optional sign; ``2.5`` and ``2.0`` are not integers."""
     sign = -1 if ts.accept("-") else 1
     tok = ts.next()
     if not tok.text.isdigit():
-        raise ParseError(f"expected an integer, got {tok.text!r}", line)
+        raise ParseError(f"expected an integer, got {tok.text!r}")
     return sign * int(tok.text)
 
 
-def _stmt_region(sc, ts, line, text):
-    name = sc.declare("region", ts.next().text, line)
+def _stmt_region(sc, ts):
+    name = sc.declare("region", ts.next().text)
     ts.expect("on")
-    chart = _chart_ref(sc, ts, line)
+    chart = _chart_ref(sc, ts)
     ts.expect("=")
     bounds: dict[str, tuple] = {}
     nonzero: list[str] = []
@@ -505,7 +506,7 @@ def _stmt_region(sc, ts, line, text):
 
     def once(seen, cname: str, what: str) -> str:
         if cname in seen:
-            raise ParseError(f"region {name!r} {what} {cname!r} twice", line)
+            raise ParseError(f"region {name!r} {what} {cname!r} twice")
         return cname
 
     for _ in _items(ts, ","):
@@ -518,22 +519,22 @@ def _stmt_region(sc, ts, line, text):
             ts.expect("|")
             ts.expect("in")
         if bar or ts.accept("in"):
-            bounds[once(bounds, cname, "bounds")] = _interval(ts, line)
+            bounds[once(bounds, cname, "bounds")] = _interval(ts)
         else:
             ts.expect("=")
-            val = _read_int(ts, line)
+            val = _read_int(ts)
             if val not in (0, 1):
-                raise ParseError("bump pinning must be 0 or 1", line)
+                raise ParseError("bump pinning must be 0 or 1")
             bump_values[once(bump_values, cname, "pins bump")] = val
     sc.regions[name] = Region.make(chart, name, bounds, nonzero, bump_values)
 
 
-def _int_list(ts, line) -> list[int]:
+def _int_list(ts) -> list[int]:
     """``[a, b, ...]``; the commas are optional."""
     ts.expect("[")
     out = []
     while not ts.accept("]"):
-        out.append(_read_int(ts, line))
+        out.append(_read_int(ts))
         ts.accept(",")
     return out
 
@@ -546,84 +547,83 @@ def _spin_flag(ts) -> str:
     return tok
 
 
-def _interval(ts, line) -> tuple[float, float]:
+def _interval(ts) -> tuple[float, float]:
     ts.expect("(")
-    lo = _read_number(ts, line)
+    lo = _read_number(ts)
     ts.expect(",")
-    hi = _read_number(ts, line)
+    hi = _read_number(ts)
     ts.expect(")")
     if not lo < hi:
-        raise ParseError(f"empty interval ({lo:g}, {hi:g})", line)
+        raise ParseError(f"empty interval ({lo:g}, {hi:g})")
     return (lo, hi)
 
 
-def _stmt_bump(sc, ts, line, text):
-    name = sc.declare("bump", ts.next().text, line)
+def _stmt_bump(sc, ts):
+    name = sc.declare("bump", ts.next().text)
     ts.expect("=")
     ts.expect("0")
     ts.expect("upto")
-    zero_upto = _read_number(ts, line)
+    zero_upto = _read_number(ts)
     ts.expect(",")
     ts.expect("1")
     ts.expect("from")
-    one_from = _read_number(ts, line)
+    one_from = _read_number(ts)
     sc.bumps[name] = bump_function(name, zero_upto, one_from)
 
 
-def _chart_ref(sc, ts, line) -> Chart:
+def _chart_ref(sc, ts) -> Chart:
     tok = ts.peek()
     if tok is not None and tok.kind == "name" and tok.text in sc.charts:
         ts.next()
         return sc.charts[tok.text]
-    raise ParseError("expected a chart name", line)
+    raise ParseError("expected a chart name")
 
 
-def _opt_chart(sc, ts, line) -> Chart:
+def _opt_chart(sc, ts) -> Chart:
     if ts.accept("on"):
-        return _chart_ref(sc, ts, line)
-    return sc.only_chart(line)
+        return _chart_ref(sc, ts)
+    return sc.only_chart()
 
 
-def _stmt_form(sc, ts, line, text):
-    name = sc.declare("form", ts.next().text, line)
-    chart = _opt_chart(sc, ts, line)
+def _stmt_form(sc, ts):
+    name = sc.declare("form", ts.next().text)
+    chart = _opt_chart(sc, ts)
     ts.expect("=")
     sc.forms[name] = parse_expr(sc, chart, ts)
 
 
-def _stmt_map(sc, ts, line, text):
-    name = sc.declare("map", ts.next().text, line)
+def _stmt_map(sc, ts):
+    name = sc.declare("map", ts.next().text)
     ts.expect(":")
-    source = _chart_ref(sc, ts, line)
+    source = _chart_ref(sc, ts)
     ts.expect("->")
-    target = _chart_ref(sc, ts, line)
+    target = _chart_ref(sc, ts)
     ts.expect("=")
     table = {}
     for _ in _items(ts, ","):
         leg = ts.next().text
         ts.expect("->")
-        table[leg] = _scalar(sc, source, ts, line, "map assignments must be scalar expressions")
+        table[leg] = _scalar(sc, source, ts, "map assignments must be scalar expressions")
     sc.maps[name] = CoordinateMap.make(source, target, table, name=name)
 
 
-def _scalar(sc, chart, ts, line, message: str):
+def _scalar(sc, chart, ts, message: str):
     """A value that must be a scalar, as its stored degree-0 coefficient;
     a form raises ``message``."""
     parser = ExprParser(sc, chart, ts)
-    return parser.scalar(parser.parse(), line, message)
+    return parser.scalar(parser.parse(), message)
 
 
-def _named(table: dict, kind: str, name: str, line: int):
+def _named(table: dict, kind: str, name: str):
     if name not in table:
-        raise ParseError(f"unknown {kind} {name!r}", line)
+        raise ParseError(f"unknown {kind} {name!r}")
     return table[name]
 
 
-def _clauses(ts, line, statement: str, readers: dict[str, Callable],
-             got: Optional[dict] = None) -> dict:
+def _clauses(ts, statement: str, readers: dict[str, Callable], got: Optional[dict] = None) -> dict:
     """The ``;``-separated clauses of a statement, keyword -> value.
 
-    Each clause is a keyword and what its reader reads after it.  An
+    Each clause is a keyword and what its reader reads from ``ts`` after it.  An
     unknown keyword is a parse error, and so is one given twice, except
     ``component``, whose values are collected in a tuple.  ``got`` is
     filled as the clauses are read, so a reader may look at the earlier
@@ -633,48 +633,48 @@ def _clauses(ts, line, statement: str, readers: dict[str, Callable],
     for _ in _items(ts, ";"):
         key = ts.next().text
         if key not in readers:
-            raise ParseError(f"unknown {statement} clause {key!r}", line)
+            raise ParseError(f"unknown {statement} clause {key!r}")
         if key == "component":
-            got[key] = got.get(key, ()) + (readers[key](),)
+            got[key] = got.get(key, ()) + (readers[key](ts),)
         elif key in got:
-            raise ParseError(f"{statement} clause {key!r} is given twice", line)
+            raise ParseError(f"{statement} clause {key!r} is given twice")
         else:
-            got[key] = readers[key]()
+            got[key] = readers[key](ts)
     return got
 
 
-def _stmt_spinor(sc, ts, line, text):
-    name = sc.declare("spinor", ts.next().text, line)
+def _stmt_spinor(sc, ts):
+    name = sc.declare("spinor", ts.next().text)
     ts.expect("=")
     got: dict = {}
 
     def chart():
-        return got.get("on") or sc.only_chart(line)
+        return got.get("on") or sc.only_chart()
 
-    def form():
+    def form(ts):
         return parse_expr(sc, chart(), ts)
 
-    def region():
-        return _named(sc.regions, "region", ts.next().text, line)
+    def region(ts):
+        return _named(sc.regions, "region", ts.next().text)
 
-    def vector():
+    def vector(ts):
         out = {}
         for _ in _items(ts, ","):
             leg = ts.next().text
             ts.expect("=")
-            out[leg] = _scalar(sc, chart(), ts, line, f"vector {leg!r} needs a scalar expression")
+            out[leg] = _scalar(sc, chart(), ts, f"vector {leg!r} needs a scalar expression")
         return out
 
-    readers = {"on": lambda: _chart_ref(sc, ts, line), "rho": form, "h": form,
+    readers = {"on": lambda ts: _chart_ref(sc, ts), "rho": form, "h": form,
                "region": region, "vector": vector, "covector": form}
     first = ts.peek()
     if first is None or first.text not in readers:
         # shorthand: the whole right-hand side is the spinor expression
-        sc.spinors[name] = SpinorStructure.make(form())
+        sc.spinors[name] = SpinorStructure.make(form(ts))
         return
-    _clauses(ts, line, "spinor", readers, got)
+    _clauses(ts, "spinor", readers, got)
     if "rho" not in got:
-        raise ParseError("spinor needs a 'rho' clause", line)
+        raise ParseError("spinor needs a 'rho' clause")
     certificate = None
     if "vector" in got or "covector" in got:
         certificate = GeneralizedSection.make(chart(), got.get("vector"), got.get("covector"))
@@ -683,28 +683,28 @@ def _stmt_spinor(sc, ts, line, text):
     )
 
 
-def _params(ts, line) -> tuple[int, int, int, int]:
+def _params(ts) -> tuple[int, int, int, int]:
     ts.expect("(")
-    vals = tuple(_read_int(ts, line) for _ in _items(ts, ","))
+    vals = tuple(_read_int(ts) for _ in _items(ts, ","))
     ts.expect(")")
     if len(vals) != 4:
-        raise ParseError("params needs four integers (p, q, a, b)", line)
+        raise ParseError("params needs four integers (p, q, a, b)")
     return vals
 
 
-def _stmt_build(sc, ts, line, text):
+def _stmt_build(sc, ts):
     which = ts.next().text
     if which not in ("luttinger", "gluck"):
-        raise ParseError("build needs 'luttinger' or 'gluck'", line)
-    name = sc.declare("spinor", ts.next().text, line)
+        raise ParseError("build needs 'luttinger' or 'gluck'")
+    name = sc.declare("spinor", ts.next().text)
     ts.expect("=")
     ts.expect("params")
-    params = _params(ts, line)
+    params = _params(ts)
     got: dict = {}
     if ts.accept(";"):
-        _clauses(ts, line, "build", {
-            "on": lambda: _chart_ref(sc, ts, line),
-            "sigma": lambda: parse_expr(sc, got.get("on") or sc.only_chart(line), ts),
+        _clauses(ts, "build", {
+            "on": lambda ts: _chart_ref(sc, ts),
+            "sigma": lambda ts: parse_expr(sc, got.get("on") or sc.only_chart(), ts),
         }, got)
     chart, extra = got.get("on"), got.get("sigma")
     xi = sc.bumps.setdefault("xi", XI)
@@ -714,7 +714,7 @@ def _stmt_build(sc, ts, line, text):
         sc.spinors[name] = build_gluck_spinor(params, r_form=extra, chart=chart, bump=xi)
 
 
-def _presentation(ts, line) -> GroupPresentation:
+def _presentation(ts) -> GroupPresentation:
     """``< gens | relators >``: the generators are a comma-separated list of
     names, maybe empty; the relator body runs to the first ``>``."""
     ts.expect("<")
@@ -723,7 +723,7 @@ def _presentation(ts, line) -> GroupPresentation:
         for _ in _items(ts, ","):
             tok = ts.next()
             if tok.kind != "name":
-                raise ParseError(f"expected a generator name, got {tok.text!r}", line)
+                raise ParseError(f"expected a generator name, got {tok.text!r}")
             gens.append(tok.text)
         ts.expect("|")
     # spaces are deleted, so `x y` is the one generator `xy`
@@ -732,18 +732,18 @@ def _presentation(ts, line) -> GroupPresentation:
     return GroupPresentation(gens, checked_words(gens, parse_relators(body)))
 
 
-def _stmt_group(sc, ts, line, text):
-    name = sc.declare("group", ts.next().text, line)
+def _stmt_group(sc, ts):
+    name = sc.declare("group", ts.next().text)
     ts.expect("=")
-    sc.groups[name] = _presentation(ts, line)
+    sc.groups[name] = _presentation(ts)
 
 
-def _group_ref(sc, ts, line) -> GroupPresentation:
+def _group_ref(sc, ts) -> GroupPresentation:
     """A presentation, or the name of a declared group."""
     tok = ts.peek()
     if tok is not None and tok.text == "<":
-        return _presentation(ts, line)
-    return _named(sc.groups, "group", ts.next().text, line)
+        return _presentation(ts)
+    return _named(sc.groups, "group", ts.next().text)
 
 
 # clause keyword -> ManifoldDescriptor field, where the two differ
@@ -751,34 +751,32 @@ _MANIFOLD_FIELDS = {"dim": "dimension", "chi": "euler", "sigma": "signature",
                     "component": "components"}
 
 
-def _stmt_manifold(sc, ts, line, text):
-    name = sc.declare("manifold", ts.next().text, line)
+def _stmt_manifold(sc, ts):
+    name = sc.declare("manifold", ts.next().text)
     ts.expect("=")
-    got = _clauses(ts, line, "manifold", {
-        "dim": lambda: _read_int(ts, line), "chi": lambda: _read_int(ts, line),
-        "sigma": lambda: _read_int(ts, line), "b2": lambda: _read_int(ts, line),
-        "spin": lambda: _spin_flag(ts),
-        "pi1": lambda: None if ts.accept("unknown") else _group_ref(sc, ts, line),
-        "component": lambda: TypeChangeComponent.make(ts.next().text),
+    got = _clauses(ts, "manifold", {
+        "dim": _read_int, "chi": _read_int, "sigma": _read_int, "b2": _read_int,
+        "spin": _spin_flag, "pi1": lambda ts: None if ts.accept("unknown") else _group_ref(sc, ts),
+        "component": lambda ts: TypeChangeComponent.make(ts.next().text),
     })
     if "dim" not in got or "chi" not in got:
-        raise ParseError("manifold needs 'dim' and 'chi'", line)
+        raise ParseError("manifold needs 'dim' and 'chi'")
     sc.manifolds[name] = ManifoldDescriptor(
         name=name, **{_MANIFOLD_FIELDS.get(key, key): value for key, value in got.items()})
 
 
-def _word(ts, line) -> Word:
+def _word(ts) -> Word:
     """One free-group word, up to ';' or the end of the statement, whose
     factors are joined by ``*``: ``1 junk`` and ``l1 x`` are parse errors."""
     text, ends_factor = "", False
     while (tok := ts.peek()) is not None and tok.text != ";":
         atom = tok.kind != "op"
         if ends_factor and (atom or tok.text == "["):
-            raise ParseError(f"expected '*' or ';' before {tok.text!r} in a group word", line)
+            raise ParseError(f"expected '*' or ';' before {tok.text!r} in a group word")
         ends_factor = atom or tok.text == "]"
         text += ts.next().text
     if not text:
-        raise ParseError("expected a group word", line)
+        raise ParseError("expected a group word")
     return parse_word(text)
 
 
@@ -787,28 +785,27 @@ _LOCUS_FIELDS = {"nontrivial_neighborhood": "neighborhood_trivial",
                  "not_j_symplectic": "j_symplectic"}
 
 
-def _stmt_locus(sc, ts, line, text):
+def _stmt_locus(sc, ts):
     name = ts.next().text
     ts.expect("on")
     mname = ts.next().text
-    m = _named(sc.manifolds, "manifold", mname, line)
-    sc.declare("locus", name, line, scope=f" on manifold {mname!r}")
+    m = _named(sc.manifolds, "manifold", mname)
+    sc.declare("locus", name, scope=f" on manifold {mname!r}")
     ts.expect("=")
-    got = _clauses(ts, line, "locus", {
-        "kind": lambda: ts.next().text, "complement": lambda: _group_ref(sc, ts, line),
-        "meridian": lambda: _word(ts, line), "circle1": lambda: _word(ts, line),
-        "circle2": lambda: _word(ts, line),
-        "sigma_label": lambda: ts.next().text, "r_b1": lambda: _read_int(ts, line),
-        "nontrivial_neighborhood": lambda: False, "not_j_symplectic": lambda: False,
+    got = _clauses(ts, "locus", {
+        "kind": lambda ts: ts.next().text, "complement": lambda ts: _group_ref(sc, ts),
+        "meridian": _word, "circle1": _word, "circle2": _word,
+        "sigma_label": lambda ts: ts.next().text, "r_b1": _read_int,
+        "nontrivial_neighborhood": lambda ts: False, "not_j_symplectic": lambda ts: False,
     })
     if "kind" not in got:
-        raise ParseError("locus needs a 'kind' clause", line)
+        raise ParseError("locus needs a 'kind' clause")
     locus = SurgeryLocus(name=name, **{_LOCUS_FIELDS.get(key, key): value
                                        for key, value in got.items()})
     sc.manifolds[mname] = replace(m, loci=m.loci + (locus,))
 
 
-def _point(sc, chart, ts, line) -> dict[str, complex]:
+def _point(sc, chart, ts) -> dict[str, complex]:
     """``leg = value`` pairs, each value a constant expression on the chart,
     as the chart's canonical point.
 
@@ -823,24 +820,24 @@ def _point(sc, chart, ts, line) -> dict[str, complex]:
         leg = ts.next().text
         index = chart.leg_index(leg)
         if leg in exact:
-            raise ParseError(f"coordinate {leg!r} is given twice", line)
+            raise ParseError(f"coordinate {leg!r} is given twice")
         ts.expect("=")
         message = f"coordinate {leg!r} needs a constant value"
-        number = as_expr(_scalar(sc, chart, ts, line, message))
+        number = as_expr(_scalar(sc, chart, ts, message))
         if not number.is_number:
-            raise ParseError(message, line)
+            raise ParseError(message)
         partner = chart.legs[chart.conj_index(index)].name
         if partner == leg and sympy.im(number).is_zero is False:
-            raise ParseError(f"coordinate {leg!r} is real, but its value is {number}", line)
+            raise ParseError(f"coordinate {leg!r} is real, but its value is {number}")
         if partner in exact and not is_structural_zero(
                 sympy.expand(sympy.conjugate(exact[partner]) - number)):
-            raise ParseError(f"coordinate {leg!r} is not the conjugate of {partner!r}", line)
+            raise ParseError(f"coordinate {leg!r} is not the conjugate of {partner!r}")
         exact[leg] = number
         out[leg] = complex(number)
         if not cmath.isfinite(out[leg]):
-            raise ParseError(f"coordinate {leg!r} has no finite value", line)
+            raise ParseError(f"coordinate {leg!r} has no finite value")
         if chart.legs[index].symbol.is_positive and not out[leg].real > 0:
-            raise ParseError(f"coordinate {leg!r} is radial, but its value is {number}", line)
+            raise ParseError(f"coordinate {leg!r} is radial, but its value is {number}")
     return chart.point(out)
 
 
@@ -856,46 +853,46 @@ VERDICTS = {
 }
 
 
-def _stmt_check(sc, ts, line, text):
+def _stmt_check(sc, ts):
     what = ts.next().text
     payload: dict = {"what": what}
     chart = None  # the chart a region clause must lie on
     if what == "params":
-        payload["params"] = _params(ts, line)
+        payload["params"] = _params(ts)
     elif what in ("type", "nondegenerate"):
-        spinor = payload["spinor"] = _named(sc.spinors, "spinor", ts.next().text, line)
+        spinor = payload["spinor"] = _named(sc.spinors, "spinor", ts.next().text)
         chart = spinor.chart
         ts.expect("at")
-        payload["point"] = _point(sc, chart, ts, line)
+        payload["point"] = _point(sc, chart, ts)
         if what == "type" and ts.accept("on"):
-            payload["region"] = _named(sc.regions, "region", ts.next().text, line)
+            payload["region"] = _named(sc.regions, "region", ts.next().text)
     elif what in ("stable", "integrable"):
-        payload["spinor"] = _named(sc.spinors, "spinor", ts.next().text, line)
+        payload["spinor"] = _named(sc.spinors, "spinor", ts.next().text)
     elif what == "equal":
-        chart = _opt_chart(sc, ts, line)
+        chart = _opt_chart(sc, ts)
         payload["left"] = parse_expr(sc, chart, ts)
         ts.expect(",")
         payload["right"] = parse_expr(sc, chart, ts)
         if ts.accept("on"):
-            payload["region"] = _named(sc.regions, "region", ts.next().text, line)
+            payload["region"] = _named(sc.regions, "region", ts.next().text)
     elif what in ("lemma", "assembly"):
         ts.expect("params")
-        payload["params"] = _params(ts, line)
+        payload["params"] = _params(ts)
         payload["profile"] = ts.next().text if ts.accept("profile") else "lemma"
         if payload["profile"] not in RADIAL_PROFILES:
-            raise ParseError(f"unknown radial profile {payload['profile']!r}", line)
+            raise ParseError(f"unknown radial profile {payload['profile']!r}")
     elif what in ("chi", "sigma", "components", "hetero"):
         payload["manifold"] = ts.next().text
     elif what == "abelianization":
         payload["target"] = ts.next().text
     elif what == "classify5":
         if ts.accept("k"):
-            payload["k"] = _read_int(ts, line)
+            payload["k"] = _read_int(ts)
         else:
             ts.expect("b2")
-            b2 = _read_int(ts, line)
+            b2 = _read_int(ts)
             ts.expect("genus")
-            genus = _read_int(ts, line)
+            genus = _read_int(ts)
             payload["k"] = b2 + 2 * genus - 1
         ts.expect("spin")
         payload["spin"] = _spin_flag(ts)
@@ -904,101 +901,96 @@ def _stmt_check(sc, ts, line, text):
         ts.expect("hurwitz")
         what = payload["what"] = "riemann-hurwitz"
         ts.expect("gcover")
-        payload["gcover"] = _read_int(ts, line)
+        payload["gcover"] = _read_int(ts)
         ts.expect("gbase")
-        payload["gbase"] = _read_int(ts, line)
+        payload["gbase"] = _read_int(ts)
         ts.expect("degree")
-        payload["degree"] = _read_int(ts, line)
+        payload["degree"] = _read_int(ts)
         ts.expect("indices")
-        payload["indices"] = _int_list(ts, line)
+        payload["indices"] = _int_list(ts)
     else:
-        raise ParseError(f"unknown check {what!r}", line)
+        raise ParseError(f"unknown check {what!r}")
     ts.expect("expect")
     if what == "abelianization":
         ts.expect("rank")
-        rank = _read_int(ts, line)
+        rank = _read_int(ts)
         ts.expect("torsion")
-        payload["expect"] = f"rank {rank} torsion {_int_list(ts, line)}"
+        payload["expect"] = f"rank {rank} torsion {_int_list(ts)}"
     elif what == "classify5":
         tok = ts.next()
         if tok.kind != "string":
-            raise ParseError("classify5 expects a quoted string", line)
+            raise ParseError("classify5 expects a quoted string")
         payload["expect"] = tok.text.strip('"')
     elif what in VERDICTS:
         word = ts.next().text
         if word not in VERDICTS[what]:
             raise ParseError(f"check {what} expects {' or '.join(VERDICTS[what])}, "
-                             f"got {word!r}", line)
+                             f"got {word!r}")
         payload["expect"] = word
     else:
-        payload["expect"] = _read_int(ts, line)
+        payload["expect"] = _read_int(ts)
     region = payload.get("region")
     if region is not None and region.chart != chart:
         raise ParseError(f"region {region.name!r} lies on chart {region.chart.name!r}, "
-                         f"not on {chart.name!r}", line)
-    sc.commands.append(Command("check", payload, line, text))
+                         f"not on {chart.name!r}")
+    sc.command("check", payload)
 
 
-def _stmt_surgery(sc, ts, line, text):
-    new = sc.declare("manifold", ts.next().text, line)
+def _stmt_surgery(sc, ts):
+    new = sc.declare("manifold", ts.next().text)
     ts.expect("=")
     which = ts.next().text
     if which not in ("luttinger", "gluck"):
-        raise ParseError("surgery needs 'luttinger' or 'gluck'", line)
+        raise ParseError("surgery needs 'luttinger' or 'gluck'")
     mname = ts.next().text
     ts.expect("at")
     lname = ts.next().text
     ts.expect("params")
-    params = _params(ts, line)
-    sc.commands.append(Command("surgery", {
-        "new": new, "which": which, "manifold": mname, "locus": lname,
-        "params": params,
-    }, line, text))
+    params = _params(ts)
+    sc.command("surgery", {"new": new, "which": which, "manifold": mname, "locus": lname,
+                           "params": params})
 
 
-def _stmt_cover(sc, ts, line, text):
-    new = sc.declare("manifold", ts.next().text, line)
+def _stmt_cover(sc, ts):
+    new = sc.declare("manifold", ts.next().text)
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")
-    d = _read_int(ts, line)
-    sc.commands.append(Command("cover", {"new": new, "manifold": mname, "degree": d},
-                               line, text))
+    d = _read_int(ts)
+    sc.command("cover", {"new": new, "manifold": mname, "degree": d})
 
 
-def _stmt_branched_cover(sc, ts, line, text):
-    new = sc.declare("manifold", ts.next().text, line)
+def _stmt_branched_cover(sc, ts):
+    new = sc.declare("manifold", ts.next().text)
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")
-    deg = _read_int(ts, line)
+    deg = _read_int(ts)
     branches = []
     while ts.accept(";"):
         ts.expect("branch")
         label = ts.next().text
         ts.expect("chi")
-        chi = _read_int(ts, line)
+        chi = _read_int(ts)
         ts.expect("indices")
         idx = []
         while not ts.at_end() and ts.peek().kind == "number":
-            idx.append(_read_int(ts, line))
+            idx.append(_read_int(ts))
             ts.accept(",")
         branches.append(BranchComponent(label, chi, tuple(idx)))
-    sc.commands.append(Command("branched-cover", {
-        "new": new, "manifold": mname,
-        "branching": BranchingData(deg, tuple(branches)),
-    }, line, text))
+    sc.command("branched-cover", {"new": new, "manifold": mname,
+                                  "branching": BranchingData(deg, tuple(branches))})
 
 
-def _stmt_report(sc, ts, line, text):
+def _stmt_report(sc, ts):
     ts.expect("components")
     mname = ts.next().text
-    sc.commands.append(Command("report", {"manifold": mname}, line, text))
+    sc.command("report", {"manifold": mname})
 
 
-def _assert_consumed(ts: TokenStream, line: int):
+def _assert_consumed(ts: TokenStream):
     rest = []
     while not ts.at_end():
         rest.append(ts.next().text)
     if rest:
-        raise ParseError(f"trailing tokens: {' '.join(rest)!r}", line)
+        raise ParseError(f"trailing tokens: {' '.join(rest)!r}")

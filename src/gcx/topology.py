@@ -330,15 +330,22 @@ class BranchingData:
         )
 
 
+def keeps_signature(branching: Optional[BranchingData]) -> bool:
+    """Whether a product keeps its factor's known signature.  ``branching``
+    is None for a surgery or an unbranched cover, which keep it; a branched
+    cover keeps it only without branch components, since this bookkeeping
+    does not determine it."""
+    return branching is None or not branching.components
+
+
 def apply_branched_cover(m: ManifoldDescriptor,
                          branching: BranchingData) -> ManifoldDescriptor:
     """Branched d-fold cover, by the stratified chi convention: chi =
-    d*chi(M) - sum (t_i - 1)*chi(branch component).  The signature, pi1,
-    b2 and spin flag become unknown."""
+    d*chi(M) - sum (t_i - 1)*chi(branch component).  Pi1, b2 and the spin
+    flag become unknown, and so does the signature unless it is kept."""
     d = branching.degree
-    if not branching.components:
+    if keeps_signature(branching):
         return apply_cover(m, d)
-    # the signature is not determined by this bookkeeping
     return _covered(m, d, d * m.euler - branching.defect(), None)
 
 

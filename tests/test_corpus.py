@@ -156,7 +156,13 @@ def test_cli_statement_errors_exit_2(tmp_path, capsys, statement, message):
     for command in ("verify", "run"):
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
-        assert "line 2" in err and message in err and "Traceback" not in err, err
+        assert err.startswith("gcx: error: line 2: ") and _line_prefixes(err) == 1, err
+        assert message in err and "Traceback" not in err, err
+
+
+def _line_prefixes(err: str) -> int:
+    """How often a ``line N:`` prefix occurs in ``err``."""
+    return len(re.findall(r"line \d+:", err))
 
 
 @pytest.mark.parametrize("expr", ["-" * 600 + "z1", "(" * 500 + "z1" + ")" * 500],
@@ -186,7 +192,8 @@ def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, messa
     for command in ("verify", "run"):
         assert main([command, str(scn)]) == 2
         err = capsys.readouterr().err
-        assert "line 4" in err and message in err, err
+        assert err.startswith("gcx: error: line 4: ") and _line_prefixes(err) == 1, err
+        assert message in err, err
 
 
 @pytest.mark.parametrize("s0, verdict", [("z1*z2", "false"), ("z1**2 + z2**2 - 1", "true")])
@@ -505,6 +512,13 @@ def test_corpus_list_reads_titles_as_the_parser_does(tmp_path, monkeypatch):
     (tmp_path / "hash.gcx").write_text(text)
     assert parse_scenario(text).title == "Case #1 of 2"
     assert list_corpus() == [("hash", parse_scenario(text).title)]
+
+
+def test_cli_corpus_list_names_the_line_of_a_bad_title(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GCX_CORPUS_DIR", str(tmp_path))
+    (tmp_path / "bad.gcx").write_text("chart C = complex z1\ntitle 5\n")
+    assert main(["corpus", "list"]) == 2
+    assert capsys.readouterr().err == "gcx: error: line 2: title needs a quoted string\n"
 
 
 def test_cli_missing_corpus_dir_is_config_error(tmp_path, monkeypatch):

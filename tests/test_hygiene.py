@@ -96,6 +96,17 @@ def test_module_does_not_import_numpy(path):
     assert not {"numpy", "mpmath"} & imported_modules(path.read_text()), path.name
 
 
+@pytest.mark.parametrize("name", ["groups.py", "topology.py"])
+def test_topology_layer_does_not_import_sympy(name):
+    # group presentations and surgery invariants are integer bookkeeping:
+    # neither module imports sympy, nor any package module but groups
+    source = (_PACKAGE / name).read_text()
+    assert "sympy" not in imported_modules(source), name
+    relative = {node.module for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative <= {"groups"}, name
+
+
 def test_imported_modules_reads_every_import_form():
     source = "import numpy.linalg as la\nfrom sympy.printing import pycode\nfrom .chart import Chart\n"
     assert imported_modules(source) == {"numpy", "sympy"}

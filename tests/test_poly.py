@@ -148,6 +148,19 @@ def test_equal_quotients_hash_alike():
     assert hash(q / (2 * q)) == hash(_RING.one / 2)
 
 
+def test_an_int_subtracts_and_divides_from_the_left():
+    # int - value and int / value, for a polynomial and for a quotient
+    z1, z1b = _RING.gens[:2]
+    for value in (z1, (1 + z1 * z1b) / (z1 - 2)):
+        assert type(2 - value) is GaussPoly and 2 - value == -(value - 2)
+        assert type(1 / value) is GaussPoly and 1 / value == value.inverse()
+        assert 3 / value == 3 * value.inverse()
+    with pytest.raises(TypeError):
+        1.5 - z1
+    with pytest.raises(TypeError):
+        1.5 / z1
+
+
 def test_kernel_arithmetic_keeps_denominators_unreduced():
     # sums, products, derivatives and conjugates run on the numerators and
     # divide out no content: (2p, 6) stays over 6 until it leaves the kernel

@@ -11,7 +11,7 @@ from conftest import ring_coefficients
 import gcx.scenario as scenario_module
 from gcx import MixedForm, ParseError, Region, parse_scenario
 from gcx.poly import GaussPoly
-from gcx.runner import corpus_files, load_scenario, run
+from gcx.runner import _Runner, corpus_files, load_scenario, run
 
 
 SMALL = """\
@@ -57,7 +57,7 @@ def test_wedge_shared_leg_warns():
         "chart C = complex z1\nform w on C = dz1 ^ dz1\n"
     )
     assert sc.forms["w"].is_zero()
-    assert sc.warnings
+    assert sc.warnings == ["line 2: wedge with repeated differential is zero"]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -239,6 +239,31 @@ def test_run_report_lists_parse_warnings_first():
     assert report.render().splitlines()[1:3] == [
         "[warn] line 2: wedge with repeated differential is zero",
         "[ok] #1 check equal on C w, 0 expect equal  (got equal)"]
+
+
+@pytest.mark.parametrize("product", [
+    "surgery N = luttinger M at L params (1, 3, 1, 2)",
+    "surgery N = gluck M at G params (1, 3, 1, 2)",
+    "cover N = M degree 3",
+    "branched-cover N = M degree 2",
+    "branched-cover N = M degree 2; branch F chi 2 indices 2",
+    "branched-cover B = M degree 2; branch F chi 2 indices 2\ncover N = B degree 3",
+    "cover B = M degree 2\nbranched-cover N = B degree 2",
+])
+@pytest.mark.parametrize("sigma", ["; sigma 3", ""], ids=["sigma", "no-sigma"])
+def test_parse_time_signature_rule_matches_the_runner(product, sigma):
+    # `check sigma N` parses exactly when the product the runner stores has a signature
+    text = (f"manifold M = dim 4; chi 2{sigma}\nlocus L on M = kind luttinger\n"
+            f"locus G on M = kind gluck\n{product}\n")
+    try:
+        parse_scenario(text + "check sigma N expect 0\n")
+        known = True
+    except ParseError as exc:
+        assert "the signature of manifold 'N' is unknown" in str(exc)
+        known = False
+    runner = _Runner(parse_scenario(text), seed=0, samples=1, tol=1e-9)
+    assert runner.run().ok
+    assert known == (runner.manifolds["N"].signature is not None)
 
 
 def test_abelianization_of_an_unknown_pi1_fails_its_check():
