@@ -22,10 +22,6 @@ from .spinor import (
 from .topology import (
     ManifoldDescriptor,
     TopologyError,
-    apply_branched_cover,
-    apply_cover,
-    apply_gluck,
-    apply_luttinger,
     classify_simply_connected_5,
     components_report,
     riemann_hurwitz_check,
@@ -132,7 +128,7 @@ class _Runner:
         for cmd in self.sc.commands:
             self.index += 1
             try:
-                getattr(self, "cmd_" + cmd.kind.replace("-", "_"))(cmd)
+                getattr(self, "cmd_" + cmd.kind)(cmd)
             except ValueError as exc:  # all gcx errors derive from ValueError
                 self.report.check(f"#{self.index} {cmd.text}", False, str(exc))
                 if cmd.kind == "check":
@@ -238,7 +234,7 @@ class _Runner:
                 raise RunError(f"manifold {target!r} has unknown pi1")
         inv = abelianization(group)
         self.report.record(f"abelianization_{self.index}", inv.describe())
-        return f"rank {inv.rank} torsion {list(inv.torsion)}", inv.describe()
+        return inv, inv.describe()
 
     def chk_classify5(self, p):
         got = classify_simply_connected_5(p["k"], p["spin"])
@@ -256,27 +252,12 @@ class _Runner:
 
     # -- state commands ----------------------------------------------------
 
-    def cmd_surgery(self, cmd: Command):
+    def cmd_product(self, cmd: Command):
+        """Make a surgery's or a cover's product from its factor, and store
+        it under its declared name."""
         p = cmd.payload
-        m = self.manifold(p["manifold"])
-        locus = m.locus(p["locus"])
-        params = validate_surgery_params(*p["params"])
-        apply_fn = apply_luttinger if p["which"] == "luttinger" else apply_gluck
-        self.store_product(p["new"], apply_fn(m, locus, params))
-
-    def cmd_cover(self, cmd: Command):
-        p = cmd.payload
-        self.store_product(p["new"], apply_cover(self.manifold(p["manifold"]), p["degree"]))
-
-    def cmd_branched_cover(self, cmd: Command):
-        p = cmd.payload
-        out = apply_branched_cover(self.manifold(p["manifold"]), p["branching"])
-        self.store_product(p["new"], out)
-
-    def store_product(self, name: str, out: ManifoldDescriptor):
-        """Store a surgery's or a cover's product under its declared name."""
-        out = replace(out, name=name)
-        self.manifolds[name] = out
+        out = replace(p["make"](self.manifold(p["manifold"])), name=p["new"])
+        self.manifolds[out.name] = out
         self.report.note(f"[do] {out.describe()}")
 
     def cmd_report(self, cmd: Command):

@@ -32,7 +32,9 @@ from .forms import (
 from .maps import CoordinateMap, pullback
 from .poly import GaussPoly
 from .scalars import bump_function, is_structural_zero
-from .groups import GroupPresentation, Word, checked_words, parse_relators, parse_word
+from .groups import (
+    AbelianInvariants, GroupPresentation, Word, checked_words, parse_relators, parse_word,
+)
 from .spinor import (
     RADIAL_PROFILES,
     XI,
@@ -46,7 +48,11 @@ from .topology import (
     ManifoldDescriptor,
     SurgeryLocus,
     TypeChangeComponent,
+    apply_branched_cover,
+    apply_gluck,
+    apply_luttinger,
     keeps_signature,
+    validate_surgery_params,
 )
 
 
@@ -142,7 +148,7 @@ class TokenStream:
 
 @dataclass
 class Command:
-    kind: str
+    kind: str  # check | product | report: the runner's cmd_<kind>
     payload: dict
     line: int
     text: str
@@ -408,6 +414,7 @@ def _read_title_statement(sc: Scenario, statement: str):
     ts = TokenStream(statement)
     if ts.accept("title"):
         _stmt_title(sc, ts)
+        _assert_consumed(ts)
 
 
 def _resolve_manifolds(sc: Scenario):
@@ -437,12 +444,13 @@ def _parse_statement(sc: Scenario, statement: str):
         "bump": _stmt_bump, "form": _stmt_form, "scalar": _stmt_form,
         "map": _stmt_map, "spinor": _stmt_spinor, "build": _stmt_build,
         "group": _stmt_group, "manifold": _stmt_manifold, "locus": _stmt_locus,
-        "check": _stmt_check, "surgery": _stmt_surgery, "cover": _stmt_cover,
+        "check": _stmt_check, "surgery": _stmt_surgery,
+        "cover": lambda sc, ts: _stmt_cover(sc, ts, branches=False),
         "report": _stmt_report,
     }
     if head.text == "branched" and ts.accept("-"):
         ts.expect("cover")
-        fn = _stmt_branched_cover
+        fn = _stmt_cover
     else:
         fn = table.get(head.text)
         if fn is None:
@@ -915,7 +923,7 @@ def _stmt_check(sc, ts):
         ts.expect("rank")
         rank = _read_int(ts)
         ts.expect("torsion")
-        payload["expect"] = f"rank {rank} torsion {_int_list(ts)}"
+        payload["expect"] = AbelianInvariants(rank, tuple(_int_list(ts)))
     elif what == "classify5":
         tok = ts.next()
         if tok.kind != "string":
@@ -947,27 +955,22 @@ def _stmt_surgery(sc, ts):
     lname = ts.next().text
     ts.expect("params")
     params = _params(ts)
-    sc.command("surgery", {"new": new, "which": which, "manifold": mname, "locus": lname,
-                           "params": params})
+    surgery = apply_luttinger if which == "luttinger" else apply_gluck
+    # the locus and the parameters are checked when the product is made
+    sc.command("product", {"new": new, "manifold": mname, "make": lambda m: surgery(
+        m, m.locus(lname), validate_surgery_params(*params))})
 
 
-def _stmt_cover(sc, ts):
-    new = sc.declare("manifold", ts.next().text)
-    ts.expect("=")
-    mname = ts.next().text
-    ts.expect("degree")
-    d = _read_int(ts)
-    sc.command("cover", {"new": new, "manifold": mname, "degree": d})
-
-
-def _stmt_branched_cover(sc, ts):
+def _stmt_cover(sc, ts, branches: bool = True):
+    """``branched-cover``, and with ``branches`` off ``cover``: a cover is a
+    branched cover without branch components."""
     new = sc.declare("manifold", ts.next().text)
     ts.expect("=")
     mname = ts.next().text
     ts.expect("degree")
     deg = _read_int(ts)
-    branches = []
-    while ts.accept(";"):
+    components = []
+    while branches and ts.accept(";"):
         ts.expect("branch")
         label = ts.next().text
         ts.expect("chi")
@@ -977,9 +980,10 @@ def _stmt_branched_cover(sc, ts):
         while not ts.at_end() and ts.peek().kind == "number":
             idx.append(_read_int(ts))
             ts.accept(",")
-        branches.append(BranchComponent(label, chi, tuple(idx)))
-    sc.command("branched-cover", {"new": new, "manifold": mname,
-                                  "branching": BranchingData(deg, tuple(branches))})
+        components.append(BranchComponent(label, chi, tuple(idx)))
+    branching = BranchingData(deg, tuple(components))
+    sc.command("product", {"new": new, "manifold": mname, "branching": branching,
+                           "make": lambda m: apply_branched_cover(m, branching)})
 
 
 def _stmt_report(sc, ts):

@@ -270,31 +270,6 @@ def apply_gluck(m: ManifoldDescriptor, locus: SurgeryLocus,
     return _do_torus_surgery(m, locus, params, "gluck", label)
 
 
-def apply_cover(m: ManifoldDescriptor, d: int) -> ManifoldDescriptor:
-    """Unbranched d-fold cover: chi scales by d, components come in d copies;
-    pi1, b2 and the spin flag become unknown."""
-    d = int(d)
-    if d < 1:
-        raise TopologyError("covering degree must be >= 1")
-    if d == 1:
-        return m
-    # signature is multiplicative under finite unbranched covers
-    return _covered(m, d, d * m.euler, None if m.signature is None else d * m.signature)
-
-
-def _covered(m: ManifoldDescriptor, d: int, euler: int,
-             signature: Optional[int]) -> ManifoldDescriptor:
-    """A d-fold cover of m, under m's name: each component comes in d
-    copies; pi1, b2 and the spin flag become unknown."""
-    comps = tuple(
-        replace(c, origin=f"cover-preimage-{i+1}")
-        for c in m.components
-        for i in range(d)
-    )
-    return replace(m, euler=euler, signature=signature, pi1=None,
-                   spin="unknown", b2=None, components=comps)
-
-
 @dataclass(frozen=True)
 class BranchComponent:
     """One branch component with the ramification indices above it."""
@@ -332,21 +307,32 @@ class BranchingData:
 
 def keeps_signature(branching: Optional[BranchingData]) -> bool:
     """Whether a product keeps its factor's known signature.  ``branching``
-    is None for a surgery or an unbranched cover, which keep it; a branched
-    cover keeps it only without branch components, since this bookkeeping
-    does not determine it."""
+    is None for a surgery, which keeps it; a cover keeps it only without
+    branch components, since this bookkeeping does not determine it."""
     return branching is None or not branching.components
 
 
 def apply_branched_cover(m: ManifoldDescriptor,
                          branching: BranchingData) -> ManifoldDescriptor:
     """Branched d-fold cover, by the stratified chi convention: chi =
-    d*chi(M) - sum (t_i - 1)*chi(branch component).  Pi1, b2 and the spin
-    flag become unknown, and so does the signature unless it is kept."""
+    d*chi(M) - sum (t_i - 1)*chi(branch component).  Each component comes
+    in d copies; pi1, b2 and the spin flag become unknown, and so does the
+    signature unless it is kept.  A 1-fold cover without branch components is m."""
     d = branching.degree
-    if keeps_signature(branching):
-        return apply_cover(m, d)
-    return _covered(m, d, d * m.euler - branching.defect(), None)
+    if d == 1 and not branching.components:
+        return m
+    # signature is multiplicative under finite unbranched covers
+    keep = keeps_signature(branching) and m.signature is not None
+    comps = tuple(replace(c, origin=f"cover-preimage-{i+1}")
+                  for c in m.components for i in range(d))
+    return replace(m, euler=d * m.euler - branching.defect(),
+                   signature=d * m.signature if keep else None,
+                   pi1=None, spin="unknown", b2=None, components=comps)
+
+
+def apply_cover(m: ManifoldDescriptor, d: int) -> ManifoldDescriptor:
+    """Unbranched d-fold cover: the branched cover without branch components."""
+    return apply_branched_cover(m, BranchingData(int(d)))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,7 @@ def test_cli_parse_time_errors_exit_2(tmp_path, capsys):
     ("check chi M expect 2.5", "expected an integer, got '2.5'"),
     ("check equal on C z1, z1 expect same", "check equal expects equal or different, got 'same'"),
     ("form w on C = z1**2.5", "** needs an integer exponent"),
+    ("form f on C = foo(z1)", "unknown function 'foo'"),
     ("manifold M = dim 4; chi 2; chi 3", "manifold clause 'chi' is given twice"),
     ("spinor s = on C; rho z1 + dz1; rho 1", "spinor clause 'rho' is given twice"),
     ("build luttinger s = params (0, 1, 1, 0); on C; on C", "build clause 'on' is given twice"),
@@ -185,6 +186,9 @@ def test_cli_deep_nesting_is_a_parse_error(tmp_path, capsys, expr):
     ("locus L on M = kind branch junk", "trailing tokens: 'junk'"),
     ("locus L on M = kind branch; chi 5", "unknown locus clause 'chi'"),
     ("locus L on M = kind luttinger; kind gluck", "locus clause 'kind' is given twice"),
+    # a cover is a branched cover without branch components
+    ("cover N = M degree 0", "covering degree must be >= 1"),
+    ("branched-cover N = M degree 0", "covering degree must be >= 1"),
 ])
 def test_cli_errors_after_declarations_exit_2(tmp_path, capsys, statement, message):
     scn = tmp_path / "s.gcx"
@@ -363,6 +367,16 @@ def test_cli_check_sigma_needs_a_known_signature(tmp_path, capsys):
     assert "line 2: the signature of manifold 'M' is unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", [
+    "im(z1*dz2), ((z1*dz2) - conj(z1*dz2))/(2*i)",
+    "+z1, z1",
+], ids=["im", "unary-plus"])
+def test_cli_equal_reads_im_and_unary_plus(tmp_path, capsys, check):
+    scn = tmp_path / "s.gcx"
+    scn.write_text(f"chart C = complex z1, complex z2\ncheck equal on C {check} expect equal\n")
+    assert main(["run", str(scn)]) == 0, capsys.readouterr().out
+
+
 def test_cli_infinite_value_fails_the_check(tmp_path, capsys):
     scn = tmp_path / "zoo.gcx"
     # an undefined value is not equal to itself either
@@ -519,6 +533,13 @@ def test_cli_corpus_list_names_the_line_of_a_bad_title(tmp_path, monkeypatch, ca
     (tmp_path / "bad.gcx").write_text("chart C = complex z1\ntitle 5\n")
     assert main(["corpus", "list"]) == 2
     assert capsys.readouterr().err == "gcx: error: line 2: title needs a quoted string\n"
+
+
+def test_cli_corpus_list_rejects_trailing_tokens_after_a_title(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GCX_CORPUS_DIR", str(tmp_path))
+    (tmp_path / "t.gcx").write_text('title "x" junk\n')
+    assert main(["corpus", "list"]) == 2
+    assert capsys.readouterr().err == "gcx: error: line 1: trailing tokens: 'junk'\n"
 
 
 def test_cli_missing_corpus_dir_is_config_error(tmp_path, monkeypatch):

@@ -282,6 +282,7 @@ _STABILITY = [
 _STABILITY_UNDECIDED = [
     ("z1*z1b + 1/4", _C, "stability undecided: no Groebner certificate and no rational real witness"),
     ("pi*z1", _C, "degree-0 part pi*z1 is not a polynomial over QQ_I"),
+    ("0", _C, "degree-0 part vanishes identically: not a pure spinor"),
 ]
 
 
